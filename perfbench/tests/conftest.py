@@ -1,0 +1,10 @@
+"""perfbench's self-tests live outside ``testpaths``: tier-1 does not
+collect them.  Run with ``python -m pytest perfbench/tests -q``."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1]
+for p in (PERFBENCH, PERFBENCH.parent / "src"):
+    if str(p) not in sys.path:
+        sys.path.insert(0, str(p))
