@@ -7,7 +7,7 @@
     python -m repro run dotprod --level 4 --width 8 [--all-levels]
     python -m repro sweep [--force] [--jobs N]   # full grid -> results/
     python -m repro sweep --workloads add,sum --jobs 2   # subset smoke run
-    python -m repro sweep --store DIR            # persistent artifact store
+    python -m repro sweep --store DIR            # persistent store; rerun = resume
     python -m repro ablate [--jobs N]            # leave-one-out pass ablation
     python -m repro serve --port 8734 --store DIR --jobs 2  # HTTP service
     python -m repro cluster --nodes 3 --store DIR # multi-node scale-out
@@ -197,29 +197,25 @@ def cmd_sweep(args) -> int:
         print(plan.describe())
     store = None
     if args.store:
-        from pathlib import Path as _Path
+        from pathlib import Path
 
         from .service.store import ArtifactStore
 
-        store = ArtifactStore(_Path(args.store))
+        store = ArtifactStore(Path(args.store))
     if args.workloads:
         # subset sweep (smoke tests / CI): no figure rendering, prints a
         # per-configuration summary instead
-        from pathlib import Path
-
         from .experiments.sweep import run_sweep
 
         wls = [get_workload(n) for n in args.workloads.split(",")]
-        journal = Path(args.journal) if args.journal else None
-        data = run_sweep(wls, verbose=True, jobs=args.jobs, journal=journal,
-                         resume=not args.force, check_ir=args.check,
-                         options=options, store=store, engine=args.engine)
+        data = run_sweep(wls, verbose=True, jobs=args.jobs,
+                         check_ir=args.check, options=options, store=store,
+                         engine=args.engine)
         for (name, level, width), r in data.results.items():
             print(f"{name:<14}{Level(level).label:<6}issue-{width}: "
                   f"{r.cycles} cycles, {r.instructions} instrs, "
                   f"{r.total_regs} regs  [checked]")
-        print(f"{data.computed} computed, {data.reused} resumed, "
-              f"{data.store_hits} from store "
+        print(f"{data.computed} computed, {data.store_hits} from store "
               f"in {data.elapsed:.1f}s ({args.jobs} jobs)")
         if data.resilience:
             rz = data.resilience
@@ -456,13 +452,11 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", metavar="A,B,...",
                    help="comma-separated subset: sweep only these loops "
                         "and print a summary instead of the figures")
-    p.add_argument("--journal", metavar="PATH",
-                   help="JSONL journal for a --workloads sweep (enables "
-                        "resuming an interrupted run)")
     p.add_argument("--store", metavar="DIR",
                    help="persistent content-addressed artifact store: "
                         "reuse configurations across sweeps/processes and "
-                        "write back everything computed here")
+                        "write back everything computed here (rerun with "
+                        "the same DIR to resume an interrupted sweep)")
     p.add_argument("--check", action="store_true", help=check_help)
     p.add_argument("--engine", choices=("auto", "compiled", "interp"),
                    default="auto",

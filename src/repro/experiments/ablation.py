@@ -19,16 +19,18 @@ the table is cheap to regenerate; ``--workloads all`` covers the full
 corpus.  Results land in ``results/ablation.txt``.
 
 The grid of (workload, ablated-pass) measurements is embarrassingly
-parallel; ``--jobs N`` fans it out over the sweep engine's fork-based
-process pool with a deterministic merge, so serial and parallel
-ablations produce identical tables.
+parallel; ``--jobs N`` fans it out over a fork-based process pool with
+a deterministic merge, so serial and parallel ablations produce
+identical tables.
 """
 
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from ..passes import PassOptions
 from ..passes.registry import ablatable_passes, get_pass
 from ..pipeline import Level
 from ..workloads import Workload, all_workloads, get_workload
-from .sweep import _fork_pool, default_cache_path, run_config
+from .sweep import default_cache_path, run_config
 
 #: the differential-oracle CI subset: fast, and spanning FP DOALL,
 #: reductions, searches with side exits, and serial recurrences
@@ -71,8 +73,8 @@ def _ablation_task(task: tuple) -> tuple:
     """One (workload, ablated-pass) measurement: the pair of cycle counts
     its contribution is computed from.  ``pass_name=None`` measures the
     full pipeline.  Module-level so the fork pool can pickle it; the
-    worker-process classical-stage cache (keyed by disable set) is
-    shared with the sweep engine.
+    cell evaluator's per-process classical-stage cache is keyed by
+    disable set, so ablated runs never see the fully-optimized result.
     """
     name, level_int, width, seed, check, pass_name = task
     w = get_workload(name)
@@ -131,7 +133,13 @@ def run_ablation(
         for w in workloads for pass_name in (None, *plist)
     ]
     if jobs > 1 and len(tasks) > 1:
-        with _fork_pool(jobs) as pool:
+        # fork (not spawn) so workers inherit the parent's PYTHONHASHSEED:
+        # several passes iterate sets of enum members, whose hashes vary
+        # with the seed, and bit-identical serial/parallel tables require
+        # every process to break those ties the same way
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
             outs = list(pool.map(_ablation_task, tasks))
     else:
         outs = [_ablation_task(t) for t in tasks]

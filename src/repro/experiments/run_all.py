@@ -90,8 +90,8 @@ def main(argv=None) -> int:
                          "the sweep cache")
     ap.add_argument("--store", metavar="DIR",
                     help="persistent artifact store: reuse configurations "
-                         "computed by earlier sweeps or service traffic, "
-                         "and write back everything computed here")
+                         "computed by earlier (or interrupted) sweeps, and "
+                         "write back everything computed here")
     ap.add_argument("--engine", choices=("auto", "compiled", "interp"),
                     default="auto",
                     help="simulator engine: 'compiled' executes generated "
@@ -128,7 +128,6 @@ def main(argv=None) -> int:
             print(text)
     print(f"\nwrote {len(texts)} artifacts to {outdir}/ "
           f"(sweep {data.elapsed:.1f}s, {data.computed} computed"
-          + (f", {data.reused} resumed" if data.reused else "")
           + (f", {data.store_hits} from store" if data.store_hits else "")
           + ")",
           file=sys.stderr)

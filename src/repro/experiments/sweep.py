@@ -9,77 +9,64 @@ simulation; speedups are relative to the issue-1 processor with
 conventional (Conv) optimization; register usage is the colored
 int+fp total of the compiled loop nest.
 
-The grid is embarrassingly parallel and highly redundant, and the engine
-exploits both:
+This module is a driver: every cell is evaluated by
+:func:`repro.harness.evaluate_cell` and every resumable byte lives in
+the artifact store.
 
 * **Width sharding.**  The unit of work is a *task* — one (workload,
-  level) cell covering every requested issue width.  The classical and
-  ILP transformation stages observe only the machine's latencies
-  (:func:`repro.harness.ilp_transform`), so a task transforms once and
-  schedules a clone per width instead of recompiling from scratch
-  4 times.  Classical optimization is additionally level-independent, so
-  each worker process runs it once per workload (all levels share it).
-* **Process parallelism.**  ``jobs > 1`` fans tasks out over a
-  ``fork``-based process pool.  Results are merged deterministically
+  level) cell covering every requested issue width, so the cell
+  evaluator transforms once, schedules a clone per width, executes once
+  and replays the trace per width.
+* **Process parallelism.**  ``jobs > 1`` fans tasks out over the
+  supervised ``fork`` pool.  Results are merged deterministically
   (sorted by grid key), so serial and parallel sweeps are bit-identical.
-* **Resumability.**  Each finished configuration is appended to a JSONL
-  *journal*; an interrupted sweep rerun with the same journal reloads
-  the finished configurations and computes only the missing ones.
-* **Persistence.**  With ``store=`` (CLI ``--store DIR``), finished
-  configurations are also written to the content-addressed artifact
-  store (:mod:`repro.service.store`), keyed by the same canonical
-  identity as the service (:mod:`repro.service.keys`).  A later sweep
-  pointed at the same store — or compile/run traffic served from it —
-  reuses them across processes and machines, so a warm rerun is
-  near-free.
+* **Persistence = resumability.**  With ``store=`` (CLI ``--store
+  DIR``), every finished configuration is written to the
+  content-addressed artifact store (:mod:`repro.service.store`) under
+  its ``"result"`` key (:func:`repro.service.keys.request_key`) as soon
+  as it arrives, and a later sweep pointed at the same store — after an
+  interruption, in another process, on another machine — reloads those
+  and computes only the rest.  A sweep without a store simply restarts.
+  (``"result"`` blobs are the sweep's own; the service's ``"compile"``
+  and ``"run"`` payloads are distinct key kinds and are not shared.)
 
-Results are cached as JSON so the figure benchmarks can re-render without
-recomputation (delete ``results/sweep.json`` or pass ``force=True`` to
+``results/sweep.json`` is the figure export of a full grid
+(:func:`save_sweep` / :func:`load_sweep`), so the figure benchmarks can
+re-render without recomputation (delete it or pass ``force=True`` to
 refresh).
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..harness import (
-    BatchedRunner,
-    ConvKernel,
-    ilp_transform,
-    lower_conv,
-    run_compiled_kernel,
-    schedule_kernel,
-)
+from ..harness import WidthResult, evaluate_cell
 from ..machine import MachineConfig
 from ..passes import PassOptions
 from ..pipeline import Level
-from ..regalloc import measure_register_usage
 from ..resilience.errors import clean_orphan_tmps
 from ..resilience.supervisor import (
     CellQuarantined,
     SupervisedPool,
     TaskFailed,
 )
-from ..service.keys import request_key, sweep_header, workload_fingerprint
-from ..workloads import Workload, all_workloads, check_run, get_workload
+from ..service.keys import request_key, workload_fingerprint
+from ..workloads import Workload, all_workloads, get_workload
 
 
 class SweepError(RuntimeError):
     """One or more grid cells failed permanently (details in ``args``)."""
 
 WIDTHS = (1, 2, 4, 8)
-#: 4 added per-phase timing fields and partial-grid journals; version-3
-#: files (no timings, always full-grid) still load, as do version-4
-#: files from before the per-pass ``t_passes`` timing map was added.
+#: ``sweep.json`` schema version (files from before the per-pass
+#: ``t_passes`` timing map was added still load: the field defaults)
 CACHE_VERSION = 4
-_COMPAT_VERSIONS = (3, CACHE_VERSION)
 
 
 @dataclass
@@ -115,12 +102,9 @@ class SweepData:
 
     results: dict[tuple[str, int, int], ConfigResult] = field(default_factory=dict)
     elapsed: float = 0.0
-    #: configurations computed this run vs. reloaded from a journal
+    #: configurations computed this run vs. reloaded from the persistent
+    #: artifact store
     computed: int = 0
-    reused: int = 0
-    #: corrupt/truncated journal lines skipped while resuming
-    journal_skipped: int = 0
-    #: configurations served from the persistent artifact store
     store_hits: int = 0
     #: supervised-pool counters (redispatched, retries, deadline_kills,
     #: worker_restarts, ...) from a ``jobs > 1`` run; empty when serial
@@ -153,150 +137,30 @@ class SweepData:
 
 
 # ---------------------------------------------------------------------------
-# per-process worker state
+# one cell -> ConfigResults
 # ---------------------------------------------------------------------------
 
-#: classical optimization is level- and machine-independent, so one
-#: ``ConvKernel`` per (workload, disabled-pass set) serves every task a
-#: worker process sees.  The time it cost rides along and is charged to
-#: the first task that needs it (``_conv_cached`` pops the cost).
-_CONV_CACHE: dict[tuple, tuple[ConvKernel, float]] = {}
-#: inputs are read-only (``check_run`` copies before mutating;
-#: ``Memory.bind_array`` copies into simulated memory), so one binding
-#: per (workload, seed) serves every configuration.
-_INPUT_CACHE: dict[tuple[str, int], tuple[dict, dict]] = {}
 
-
-def _conv_cached(
-    w: Workload, options: PassOptions | None = None
-) -> tuple[ConvKernel, float]:
-    """Stage-1 result for a workload, plus the cost if paid just now.
-
-    Keyed by the disabled-pass set: ablation runs that switch classical
-    passes off must not be served the fully-optimized cached result.
-    """
-    key = (w.name, options.key if options is not None else ())
-    hit = _CONV_CACHE.get(key)
-    if hit is not None:
-        conv, _ = hit
-        return conv, 0.0
-    t0 = time.perf_counter()
-    conv = lower_conv(w.build(), options=options)
-    dt = time.perf_counter() - t0
-    _CONV_CACHE[key] = (conv, dt)
-    return conv, dt
-
-
-def _inputs_cached(w: Workload, seed: int) -> tuple[dict, dict]:
-    key = (w.name, seed)
-    hit = _INPUT_CACHE.get(key)
-    if hit is None:
-        hit = w.make_inputs(seed)
-        _INPUT_CACHE[key] = hit
-    return hit
-
-
-def _measure(w: Workload, ck, arrays: dict, scalars: dict, check: bool,
-             t_compile: float, t_sched: float,
-             t_passes: dict[str, float] | None = None,
-             engine: str = "auto") -> ConfigResult:
-    usage = measure_register_usage(ck.func, ck.lowered.live_out_exit)
-    t0 = time.perf_counter()
-    run = run_compiled_kernel(ck, arrays=arrays, scalars=scalars,
-                              engine=engine)
-    if check:
-        check_run(w, run.arrays, run.scalars, arrays, scalars)
-    t_sim = time.perf_counter() - t0
+def _pack(name: str, check: bool, r: WidthResult) -> ConfigResult:
+    ck, usage, run, timings = r
     return ConfigResult(
-        w.name, int(ck.level), ck.machine.issue_width, run.cycles,
+        name, int(ck.level), ck.machine.issue_width, run.cycles,
         run.instructions, ck.inner_makespan, usage.int_regs, usage.fp_regs,
-        check, t_compile=t_compile, t_schedule=t_sched, t_simulate=t_sim,
-        t_passes=t_passes if t_passes is not None else {},
+        check, **timings,
     )
 
 
-def _charged_pass_seconds(ck, first_width: bool, conv_fresh: bool) -> dict[str, float]:
-    """Per-pass seconds under the t_compile attribution rule: transform
-    phases are charged to the task's first width (and the classical phase
-    only when this task actually paid it), scheduling to every width."""
-    if not first_width:
-        return ck.report.pass_seconds(phases=("schedule",))
-    if conv_fresh:
-        return ck.report.pass_seconds()
-    return ck.report.pass_seconds(phases=("ilp", "cleanup", "schedule"))
-
-
 def _run_task(task: tuple) -> list[ConfigResult]:
-    """Run one (workload, level) cell over the requested widths.
-
-    The ILP transformation runs once on a clone of the cached stage-1
-    result; each width schedules its own clone of the transformed code.
-    With the compiled engine (the default), the cell then *executes*
-    once — the dynamic trace is width-independent — and each width's
-    cycle/instruction counts come from replaying that trace against its
-    own schedule (:class:`repro.harness.BatchedRunner`), bit-identical
-    to simulating every width in full.
-    """
+    """Run one (workload, level) cell over the requested widths
+    (module-level: the fork pool pickles it)."""
     name, level_int, widths, seed, check, check_ir, options, engine = task
-    w = get_workload(name)
-    level = Level(level_int)
-
-    conv, t_conv = _conv_cached(w, options)
-    t0 = time.perf_counter()
-    tk = ilp_transform(conv.clone(), level, MachineConfig(issue_width=widths[0]),
-                       check=check_ir, options=options)
-    t_transform = t_conv + (time.perf_counter() - t0)
-
-    arrays, scalars = _inputs_cached(w, seed)
-    cks = []
-    t_scheds = []
-    for i, width in enumerate(widths):
-        machine = MachineConfig(issue_width=width)
-        t0 = time.perf_counter()
-        # the last width may consume tk itself: nothing reads it afterwards
-        clone = tk.clone() if i + 1 < len(widths) else tk
-        cks.append(schedule_kernel(clone, machine, check=check_ir,
-                                   options=options))
-        t_scheds.append(time.perf_counter() - t0)
-
-    runner = None
-    t_exec = 0.0
-    if engine in ("auto", "compiled") and len(cks) > 1:
-        from ..sim import EngineUnsupported, ReplayUnsupported
-
-        t0 = time.perf_counter()
-        try:
-            runner = BatchedRunner(cks[0], arrays, scalars)
-        except (EngineUnsupported, ReplayUnsupported):
-            runner = None  # cell outside engine scope: simulate per width
-        t_exec = time.perf_counter() - t0
-
-    out: list[ConfigResult] = []
-    for i, ck in enumerate(cks):
-        if runner is None:
-            out.append(_measure(
-                w, ck, arrays, scalars, check, t_transform, t_scheds[i],
-                _charged_pass_seconds(ck, i == 0, t_conv > 0), engine=engine,
-            ))
-        else:
-            usage = measure_register_usage(ck.func, ck.lowered.live_out_exit)
-            t0 = time.perf_counter()
-            run = runner.run(ck)
-            # outputs are shared across widths, so one check covers the
-            # cell — except a width that fell back to a fresh full
-            # simulation, whose outputs are its own
-            if check and (i == 0 or runner.last_fallback):
-                check_run(w, run.arrays, run.scalars, arrays, scalars)
-            t_sim = (time.perf_counter() - t0) + (t_exec if i == 0 else 0.0)
-            out.append(ConfigResult(
-                w.name, int(ck.level), ck.machine.issue_width, run.cycles,
-                run.instructions, ck.inner_makespan, usage.int_regs,
-                usage.fp_regs, check, t_compile=t_transform,
-                t_schedule=t_scheds[i], t_simulate=t_sim,
-                t_passes=_charged_pass_seconds(ck, i == 0, t_conv > 0),
-            ))
-        t_transform = 0.0  # shared cost charged to the first width only
-    return out
+    cell = evaluate_cell(
+        get_workload(name), Level(level_int),
+        [MachineConfig(issue_width=wd) for wd in widths],
+        seed=seed, check=check, check_ir=check_ir, options=options,
+        engine=engine,
+    )
+    return [_pack(name, check, r) for r in cell]
 
 
 def run_config(
@@ -317,121 +181,17 @@ def run_config(
     ``scheduler`` selects the schedule backend (``--scheduler``), with
     ``solver_store`` caching exact-solver results fleet-wide.
     """
-    conv, t_conv = _conv_cached(w, options)
-    t0 = time.perf_counter()
-    tk = ilp_transform(conv.clone(), level, machine, check=check_ir,
-                       options=options)
-    t_compile = t_conv + (time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    ck = schedule_kernel(tk, machine, check=check_ir, options=options,
-                         scheduler=scheduler, solver_budget=solver_budget,
-                         solver_store=solver_store)
-    t_sched = time.perf_counter() - t0
-    arrays, scalars = _inputs_cached(w, seed)
-    return _measure(w, ck, arrays, scalars, check, t_compile, t_sched,
-                    _charged_pass_seconds(ck, True, t_conv > 0),
-                    engine=engine)
+    (r,) = evaluate_cell(
+        w, level, [machine], seed=seed, check=check, check_ir=check_ir,
+        options=options, engine=engine, scheduler=scheduler,
+        solver_budget=solver_budget, solver_store=solver_store,
+    )
+    return _pack(w.name, check, r)
 
 
 # ---------------------------------------------------------------------------
 # the sweep driver
 # ---------------------------------------------------------------------------
-
-
-def _journal_header(seed: int, check: bool, check_ir: bool = False,
-                    options: PassOptions | None = None) -> dict:
-    """Journal identity: the canonical grid-wide half of the request
-    identity (:func:`repro.service.keys.sweep_header` — shared with the
-    artifact store, so the two can never disagree) plus the journal's
-    own schema version."""
-    disable = options.key if options is not None else ()
-    return {"version": CACHE_VERSION,
-            **sweep_header(seed, check, check_ir, disable)}
-
-
-def read_journal(
-    path: Path, seed: int, check: bool, check_ir: bool = False,
-    on_skip=None, options: PassOptions | None = None,
-) -> dict[tuple, ConfigResult]:
-    """Finished configurations from an (possibly interrupted) journal.
-
-    Skips truncated or corrupt lines (the process died mid-write — a torn
-    line may even be invalid UTF-8, so parsing works on raw bytes) and
-    reports each skip through ``on_skip(lineno, raw_line)``.  The whole
-    journal is rejected if the header does not match the requested sweep
-    parameters.
-    """
-    results: dict[tuple, ConfigResult] = {}
-    try:
-        lines = path.read_bytes().splitlines()
-    except OSError:
-        return results
-    if not lines:
-        return results
-    try:
-        header = json.loads(lines[0])
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return results
-    if header != _journal_header(seed, check, check_ir, options):
-        return results
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            d = json.loads(line)
-            r = ConfigResult(**d)
-        except (UnicodeDecodeError, json.JSONDecodeError, TypeError):
-            if on_skip is not None:
-                on_skip(lineno, line)
-            continue  # truncated / malformed line
-        results[(r.workload, r.level, r.width)] = r
-    return results
-
-
-def _fork_pool(jobs: int) -> ProcessPoolExecutor:
-    # fork (not spawn) so workers inherit the parent's PYTHONHASHSEED:
-    # several passes iterate sets of enum members, whose hashes vary with
-    # the seed, and bit-identical serial/parallel results require every
-    # process to break those ties the same way.
-    return ProcessPoolExecutor(
-        max_workers=jobs, mp_context=multiprocessing.get_context("fork")
-    )
-
-
-def _run_supervised(tasks, record, data: SweepData, jobs: int,
-                    deadline_s: float | None, fingerprints: dict[str, str],
-                    seed: int, check: bool, check_ir: bool,
-                    disable: tuple) -> None:
-    """Fan tasks out over the supervised pool: crashed/hung workers are
-    replaced and their tasks re-dispatched; a permanently failing cell is
-    recorded in ``data.failed`` instead of aborting the grid.  Tasks are
-    keyed by canonical request key so a re-dispatched task's late
-    duplicate can never double-count a configuration."""
-    from concurrent.futures import as_completed
-
-    def fingerprint(name: str) -> str:
-        fp = fingerprints.get(name)
-        if fp is None:
-            fp = fingerprints[name] = workload_fingerprint(name)
-        return fp
-
-    with SupervisedPool(jobs, deadline_s=deadline_s) as pool:
-        futures = {}
-        for task in tasks:
-            name, level_int, widths_t = task[0], task[1], task[2]
-            key = request_key(
-                "result", name, level_int, widths_t[0], seed=seed,
-                check=check, check_ir=check_ir, disable=disable,
-                fingerprint=fingerprint(name),
-            )
-            fut = pool.submit(_run_task, task, key=key,
-                              cell=(name, level_int))
-            futures[fut] = (name, level_int)
-        for fut in as_completed(futures):
-            cell = futures[fut]
-            try:
-                record(fut.result())
-            except (CellQuarantined, TaskFailed) as e:
-                data.failed.append((cell, repr(e)))
-        data.resilience = dict(pool.counters)
 
 
 def run_sweep(
@@ -442,12 +202,9 @@ def run_sweep(
     check: bool = True,
     verbose: bool = False,
     jobs: int = 1,
-    journal: Path | None = None,
-    resume: bool = True,
     check_ir: bool = False,
     options: PassOptions | None = None,
     store=None,
-    supervise: bool = True,
     deadline_s: float | None = None,
     strict: bool = True,
     engine: str = "auto",
@@ -458,92 +215,65 @@ def run_sweep(
     :func:`repro.sim.simulate`): the default compiled engine executes
     each (workload, level) cell once and replays the trace per width;
     ``"interp"`` forces the tuple interpreter.  Both produce identical
-    results, so the engine is *not* part of the journal/store identity.
-
-    ``jobs > 1`` distributes (workload, level) tasks over a process pool.
-    With a ``journal`` path, every finished configuration is appended as a
-    JSON line; rerunning with ``resume=True`` (the default) reloads the
-    finished part and computes only the remainder.  Serial, parallel,
-    resumed, and fresh sweeps all produce identical results.
+    results, so the engine is *not* part of the store identity.
     ``check_ir=True`` runs the invariant verifier between every compiler
     pass of every configuration (the CLI ``--check`` flag); ``options``
-    carries ``--disable-pass`` pipeline controls (recorded in the journal
-    header, so a resumed sweep never mixes pipelines).
+    carries ``--disable-pass`` pipeline controls.  Both are part of the
+    store identity, so a resumed sweep never mixes pipelines.
 
-    ``store`` (an :class:`~repro.service.store.ArtifactStore`) adds a
-    persistent cross-process layer: configurations whose canonical key
-    is already stored are reloaded instead of computed, and every
-    computed configuration is written back, so a second sweep against
-    the same store is near-free.
+    ``store`` (an :class:`~repro.service.store.ArtifactStore`) is the
+    persistent layer and the only way to resume: configurations whose
+    canonical key is already stored are reloaded instead of computed,
+    and every computed configuration is written back as it arrives, so
+    rerunning an interrupted sweep against the same store computes only
+    what is missing and a second full sweep is near-free.  Serial,
+    parallel, resumed, and fresh sweeps all produce identical results.
 
-    ``supervise`` (default) runs the parallel pool under the resilience
+    ``jobs > 1`` distributes (workload, level) tasks over the resilience
     layer's :class:`~repro.resilience.supervisor.SupervisedPool`: a
     worker lost to a crash or a hang (past ``deadline_s``) is replaced
-    and its task re-dispatched, deduplicated by canonical request key,
-    instead of killing the whole sweep; counters land in
-    ``SweepData.resilience``.  A cell that fails permanently (retries
-    exhausted or circuit breaker open) raises :class:`SweepError` after
-    the rest of the grid finishes — or, with ``strict=False``, is
-    recorded in ``SweepData.failed`` and the sweep returns partial.
+    and its task re-dispatched, deduplicated by canonical request key so
+    a late duplicate can never double-count a configuration; counters
+    land in ``SweepData.resilience``.  A cell that fails permanently
+    (retries exhausted or circuit breaker open) raises
+    :class:`SweepError` after the rest of the grid finishes — or, with
+    ``strict=False``, is recorded in ``SweepData.failed`` and the sweep
+    returns partial.
     """
     workloads = workloads or all_workloads()
     data = SweepData()
     t0 = time.time()
     disable = options.key if options is not None else ()
+    fingerprints: dict[str, str] = {}
 
-    def store_key(name: str, level: int, width: int, fp: str) -> str:
+    def key(name: str, level: int, width: int) -> str:
         # "result" blobs hold the sweep's full ConfigResult (phase and
         # per-pass timings included) — distinct from the service's
         # leaner "run" payloads for the same configuration
+        fp = fingerprints.get(name)
+        if fp is None:
+            fp = fingerprints[name] = workload_fingerprint(name)
         return request_key("result", name, level, width, seed=seed,
                            check=check, check_ir=check_ir, disable=disable,
                            fingerprint=fp)
 
-    if journal is not None and resume and journal.exists():
-        wanted = {
-            (w.name, int(lv), wd)
-            for w in workloads for lv in levels for wd in widths
-        }
-        skipped: list[int] = []
-        loaded = read_journal(journal, seed, check, check_ir,
-                              on_skip=lambda lineno, raw: skipped.append(lineno),
-                              options=options)
-        for key, r in loaded.items():
-            if key in wanted:
-                data.results[key] = r
-        data.journal_skipped = len(skipped)
-        if skipped:
-            print(f"  journal {journal}: skipped {len(skipped)} corrupt "
-                  f"line(s) (first at line {skipped[0]}); "
-                  f"those configurations will be recomputed", file=sys.stderr)
-    data.reused = len(data.results)
-
-    fingerprints: dict[str, str] = {}
     if store is not None:
-        # persistent layer: anything the journal did not cover may still
-        # be in the artifact store from an earlier sweep (or service
-        # traffic).  A corrupt or stale blob is just a miss.
-        fingerprints = {w.name: workload_fingerprint(w.name)
-                        for w in workloads}
+        # a corrupt, stale or foreign blob is just a miss
         for w in workloads:
             for level in levels:
                 for wd in widths:
-                    gk = (w.name, int(level), wd)
-                    if gk in data.results:
-                        continue
-                    payload = store.get(
-                        store_key(w.name, int(level), wd, fingerprints[w.name])
-                    )
+                    payload = store.get(key(w.name, int(level), wd))
                     if payload is None:
                         continue
                     try:
-                        data.results[gk] = ConfigResult(**payload)
+                        r = ConfigResult(**payload)
                     except TypeError:
                         continue  # foreign schema: recompute
+                    data.results[(w.name, int(level), wd)] = r
                     data.store_hits += 1
 
     # one task per (workload, level): the widths of a cell share their
-    # transformed code, so they stay together
+    # transformed code and their execution, so they stay together
     tasks = []
     for w in workloads:
         for level in levels:
@@ -554,59 +284,34 @@ def run_sweep(
                 tasks.append((w.name, int(level), missing, seed, check,
                               check_ir, options, engine))
 
-    jf = None
-    if journal is not None and tasks:
-        journal.parent.mkdir(parents=True, exist_ok=True)
-        # a writer that died between tmp-write and rename strands a tmp
-        # file next to the journal/cache forever; sweep startup is the
-        # janitor (grace-period guarded — a fresh tmp may be live)
-        clean_orphan_tmps(journal.parent, recursive=False)
-        fresh = not (resume and data.results)
-        torn_tail = (not fresh and journal.exists()
-                     and not journal.read_bytes().endswith(b"\n"))
-        jf = journal.open("w" if fresh else "a")
-        if fresh:
-            jf.write(json.dumps(_journal_header(seed, check, check_ir,
-                                                options)) + "\n")
-            jf.flush()
-        elif torn_tail:
-            # terminate a torn final line so appended records stay parseable
-            jf.write("\n")
-
     def record(rs: list[ConfigResult]) -> None:
         for r in rs:
             data.results[(r.workload, r.level, r.width)] = r
-            if jf is not None:
-                jf.write(json.dumps(asdict(r)) + "\n")
             if store is not None:
-                fp = fingerprints.get(r.workload)
-                if fp is None:
-                    fp = fingerprints[r.workload] = workload_fingerprint(r.workload)
-                store.put(store_key(r.workload, r.level, r.width, fp),
-                          asdict(r))
-        if jf is not None:
-            jf.flush()
+                store.put(key(r.workload, r.level, r.width), asdict(r))
         data.computed += len(rs)
         if verbose and rs:
             r = rs[0]
             print(f"  {r.workload} {Level(r.level).label} done "
                   f"({time.time() - t0:.1f}s)")
 
-    try:
-        if jobs > 1 and len(tasks) > 1:
-            if supervise:
-                _run_supervised(tasks, record, data, jobs, deadline_s,
-                                fingerprints, seed, check, check_ir, disable)
-            else:
-                with _fork_pool(jobs) as pool:
-                    for rs in pool.map(_run_task, tasks):
-                        record(rs)
-        else:
+    if jobs > 1 and len(tasks) > 1:
+        with SupervisedPool(jobs, deadline_s=deadline_s) as pool:
+            futures = {}
             for task in tasks:
-                record(_run_task(task))
-    finally:
-        if jf is not None:
-            jf.close()
+                cell, first_width = task[:2], task[2][0]
+                fut = pool.submit(_run_task, task, cell=cell,
+                                  key=key(*cell, first_width))
+                futures[fut] = cell
+            for fut in as_completed(futures):
+                try:
+                    record(fut.result())
+                except (CellQuarantined, TaskFailed) as e:
+                    data.failed.append((futures[fut], repr(e)))
+            data.resilience = dict(pool.counters)
+    else:
+        for task in tasks:
+            record(_run_task(task))
 
     if data.failed:
         print(f"  sweep: {len(data.failed)} cell(s) failed permanently: "
@@ -617,14 +322,14 @@ def run_sweep(
                 f"{len(data.failed)} cell(s) failed permanently", data.failed)
 
     # deterministic merge: identical key order no matter which process
-    # finished first or how much came from the journal
+    # finished first or how much came from the store
     data.results = dict(sorted(data.results.items()))
     data.elapsed = time.time() - t0
     return data
 
 
 # ---------------------------------------------------------------------------
-# disk cache
+# the figure export
 # ---------------------------------------------------------------------------
 
 
@@ -632,20 +337,19 @@ def default_cache_path() -> Path:
     return Path(__file__).resolve().parents[3] / "results" / "sweep.json"
 
 
-def default_journal_path() -> Path:
-    return default_cache_path().with_suffix(".journal.jsonl")
-
-
 def save_sweep(data: SweepData, path: Path | None = None) -> Path:
     path = path or default_cache_path()
     path.parent.mkdir(parents=True, exist_ok=True)
+    # a writer that died between tmp-write and rename strands its tmp
+    # file forever; the next save is the janitor (grace-period guarded —
+    # a fresh tmp may be live)
+    clean_orphan_tmps(path.parent, recursive=False)
     payload = {
         "version": CACHE_VERSION,
         "elapsed": data.elapsed,
         "results": [asdict(r) for r in data.results.values()],
     }
-    # atomic: a reader (or a crash) mid-save must never observe a torn
-    # cache; orphaned tmps from dead writers are cleaned at sweep start
+    # atomic: a reader (or a crash) mid-save must never observe a torn file
     tmp = path.with_name(f".{path.name}-{os.getpid()}.tmp")
     tmp.write_text(json.dumps(payload))
     os.replace(tmp, path)
@@ -653,11 +357,12 @@ def save_sweep(data: SweepData, path: Path | None = None) -> Path:
 
 
 def load_sweep(path: Path | None = None, require_complete: bool = True) -> SweepData | None:
-    """Load a cached sweep.
+    """Load a saved sweep.
 
-    By default only a full 40x5x4 grid is usable (the figure renderers
-    need every cell); ``require_complete=False`` returns whatever subset
-    the file holds, so partial sweeps remain inspectable.
+    By default only a full grid (every workload x ``Level`` x ``WIDTHS``)
+    is usable — the figure renderers need every cell;
+    ``require_complete=False`` returns whatever subset the file holds, so
+    partial sweeps remain inspectable.
     """
     path = path or default_cache_path()
     if not path.exists():
@@ -666,7 +371,7 @@ def load_sweep(path: Path | None = None, require_complete: bool = True) -> Sweep
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if payload.get("version") not in _COMPAT_VERSIONS:
+    if payload.get("version") != CACHE_VERSION:
         return None
     data = SweepData(elapsed=payload.get("elapsed", 0.0))
     for d in payload["results"]:
@@ -683,30 +388,24 @@ def sweep_cached(force: bool = False, verbose: bool = False, jobs: int = 1,
                  check_ir: bool = False,
                  options: PassOptions | None = None,
                  store=None, engine: str = "auto") -> SweepData:
-    """Load the cached grid or compute and cache it.
+    """Load the saved grid or compute and save it.
 
-    Computation journals to ``results/sweep.journal.jsonl``, so an
-    interrupted sweep resumes where it stopped; the journal is removed
-    once the full grid is saved.  ``check_ir=True`` forces a fresh sweep
-    with the between-pass invariant verifier on (never satisfied from the
-    cache, which does not record verification).  A run with disabled
-    passes (``options``) bypasses the cache entirely — loading and
-    saving — so ablations never poison the canonical grid.  ``store``
-    threads a persistent :class:`~repro.service.store.ArtifactStore`
-    through the computation (CLI ``--store DIR``).
+    ``check_ir=True`` forces a fresh sweep with the between-pass
+    invariant verifier on (never satisfied from ``sweep.json``, which
+    does not record verification).  A run with disabled passes
+    (``options``) bypasses ``sweep.json`` entirely — loading and saving
+    — so ablations never poison the canonical grid.  ``store`` threads a
+    persistent :class:`~repro.service.store.ArtifactStore` through the
+    computation (CLI ``--store DIR``): an interrupted computation rerun
+    with the same store resumes where it stopped.
     """
     ablated = options is not None and bool(options.key)
     if not force and not check_ir and not ablated:
         cached = load_sweep()
         if cached is not None:
             return cached
-    if ablated:
-        return run_sweep(verbose=verbose, jobs=jobs, check_ir=check_ir,
-                         options=options, store=store, engine=engine)
-    journal = default_journal_path()
-    data = run_sweep(verbose=verbose, jobs=jobs, journal=journal,
-                     resume=not force, check_ir=check_ir, store=store,
-                     engine=engine)
-    save_sweep(data)
-    journal.unlink(missing_ok=True)
+    data = run_sweep(verbose=verbose, jobs=jobs, check_ir=check_ir,
+                     options=options, store=store, engine=engine)
+    if not ablated:
+        save_sweep(data)
     return data

@@ -27,12 +27,20 @@ Each stage appends to one unified
 time, instruction-count deltas); ``options`` takes a
 :class:`~repro.passes.manager.PassOptions` to disable registered passes
 or dump IR after them.
+
+:func:`evaluate_cell` is the paper's evaluation loop (Section 3.1) over
+those stages — compile a corpus loop at a level, simulate it on each
+machine, measure registers — and the only place the repo composes them
+for measurement: the sweep, ``run_config`` and the service all pack its
+output.
 """
 
 from __future__ import annotations
 
 import copy
+import time
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,9 +52,11 @@ from .machine import MachineConfig
 from .opt.driver import run_conv
 from .passes import PassOptions, PipelineReport
 from .pipeline import Level, apply_ilp_transforms, schedule_function
+from .regalloc import RegisterUsage, measure_register_usage
 from .schedule.listsched import Schedule
 from .schedule.superblock import SuperblockLoop
-from .sim import Memory, simulate
+from .sim import EngineUnsupported, Memory, ReplayUnsupported, simulate
+from .workloads import Workload, check_run
 
 
 @dataclass
@@ -199,8 +209,6 @@ def schedule_kernel(
         solver_store=solver_store,
     )
     if check:
-        from .regalloc import measure_register_usage
-
         measure_register_usage(lk.func, lk.live_out_exit, check=True)
     return CompiledKernel(lk, tk.level, machine, tk.sb, schedules, report)
 
@@ -414,3 +422,147 @@ class BatchedRunner:
             )
         cycles, n_instr = self._replay(self._segs, spec, self._max_cycles)
         return KernelRun(cycles, n_instr, self.arrays, self.scalars)
+
+
+# ---------------------------------------------------------------------------
+# the cell evaluator
+# ---------------------------------------------------------------------------
+
+#: classical optimization is level- and machine-independent, so one
+#: ``ConvKernel`` per (workload, disabled-pass set) serves every cell a
+#: process evaluates (ablation runs that switch classical passes off must
+#: not be served the fully-optimized result, hence the disable-set key).
+_CONV_CACHE: dict[tuple, ConvKernel] = {}
+#: inputs are read-only (``check_run`` copies before mutating;
+#: ``Memory.bind_array`` copies into simulated memory), so one binding
+#: per (workload, seed) serves every configuration.
+_INPUT_CACHE: dict[tuple[str, int], tuple[dict, dict]] = {}
+
+
+def _conv_cached(w: Workload, options: PassOptions | None) -> tuple[ConvKernel, float]:
+    """Stage-1 result for a workload, plus its cost if paid just now."""
+    key = (w.name, options.key if options is not None else ())
+    conv = _CONV_CACHE.get(key)
+    if conv is not None:
+        return conv, 0.0
+    t0 = time.perf_counter()
+    conv = _CONV_CACHE[key] = lower_conv(w.build(), options=options)
+    return conv, time.perf_counter() - t0
+
+
+def _inputs_cached(w: Workload, seed: int) -> tuple[dict, dict]:
+    key = (w.name, seed)
+    hit = _INPUT_CACHE.get(key)
+    if hit is None:
+        hit = _INPUT_CACHE[key] = w.make_inputs(seed)
+    return hit
+
+
+class WidthResult(NamedTuple):
+    """One machine's share of an evaluated cell, unpacked as
+    ``ck, usage, run, timings``."""
+
+    ck: CompiledKernel
+    usage: RegisterUsage
+    #: None when the cell was compiled only (``execute=False``)
+    run: KernelRun | None
+    #: wall-clock ``t_compile`` / ``t_schedule`` / ``t_simulate`` seconds
+    #: and the per-pass ``t_passes`` map.  Work shared by the cell
+    #: (classical + ILP transformation, the one traced execution) is
+    #: charged to the first machine that paid it, never smeared; the
+    #: classical phase only when this call actually ran it.
+    timings: dict
+
+
+def evaluate_cell(
+    w: Workload,
+    level: Level,
+    machines: Sequence[MachineConfig],
+    *,
+    seed: int = 0,
+    check: bool = True,
+    check_ir: bool = False,
+    options: PassOptions | None = None,
+    engine: str = "auto",
+    execute: bool = True,
+    scheduler: str = "list",
+    solver_budget: int | None = None,
+    solver_store=None,
+) -> list[WidthResult]:
+    """Evaluate one (workload, level) cell on every machine of
+    ``machines`` (which must share a latency table — typically the issue
+    widths of the grid).
+
+    The classical stage comes from the per-process cache, the ILP
+    transformation runs once, each machine schedules a structural clone
+    and has its registers measured.  With more than one machine and the
+    compiled engine, the cell *executes* once — the dynamic trace is
+    width-independent — and every machine's cycle/instruction counts
+    come from replaying that trace against its own schedule
+    (:class:`BatchedRunner`), bit-identical to simulating each in full; a
+    cell or machine outside the engine's scope falls back to a full
+    simulation.  ``check`` holds the outputs against the workload's NumPy
+    reference, once per distinct set of outputs.  ``check_ir`` runs the
+    between-pass invariant verifier; ``execute=False`` stops after
+    compilation.
+    """
+    conv, t_conv = _conv_cached(w, options)
+    t0 = time.perf_counter()
+    tk = ilp_transform(conv.clone(), level, machines[0], check=check_ir,
+                       options=options)
+    t_transform = t_conv + (time.perf_counter() - t0)
+
+    cks, t_scheds = [], []
+    for i, machine in enumerate(machines):
+        t0 = time.perf_counter()
+        # the last machine may consume tk itself: nothing reads it afterwards
+        clone = tk.clone() if i + 1 < len(machines) else tk
+        cks.append(schedule_kernel(
+            clone, machine, check=check_ir, options=options,
+            scheduler=scheduler, solver_budget=solver_budget,
+            solver_store=solver_store))
+        t_scheds.append(time.perf_counter() - t0)
+
+    arrays = scalars = runner = None
+    t_exec = 0.0
+    if execute:
+        arrays, scalars = _inputs_cached(w, seed)
+        if engine in ("auto", "compiled") and len(cks) > 1:
+            t0 = time.perf_counter()
+            try:
+                runner = BatchedRunner(cks[0], arrays, scalars)
+            except (EngineUnsupported, ReplayUnsupported):
+                pass  # cell outside engine scope: simulate per machine
+            t_exec = time.perf_counter() - t0
+
+    out = []
+    for i, ck in enumerate(cks):
+        usage = measure_register_usage(ck.func, ck.lowered.live_out_exit)
+        run, t_sim = None, 0.0
+        if execute:
+            t0 = time.perf_counter()
+            if runner is None:
+                run = run_compiled_kernel(ck, arrays, scalars, engine=engine)
+                own_outputs = True
+            else:
+                run = runner.run(ck)
+                # replayed machines share the traced execution's outputs;
+                # one that fell back to a full simulation has its own
+                own_outputs = i == 0 or runner.last_fallback
+            if check and own_outputs:
+                check_run(w, run.arrays, run.scalars, arrays, scalars)
+            t_sim = time.perf_counter() - t0
+        first = i == 0
+        if not first:
+            phases = ("schedule",)
+        elif t_conv > 0:
+            phases = None  # every phase, the classical one included
+        else:
+            phases = ("ilp", "cleanup", "schedule")
+        out.append(WidthResult(ck, usage, run, {
+            "t_compile": t_transform if first else 0.0,
+            "t_schedule": t_scheds[i],
+            "t_simulate": t_sim + (t_exec if first else 0.0),
+            "t_passes": ck.report.pass_seconds(phases=phases),
+        }))
+    return out

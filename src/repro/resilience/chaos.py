@@ -155,8 +155,7 @@ def _run_sweep(workloads, levels, widths, jobs, root: Path,
     data = run_sweep(
         [get_workload(n) for n in workloads],
         levels=tuple(Level(lv) for lv in levels), widths=tuple(widths),
-        jobs=jobs, journal=root / "journal.jsonl", resume=False,
-        store=store, deadline_s=deadline_s, strict=True,
+        jobs=jobs, store=store, deadline_s=deadline_s, strict=True,
     )
     return _canon_sweep(data), dict(data.resilience), store
 

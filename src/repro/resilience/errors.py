@@ -9,7 +9,7 @@ one of three classes, and the handling rule is uniform:
   budget runs out the caller degrades (e.g. a result is served but not
   persisted) instead of crashing.
 * **Corrupt** — the data is damaged but the system is healthy (torn
-  blob, undecodable journal line).  Quarantined/skipped and recomputed;
+  blob, undecodable index).  Quarantined/skipped and recomputed;
   never retried in place (rereading torn bytes cannot help).
 * **Fatal** — a programming error or an unrecoverable environment
   problem (permission denied on the store root, read-only filesystem).
@@ -94,11 +94,12 @@ def clean_orphan_tmps(root: Path, grace_s: float = DEFAULT_TMP_GRACE_S,
     """Remove ``*.tmp`` droppings left by a writer that died between its
     tmp write and the atomic rename.
 
-    Both the artifact store and the sweep journal/cache write via
+    Both the artifact store and the ``sweep.json`` export write via
     ``tmp + os.replace``; a crash in the window strands the tmp file
-    forever (a new writer picks a fresh pid-stamped name).  Called on
-    startup by the store and the sweep driver.  Only files older than
-    ``grace_s`` go: a fresh tmp may be another live process mid-write.
+    forever (a new writer picks a fresh pid-stamped name).  Called when
+    a store handle opens and before a sweep export is saved.  Only files
+    older than ``grace_s`` go: a fresh tmp may be another live process
+    mid-write.
     Returns the number of files removed; errors while removing are
     tolerated (another janitor may have won the race).
     """

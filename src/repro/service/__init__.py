@@ -4,9 +4,9 @@ Turns the compiler + simulator into an inference-stack-shaped server:
 requests in, cached or freshly computed artifacts out.
 
 * :mod:`repro.service.keys` — the canonical configuration identity:
-  one helper derives both the sweep-journal header and the
-  content-addressed store key, so the two can never disagree on what
-  "same configuration" means.
+  one key function behind the sweep's resume, the content-addressed
+  store and the job engine's single-flight table, so they can never
+  disagree on what "same configuration" means.
 * :mod:`repro.service.store` — a content-addressed on-disk artifact
   store (SHA-256 keys over canonicalized kernel source + machine
   config + level + disable set + code-version salt) with atomic
@@ -30,13 +30,12 @@ from .keys import (
     canonical_json,
     request_identity,
     request_key,
-    sweep_header,
     workload_fingerprint,
 )
 from .store import ArtifactStore, StoreStats
 
 __all__ = [
     "CODE_VERSION", "canonical_json", "request_identity", "request_key",
-    "sweep_header", "workload_fingerprint",
+    "workload_fingerprint",
     "ArtifactStore", "StoreStats",
 ]

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import itertools
 import threading
 import time
 from collections import deque
@@ -69,16 +68,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..experiments.sweep import _conv_cached, _inputs_cached
-from ..harness import ilp_transform, run_compiled_kernel, schedule_kernel
+from ..harness import evaluate_cell
 from ..ir.printer import format_block
 from ..machine import MachineConfig
 from ..passes import PassOptions
 from ..pipeline import Level
-from ..regalloc import measure_register_usage
 from ..resilience import faults
 from ..resilience.supervisor import CellQuarantined, SupervisedPool
-from ..workloads import check_run, get_workload
+from ..workloads import get_workload
 from .keys import request_key, workload_fingerprint
 from .store import ArtifactStore
 
@@ -102,30 +99,26 @@ def _array_digest(arr: np.ndarray) -> str:
 
 def compute_cell(task: tuple) -> list[dict]:
     """Compile one (workload, level) cell for several widths; optionally
-    simulate.  Mirrors the sweep engine's ``_run_task`` width sharding:
-    classical optimization is cached per worker process, the ILP
-    transformation runs once, each width schedules a structural clone.
+    simulate.  The work is :func:`repro.harness.evaluate_cell` — the same
+    width-sharded, execute-once/replay-per-width evaluation the sweep
+    uses; this packs it into the service's payloads.
     """
     kind, name, level_int, widths, seed, check, check_ir, disable = task
-    w = get_workload(name)
-    options = PassOptions(disable=tuple(disable)) if disable else None
     simulate = kind == "run"
-
-    conv, _ = _conv_cached(w, options)
-    tk = ilp_transform(conv.clone(), Level(level_int),
-                       MachineConfig(issue_width=widths[0]),
-                       check=check_ir, options=options)
+    cell = evaluate_cell(
+        get_workload(name), Level(level_int),
+        [MachineConfig(issue_width=wd) for wd in widths],
+        seed=seed, check=check, check_ir=check_ir,
+        options=PassOptions(disable=tuple(disable)) if disable else None,
+        execute=simulate,
+    )
     out: list[dict] = []
-    for i, width in enumerate(widths):
-        machine = MachineConfig(issue_width=width)
-        clone = tk.clone() if i + 1 < len(widths) else tk
-        ck = schedule_kernel(clone, machine, check=check_ir, options=options)
-        usage = measure_register_usage(ck.func, ck.lowered.live_out_exit)
+    for ck, usage, run, _ in cell:
         payload = {
             "kind": kind,
             "workload": name,
             "level": level_int,
-            "width": width,
+            "width": ck.machine.issue_width,
             "inner_makespan": ck.inner_makespan,
             "int_regs": usage.int_regs,
             "fp_regs": usage.fp_regs,
@@ -133,16 +126,12 @@ def compute_cell(task: tuple) -> list[dict]:
             "unroll_factor": ck.report.unroll_factor,
         }
         if simulate:
-            arrays, scalars = _inputs_cached(w, seed)
-            run = run_compiled_kernel(ck, arrays=arrays, scalars=scalars)
-            if check:
-                check_run(w, run.arrays, run.scalars, arrays, scalars)
             payload.update(
                 cycles=run.cycles,
                 instructions=run.instructions,
                 checked=bool(check),
                 seed=seed,
-                scalars={k: v for k, v in run.scalars.items()},
+                scalars=dict(run.scalars),
                 array_digests={k: _array_digest(v)
                                for k, v in sorted(run.arrays.items())},
             )
@@ -201,6 +190,49 @@ class Job:
         }
 
 
+#: finished jobs a table keeps for ``GET /v1/jobs/<id>``; beyond it the
+#: oldest finished ones are dropped (and answer 404 like unknown ids)
+MAX_FINISHED_JOBS = 1024
+
+
+class JobTable:
+    """Thread-safe id -> job record map that a long-lived server can
+    afford: every unfinished job plus the :data:`MAX_FINISHED_JOBS` most
+    recently finished ones (shared by :class:`JobEngine` and the cluster
+    router)."""
+
+    def __init__(self, prefix: str):
+        self._prefix = prefix
+        self._lock = threading.Lock()
+        self._jobs: dict[str, object] = {}
+        self._finished: deque[str] = deque()
+        #: jobs ever added (monotone; the ``jobs_total`` metric)
+        self.total = 0
+
+    def add(self, make):
+        """Mint the next id and file ``make(id)`` under it."""
+        with self._lock:
+            self.total += 1
+            jid = f"{self._prefix}-{self.total:06d}"
+            job = self._jobs[jid] = make(jid)
+        return job
+
+    def get(self, jid: str):
+        with self._lock:
+            return self._jobs.get(jid)
+
+    def finish(self, jid: str) -> None:
+        """The job reached a final state: it becomes evictable."""
+        with self._lock:
+            self._finished.append(jid)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                self._jobs.pop(self._finished.popleft(), None)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._jobs)
+
+
 @dataclass
 class _Cell:
     """A batch of width-compatible requests awaiting one compilation."""
@@ -245,8 +277,7 @@ class JobEngine:
         self._thread.start()
         self._lock = threading.Lock()
         self._pending = 0           # accepted, unfinished configurations
-        self._jobs: dict[str, Job] = {}
-        self._ids = itertools.count(1)
+        self._jobs = JobTable("job")
         # loop-confined state (touched only on the loop thread)
         self._inflight: dict[str, asyncio.Future] = {}
         self._cells: dict[tuple, _Cell] = {}
@@ -286,11 +317,17 @@ class JobEngine:
 
     # -- submission (any thread) ---------------------------------------
 
-    def _new_job(self, kind: str, request: dict) -> Job:
-        with self._lock:
-            jid = f"job-{next(self._ids):06d}"
-            job = Job(jid, kind, request)
-            self._jobs[jid] = job
+    def _start(self, kind: str, request: dict, timeout: float | None,
+               work, n: int) -> Job:
+        """File an admitted request (``n`` configurations) as a job and
+        start ``work(job)`` on the engine loop."""
+        self.counters["requests"] += 1
+        job = self._jobs.add(lambda jid: Job(jid, kind, request))
+        job.deadline_mono = time.monotonic() + (
+            timeout if timeout is not None else self.default_timeout)
+        job.future = asyncio.run_coroutine_threadsafe(
+            self._handle(job, work(job), n), self._loop
+        )
         return job
 
     def submit(self, kind: str, workload: str, level: int, width: int, *,
@@ -304,14 +341,8 @@ class JobEngine:
                    "check": bool(check), "check_ir": bool(check_ir),
                    "disable": sorted(set(disable))}
         self._admit(1)
-        self.counters["requests"] += 1
-        job = self._new_job(kind, request)
-        job.deadline_mono = time.monotonic() + (
-            timeout if timeout is not None else self.default_timeout)
-        job.future = asyncio.run_coroutine_threadsafe(
-            self._handle(job), self._loop
-        )
-        return job
+        return self._start(kind, request, timeout,
+                           lambda job: self._request(kind, request, job), 1)
 
     def submit_sweep(self, workloads: list[str], levels: list[int],
                      widths: list[int], *, seed: int = 0, check: bool = True,
@@ -328,19 +359,14 @@ class JobEngine:
                    "check": bool(check), "check_ir": bool(check_ir),
                    "disable": sorted(set(disable)), "configs": n}
         self._admit(n, "sweep")
-        self.counters["requests"] += 1
         self.counters["sweeps"] += 1
-        job = self._new_job("sweep", request)
-        job.deadline_mono = time.monotonic() + (
-            timeout if timeout is not None else self.default_timeout)
-        job.future = asyncio.run_coroutine_threadsafe(
-            self._handle_sweep(job), self._loop
-        )
-        return job
+        return self._start("sweep", request, timeout,
+                           lambda job: self._sweep(request), n)
 
     def job(self, job_id: str) -> Job | None:
-        with self._lock:
-            return self._jobs.get(job_id)
+        """The job's record — None for an unknown id or a finished job
+        old enough to have been evicted."""
+        return self._jobs.get(job_id)
 
     def wait(self, job: Job, timeout: float | None = None) -> dict:
         """Block until the job resolves; raises its failure if any."""
@@ -348,20 +374,18 @@ class JobEngine:
 
     # -- request handling (loop thread) --------------------------------
 
-    async def _handle(self, job: Job) -> dict:
+    async def _handle(self, job: Job, work, n: int) -> dict:
+        """Run ``work`` (the job's coroutine, ``n`` admitted
+        configurations) under the job's deadline and record its fate."""
         t0 = time.perf_counter()
         job.state = "running"
         try:
             # the deadline was stamped on the monotonic clock at
             # admission; a wall-clock (NTP) step between then and now
             # cannot stretch or shrink it
-            result = await asyncio.wait_for(
-                self._request(job.kind, job.request, job),
-                job.remaining_s(),
-            )
-            job.result = result
+            job.result = await asyncio.wait_for(work, job.remaining_s())
             job.state = "done"
-            return result
+            return job.result
         except asyncio.TimeoutError:
             job.state = "timeout"
             job.error = "deadline expired"
@@ -377,12 +401,10 @@ class JobEngine:
             job.finished = time.time()  # display only
             job.elapsed_s = round(time.monotonic() - job.created_mono, 6)
             self._latencies.append(time.perf_counter() - t0)
-            self._release(1)
+            self._release(n)
+            self._jobs.finish(job.id)
 
-    async def _handle_sweep(self, job: Job) -> dict:
-        t0 = time.perf_counter()
-        job.state = "running"
-        req = job.request
+    async def _sweep(self, req: dict) -> dict:
         subs = [
             {"workload": w, "level": lv, "width": wd, "seed": req["seed"],
              "check": req["check"], "check_ir": req["check_ir"],
@@ -390,39 +412,17 @@ class JobEngine:
             for w in req["workloads"] for lv in req["levels"]
             for wd in req["widths"]
         ]
-        try:
-            hits0 = self.counters["hits"]
-            results = await asyncio.wait_for(
-                asyncio.gather(*(self._request("run", s, None) for s in subs)),
-                job.remaining_s(),
-            )
-            result = {
-                "configs": len(subs),
-                "hits": self.counters["hits"] - hits0,
-                "results": sorted(
-                    results,
-                    key=lambda r: (r["workload"], r["level"], r["width"]),
-                ),
-            }
-            job.result = result
-            job.state = "done"
-            return result
-        except asyncio.TimeoutError:
-            job.state = "timeout"
-            job.error = "deadline expired"
-            self.counters["timeouts"] += 1
-            self.counters["errors"] += 1
-            raise RequestTimeout(f"{job.id}: deadline expired") from None
-        except Exception as e:
-            job.state = "failed"
-            job.error = repr(e)
-            self.counters["errors"] += 1
-            raise
-        finally:
-            job.finished = time.time()  # display only
-            job.elapsed_s = round(time.monotonic() - job.created_mono, 6)
-            self._latencies.append(time.perf_counter() - t0)
-            self._release(len(subs))
+        hits0 = self.counters["hits"]
+        results = await asyncio.gather(
+            *(self._request("run", s, None) for s in subs))
+        return {
+            "configs": len(subs),
+            "hits": self.counters["hits"] - hits0,
+            "results": sorted(
+                results,
+                key=lambda r: (r["workload"], r["level"], r["width"]),
+            ),
+        }
 
     async def _request(self, kind: str, req: dict, job: Job | None) -> dict:
         """Resolve one configuration: store, single-flight, or batch."""
@@ -577,7 +577,7 @@ class JobEngine:
             queue_depth=self.queue_depth,
             latency_p50_s=round(pct(0.50), 6),
             latency_p95_s=round(pct(0.95), 6),
-            jobs_total=len(self._jobs),
+            jobs_total=self._jobs.total,
         )
         if self.store is not None:
             m["store"] = {

@@ -3,8 +3,8 @@
 Three consumers need to agree on when two compile/run requests denote
 the same work:
 
-* the sweep journal (resume must never reuse a result computed under
-  different parameters),
+* the sweep (resuming from the store must never reuse a result
+  computed under different parameters),
 * the content-addressed artifact store (a hit must be byte-equivalent
   to recomputing), and
 * the job engine's single-flight table (duplicate in-flight requests
@@ -41,11 +41,10 @@ COMPILER_VERSION = "repro-2026.08-pm5"
 
 #: Bump when compiled output or simulation semantics change: every
 #: artifact keyed under the old salt becomes unreachable (and is lazily
-#: invalidated by the store).  The sweep journal embeds it too, so a
-#: stale journal is recomputed rather than trusted.  The simulator
-#: engine version is folded in directly — an engine rewrite (e.g. the
-#: block-compiled trace/replay core) cannot forget to invalidate
-#: cached run/result artifacts, because the salt moves with it.
+#: invalidated by the store).  The simulator engine version is folded
+#: in directly — an engine rewrite (e.g. the block-compiled trace/replay
+#: core) cannot forget to invalidate cached run/result artifacts,
+#: because the salt moves with it.
 CODE_VERSION = f"{COMPILER_VERSION}+{ENGINE_VERSION}"
 
 #: Request kinds with distinct result payloads (a compile artifact is
@@ -153,24 +152,3 @@ def request_key(
     payload = {"salt": CODE_VERSION, "kernel": fingerprint, "request": ident}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
-
-def sweep_header(
-    seed: int, check: bool, check_ir: bool = False,
-    disable: tuple[str, ...] = (), schedule_backend: str = "list",
-) -> dict:
-    """The sweep-journal header: the grid-wide half of the identity.
-
-    A journal line is keyed by (workload, level, width); everything else
-    a :func:`request_identity` contains — seed, check flags, disable
-    set, schedule backend, code version — lives here, so header equality
-    plus grid key equality is exactly request-identity equality (the
-    journal always uses the default paper machine per width).
-    """
-    return {
-        "salt": CODE_VERSION,
-        "seed": int(seed),
-        "check": bool(check),
-        "check_ir": bool(check_ir),
-        "disable": sorted(set(disable)),
-        "schedule_backend": str(schedule_backend),
-    }

@@ -41,6 +41,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from ..pipeline import Level
 from ..resilience import faults
 from ..resilience.faults import FaultPlan
 from ..resilience.supervisor import CellQuarantined
@@ -49,6 +50,10 @@ from .store import ArtifactStore
 
 #: request bodies larger than this are rejected outright (bad client)
 MAX_BODY_BYTES = 1 << 20
+
+#: the grid axes a request may name (and a sweep's defaults)
+LEVELS = tuple(int(lv) for lv in Level)
+WIDTHS = (1, 2, 4, 8)
 
 
 class ServiceError(Exception):
@@ -75,6 +80,15 @@ class _DroppedResponse(Exception):
     """Injected ``server.drop_response``: abandon the connection."""
 
 
+def _check_axes(levels, widths) -> None:
+    for lv in levels:
+        if lv not in LEVELS:
+            raise ServiceError(400, f"bad level {lv}")
+    for wd in widths:
+        if wd not in WIDTHS:
+            raise ServiceError(400, f"bad width {wd}")
+
+
 def _req_fields(body: dict) -> dict:
     """Validated common fields of a compile/run request."""
     try:
@@ -91,10 +105,31 @@ def _req_fields(body: dict) -> dict:
         }
     except (KeyError, TypeError, ValueError) as e:
         raise ServiceError(400, f"bad request: {e!r}") from None
-    if out["level"] not in range(5):
-        raise ServiceError(400, f"bad level {out['level']}")
-    if out["width"] not in (1, 2, 4, 8):
-        raise ServiceError(400, f"bad width {out['width']}")
+    _check_axes([out["level"]], [out["width"]])
+    return out
+
+
+def _sweep_fields(body: dict) -> dict:
+    """Validated fields of a sweep request (server and cluster router);
+    levels and widths default to the full grid."""
+    try:
+        out = {
+            "workloads": [str(w) for w in body["workloads"]],
+            "levels": [int(x) for x in body.get("levels", LEVELS)],
+            "widths": [int(x) for x in body.get("widths", WIDTHS)],
+            "seed": int(body.get("seed", 0)),
+            "check": bool(body.get("check", True)),
+            "disable": sorted(set(body.get("disable", ()))),
+            "timeout": (float(body["timeout"])
+                        if "timeout" in body else None),
+        }
+    except (KeyError, TypeError, ValueError) as e:
+        raise ServiceError(400, f"bad request: {e!r}") from None
+    _check_axes(out["levels"], out["widths"])
+    out["configs"] = (len(out["workloads"]) * len(out["levels"])
+                      * len(out["widths"]))
+    if out["configs"] == 0:
+        raise ServiceError(400, "empty sweep")
     return out
 
 
@@ -231,28 +266,17 @@ class _Handler(BaseHTTPRequestHandler):
                 "result": stale}
 
     def _serve_sweep(self, body: dict) -> None:
-        try:
-            workloads = [str(w) for w in body["workloads"]]
-            levels = [int(x) for x in body.get("levels",
-                                               (0, 1, 2, 3, 4))]
-            widths = [int(x) for x in body.get("widths",
-                                               (1, 2, 4, 8))]
-            seed = int(body.get("seed", 0))
-            check = bool(body.get("check", True))
-            timeout = (float(body["timeout"])
-                       if "timeout" in body else None)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ServiceError(400, f"bad request: {e!r}") from None
+        f = _sweep_fields(body)
         try:
             job = self.engine.submit_sweep(
-                workloads, levels, widths, seed=seed, check=check,
-                disable=tuple(body.get("disable", ())),
-                timeout=timeout,
+                f["workloads"], f["levels"], f["widths"], seed=f["seed"],
+                check=f["check"], disable=tuple(f["disable"]),
+                timeout=f["timeout"],
             )
         except KeyError as e:
             raise ServiceError(400, f"unknown workload {e}") from None
         self._send(202, {"job": job.id, "state": job.state,
-                         "configs": job.request["configs"]})
+                         "configs": f["configs"]})
 
 
 def make_server(

@@ -111,6 +111,15 @@ class TestEndpoints:
             client.run("add", width=3)
         assert ei.value.status == 400
 
+    def test_level_outside_the_level_enum_is_400(self, service):
+        client, _ = service
+        with pytest.raises(ServiceRequestError) as ei:
+            client.run("add", level=len(Level))
+        assert ei.value.status == 400
+        with pytest.raises(ServiceRequestError) as ei:
+            client.sweep(["add"], levels=[0, len(Level)], widths=[1])
+        assert ei.value.status == 400
+
     def test_unknown_job_is_404(self, service):
         client, _ = service
         with pytest.raises(ServiceRequestError) as ei:
@@ -125,8 +134,8 @@ class TestEndpoints:
 
     def test_oversized_sweep_is_shed_as_429(self, service):
         client, _ = service
-        # 2 workloads x 5 levels x 4 widths = 40 configs > max_pending=8;
-        # admission is atomic, so the whole sweep is shed up front
+        # 2 workloads x every level x 4 widths >> max_pending=8; admission
+        # is atomic, so the whole sweep is shed up front
         with pytest.raises(ServiceOverloaded) as ei:
             client.sweep(["add", "sum"])
         assert ei.value.status == 429
@@ -144,6 +153,85 @@ class TestEndpoints:
         assert m["shed"] >= 1          # the oversized sweep above
         assert m["store"]["entries"] >= 1
         assert m["store"]["bytes"] > 0
+
+
+class TestLongLivedServer:
+    """A server of its own: room for a default-grid sweep, and a job
+    table small enough to overflow."""
+
+    @pytest.fixture
+    def roomy(self, tmp_path):
+        httpd, engine, url = serve_background(store_dir=tmp_path / "store",
+                                              max_pending=64)
+        yield ServiceClient(url, timeout=120.0), engine
+        httpd.shutdown()
+        httpd.server_close()
+        engine.close()
+
+    def test_sweep_defaults_to_every_level_and_width(self, roomy):
+        client, _ = roomy
+        jid = client.sweep(["add"])
+        res = client.wait_job(jid, timeout=120.0)["result"]
+        assert res["configs"] == len(Level) * 4
+        assert ({(r["level"], r["width"]) for r in res["results"]}
+                == {(int(lv), wd) for lv in Level for wd in (1, 2, 4, 8)})
+
+    def test_job_table_keeps_only_recent_finished_jobs(self, roomy,
+                                                       monkeypatch):
+        from repro.service import jobs
+
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 3)
+        client, engine = roomy
+        ids = [client.run("add", level=0, width=1)["job"] for _ in range(7)]
+        assert len(set(ids)) == 7
+        # the oldest finished jobs are gone and answer like unknown ids ...
+        with pytest.raises(ServiceRequestError) as ei:
+            client.job(ids[0])
+        assert ei.value.status == 404
+        assert [engine.job(j) is not None for j in ids] == [False] * 4 + [True] * 3
+        assert client.job(ids[-1])["state"] == "done"
+        # ... but the counter is the monotone total, not the table size
+        assert client.metrics()["jobs_total"] == 7
+
+
+    def test_unfinished_jobs_are_never_evicted(self, monkeypatch):
+        from repro.service import jobs
+
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 1)
+        table = jobs.JobTable("t")
+        ids = [table.add(lambda jid: jid) for _ in range(5)]
+        for jid in ids[1:]:
+            table.finish(jid)
+        assert table.get(ids[0]) == ids[0]  # still running: kept
+        assert [table.get(j) for j in ids[1:]] == [None] * 3 + [ids[4]]
+        assert (table.total, len(table)) == (5, 2)
+
+    def test_job_table_loses_no_update_under_threads(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.service import jobs
+
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 8)
+        table = jobs.JobTable("t")
+
+        def worker():
+            for _ in range(400):
+                table.finish(table.add(lambda jid: jid))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # a lost id or a lost eviction would break one of these
+        assert (table.total, len(table)) == (8 * 400, 8)
 
 
 class TestServedResultsMatchOracle:
@@ -169,13 +257,15 @@ class TestServedResultsMatchOracle:
         for k, ref in ref_scalars.items():
             assert served["scalars"][k] == ref  # exact, not approximate
 
+    @pytest.mark.parametrize("level", (Level.LEV4, Level.LEV5))
     @pytest.mark.parametrize("name", ORACLE_KERNELS)
-    def test_served_cycles_match_local_compilation(self, service, name):
+    def test_served_cycles_match_local_compilation(self, service, name, level):
         """The service is a cache, not a different compiler: cycle counts
-        served over HTTP equal a local in-process compilation's."""
+        served over HTTP equal a local in-process compilation's (at every
+        level the CLI accepts, Lev5 included)."""
         client, _ = service
-        served = client.run(name, level=4, width=8)["result"]
-        local = run_config(w=get_workload(name), level=Level.LEV4,
+        served = client.run(name, level=int(level), width=8)["result"]
+        local = run_config(w=get_workload(name), level=level,
                            machine=MachineConfig(issue_width=8))
         assert served["cycles"] == local.cycles
         assert served["instructions"] == local.instructions

@@ -1,5 +1,5 @@
 """Cluster-layer tests: ring placement, ownership forwarding,
-cross-node single-flight, and steal-on-overload.
+cross-node single-flight, steal-on-overload, and the router front-end.
 
 The ring tests are pure; the service tests run small in-process
 clusters (:class:`~repro.cluster.launch.ThreadCluster` or hand-built
@@ -14,7 +14,10 @@ import pytest
 from repro.cluster.launch import ThreadCluster
 from repro.cluster.node import _key_of, serve_node_background
 from repro.cluster.ring import HashRing
-from repro.service.client import ServiceClient
+from repro.cluster.router import serve_router_background
+from repro.experiments.sweep import load_sweep
+from repro.pipeline import Level
+from repro.service.client import ServiceClient, ServiceRequestError
 from repro.service.server import _req_fields
 
 NODES = ("http://n1:1", "http://n2:1", "http://n3:1")
@@ -258,3 +261,53 @@ class TestWorkStealing:
             for rig in (a, b):
                 rig[0].shutdown()
                 rig[1].close()
+
+
+# ---------------------------------------------------------------------------
+# the router
+# ---------------------------------------------------------------------------
+
+
+class TestRouter:
+    @pytest.fixture
+    def routed(self, tmp_path):
+        with ThreadCluster(n=3, store_root=tmp_path) as tc:
+            httpd, router, url = serve_router_background(tc.urls)
+            yield ServiceClient(url, timeout=120.0, retry=None), router
+            httpd.shutdown()
+            httpd.server_close()
+        for node in tc.servers:
+            node.server_close()
+
+    def test_lev5_run_matches_the_committed_grid(self, routed):
+        client, _ = routed
+        want = load_sweep().get("dotprod", Level.LEV5, 8)
+        got = client.run("dotprod", level=5, width=8)["result"]
+        assert (got["cycles"], got["instructions"]) == (
+            want.cycles, want.instructions)
+        with pytest.raises(ServiceRequestError) as ei:
+            client.run("dotprod", level=len(Level))
+        assert ei.value.status == 400
+
+    def test_sweep_defaults_to_every_level_and_width(self, routed):
+        client, _ = routed
+        rec = client.wait_job(client.sweep(["add"]), timeout=120.0)
+        assert rec["state"] == "done"
+        assert rec["result"]["configs"] == len(Level) * 4
+        assert ({r["level"] for r in rec["result"]["results"]}
+                == {int(lv) for lv in Level})
+
+    def test_job_table_keeps_only_recent_finished_jobs(self, routed,
+                                                       monkeypatch):
+        from repro.service import jobs
+
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 2)
+        client, router = routed
+        ids = []
+        for _ in range(4):
+            ids.append(client.sweep(["add"], levels=[0], widths=[1]))
+            client.wait_job(ids[-1], timeout=120.0)
+        assert [router.job(j) is not None for j in ids] == [False] * 2 + [True] * 2
+        with pytest.raises(ServiceRequestError) as ei:
+            client.job(ids[0])
+        assert ei.value.status == 404

@@ -1,6 +1,6 @@
 """Pinning tests for the canonical configuration identity.
 
-The sweep journal and the artifact store both derive "same
+The sweep, the artifact store and the job engine all derive "same
 configuration" from :mod:`repro.service.keys`; these tests pin the
 properties that make a content address trustworthy: stability across
 dict ordering and default-valued fields, and sensitivity to everything
@@ -9,15 +9,12 @@ that changes compiled output.
 
 import pytest
 
-from repro.experiments.sweep import _journal_header
 from repro.machine import MachineConfig
-from repro.passes import PassOptions
 from repro.service.keys import (
     CODE_VERSION,
     canonical_json,
     request_identity,
     request_key,
-    sweep_header,
     workload_fingerprint,
 )
 
@@ -107,25 +104,6 @@ class TestWorkloadFingerprint:
         assert workload_fingerprint("add") == workload_fingerprint("add")
         assert workload_fingerprint("add") != workload_fingerprint("sum")
         assert len(workload_fingerprint("add")) == 64
-
-
-class TestSweepHeaderSharing:
-    def test_journal_header_is_the_shared_identity(self):
-        """The journal header is exactly keys.sweep_header plus the
-        journal schema version — one definition of 'same sweep'."""
-        opts = PassOptions(disable=("strength", "combine"))
-        h = _journal_header(seed=3, check=True, check_ir=True, options=opts)
-        shared = sweep_header(3, True, True, ("strength", "combine"))
-        assert {k: v for k, v in h.items() if k != "version"} == shared
-        assert shared["salt"] == CODE_VERSION
-        assert shared["disable"] == ["combine", "strength"]
-
-    def test_header_defaults_match_explicit(self):
-        assert sweep_header(0, True) == sweep_header(0, True, False, ())
-
-    def test_code_version_in_header(self):
-        """Bumping CODE_VERSION must invalidate old journals."""
-        assert _journal_header(0, True)["salt"] == CODE_VERSION
 
 
 class TestEngineDerivedSalt:

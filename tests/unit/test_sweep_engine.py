@@ -1,9 +1,9 @@
 """Regression tests for the fast sweep engine.
 
 The engine layers three reuse/parallelism mechanisms on the grid run
-(width-sharded compilation, a fork-based process pool, and a resumable
-JSONL journal); these tests pin the one property that makes them safe:
-every path produces *identical* results.
+(width-sharded cell evaluation, a fork-based process pool, and resume
+from the artifact store); these tests pin the one property that makes
+them safe: every path produces *identical* results.
 """
 
 import json
@@ -14,7 +14,6 @@ from repro.experiments.sweep import (
     CACHE_VERSION,
     ConfigResult,
     load_sweep,
-    read_journal,
     run_config,
     run_sweep,
     save_sweep,
@@ -27,6 +26,7 @@ from repro.harness import (
 )
 from repro.machine import MachineConfig
 from repro.pipeline import Level
+from repro.service.store import ArtifactStore
 from repro.workloads import get_workload
 
 WORKLOADS = ("add", "sum", "maxval")
@@ -39,6 +39,12 @@ def _key_fields(r: ConfigResult) -> tuple:
     (timing fields legitimately differ)."""
     return (r.workload, r.level, r.width, r.cycles, r.instructions,
             r.inner_makespan, r.int_regs, r.fp_regs, r.checked)
+
+
+def _store(tmp_path) -> ArtifactStore:
+    """A fresh handle on the test's store directory (what a rerun after
+    an interruption would open)."""
+    return ArtifactStore(tmp_path / "store")
 
 
 @pytest.fixture(scope="module")
@@ -96,87 +102,80 @@ class TestParallelSweep:
         assert all(r.t_schedule > 0 and r.t_simulate > 0 for r in rs)
 
 
-class TestJournalResume:
+class TestCellEvaluatorIdentity:
+    """The sweep task path, ``run_config`` and a multi-width service
+    batch all pack one evaluator's output: they must agree."""
+
+    @pytest.mark.parametrize("level", (Level.CONV, Level.LEV4, Level.LEV5))
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_three_callers_agree(self, name, level):
+        from repro.experiments.sweep import _run_task
+        from repro.service.jobs import compute_cell
+
+        fields = ("cycles", "instructions", "inner_makespan",
+                  "int_regs", "fp_regs")
+        task = _run_task((name, int(level), WIDTHS, 0, True, False, None,
+                          "auto"))
+        batch = compute_cell(("run", name, int(level), WIDTHS, 0, True,
+                              False, ()))
+        assert [p["width"] for p in batch] == list(WIDTHS)
+        for width, swept, served in zip(WIDTHS, task, batch):
+            single = run_config(get_workload(name), level,
+                                MachineConfig(issue_width=width))
+            want = [getattr(single, f) for f in fields]
+            assert [getattr(swept, f) for f in fields] == want
+            assert [served[f] for f in fields] == want
+
+
+class TestStoreResume:
+    """Resume = rerun against the same store (there is no other
+    resumable persistence)."""
+
     def test_resume_skips_finished_configs(self, serial_sweep, tmp_path):
-        journal = tmp_path / "sweep.journal.jsonl"
         wls = [get_workload(n) for n in WORKLOADS]
+        per_wl = len(LEVELS) * len(WIDTHS)
 
-        first = run_sweep(wls[:2], LEVELS, WIDTHS, journal=journal)
-        assert first.computed == 2 * len(LEVELS) * len(WIDTHS)
-        assert first.reused == 0
+        first = run_sweep(wls[:2], LEVELS, WIDTHS, store=_store(tmp_path))
+        assert first.computed == 2 * per_wl
+        assert first.store_hits == 0
 
-        resumed = run_sweep(wls, LEVELS, WIDTHS, journal=journal, jobs=2)
-        assert resumed.reused == first.computed  # nothing recomputed
-        assert resumed.computed == len(LEVELS) * len(WIDTHS)  # only maxval
+        resumed = run_sweep(wls, LEVELS, WIDTHS, jobs=2,
+                            store=_store(tmp_path))
+        assert resumed.store_hits == first.computed  # nothing recomputed
+        assert resumed.computed == per_wl            # only maxval
+        assert list(resumed.results) == list(serial_sweep.results)
         for k in serial_sweep.results:
             assert _key_fields(resumed.results[k]) == _key_fields(serial_sweep.results[k])
 
-    def test_truncated_tail_tolerated(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
+    def test_partial_cell_recomputes_only_missing_widths(self, tmp_path):
+        """A cell whose put was interrupted between widths resumes at the
+        width level, not the cell level."""
         wls = [get_workload("add")]
-        run_sweep(wls, LEVELS, WIDTHS, journal=journal)
-        journal.write_text(journal.read_text() + '{"workload": "tru')  # died mid-write
-        again = run_sweep(wls, LEVELS, WIDTHS, journal=journal)
-        assert again.computed == 0
-        assert again.reused == len(LEVELS) * len(WIDTHS)
+        run_sweep(wls, LEVELS, WIDTHS[:1], store=_store(tmp_path))
+        again = run_sweep(wls, LEVELS, WIDTHS, store=_store(tmp_path))
+        assert again.store_hits == len(LEVELS)
+        assert again.computed == len(LEVELS) * (len(WIDTHS) - 1)
 
-    def test_torn_final_line_skipped_and_reported(self, serial_sweep, tmp_path, capsys):
-        """A final record torn mid-write — even mid-multibyte-character,
-        leaving invalid UTF-8 — is skipped, reported, and recomputed."""
-        journal = tmp_path / "j.jsonl"
-        wls = [get_workload(n) for n in WORKLOADS]
-        first = run_sweep(wls, LEVELS, WIDTHS, journal=journal)
-
-        raw = journal.read_bytes()
-        journal.write_bytes(raw[:-20] + b"\xff")  # torn + undecodable tail
-
-        skips = []
-        loaded = read_journal(journal, seed=0, check=True,
-                              on_skip=lambda lineno, line: skips.append(lineno))
-        assert len(loaded) == first.computed - 1
-        assert len(skips) == 1
-
-        resumed = run_sweep(wls, LEVELS, WIDTHS, journal=journal)
-        assert resumed.journal_skipped == 1
-        assert resumed.computed == 1  # only the torn configuration
-        assert resumed.reused == first.computed - 1
-        assert "skipped 1 corrupt line" in capsys.readouterr().err
-        for k in serial_sweep.results:
-            assert _key_fields(resumed.results[k]) == _key_fields(serial_sweep.results[k])
-
-        # appending after a torn tail must newline-terminate it first, or
-        # the new record would concatenate onto the torn bytes: a third
-        # resume sees every appended record and recomputes nothing
-        third = run_sweep(wls, LEVELS, WIDTHS, journal=journal)
-        assert third.journal_skipped == 1  # the torn line itself remains
-        assert third.computed == 0
-        assert third.reused == first.computed
-
-    def test_corrupt_middle_line_recomputed(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
+    def test_other_seed_or_salt_is_recomputed_never_reused(self, tmp_path):
         wls = [get_workload("add")]
-        run_sweep(wls, LEVELS, WIDTHS, journal=journal)
-        lines = journal.read_bytes().splitlines(keepends=True)
-        lines[2] = b'{"workload": \xfe garbage\n'
-        journal.write_bytes(b"".join(lines))
-        again = run_sweep(wls, LEVELS, WIDTHS, journal=journal)
-        assert again.journal_skipped == 1
-        assert again.computed == 1
-        assert again.reused == len(LEVELS) * len(WIDTHS) - 1
+        n = len(LEVELS) * len(WIDTHS)
+        run_sweep(wls, LEVELS, WIDTHS, seed=0, store=_store(tmp_path))
 
-    def test_mismatched_header_rejected(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
-        run_sweep([get_workload("add")], LEVELS, WIDTHS, seed=0, journal=journal)
-        assert read_journal(journal, seed=1, check=True) == {}
-        assert len(read_journal(journal, seed=0, check=True)) == 4
+        other_seed = run_sweep(wls, LEVELS, WIDTHS, seed=1,
+                               store=_store(tmp_path))
+        assert (other_seed.store_hits, other_seed.computed) == (0, n)
 
-    def test_resume_false_recomputes(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
+        # same keys, but the blobs were written under another code version
+        stale = ArtifactStore(tmp_path / "store", salt="some-other-version")
+        other_salt = run_sweep(wls, LEVELS, WIDTHS, seed=0, store=stale)
+        assert (other_salt.store_hits, other_salt.computed) == (0, n)
+
+    def test_without_a_store_every_sweep_restarts(self):
         wls = [get_workload("add")]
-        run_sweep(wls, LEVELS, WIDTHS, journal=journal)
-        fresh = run_sweep(wls, LEVELS, WIDTHS, journal=journal, resume=False)
-        assert fresh.reused == 0
-        assert fresh.computed == len(LEVELS) * len(WIDTHS)
+        run_sweep(wls, LEVELS, WIDTHS)
+        again = run_sweep(wls, LEVELS, WIDTHS)
+        assert again.store_hits == 0
+        assert again.computed == len(LEVELS) * len(WIDTHS)
 
 
 class TestPartialCache:
@@ -190,20 +189,6 @@ class TestPartialCache:
         for k in serial_sweep.results:
             assert _key_fields(part.results[k]) == _key_fields(serial_sweep.results[k])
 
-    def test_version3_payload_still_loads(self, serial_sweep, tmp_path):
-        p = tmp_path / "sweep.json"
-        save_sweep(serial_sweep, p)
-        payload = json.loads(p.read_text())
-        payload["version"] = 3
-        for r in payload["results"]:
-            for f in ("t_compile", "t_schedule", "t_simulate"):
-                del r[f]
-        p.write_text(json.dumps(payload))
-        v3 = load_sweep(p, require_complete=False)
-        assert v3 is not None
-        assert len(v3.results) == len(serial_sweep.results)
-        assert all(r.t_compile == 0.0 for r in v3.results.values())
-
     def test_unknown_version_rejected(self, serial_sweep, tmp_path):
         p = tmp_path / "sweep.json"
         save_sweep(serial_sweep, p)
@@ -216,15 +201,10 @@ class TestPartialCache:
 class TestArtifactStoreLayer:
     """The persistent (cross-process, cross-sweep) cache under `--store`."""
 
-    def _store(self, tmp_path):
-        from repro.service.store import ArtifactStore
-
-        return ArtifactStore(tmp_path / "store")
-
     def test_warm_sweep_is_all_hits_and_byte_identical(self, tmp_path):
         from dataclasses import asdict
 
-        store = self._store(tmp_path)
+        store = _store(tmp_path)
         wls = [get_workload(n) for n in WORKLOADS]
         cold = run_sweep(wls, LEVELS, WIDTHS, store=store)
         n = len(WORKLOADS) * len(LEVELS) * len(WIDTHS)
@@ -238,21 +218,8 @@ class TestArtifactStoreLayer:
             [asdict(d.results[k]) for k in sorted(d.results)])
         assert dump(warm) == dump(cold)
 
-    def test_store_fills_the_gap_the_journal_missed(self, tmp_path):
-        store = self._store(tmp_path)
-        wls = [get_workload(n) for n in WORKLOADS]
-        journal = tmp_path / "j.jsonl"
-        # journal knows two workloads; the store knows all three
-        run_sweep(wls, LEVELS, WIDTHS, store=store)
-        run_sweep(wls[:2], LEVELS, WIDTHS, journal=journal)
-        both = run_sweep(wls, LEVELS, WIDTHS, journal=journal, store=store)
-        per_wl = len(LEVELS) * len(WIDTHS)
-        assert both.reused == 2 * per_wl       # from the journal
-        assert both.store_hits == per_wl       # only maxval from the store
-        assert both.computed == 0
-
     def test_corrupt_blob_recomputed_not_served(self, tmp_path):
-        store = self._store(tmp_path)
+        store = _store(tmp_path)
         wls = [get_workload("add")]
         run_sweep(wls, LEVELS, WIDTHS, store=store)
         for p in (store.root / "objects").glob("??/*.json"):
@@ -267,7 +234,7 @@ class TestArtifactStoreLayer:
         different tool under the same key) is skipped, not crashed on."""
         from repro.service.keys import request_key, workload_fingerprint
 
-        store = self._store(tmp_path)
+        store = _store(tmp_path)
         k = request_key("result", "add", int(LEVELS[1]), WIDTHS[0],
                         fingerprint=workload_fingerprint("add"))
         store.put(k, {"not": "a ConfigResult"})
