@@ -6,7 +6,9 @@ cluster plus a router, then drives the scale-out guarantees end to end:
 1. mixed requests through the router land on more than one node
    (consistent-hash routing actually spreads the key space);
 2. the same key submitted through every node compiles exactly once
-   (ownership forwarding funnels into one engine's single-flight);
+   (ownership forwarding funnels into one engine's single-flight), and
+   the router's and a ``ClusterClient``'s ring name the owner the
+   serving node reports;
 3. one node is SIGKILLed mid-batch — every remaining request is still
    answered, lost artifacts are recomputed, and nothing is served
    twice or differently;
@@ -18,9 +20,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.cluster.client import ClusterClient
 from repro.cluster.launch import ProcessCluster
 from repro.cluster.router import serve_router_background
 from repro.service.client import ServiceClient
+from repro.service.keys import CellRequest
 
 GRID = [("dotprod", 4, 8), ("add", 0, 1), ("add", 4, 8), ("sum", 4, 4),
         ("sum", 0, 8), ("maxval", 4, 1), ("maxval", 2, 8), ("merge", 4, 8)]
@@ -55,6 +59,17 @@ def main() -> int:
             f"{[r['cache'] for r in replies]}")
         owners = {r["node"] for r in replies}
         assert len(owners) == 1, f"key served by several owners: {owners}"
+
+        # every hop derives the same identity: the router's and an SDK
+        # client's ring agree with the owner the serving node reports
+        sdk = ClusterClient(cluster.urls, timeout=120.0)
+        for wl, lv, wd in GRID[:3]:
+            key = CellRequest("run", wl, lv, wd).key
+            served = sdk.run(wl, level=lv, width=wd, timeout=60.0)
+            assert (router.ring.node_for(key) == sdk.ring.node_for(key)
+                    == served["owner"] == served["node"]), (
+                f"({wl},{lv},{wd}): router/client/node disagree on owner")
+            assert served["cache"] == "hit" and sdk.failovers == 0
 
         # 3: SIGKILL a node mid-batch; the batch must complete with
         # zero lost or duplicated results

@@ -4,8 +4,10 @@ Expects ``python -m repro serve --port 8734 --store ... --max-pending 8``
 already running (the workflow starts it in the background).  Drives six
 mixed requests through the client SDK — two fresh runs, a duplicate
 that must be answered from the artifact store, a compile, an async
-sweep job, and an oversized sweep that must be load-shed — then scrapes
-``/metrics`` and fails on any nonzero service-side error count.
+sweep job, and an oversized sweep that must be load-shed — then the
+bad-``disable`` probe (six malformed requests are six 400s and leave
+the cell servable), then scrapes ``/metrics`` and fails on any nonzero
+service-side error count.
 """
 
 import sys
@@ -14,6 +16,7 @@ import time
 from repro.service.client import (
     ServiceClient,
     ServiceOverloaded,
+    ServiceRequestError,
     ServiceUnavailable,
 )
 
@@ -62,6 +65,19 @@ def main() -> int:
         print("oversized sweep was accepted instead of shed", file=sys.stderr)
         return 1
     assert c.healthz()["ok"] is True
+
+    # 7: a malformed disable list is rejected at the boundary — it must
+    # never reach a worker, so it cannot quarantine the healthy cell
+    for _ in range(6):
+        try:
+            c.run("maxval", level=4, width=8, disable=["nope"])
+        except ServiceRequestError as e:
+            assert e.status == 400, f"bad disable answered {e.status}"
+        else:
+            print("bad disable list was accepted", file=sys.stderr)
+            return 1
+    assert c.run("maxval", level=4, width=8)["result"]["cycles"] > 0, \
+        "cell unservable after malformed requests"
 
     m = c.metrics()
     print(f"metrics: {m}")

@@ -10,6 +10,10 @@ owning shard ever after:
 
 * :mod:`repro.cluster.ring` — the consistent-hash ring (virtual nodes,
   bounded key movement on membership change).
+* :mod:`repro.cluster.peers` — the one ring dispatcher: cached peer
+  clients, the owner-first preference walk with ``X-Repro-Hop``
+  headers, fleet health/metrics views (router, client SDK and node
+  forwarding all go through it).
 * :mod:`repro.cluster.node` — the cluster node: the service handler
   plus ownership forwarding (a request for a key another node owns is
   proxied there, so every key funnels into exactly one engine's

@@ -39,21 +39,10 @@ from ..resilience.chaos import (
     _run_serve,
 )
 from ..service.client import ServiceClient
-from ..service.keys import request_key, workload_fingerprint
+from ..service.keys import SweepRequest
 from .launch import ProcessCluster
 from .ring import HashRing
 from .router import serve_router_background
-
-
-def _grid(workloads, levels, widths) -> list[tuple[str, int, int]]:
-    return [(n, int(lv), int(wd))
-            for n in workloads for lv in levels for wd in widths]
-
-
-def _cfg_key(cfg: tuple[str, int, int], fps: dict) -> str:
-    n, lv, wd = cfg
-    return request_key("run", n, lv, wd, seed=0, check=True, check_ir=False,
-                       disable=(), fingerprint=fps[n])
 
 
 def run_cluster_chaos(*, nodes: int = 3, jobs: int = 1,
@@ -68,18 +57,15 @@ def run_cluster_chaos(*, nodes: int = 3, jobs: int = 1,
         workdir = Path(tempfile.mkdtemp(prefix="repro-cluster-chaos-"))
     workdir.mkdir(parents=True, exist_ok=True)
 
-    grid = _grid(workloads, levels, widths)
+    grid = SweepRequest(workloads, levels, widths).cells("run")
     half = len(grid) // 2
     first, second = grid[:half], grid[half:]
-    fps = {n: workload_fingerprint(n) for n in workloads}
-    keys = {cfg: _cfg_key(cfg, fps) for cfg in grid}
 
     if verbose:
         print(f"cluster chaos: {len(grid)} configs over {nodes} nodes, "
               f"kill after {half} ({workdir})")
         print("cluster chaos: fault-free single-node baseline...")
-    base, _, _ = _run_serve(workloads, levels, widths, jobs,
-                            workdir / "baseline" / "store",
+    base, _, _ = _run_serve(grid, jobs, workdir / "baseline" / "store",
                             pool_deadline_s=120.0)
 
     cluster = ProcessCluster(n=nodes, store_root=workdir / "cluster",
@@ -92,7 +78,7 @@ def run_cluster_chaos(*, nodes: int = 3, jobs: int = 1,
         # ring is deterministic, so ownership — and therefore which
         # requests a dead node can disturb — is known in advance
         ring = HashRing(cluster.urls)
-        owner = {cfg: ring.node_for(keys[cfg]) for cfg in grid}
+        owner = {cfg: ring.node_for(cfg.key) for cfg in grid}
         victim = max(cluster.urls,
                      key=lambda u: (sum(1 for c in second if owner[c] == u),
                                     u))
@@ -108,19 +94,19 @@ def run_cluster_chaos(*, nodes: int = 3, jobs: int = 1,
         client = ServiceClient(router_url, timeout=120.0, retry=None)
 
         def run_cfg(cfg):
-            n, lv, wd = cfg
-            return client.run(n, level=lv, width=wd, timeout=60.0)
+            return client.run(cfg.workload, level=cfg.level,
+                              width=cfg.width, timeout=60.0)
 
         got: dict[str, dict] = {}
         for cfg in first:
-            got[f"{cfg[0]}/L{cfg[1]}/w{cfg[2]}"] = run_cfg(cfg)["result"]
+            got[cfg.label] = run_cfg(cfg)["result"]
 
         if verbose:
             print(f"cluster chaos: SIGKILL {victim} mid-batch...")
         cluster.kill(victim)
 
         for cfg in second:
-            got[f"{cfg[0]}/L{cfg[1]}/w{cfg[2]}"] = run_cfg(cfg)["result"]
+            got[cfg.label] = run_cfg(cfg)["result"]
 
         # phase 3: every artifact must still be servable — the victim's
         # shard died with it, so exactly its phase-1 keys recompute
@@ -128,7 +114,7 @@ def run_cluster_chaos(*, nodes: int = 3, jobs: int = 1,
         misses = 0
         for cfg in grid:
             r = run_cfg(cfg)
-            got3[f"{cfg[0]}/L{cfg[1]}/w{cfg[2]}"] = r["result"]
+            got3[cfg.label] = r["result"]
             if r.get("cache") != "hit":
                 misses += 1
 

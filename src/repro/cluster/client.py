@@ -19,7 +19,8 @@ such replies carry ``"failover": true`` and are tallied in
 Sweeps are whole-grid: submitted to the first reachable node in the
 grid key's preference order (that node's engine batches the cells); the
 returned handle ``(node_url, job_id)`` pins polling to the node that
-owns the job.  For *cell-wise* sweep spreading use the router
+owns the job.  A malformed request raises ``ValueError`` here, before
+anything is sent.  For *cell-wise* sweep spreading use the router
 (:mod:`repro.cluster.router`), which this client happily points at too
 — a router URL passed as the only "node" degenerates every call into
 plain proxying.
@@ -27,117 +28,51 @@ plain proxying.
 
 from __future__ import annotations
 
-from ..service.client import (
-    ServiceClient,
-    ServiceRequestError,
-    ServiceUnavailable,
-)
-from .node import HOP_HEADER, _key_of
-from .ring import HashRing
+from ..service.client import ServiceClient
+from ..service.keys import CellRequest, SweepRequest
+from .peers import RingDispatcher
 
 
-class ClusterClient:
+class ClusterClient(ServiceClient):
+    """A :class:`ServiceClient` whose transport is the ring: the
+    endpoint methods (``compile``/``run``/``sweep``/``healthz``/
+    ``metrics``/``wait_job``) are inherited, :meth:`_call` sends each
+    request to its key's owner and asks the whole fleet for views."""
+
     def __init__(self, nodes: list[str], timeout: float = 300.0,
                  vnodes: int = 64):
         if not nodes:
             raise ValueError("need at least one node URL")
-        self.ring = HashRing(nodes, vnodes=vnodes)
-        self.timeout = timeout
-        self._clients: dict[tuple[str, str | None], ServiceClient] = {}
+        super().__init__(nodes[0], timeout=timeout, retry=None)
         #: preference-order hops taken past unreachable owners
         self.failovers = 0
+        self.peers = RingDispatcher(nodes, vnodes=vnodes, timeout=timeout,
+                                    on_failover=self._failed_over)
+        self.ring = self.peers.ring
 
-    def _client(self, url: str, hop: str | None = None) -> ServiceClient:
-        c = self._clients.get((url, hop))
-        if c is None:
-            c = ServiceClient(url, timeout=self.timeout, retry=None,
-                              headers={HOP_HEADER: hop} if hop else {})
-            self._clients[(url, hop)] = c
-        return c
+    def _failed_over(self) -> None:
+        self.failovers += 1
 
-    # -- dispatch --------------------------------------------------------
+    def _call(self, method: str, path: str, body: dict | None = None) -> dict:
+        if method == "GET":
+            return {"/healthz": self.peers.health,
+                    "/metrics": self.peers.metrics}[path]()
+        if path != "/v1/sweep":
+            req = CellRequest.from_body(body, path.rsplit("/", 1)[1])
+            return self.peers.post(path, body, req.key)[1]
+        # whole-grid sweeps — placement only (any string hashes onto the
+        # ring): the same grid always lands on the same node, spreading
+        # distinct sweeps
+        s = SweepRequest.from_body(body)
+        key = (f"sweep:{sorted(s.workloads)}:{sorted(s.levels)}"
+               f":{sorted(s.widths)}:{s.seed}")
+        url, reply = self.peers.post(path, body, key)
+        # the handle pins polling to the node that holds the job record
+        # (a node that stole the sweep reports where it really lives)
+        reply["job"] = (reply.get("node") or reply.get("routed_by") or url,
+                        reply["job"])
+        return reply
 
-    def _dispatch(self, path: str, body: dict, key: str) -> dict:
-        last = None
-        for i, url in enumerate(self.ring.preference(key)):
-            try:
-                reply = self._client(url, "route" if i else None)._call(
-                    "POST", path, body)
-            except ServiceUnavailable as e:
-                self.failovers += 1
-                last = e
-                continue
-            if i:
-                reply["failover"] = True
-            return reply
-        raise ServiceUnavailable(f"no node reachable for {key[:12]}: {last}")
-
-    def compile(self, workload: str, level: int = 4, width: int = 8,
-                **kwargs) -> dict:
-        body = {"workload": workload, "level": level, "width": width,
-                **kwargs}
-        return self._dispatch("/v1/compile", body,
-                              self._body_key("compile", body))
-
-    def run(self, workload: str, level: int = 4, width: int = 8,
-            **kwargs) -> dict:
-        body = {"workload": workload, "level": level, "width": width,
-                **kwargs}
-        return self._dispatch("/v1/run", body, self._body_key("run", body))
-
-    @staticmethod
-    def _body_key(kind: str, body: dict) -> str:
-        from ..service.server import _req_fields
-        f = _req_fields(dict(body))
-        f.pop("timeout")
-        return _key_of(kind, f)
-
-    # -- sweeps ----------------------------------------------------------
-
-    def sweep(self, workloads: list[str], levels=None, widths=None,
-              **kwargs) -> tuple[str, str]:
-        """Submit a whole-grid sweep; returns the ``(node_url, job_id)``
-        handle to poll (the job record lives on that node)."""
-        body = {"workloads": list(workloads), **kwargs}
-        if levels is not None:
-            body["levels"] = list(levels)
-        if widths is not None:
-            body["widths"] = list(widths)
-        # placement only (any string hashes onto the ring): the same
-        # grid always lands on the same node, spreading distinct sweeps
-        key = (f"sweep:{sorted(workloads)}"
-               f":{sorted(levels) if levels is not None else 'all'}"
-               f":{sorted(widths) if widths is not None else 'all'}"
-               f":{int(kwargs.get('seed', 0))}")
-        reply = self._dispatch("/v1/sweep", body, key)
-        # a node that stole the sweep reports where the job really lives
-        node = reply.get("node") or reply.get("routed_by")
-        if node is None:
-            node = self.ring.preference(key)[0]
-        return node, reply["job"]
-
-    def wait_job(self, handle: tuple[str, str], timeout: float = 300.0,
-                 poll: float = 0.05) -> dict:
+    def job(self, handle: tuple[str, str]) -> dict:
         node, jid = handle
-        return self._client(node).wait_job(jid, timeout=timeout, poll=poll)
-
-    # -- fleet views -----------------------------------------------------
-
-    def healthz(self) -> dict:
-        nodes = {}
-        for url in self.ring.nodes:
-            try:
-                nodes[url] = bool(self._client(url)._call(
-                    "GET", "/healthz").get("ok"))
-            except (ServiceUnavailable, ServiceRequestError):
-                nodes[url] = False
-        return {"ok": any(nodes.values()), "nodes": nodes}
-
-    def metrics(self) -> dict:
-        out = {}
-        for url in self.ring.nodes:
-            try:
-                out[url] = self._client(url)._call("GET", "/metrics")
-            except (ServiceUnavailable, ServiceRequestError):
-                out[url] = {"unreachable": True}
-        return out
+        return self.peers.client(node).job(jid)

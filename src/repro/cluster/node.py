@@ -40,7 +40,6 @@ can form even with a stale ring.
 
 from __future__ import annotations
 
-import functools
 import threading
 from collections import Counter
 from concurrent.futures import Future
@@ -48,46 +47,16 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 from ..service.client import (
-    ServiceClient,
     ServiceOverloaded,
     ServiceRequestError,
     ServiceUnavailable,
 )
 from ..service.jobs import JobEngine, Overloaded
-from ..service.keys import request_key, workload_fingerprint
-from ..service.server import (
-    ServiceError,
-    ServiceHTTPServer,
-    _Handler,
-    _req_fields,
-)
+from ..service.keys import CellRequest, SweepRequest
+from ..service.server import ServiceError, ServiceHTTPServer, _Handler
 from ..service.store import ArtifactStore
+from .peers import HOP_HEADER, RingDispatcher
 from .ring import HashRing
-
-#: one node-to-node hop is allowed; these header values are terminal
-HOP_HEADER = "X-Repro-Hop"
-
-
-@functools.lru_cache(maxsize=256)
-def _fingerprint(workload: str) -> str:
-    """Kernel fingerprints are pure in the workload name within one
-    process (CODE_VERSION salts actual code changes), so routing does
-    not rebuild the kernel on every request."""
-    return workload_fingerprint(workload)
-
-
-def _key_of(kind: str, f: dict) -> str:
-    """The canonical request key of validated request fields."""
-    try:
-        fp = _fingerprint(f["workload"])
-    except KeyError as e:  # get_workload: unknown workload name
-        raise ServiceError(400, f"unknown workload {e}") from None
-    return request_key(
-        kind, f["workload"], f["level"], f["width"], seed=f["seed"],
-        check=f["check"], check_ir=f["check_ir"],
-        disable=tuple(f["disable"]),
-        fingerprint=fp,
-    )
 
 
 class ClusterState:
@@ -96,10 +65,10 @@ class ClusterState:
     def __init__(self, vnodes: int = 64):
         self.self_url: str | None = None
         self.vnodes = vnodes
-        self.ring: HashRing | None = None
+        #: the ring and the clients to its nodes, once joined
+        self.peers: RingDispatcher | None = None
         self.engine: JobEngine | None = None
         self._lock = threading.Lock()
-        self._clients: dict[tuple[str, str], ServiceClient] = {}
         #: steal-path single-flight: key -> Future of the reply dict
         self._steal_inflight: dict[str, Future] = {}
         self.counters: Counter = Counter({
@@ -120,33 +89,22 @@ class ClusterState:
             raise RuntimeError("node has no bound URL yet")
         if self.self_url not in urls:
             raise ValueError(f"{self.self_url} not in membership {urls}")
-        self.ring = HashRing(urls, vnodes=self.vnodes)
+        self.peers = RingDispatcher(urls, vnodes=self.vnodes,
+                                    timeout=self._hop_timeout)
+
+    @property
+    def ring(self) -> HashRing | None:
+        return self.peers.ring if self.peers is not None else None
 
     @property
     def active(self) -> bool:
         return self.ring is not None and len(self.ring) > 1
 
-    def peers(self) -> list[str]:
-        if self.ring is None:
-            return []
-        return [u for u in self.ring.nodes if u != self.self_url]
-
-    def _client(self, url: str, hop: str | None) -> ServiceClient:
-        """A cached peer client.  No transport retry: a dead peer should
-        fail over along the ring immediately, not back off against a
-        corpse; forwarded-wait needs a generous read timeout."""
-        purpose = hop or "plain"
-        with self._lock:
-            c = self._clients.get((url, purpose))
-            if c is None:
-                timeout = 15.0 if purpose == "plain" else (
-                    (self.engine.default_timeout if self.engine else 120.0)
-                    + 30.0)
-                headers = {HOP_HEADER: hop} if hop else {}
-                c = ServiceClient(url, timeout=timeout, retry=None,
-                                  headers=headers)
-                self._clients[(url, purpose)] = c
-        return c
+    @property
+    def _hop_timeout(self) -> float:
+        """How long a hop to a peer may wait: the peer's own request
+        deadline plus slack (forwarded-wait)."""
+        return (self.engine.default_timeout if self.engine else 120.0) + 30.0
 
     def count(self, name: str, n: int = 1) -> None:
         with self._lock:
@@ -158,15 +116,15 @@ class ClusterState:
 
     # -- forwarding ------------------------------------------------------
 
-    def forward(self, path: str, body: dict, owner: str) -> dict | None:
-        """Proxy a request to the owning node; None if it is down."""
+    def forward(self, path: str, req: CellRequest) -> dict | None:
+        """Proxy a request to the owning node — the dispatcher's one-hop
+        case; None if it is down.  (If the owner answers, even 429/503,
+        its verdict propagates and is relayed as-is.)"""
         try:
-            reply = self._client(owner, "forward")._call("POST", path, body)
+            _, reply = self.peers.post(path, req.to_body(), req.key,
+                                       owner_hop="forward", max_hops=1)
         except ServiceUnavailable:
             return None
-        except ServiceRequestError as e:
-            # the owner answered: relay its verdict (429/503/...) as-is
-            raise ServiceError(e.status, str(e)) from None
         self.count("forwarded_out")
         reply["forwarded"] = True
         return reply
@@ -175,22 +133,16 @@ class ClusterState:
 
     def peer_loads(self) -> list[tuple[int, str]]:
         """(queue_depth, url) of reachable peers, least loaded first."""
-        loads = []
-        for url in self.peers():
-            try:
-                info = self._client(url, None)._call("GET", "/cluster/info")
-            except (ServiceUnavailable, ServiceRequestError):
-                continue
-            loads.append((int(info.get("queue_depth", 0)), url))
-        loads.sort()
-        return loads
+        infos = self.peers.fleet("/cluster/info", skip=self.self_url)
+        return sorted((int(info.get("queue_depth", 0)), url)
+                      for url, info in infos.items() if info is not None)
 
-    def steal(self, kind: str, f: dict, timeout: float | None,
-              key: str) -> dict | None:
+    def steal(self, req: CellRequest) -> dict | None:
         """Hand a shed computation to a peer; None if no peer can take
         it.  Duplicate sheds of one key join a single steal."""
         if not self.active:
             return None
+        key = req.key
         with self._lock:
             fut = self._steal_inflight.get(key)
             if fut is not None:
@@ -203,14 +155,13 @@ class ClusterState:
             self.count("steal_joined")
             try:
                 reply = fut.result(
-                    timeout=(timeout if timeout is not None else
-                             (self.engine.default_timeout if self.engine
-                              else 120.0)) + 30.0)
+                    timeout=(req.timeout + 30.0 if req.timeout is not None
+                             else self._hop_timeout))
             except Exception:
                 return None
             return None if reply is None else dict(reply)
         try:
-            reply = self._steal_once(kind, f, timeout, key)
+            reply = self._steal_once(req)
             fut.set_result(reply)
             return reply
         except BaseException as e:
@@ -220,15 +171,13 @@ class ClusterState:
             with self._lock:
                 self._steal_inflight.pop(key, None)
 
-    def _steal_once(self, kind: str, f: dict, timeout: float | None,
-                    key: str) -> dict | None:
-        body = {"kind": kind, **f}
-        if timeout is not None:
-            body["timeout"] = timeout
+    def offer(self, path: str, body: dict) -> tuple[str, dict] | None:
+        """Offer shed work to the peers, least loaded first: ``(url,
+        reply)`` of the one that took it, None if none can."""
         for _, url in self.peer_loads():
             try:
-                reply = self._client(url, "steal")._call(
-                    "POST", "/cluster/compute", body)
+                reply = self.peers.client(url, "steal")._call(
+                    "POST", path, body)
             except (ServiceUnavailable, ServiceOverloaded):
                 continue  # peer died or is saturated too: try the next
             except ServiceRequestError:
@@ -236,14 +185,21 @@ class ClusterState:
                 # burning peers and let the local shed path answer
                 return None
             self.count("steals_out")
-            payload = reply.get("result")
-            if payload is not None and self.engine is not None:
-                # this node owns the key: land the artifact on *its*
-                # shard so the cluster's placement stays consistent
-                self.engine.store_put(key, payload)
-            return {"job": None, "cache": "stolen", "result": payload,
-                    "node": self.self_url, "stolen_by": url}
+            return url, reply
         return None
+
+    def _steal_once(self, req: CellRequest) -> dict | None:
+        took = self.offer("/cluster/compute", req.to_body())
+        if took is None:
+            return None
+        url, reply = took
+        payload = reply.get("result")
+        if payload is not None and self.engine is not None:
+            # this node owns the key: land the artifact on *its*
+            # shard so the cluster's placement stays consistent
+            self.engine.store_put(req.key, payload)
+        return {"job": None, "cache": "stolen", "result": payload,
+                "node": self.self_url, "stolen_by": url}
 
 
 class _NodeHandler(_Handler):
@@ -252,106 +208,96 @@ class _NodeHandler(_Handler):
     server_version = "repro-cluster-node/1"
     cluster: ClusterState = None
 
+    routes = {
+        **_Handler.routes,
+        ("GET", "/cluster/info"): ("_get_info", None),
+        ("POST", "/cluster/compute"): ("_post_compute",
+                                       CellRequest.from_body),
+        ("POST", "/cluster/put"): ("_post_put", None),
+    }
+
     # -- GET -------------------------------------------------------------
 
-    def _handle_get(self) -> None:
+    def _get_info(self, _) -> None:
         cl = self.cluster
-        if self.path == "/cluster/info":
-            ring = cl.ring.nodes if cl.ring is not None else []
-            self._send(200, {
-                "node": cl.self_url,
-                "nodes": ring,
-                "queue_depth": self.engine.queue_depth,
-                "soft_pending": self.engine.soft_pending,
-                "max_pending": self.engine.max_pending,
-                "counters": cl.snapshot(),
-                "computed": self.engine.counters["computed"],
-            })
-        elif self.path == "/metrics":
-            m = self.engine.metrics()
-            m["cluster"] = {"node": cl.self_url, **cl.snapshot()}
-            self._send(200, m)
-        else:
-            super()._handle_get()
+        self._send(200, {
+            "node": cl.self_url,
+            "nodes": cl.ring.nodes if cl.ring is not None else [],
+            "queue_depth": self.engine.queue_depth,
+            "soft_pending": self.engine.soft_pending,
+            "max_pending": self.engine.max_pending,
+            "counters": cl.snapshot(),
+            "computed": self.engine.counters["computed"],
+        })
+
+    def _get_metrics(self, _) -> None:
+        m = self.engine.metrics()
+        m["cluster"] = {"node": self.cluster.self_url,
+                        **self.cluster.snapshot()}
+        self._send(200, m)
 
     # -- POST ------------------------------------------------------------
 
-    def _handle_post(self, body: dict) -> None:
-        cl = self.cluster
-        if self.path == "/cluster/compute":
-            kind = str(body.get("kind", "run"))
-            if kind not in ("compile", "run"):
-                raise ServiceError(400, f"bad kind {kind!r}")
-            f = _req_fields(body)
-            timeout = f.pop("timeout")
-            if self.headers.get(HOP_HEADER) == "steal":
-                cl.count("steals_in")
-            self._serve_single(kind, f, timeout,
-                               extra={"node": cl.self_url})
-            return
-        if self.path == "/cluster/put":
-            try:
-                key = str(body["key"])
-                payload = body["payload"]
-            except (KeyError, TypeError) as e:
-                raise ServiceError(400, f"bad request: {e!r}") from None
-            cl.count("puts_in")
-            stored = self.engine.store_put(key, payload)
-            self._send(200, {"stored": bool(stored), "node": cl.self_url})
-            return
-        if self.path in ("/v1/compile", "/v1/run") and cl.active:
-            kind = self.path.rsplit("/", 1)[1]
-            f = _req_fields(body)
-            timeout = f.pop("timeout")
-            key = _key_of(kind, f)
-            owner = cl.ring.node_for(key)
-            hop = self.headers.get(HOP_HEADER)
-            if owner != cl.self_url and hop is None:
-                reply = cl.forward(self.path, body, owner)
-                if reply is not None:
-                    self._send(200, reply)
-                    return
-                # owner down: compute here so the request still succeeds
-                # (the artifact lands on this shard; the chaos oracle
-                # counts this as the recovery of a node-loss fault)
-                cl.count("failover_local")
-            elif hop == "forward":
-                cl.count("forwarded_in")
-            self._serve_single(kind, f, timeout,
-                               extra={"node": cl.self_url, "owner": owner})
-            return
-        if self.path == "/v1/sweep" and cl.active:
-            try:
-                super()._serve_sweep(body)
-            except Overloaded:
-                # soft-shed tier crossed: offer the whole sweep to the
-                # least-loaded peer before shedding for real
-                if self.headers.get(HOP_HEADER) is not None:
-                    raise
-                for _, url in cl.peer_loads():
-                    try:
-                        reply = cl._client(url, "steal")._call(
-                            "POST", "/v1/sweep", body)
-                    except (ServiceUnavailable, ServiceOverloaded,
-                            ServiceRequestError):
-                        continue
-                    cl.count("steals_out")
-                    reply["node"] = url
-                    reply["stolen_by"] = url
-                    self._send(202, reply)
-                    return
-                raise
-            return
-        super()._handle_post(body)
+    def _post_compute(self, req: CellRequest) -> None:
+        """Compute here regardless of ownership (the steal target)."""
+        if req.kind not in ("compile", "run"):
+            raise ServiceError(400, f"bad kind {req.kind!r}")
+        if self.headers.get(HOP_HEADER) == "steal":
+            self.cluster.count("steals_in")
+        super()._post_cell(req, extra={"node": self.cluster.self_url})
 
-    def _on_overload(self, kind: str, f: dict,
-                     timeout: float | None) -> dict | None:
+    def _post_put(self, body: dict) -> None:
+        try:
+            key = str(body["key"])
+            payload = body["payload"]
+        except (KeyError, TypeError) as e:
+            raise ServiceError(400, f"bad request: {e!r}") from None
+        self.cluster.count("puts_in")
+        stored = self.engine.store_put(key, payload)
+        self._send(200, {"stored": bool(stored),
+                         "node": self.cluster.self_url})
+
+    def _post_cell(self, req: CellRequest) -> None:
+        cl = self.cluster
+        if not cl.active:
+            return super()._post_cell(req)
+        owner = cl.ring.node_for(req.key)
+        hop = self.headers.get(HOP_HEADER)
+        if owner != cl.self_url and hop is None:
+            reply = cl.forward(self.path, req)
+            if reply is not None:
+                self._send(200, reply)
+                return
+            # owner down: compute here so the request still succeeds
+            # (the artifact lands on this shard; the chaos oracle
+            # counts this as the recovery of a node-loss fault)
+            cl.count("failover_local")
+        elif hop == "forward":
+            cl.count("forwarded_in")
+        super()._post_cell(req, extra={"node": cl.self_url, "owner": owner})
+
+    def _post_sweep(self, sweep: SweepRequest) -> None:
+        cl = self.cluster
+        try:
+            super()._post_sweep(sweep)
+        except Overloaded:
+            # soft-shed tier crossed: offer the whole sweep to the
+            # least-loaded peer before shedding for real
+            took = (cl.offer("/v1/sweep", sweep.to_body())
+                    if cl.active and self.headers.get(HOP_HEADER) is None
+                    else None)
+            if took is None:
+                raise
+            url, reply = took
+            self._send(202, {**reply, "node": url, "stolen_by": url})
+
+    def _on_overload(self, req: CellRequest) -> dict | None:
         cl = self.cluster
         if cl.active and self.headers.get(HOP_HEADER) != "steal":
-            reply = cl.steal(kind, f, timeout, _key_of(kind, f))
+            reply = cl.steal(req)
             if reply is not None:
                 return reply
-        return super()._on_overload(kind, f, timeout)
+        return super()._on_overload(req)
 
 
 def make_node(

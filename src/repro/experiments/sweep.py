@@ -23,8 +23,8 @@ the artifact store.
 * **Persistence = resumability.**  With ``store=`` (CLI ``--store
   DIR``), every finished configuration is written to the
   content-addressed artifact store (:mod:`repro.service.store`) under
-  its ``"result"`` key (:func:`repro.service.keys.request_key`) as soon
-  as it arrives, and a later sweep pointed at the same store — after an
+  its ``"result"`` key (``CellRequest.key``, :mod:`repro.service.keys`)
+  as soon as it arrives, and a later sweep pointed at the same store — after an
   interruption, in another process, on another machine — reloads those
   and computes only the rest.  A sweep without a store simply restarts.
   (``"result"`` blobs are the sweep's own; the service's ``"compile"``
@@ -56,7 +56,7 @@ from ..resilience.supervisor import (
     SupervisedPool,
     TaskFailed,
 )
-from ..service.keys import request_key, workload_fingerprint
+from ..service.keys import SweepRequest
 from ..workloads import Workload, all_workloads, get_workload
 
 
@@ -243,34 +243,27 @@ def run_sweep(
     workloads = workloads or all_workloads()
     data = SweepData()
     t0 = time.time()
-    disable = options.key if options is not None else ()
-    fingerprints: dict[str, str] = {}
-
-    def key(name: str, level: int, width: int) -> str:
-        # "result" blobs hold the sweep's full ConfigResult (phase and
-        # per-pass timings included) — distinct from the service's
-        # leaner "run" payloads for the same configuration
-        fp = fingerprints.get(name)
-        if fp is None:
-            fp = fingerprints[name] = workload_fingerprint(name)
-        return request_key("result", name, level, width, seed=seed,
-                           check=check, check_ir=check_ir, disable=disable,
-                           fingerprint=fp)
+    # "result" blobs hold the sweep's full ConfigResult (phase and
+    # per-pass timings included) — distinct from the service's leaner
+    # "run" payloads for the same configuration
+    grid = SweepRequest(
+        [w.name for w in workloads], [int(lv) for lv in levels], widths,
+        seed=seed, check=check, check_ir=check_ir,
+        disable=options.key if options is not None else ())
+    cells = {(c.workload, c.level, c.width): c
+             for c in grid.cells("result")}
 
     if store is not None:
         # a corrupt, stale or foreign blob is just a miss
-        for w in workloads:
-            for level in levels:
-                for wd in widths:
-                    payload = store.get(key(w.name, int(level), wd))
-                    if payload is None:
-                        continue
-                    try:
-                        r = ConfigResult(**payload)
-                    except TypeError:
-                        continue  # foreign schema: recompute
-                    data.results[(w.name, int(level), wd)] = r
-                    data.store_hits += 1
+        for cfg, cell in cells.items():
+            payload = store.get(cell.key)
+            if payload is None:
+                continue
+            try:
+                data.results[cfg] = ConfigResult(**payload)
+            except TypeError:
+                continue  # foreign schema: recompute
+            data.store_hits += 1
 
     # one task per (workload, level): the widths of a cell share their
     # transformed code and their execution, so they stay together
@@ -288,7 +281,7 @@ def run_sweep(
         for r in rs:
             data.results[(r.workload, r.level, r.width)] = r
             if store is not None:
-                store.put(key(r.workload, r.level, r.width), asdict(r))
+                store.put(cells[r.workload, r.level, r.width].key, asdict(r))
         data.computed += len(rs)
         if verbose and rs:
             r = rs[0]
@@ -301,7 +294,7 @@ def run_sweep(
             for task in tasks:
                 cell, first_width = task[:2], task[2][0]
                 fut = pool.submit(_run_task, task, cell=cell,
-                                  key=key(*cell, first_width))
+                                  key=cells[(*cell, first_width)].key)
                 futures[fut] = cell
             for fut in as_completed(futures):
                 try:

@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 
 from ..pipeline import Level
+from ..service.keys import SweepRequest
 from ..workloads import get_workload
 from . import faults
 from .faults import FaultPlan, FaultSite
@@ -88,29 +89,8 @@ def load_plan(spec: str, seed: int = 0) -> FaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# key prediction (mirrors sweep.py task sharding / jobs.py cell keys)
+# fault prediction over the run's request keys
 # ---------------------------------------------------------------------------
-
-
-def _keys(kind: str, workloads, levels, widths, per_width: bool,
-          seed: int = 0) -> list[str]:
-    """The canonical request keys the run will present to the fault
-    sites: per-(workload, level) task keys (``per_width=False``, the
-    worker sites) or per-configuration blob keys (``per_width=True``,
-    the store sites)."""
-    from ..service.keys import request_key, workload_fingerprint
-
-    fps = {n: workload_fingerprint(n) for n in workloads}
-    out = []
-    for n in workloads:
-        for lv in levels:
-            cols = widths if per_width else widths[:1]
-            out.extend(
-                request_key(kind, n, int(lv), wd, seed=seed, check=True,
-                            check_ir=False, disable=(), fingerprint=fps[n])
-                for wd in cols
-            )
-    return out
 
 
 def _expected(plan: FaultPlan, site: str, keys) -> int:
@@ -160,8 +140,9 @@ def _run_sweep(workloads, levels, widths, jobs, root: Path,
     return _canon_sweep(data), dict(data.resilience), store
 
 
-def _run_serve(workloads, levels, widths, jobs, store_dir: Path,
+def _run_serve(cells, jobs, store_dir: Path,
                pool_deadline_s: float) -> tuple[dict, dict, int]:
+    """Serve ``cells`` (``CellRequest`` s) one by one over HTTP."""
     from ..service.client import ServiceClient
     from ..service.server import serve_background
 
@@ -172,14 +153,12 @@ def _run_serve(workloads, levels, widths, jobs, store_dir: Path,
     client = ServiceClient(url, timeout=120.0, retry_overloaded=True)
     out = {}
     try:
-        for n in workloads:
-            for lv in levels:
-                for wd in widths:
-                    # generous per-request deadline: a deadline-killed
-                    # worker needs pool_deadline_s + a rerun to recover
-                    r = client.run(n, level=int(lv), width=int(wd),
-                                   timeout=60.0)
-                    out[f"{n}/L{lv}/w{wd}"] = r["result"]
+        for c in cells:
+            # generous per-request deadline: a deadline-killed worker
+            # needs pool_deadline_s + a rerun to recover
+            r = client.run(c.workload, level=c.level, width=c.width,
+                           timeout=60.0)
+            out[c.label] = r["result"]
         metrics = engine.metrics()
     finally:
         httpd.shutdown()
@@ -286,8 +265,13 @@ def run_chaos(plan_spec: str = "all", *, seed: int = 0, jobs: int = 2,
         print(f"chaos grid: {len(workloads)} workloads x {len(levels)} "
               f"levels x {len(widths)} widths, {jobs} jobs ({workdir})")
 
-    keys_task = _keys("result", workloads, levels, widths, per_width=False)
-    keys_blob = _keys("result", workloads, levels, widths, per_width=True)
+    # the canonical request keys the run presents to the fault sites:
+    # the store sites see every configuration's blob key, the worker
+    # sites one task per (workload, level), keyed by its first width
+    # (how sweep.py shards tasks and jobs.py keys cells)
+    grid = SweepRequest(workloads, levels, widths)
+    keys_blob = [c.key for c in grid.cells("result")]
+    keys_task = [c.key for c in grid.cells("result") if c.width == widths[0]]
 
     if verbose:
         print("chaos: baseline sweep (fault-free)...")
@@ -316,12 +300,11 @@ def run_chaos(plan_spec: str = "all", *, seed: int = 0, jobs: int = 2,
         # the served batch is sequential, so every (workload, level,
         # width) request is its own single-width cell: the worker-site
         # keys coincide with the per-configuration blob keys
-        serve_keys_blob = _keys("run", workloads, levels, widths,
-                                per_width=True)
-        serve_keys_task = serve_keys_blob
+        served = grid.cells("run")
+        serve_keys_task = serve_keys_blob = [c.key for c in served]
         if verbose:
             print("chaos: baseline served batch (fault-free)...")
-        base_s, _, _ = _run_serve(workloads, levels, widths, jobs,
+        base_s, _, _ = _run_serve(served, jobs,
                                   workdir / "serve-baseline" / "store",
                                   pool_deadline_s=120.0)
         if verbose:
@@ -329,8 +312,7 @@ def run_chaos(plan_spec: str = "all", *, seed: int = 0, jobs: int = 2,
         plan2 = load_plan(plan_spec, seed)  # fresh injection counters
         with faults.armed(plan2):
             got_s, metrics, client_retries = _run_serve(
-                workloads, levels, widths, jobs,
-                workdir / "serve-armed" / "store",
+                served, jobs, workdir / "serve-armed" / "store",
                 pool_deadline_s=2.0 if has_hang else 120.0)
             serve_injected = dict(plan2.injected)
         serve_checks = [{"check": "served results identical under faults",

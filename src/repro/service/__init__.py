@@ -4,9 +4,11 @@ Turns the compiler + simulator into an inference-stack-shaped server:
 requests in, cached or freshly computed artifacts out.
 
 * :mod:`repro.service.keys` — the canonical configuration identity:
-  one key function behind the sweep's resume, the content-addressed
-  store and the job engine's single-flight table, so they can never
-  disagree on what "same configuration" means.
+  one request type (``CellRequest`` / ``SweepRequest``, validated once
+  where a request enters) and one key function behind the sweep's
+  resume, the content-addressed store, the job engine's single-flight
+  table and the cluster ring, so they can never disagree on what "same
+  configuration" means.
 * :mod:`repro.service.store` — a content-addressed on-disk artifact
   store (SHA-256 keys over canonicalized kernel source + machine
   config + level + disable set + code-version salt) with atomic
@@ -27,6 +29,8 @@ Entry points: ``python -m repro serve`` / ``python -m repro submit``.
 
 from .keys import (
     CODE_VERSION,
+    CellRequest,
+    SweepRequest,
     canonical_json,
     request_identity,
     request_key,
@@ -35,7 +39,7 @@ from .keys import (
 from .store import ArtifactStore, StoreStats
 
 __all__ = [
-    "CODE_VERSION", "canonical_json", "request_identity", "request_key",
+    "CODE_VERSION", "CellRequest", "SweepRequest", "canonical_json", "request_identity", "request_key",
     "workload_fingerprint",
     "ArtifactStore", "StoreStats",
 ]

@@ -19,9 +19,13 @@ Request lifecycle::
                          the process pool ──▶ store.put per width ──▶
                          resolve every joined future
 
-* **Single-flight** — identical requests (same canonical key from
-  :mod:`repro.service.keys`) submitted while one is in flight await the
-  same future; only one computation runs.
+* **Requests are values** — every request is a validated
+  :class:`~repro.service.keys.CellRequest` (a sweep a
+  :class:`~repro.service.keys.SweepRequest`) built once by the caller;
+  the engine never re-assembles identity from loose fields.
+* **Single-flight** — identical requests (same ``CellRequest.key``)
+  submitted while one is in flight await the same future; only one
+  computation runs.
 * **Batching** — requests that differ *only in issue width* land in the
   same *cell* (one (workload, level, seed, flags, disable) unit).  The
   first request arms a ``batch_window`` timer; everything that joins
@@ -59,6 +63,7 @@ Request lifecycle::
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import threading
 import time
@@ -76,7 +81,7 @@ from ..pipeline import Level
 from ..resilience import faults
 from ..resilience.supervisor import CellQuarantined, SupervisedPool
 from ..workloads import get_workload
-from .keys import request_key, workload_fingerprint
+from .keys import CellRequest, SweepRequest
 from .store import ArtifactStore
 
 
@@ -181,6 +186,12 @@ class Job:
             return None
         return self.deadline_mono - time.monotonic()
 
+    def finish(self, state: str, error: Optional[str] = None) -> None:
+        """Enter a final state and stamp when."""
+        self.finished = time.time()  # display only
+        self.elapsed_s = round(time.monotonic() - self.created_mono, 6)
+        self.error, self.state = error, state
+
     def as_dict(self) -> dict:
         return {
             "id": self.id, "kind": self.kind, "request": self.request,
@@ -233,19 +244,6 @@ class JobTable:
             return len(self._jobs)
 
 
-@dataclass
-class _Cell:
-    """A batch of width-compatible requests awaiting one compilation."""
-
-    task_head: tuple  # (kind, workload, level) — widths appended at fire
-    seed: int
-    check: bool
-    check_ir: bool
-    disable: tuple
-    #: width -> (key, future) of every request joined before the timer fired
-    waiters: dict[int, tuple[str, "asyncio.Future"]] = field(default_factory=dict)
-
-
 class JobEngine:
     """The service's execution core (shared by server and tests)."""
 
@@ -280,7 +278,9 @@ class JobEngine:
         self._jobs = JobTable("job")
         # loop-confined state (touched only on the loop thread)
         self._inflight: dict[str, asyncio.Future] = {}
-        self._cells: dict[tuple, _Cell] = {}
+        #: cell id -> {width: (request, future)}: the width-compatible
+        #: requests of a batch awaiting one compilation
+        self._cells: dict[tuple, dict[int, tuple]] = {}
         # metrics
         self.counters = {
             "requests": 0, "hits": 0, "misses": 0, "joined": 0,
@@ -305,6 +305,10 @@ class JobEngine:
                     f"> {limit} {kind} capacity"
                 )
             self._pending += n
+            # counted here because HTTP handler threads race on them
+            self.counters["requests"] += 1
+            if kind == "sweep":
+                self.counters["sweeps"] += 1
 
     def _release(self, n: int) -> None:
         with self._lock:
@@ -317,51 +321,42 @@ class JobEngine:
 
     # -- submission (any thread) ---------------------------------------
 
-    def _start(self, kind: str, request: dict, timeout: float | None,
+    def _start(self, kind: str, request: CellRequest | SweepRequest,
                work, n: int) -> Job:
         """File an admitted request (``n`` configurations) as a job and
         start ``work(job)`` on the engine loop."""
-        self.counters["requests"] += 1
-        job = self._jobs.add(lambda jid: Job(jid, kind, request))
+        job = self._jobs.add(lambda jid: Job(jid, kind, request.to_body()))
         job.deadline_mono = time.monotonic() + (
-            timeout if timeout is not None else self.default_timeout)
+            request.timeout if request.timeout is not None
+            else self.default_timeout)
         job.future = asyncio.run_coroutine_threadsafe(
             self._handle(job, work(job), n), self._loop
         )
         return job
 
-    def submit(self, kind: str, workload: str, level: int, width: int, *,
-               seed: int = 0, check: bool = True, check_ir: bool = False,
-               disable: tuple = (), timeout: float | None = None) -> Job:
+    def submit(self, kind: str, workload: str, level: int, width: int,
+               **options) -> Job:
+        """:meth:`submit_request` from loose fields (``seed``, ``check``,
+        ``check_ir``, ``disable``, ``timeout``); anything
+        :class:`CellRequest` rejects — unknown workload, level or pass
+        name — raises ``ValueError`` before admission."""
+        return self.submit_request(
+            CellRequest(kind, workload, int(level), int(width), **options))
+
+    def submit_request(self, req: CellRequest) -> Job:
         """Admit one compile/run request; returns immediately with a Job
         whose ``future`` resolves to the result payload."""
-        get_workload(workload)  # unknown workloads fail fast, pre-admission
-        request = {"workload": workload, "level": int(level),
-                   "width": int(width), "seed": int(seed),
-                   "check": bool(check), "check_ir": bool(check_ir),
-                   "disable": sorted(set(disable))}
         self._admit(1)
-        return self._start(kind, request, timeout,
-                           lambda job: self._request(kind, request, job), 1)
+        return self._start(
+            req.kind, req,
+            lambda job: self._request(
+                req, functools.partial(setattr, job, "cache")), 1)
 
-    def submit_sweep(self, workloads: list[str], levels: list[int],
-                     widths: list[int], *, seed: int = 0, check: bool = True,
-                     check_ir: bool = False, disable: tuple = (),
-                     timeout: float | None = None) -> Job:
+    def submit_sweep(self, sweep: SweepRequest) -> Job:
         """Admit a grid of run requests atomically (all or shed)."""
-        for name in workloads:
-            get_workload(name)
-        n = len(workloads) * len(levels) * len(widths)
-        if n == 0:
-            raise ValueError("empty sweep")
-        request = {"workloads": list(workloads), "levels": list(levels),
-                   "widths": list(widths), "seed": int(seed),
-                   "check": bool(check), "check_ir": bool(check_ir),
-                   "disable": sorted(set(disable)), "configs": n}
-        self._admit(n, "sweep")
-        self.counters["sweeps"] += 1
-        return self._start("sweep", request, timeout,
-                           lambda job: self._sweep(request), n)
+        self._admit(sweep.configs, "sweep")
+        return self._start("sweep", sweep, lambda job: self._sweep(sweep),
+                           sweep.configs)
 
     def job(self, job_id: str) -> Job | None:
         """The job's record — None for an unknown id or a finished job
@@ -384,71 +379,55 @@ class JobEngine:
             # admission; a wall-clock (NTP) step between then and now
             # cannot stretch or shrink it
             job.result = await asyncio.wait_for(work, job.remaining_s())
-            job.state = "done"
+            job.finish("done")
             return job.result
         except asyncio.TimeoutError:
-            job.state = "timeout"
-            job.error = "deadline expired"
+            job.finish("timeout", "deadline expired")
             self.counters["timeouts"] += 1
             self.counters["errors"] += 1
             raise RequestTimeout(f"{job.id}: deadline expired") from None
         except Exception as e:
-            job.state = "failed"
-            job.error = repr(e)
+            job.finish("failed", repr(e))
             self.counters["errors"] += 1
             raise
         finally:
-            job.finished = time.time()  # display only
-            job.elapsed_s = round(time.monotonic() - job.created_mono, 6)
             self._latencies.append(time.perf_counter() - t0)
             self._release(n)
             self._jobs.finish(job.id)
 
-    async def _sweep(self, req: dict) -> dict:
-        subs = [
-            {"workload": w, "level": lv, "width": wd, "seed": req["seed"],
-             "check": req["check"], "check_ir": req["check_ir"],
-             "disable": req["disable"]}
-            for w in req["workloads"] for lv in req["levels"]
-            for wd in req["widths"]
-        ]
-        hits0 = self.counters["hits"]
+    async def _sweep(self, sweep: SweepRequest) -> dict:
+        # hits are this sweep's own cells' dispositions, not a delta of
+        # the engine-wide counter other requests bump meanwhile
+        seen: list[str] = []
         results = await asyncio.gather(
-            *(self._request("run", s, None) for s in subs))
+            *(self._request(c, seen.append) for c in sweep.cells()))
         return {
-            "configs": len(subs),
-            "hits": self.counters["hits"] - hits0,
+            "configs": len(results),
+            "hits": seen.count("hit"),
             "results": sorted(
                 results,
                 key=lambda r: (r["workload"], r["level"], r["width"]),
             ),
         }
 
-    async def _request(self, kind: str, req: dict, job: Job | None) -> dict:
-        """Resolve one configuration: store, single-flight, or batch."""
-        key = request_key(
-            kind, req["workload"], req["level"], req["width"],
-            seed=req["seed"], check=req["check"], check_ir=req["check_ir"],
-            disable=tuple(req["disable"]),
-            fingerprint=workload_fingerprint(req["workload"]),
-        )
+    async def _request(self, req: CellRequest, disposition) -> dict:
+        """Resolve one configuration: store, single-flight, or batch;
+        ``disposition`` is told which (hit | joined | miss) up front."""
+        key = req.key
         if self.store is not None:
             cached = self.store.get(key)
             if cached is not None:
                 self.counters["hits"] += 1
-                if job is not None:
-                    job.cache = "hit"
+                disposition("hit")
                 return cached
         self.counters["misses"] += 1
         shared = self._inflight.get(key)
         if shared is not None:
             self.counters["joined"] += 1
-            if job is not None:
-                job.cache = "joined"
+            disposition("joined")
             return await asyncio.shield(shared)
-        if job is not None:
-            job.cache = "miss"
-        fut = self._join_cell(kind, req, key)
+        disposition("miss")
+        fut = self._join_cell(req)
         self._inflight[key] = fut
         try:
             return await asyncio.shield(fut)
@@ -456,62 +435,53 @@ class JobEngine:
             if self._inflight.get(key) is fut:
                 del self._inflight[key]
 
-    def _join_cell(self, kind: str, req: dict, key: str) -> "asyncio.Future":
+    def _join_cell(self, req: CellRequest) -> "asyncio.Future":
         """Attach a request to its cell batch, arming the timer on first
         join; returns the future for this request's width."""
-        cell_id = (kind, req["workload"], req["level"], req["seed"],
-                   req["check"], req["check_ir"], tuple(req["disable"]))
-        cell = self._cells.get(cell_id)
-        if cell is None:
-            cell = _Cell(
-                task_head=(kind, req["workload"], req["level"]),
-                seed=req["seed"], check=req["check"],
-                check_ir=req["check_ir"], disable=tuple(req["disable"]),
-            )
-            self._cells[cell_id] = cell
+        waiters = self._cells.get(req.cell)
+        if waiters is None:
+            waiters = self._cells[req.cell] = {}
             self._loop.call_later(
                 self.batch_window,
-                lambda: asyncio.ensure_future(self._fire_cell(cell_id)),
+                lambda: asyncio.ensure_future(self._fire_cell(req.cell)),
             )
-        width = req["width"]
-        if width not in cell.waiters:
-            cell.waiters[width] = (key, self._loop.create_future())
-        return cell.waiters[width][1]
+        if req.width not in waiters:
+            waiters[req.width] = (req, self._loop.create_future())
+        return waiters[req.width][1]
 
     async def _fire_cell(self, cell_id: tuple) -> None:
-        cell = self._cells.pop(cell_id, None)
-        if cell is None:
+        waiters = self._cells.pop(cell_id, None)
+        if waiters is None:
             return
-        kind, name, level = cell.task_head
-        widths = tuple(sorted(cell.waiters))
-        task = (kind, name, level, widths, cell.seed, cell.check,
-                cell.check_ir, cell.disable)
+        widths = tuple(sorted(waiters))
+        # the cell's canonical identity is its lowest-width request: the
+        # supervisor dedups re-dispatches by its key, and the breaker
+        # quarantines on the (workload, level) coordinate
+        head = waiters[widths[0]][0]
+        task = (head.kind, head.workload, head.level, widths, head.seed,
+                head.check, head.check_ir, head.disable)
         self.counters["batched_cells"] += 1
         try:
-            # the cell's canonical identity is its lowest-width request
-            # key: the supervisor dedups re-dispatches by it, and the
-            # breaker quarantines on the (workload, level) coordinate
-            cell_key = cell.waiters[widths[0]][0]
             payloads = await asyncio.wrap_future(
-                self._pool.submit(compute_cell, task,
-                                  key=cell_key, cell=(name, level))
+                self._pool.submit(compute_cell, task, key=head.key,
+                                  cell=(head.workload, head.level))
             )
         except Exception as e:
-            for _, fut in cell.waiters.values():
+            for _, fut in waiters.values():
                 if not fut.done():
                     fut.set_exception(e)
             return
         self.counters["computed"] += len(payloads)
         for payload in payloads:
-            width_key, fut = cell.waiters[payload["width"]]
+            req, fut = waiters[payload["width"]]
             if self.store is not None:
-                self.store.put(width_key, payload)
+                self.store.put(req.key, payload)
             if not fut.done():
                 fut.set_result(payload)
 
     # -- graceful degradation ------------------------------------------
 
-    def degraded_lookup(self, kind: str, req: dict) -> dict | None:
+    def degraded_lookup(self, req: CellRequest) -> dict | None:
         """Serve a shed request straight from the artifact store.
 
         Called by the server when admission control rejects a request:
@@ -524,16 +494,8 @@ class JobEngine:
         if self.store is None or self._closed:
             return None
 
-        key = request_key(
-            kind, req["workload"], req["level"], req["width"],
-            seed=req.get("seed", 0), check=req.get("check", True),
-            check_ir=req.get("check_ir", False),
-            disable=tuple(req.get("disable", ())),
-            fingerprint=workload_fingerprint(req["workload"]),
-        )
-
         async def _read():
-            return self.store.get(key)
+            return self.store.get(req.key)
 
         try:
             cached = asyncio.run_coroutine_threadsafe(

@@ -10,8 +10,14 @@ the same work:
 * the job engine's single-flight table (duplicate in-flight requests
   collapse onto one computation).
 
-They all go through this module.  The identity of a request is a plain
-dict with **every field present** (defaults filled in, never omitted)
+They all go through this module, and so does every hop of the serving
+path: a request is a :class:`CellRequest` (a sweep a
+:class:`SweepRequest`), built and validated exactly once where it
+enters the process — from a JSON body by ``from_body``, from Python by
+the constructor — and passed around as a value that carries its own
+``.key``.  Nothing outside this module assembles key fields by hand.
+
+The identity of a request is a plain dict with **every field present** (defaults filled in, never omitted)
 and all set-valued fields sorted, serialized as canonical JSON (sorted
 keys, fixed separators), and hashed with SHA-256 together with:
 
@@ -27,11 +33,14 @@ keys, fixed separators), and hashed with SHA-256 together with:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from dataclasses import dataclass, field, fields
 
 from ..frontend.pretty import kernel_str
 from ..machine import MachineConfig, to_description
+from ..pipeline import Level
 from ..sim import ENGINE_VERSION
 from ..workloads import get_workload
 
@@ -54,6 +63,11 @@ CODE_VERSION = f"{COMPILER_VERSION}+{ENGINE_VERSION}"
 #: (timings and per-pass stats included).
 KINDS = ("compile", "run", "result")
 
+#: the grid axes: every transformation level, the paper's issue widths
+#: (a sweep's defaults, and the only widths the HTTP boundary accepts)
+LEVELS = tuple(int(lv) for lv in Level)
+WIDTHS = (1, 2, 4, 8)
+
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace, no NaN."""
@@ -61,13 +75,17 @@ def canonical_json(obj) -> str:
                       allow_nan=False)
 
 
+@functools.lru_cache(maxsize=256)
 def workload_fingerprint(workload: str) -> str:
     """SHA-256 of the workload's canonicalized kernel source.
 
     The pretty-printed FORTRAN-style source is the canonical form: it
     captures arrays/scalars/outputs and the loop-nest body, and is
     stable under refactors of the Python builder that produce the same
-    kernel.
+    kernel.  Cached process-wide: a fingerprint is pure in the workload
+    name within one process (``CODE_VERSION`` salts actual code
+    changes), so no request rebuilds the kernel to be routed or looked
+    up.  Unknown names raise ``KeyError`` (and are not cached).
     """
     src = kernel_str(get_workload(workload).build())
     return hashlib.sha256(src.encode()).hexdigest()
@@ -152,3 +170,192 @@ def request_key(
     payload = {"salt": CODE_VERSION, "kernel": fingerprint, "request": ident}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
+
+
+# ---------------------------------------------------------------------------
+# requests as values
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _disableable() -> frozenset[str]:
+    """The names ``disable`` may carry: registered, non-structural
+    passes (imported lazily — the registry pulls in every transform)."""
+    from ..passes.registry import ablatable_passes
+
+    return frozenset(p.name for p in ablatable_passes())
+
+
+def _validated(kind: str, workloads, levels, disable) -> tuple[str, ...]:
+    """Reject what no worker could compute, where the request is built —
+    so a malformed one is never admitted, never reaches the fork pool
+    and never feeds a healthy cell's circuit breaker.  Returns the
+    canonical (deduplicated, sorted) disable set."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown request kind {kind!r} (known: {KINDS})")
+    for w in workloads:
+        try:
+            workload_fingerprint(w)
+        except KeyError:
+            raise ValueError(f"unknown workload {w!r}") from None
+    for lv in levels:
+        if lv not in LEVELS:
+            raise ValueError(f"bad level {lv!r}")
+    if not disable:
+        return ()
+    unknown = set(disable) - _disableable()
+    if unknown:
+        raise ValueError(f"cannot disable {sorted(unknown)}: not a "
+                         f"registered non-structural pass")
+    return tuple(sorted(set(disable)))
+
+
+_REQUIRED = object()
+
+
+def _is(value, typ) -> bool:
+    # a JSON boolean is not a JSON number, although bool subclasses int
+    return isinstance(value, typ) and (typ is bool
+                                       or not isinstance(value, bool))
+
+
+def _take(body: dict, name: str, typ, default=_REQUIRED, *, each=False,
+          among=None):
+    """``body[name]`` if it has the JSON type asked for (``each``: a
+    list of it, returned as a tuple) and, with ``among``, only values
+    from it — validated, never coerced."""
+    if name not in body:
+        if default is _REQUIRED:
+            raise ValueError(f"missing field {name!r}")
+        return default
+    value = body[name]
+    # (a tuple cannot arrive as JSON: it is a Python caller's list)
+    ok = (isinstance(value, (list, tuple)) and all(_is(v, typ) for v in value)
+          if each else _is(value, typ))
+    if not ok:
+        raise ValueError(
+            f"field {name!r} must be {'a list of ' if each else ''}"
+            f"{getattr(typ, '__name__', 'number')}, got {value!r}")
+    for v in value if each else (value,):
+        if among is not None and v not in among:
+            raise ValueError(f"bad {name.rstrip('s')} {v}")
+    return tuple(value) if each else value
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Options:
+    """What a cell and a grid of cells have in common."""
+
+    seed: int = 0
+    check: bool = True
+    check_ir: bool = False
+    disable: tuple[str, ...] = ()
+    #: per-request deadline in seconds — transport, not identity
+    timeout: float | None = field(default=None, compare=False)
+
+    @staticmethod
+    def _options(body: dict) -> dict:
+        timeout = _take(body, "timeout", (int, float), None)
+        return {
+            "seed": _take(body, "seed", int, 0),
+            "check": _take(body, "check", bool, True),
+            "check_ir": _take(body, "check_ir", bool, False),
+            "disable": _take(body, "disable", str, (), each=True),
+            "timeout": None if timeout is None else float(timeout),
+        }
+
+    def to_body(self) -> dict:
+        """The JSON body ``from_body`` parses back to this request."""
+        body = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v for k, v in body.items() if v is not None}
+
+
+@dataclass(frozen=True)
+class CellRequest(_Options):
+    """One configuration to compile or run — the value every hop of the
+    serving path passes around.  Construction validates (``ValueError``)
+    and canonicalizes ``disable``; equality and hash are the identity
+    fields, ``.key`` is the content address."""
+
+    kind: str
+    workload: str
+    level: int
+    width: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "disable", _validated(
+            self.kind, (self.workload,), (self.level,), self.disable))
+
+    @classmethod
+    def from_body(cls, body: dict, kind: str | None = None) -> "CellRequest":
+        """The one parser of a compile/run JSON body: strict JSON types,
+        grid widths only.  ``kind`` comes from the URL path, else from
+        the body (the peer protocol), else ``run``."""
+        return cls(
+            kind if kind is not None else _take(body, "kind", str, "run"),
+            _take(body, "workload", str), _take(body, "level", int, 4),
+            _take(body, "width", int, 8, among=WIDTHS),
+            **cls._options(body),
+        )
+
+    @functools.cached_property
+    def key(self) -> str:
+        return request_key(
+            self.kind, self.workload, self.level, self.width,
+            seed=self.seed, check=self.check, check_ir=self.check_ir,
+            disable=self.disable,
+            fingerprint=workload_fingerprint(self.workload),
+        )
+
+    @property
+    def cell(self) -> tuple:
+        """Everything but the width: requests that agree on it share one
+        width-sharded compilation."""
+        return (self.kind, self.workload, self.level, self.seed,
+                self.check, self.check_ir, self.disable)
+
+    @property
+    def label(self) -> str:
+        return f"{self.workload}/L{self.level}/w{self.width}"
+
+
+@dataclass(frozen=True)
+class SweepRequest(_Options):
+    """A grid of configurations; :meth:`cells` is the only place a grid
+    is expanded (engine, router, sweep driver and chaos oracles alike)."""
+
+    workloads: tuple[str, ...]
+    levels: tuple[int, ...] = LEVELS
+    widths: tuple[int, ...] = WIDTHS
+
+    def __post_init__(self):
+        for axis in ("workloads", "levels", "widths"):
+            object.__setattr__(self, axis, tuple(getattr(self, axis)))
+        if self.configs == 0:
+            raise ValueError("empty sweep")
+        object.__setattr__(self, "disable", _validated(
+            "run", self.workloads, self.levels, self.disable))
+
+    @classmethod
+    def from_body(cls, body: dict) -> "SweepRequest":
+        """The one parser of a sweep JSON body; levels and widths
+        default to the full grid."""
+        return cls(
+            _take(body, "workloads", str, each=True),
+            _take(body, "levels", int, LEVELS, each=True),
+            _take(body, "widths", int, WIDTHS, each=True, among=WIDTHS),
+            **cls._options(body),
+        )
+
+    @property
+    def configs(self) -> int:
+        return len(self.workloads) * len(self.levels) * len(self.widths)
+
+    def cells(self, kind: str = "run") -> list[CellRequest]:
+        """The grid's configurations in (workload, level, width) order."""
+        options = {"seed": self.seed, "check": self.check,
+                   "check_ir": self.check_ir, "disable": self.disable,
+                   "timeout": self.timeout}
+        return [CellRequest(kind, w, lv, wd, **options)
+                for w in self.workloads for lv in self.levels
+                for wd in self.widths]

@@ -17,8 +17,17 @@ surfaced as ``429`` with ``Retry-After`` — unless the artifact store
 already holds the requested result, in which case it is served stale
 with ``"degraded": true`` (a previously computed answer beats a
 rejection for read-mostly clients).  A quarantined cell (open circuit
-breaker) is ``503``; malformed requests are ``400``; failed
-compilations ``500`` with the error string.  ``/healthz`` reports the
+breaker) is ``503``; failed compilations ``500`` with the error string.
+Malformed requests are ``400``, decided in one place: every body is
+parsed by :meth:`CellRequest.from_body
+<repro.service.keys.CellRequest.from_body>` (sweeps:
+``SweepRequest.from_body``), which validates types, grid axes, workload
+and pass names *before* admission — a bad request never reaches the
+fork pool or a cell's circuit breaker.
+
+Routing is one ``{(method, path): handler-name}`` table
+(:attr:`_Handler.routes`); the cluster node and router extend it by
+entry instead of re-implementing the dispatch.  ``/healthz`` reports the
 supervised pool's watchdog view (worker liveness, heartbeat ages,
 breaker states) alongside the liveness bit.
 
@@ -35,25 +44,23 @@ compilation service (bind it to localhost).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from ..pipeline import Level
 from ..resilience import faults
 from ..resilience.faults import FaultPlan
 from ..resilience.supervisor import CellQuarantined
+from .client import ServiceRequestError
 from .jobs import JobEngine, Overloaded, RequestTimeout
+from .keys import CellRequest, SweepRequest
 from .store import ArtifactStore
 
 #: request bodies larger than this are rejected outright (bad client)
 MAX_BODY_BYTES = 1 << 20
-
-#: the grid axes a request may name (and a sweep's defaults)
-LEVELS = tuple(int(lv) for lv in Level)
-WIDTHS = (1, 2, 4, 8)
 
 
 class ServiceError(Exception):
@@ -78,59 +85,6 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 class _DroppedResponse(Exception):
     """Injected ``server.drop_response``: abandon the connection."""
-
-
-def _check_axes(levels, widths) -> None:
-    for lv in levels:
-        if lv not in LEVELS:
-            raise ServiceError(400, f"bad level {lv}")
-    for wd in widths:
-        if wd not in WIDTHS:
-            raise ServiceError(400, f"bad width {wd}")
-
-
-def _req_fields(body: dict) -> dict:
-    """Validated common fields of a compile/run request."""
-    try:
-        out = {
-            "workload": str(body["workload"]),
-            "level": int(body.get("level", 4)),
-            "width": int(body.get("width", 8)),
-            "seed": int(body.get("seed", 0)),
-            "check": bool(body.get("check", True)),
-            "check_ir": bool(body.get("check_ir", False)),
-            "disable": tuple(body.get("disable", ())),
-            "timeout": (float(body["timeout"])
-                        if "timeout" in body else None),
-        }
-    except (KeyError, TypeError, ValueError) as e:
-        raise ServiceError(400, f"bad request: {e!r}") from None
-    _check_axes([out["level"]], [out["width"]])
-    return out
-
-
-def _sweep_fields(body: dict) -> dict:
-    """Validated fields of a sweep request (server and cluster router);
-    levels and widths default to the full grid."""
-    try:
-        out = {
-            "workloads": [str(w) for w in body["workloads"]],
-            "levels": [int(x) for x in body.get("levels", LEVELS)],
-            "widths": [int(x) for x in body.get("widths", WIDTHS)],
-            "seed": int(body.get("seed", 0)),
-            "check": bool(body.get("check", True)),
-            "disable": sorted(set(body.get("disable", ()))),
-            "timeout": (float(body["timeout"])
-                        if "timeout" in body else None),
-        }
-    except (KeyError, TypeError, ValueError) as e:
-        raise ServiceError(400, f"bad request: {e!r}") from None
-    _check_axes(out["levels"], out["widths"])
-    out["configs"] = (len(out["workloads"]) * len(out["levels"])
-                      * len(out["widths"]))
-    if out["configs"] == 0:
-        raise ServiceError(400, "empty sweep")
-    return out
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -181,26 +135,44 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes ---------------------------------------------------------
 
+    #: (method, path) -> (handler method name, body parser).  The
+    #: handler is called with the parsed request — a parser's
+    #: ``ValueError`` is the 400 — or, parser None, with the JSON body
+    #: (POST), the path's last segment (a ``/*`` entry) or None.
+    #: Subclasses extend the table by entry and override handlers by name.
+    routes = {
+        ("GET", "/healthz"): ("_get_healthz", None),
+        ("GET", "/metrics"): ("_get_metrics", None),
+        ("GET", "/v1/jobs/*"): ("_get_job", None),
+        ("POST", "/v1/compile"): (
+            "_post_cell", functools.partial(CellRequest.from_body,
+                                            kind="compile")),
+        ("POST", "/v1/run"): (
+            "_post_cell", functools.partial(CellRequest.from_body,
+                                            kind="run")),
+        ("POST", "/v1/sweep"): ("_post_sweep", SweepRequest.from_body),
+    }
+
+    def _route(self, method: str, arg=None) -> None:
+        entry = self.routes.get((method, self.path))
+        if entry is None:
+            head, _, arg = self.path.rpartition("/")
+            entry = self.routes.get((method, head + "/*"))
+        if entry is None:
+            raise ServiceError(404, f"no route {self.path!r}")
+        name, parse = entry
+        if parse is not None:
+            try:
+                arg = parse(arg)
+            except ValueError as e:
+                raise ServiceError(400, f"bad request: {e}") from None
+        getattr(self, name)(arg)
+
     def do_GET(self):  # noqa: N802
         try:
-            self._handle_get()
+            self._route("GET")
         except ServiceError as e:
             self._send(e.status, {"error": str(e)})
-
-    def _handle_get(self) -> None:
-        """GET route table (the cluster node handler extends this)."""
-        if self.path == "/healthz":
-            self._send(200, self.engine.health())
-        elif self.path == "/metrics":
-            self._send(200, self.engine.metrics())
-        elif self.path.startswith("/v1/jobs/"):
-            jid = self.path[len("/v1/jobs/"):]
-            job = self.engine.job(jid)
-            if job is None:
-                raise ServiceError(404, f"unknown job {jid!r}")
-            self._send(200, job.as_dict())
-        else:
-            raise ServiceError(404, f"no route {self.path!r}")
 
     def do_POST(self):  # noqa: N802
         try:
@@ -210,7 +182,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _do_post(self) -> None:
         try:
-            self._handle_post(self._body())
+            self._route("POST", self._body())
         except _DroppedResponse:
             raise  # handled by do_POST: abandon the connection
         except Overloaded as e:
@@ -221,30 +193,33 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(504, {"error": str(e)})
         except ServiceError as e:
             self._send(e.status, {"error": str(e)})
+        except ServiceRequestError as e:
+            # another node answered (cluster hops): relay its verdict —
+            # 429 shed, 503 quarantine, ... — with its backoff hint
+            self._send(e.status, {"error": str(e)},
+                       {"Retry-After": f"{e.retry_after:g}"}
+                       if e.retry_after is not None else ())
         except Exception as e:  # compilation/simulation failure
             self._send(500, {"error": repr(e)})
 
-    def _handle_post(self, body: dict) -> None:
-        """POST route table (the cluster node handler extends this)."""
-        if self.path in ("/v1/compile", "/v1/run"):
-            kind = self.path.rsplit("/", 1)[1]
-            f = _req_fields(body)
-            timeout = f.pop("timeout")
-            self._serve_single(kind, f, timeout)
-        elif self.path == "/v1/sweep":
-            self._serve_sweep(body)
-        else:
-            raise ServiceError(404, f"no route {self.path!r}")
+    def _get_healthz(self, _) -> None:
+        self._send(200, self.engine.health())
 
-    def _serve_single(self, kind: str, f: dict, timeout: float | None,
-                      extra: dict | None = None) -> None:
+    def _get_metrics(self, _) -> None:
+        self._send(200, self.engine.metrics())
+
+    def _get_job(self, jid: str) -> None:
+        job = self.engine.job(jid)
+        if job is None:
+            raise ServiceError(404, f"unknown job {jid!r}")
+        self._send(200, job.as_dict())
+
+    def _post_cell(self, req: CellRequest, extra: dict | None = None) -> None:
         """One blocking compile/run through the local engine."""
         try:
-            job = self.engine.submit(kind, **f, timeout=timeout)
-        except KeyError as e:
-            raise ServiceError(400, f"unknown workload {e}") from None
+            job = self.engine.submit_request(req)
         except Overloaded:
-            reply = self._on_overload(kind, f, timeout)
+            reply = self._on_overload(req)
             if reply is None:
                 raise
             self._send(200, {**reply, **(extra or {})})
@@ -253,30 +228,21 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, {"job": job.id, "cache": job.cache,
                          "result": result, **(extra or {})})
 
-    def _on_overload(self, kind: str, f: dict,
-                     timeout: float | None) -> dict | None:
+    def _on_overload(self, req: CellRequest) -> dict | None:
         """Admission shed a request: a reply dict to serve instead of the
         429, or None to shed for real.  Base behavior is graceful
         degradation — a stored result beats a 429; the cluster node
         handler tries work-stealing to a peer first."""
-        stale = self.engine.degraded_lookup(kind, f)
+        stale = self.engine.degraded_lookup(req)
         if stale is None:
             return None
         return {"job": None, "cache": "degraded", "degraded": True,
                 "result": stale}
 
-    def _serve_sweep(self, body: dict) -> None:
-        f = _sweep_fields(body)
-        try:
-            job = self.engine.submit_sweep(
-                f["workloads"], f["levels"], f["widths"], seed=f["seed"],
-                check=f["check"], disable=tuple(f["disable"]),
-                timeout=f["timeout"],
-            )
-        except KeyError as e:
-            raise ServiceError(400, f"unknown workload {e}") from None
+    def _post_sweep(self, sweep: SweepRequest) -> None:
+        job = self.engine.submit_sweep(sweep)
         self._send(202, {"job": job.id, "state": job.state,
-                         "configs": f["configs"]})
+                         "configs": sweep.configs})
 
 
 def make_server(

@@ -194,6 +194,98 @@ class TestLongLivedServer:
         assert client.metrics()["jobs_total"] == 7
 
 
+    def test_malformed_disable_never_reaches_the_pool_or_the_breaker(
+            self, roomy):
+        """Regression: six bad ``disable`` lists used to be admitted,
+        fail in the fork worker, trip the ("add", 4) breaker and get the
+        next *well-formed* add/Lev4 request a 503 for the cooldown."""
+        client, engine = roomy
+        for _ in range(6):
+            with pytest.raises(ServiceRequestError) as ei:
+                client.run("add", level=4, width=8, disable=["nope"])
+            assert ei.value.status == 400
+        assert client.healthz()["pool"]["breakers"] == {}
+        assert engine.counters["requests"] == 0  # never admitted
+        assert client.run("add", level=4, width=8)["cache"] == "miss"
+        m = client.metrics()
+        assert (m["errors"], m["resilience"]["breaker_trips"]) == (0, 0)
+        with pytest.raises(ValueError, match="disable"):
+            engine.submit("run", "add", 4, 8, disable=("nope",))
+        assert engine.queue_depth == 0
+
+    @pytest.mark.parametrize("path,body", [
+        ("/v1/run", {"workload": "add", "disable": "dce"}),
+        ("/v1/run", {"workload": "add", "check": "false"}),
+        ("/v1/compile", {"workload": "add", "check_ir": 0}),
+        ("/v1/run", {"workload": "add", "level": "4"}),
+        ("/v1/run", {"workload": "add", "width": True}),
+        ("/v1/run", {"workload": "add", "seed": 1.5}),
+        ("/v1/sweep", {"workloads": "add"}),
+        ("/v1/sweep", {"workloads": ["add"], "levels": ["0"]}),
+        ("/v1/sweep", {"workloads": ["add"], "check_ir": "yes"}),
+        ("/v1/sweep", {"workloads": ["add"], "disable": ["nope"]}),
+    ])
+    def test_the_boundary_validates_instead_of_coercing(self, roomy, path,
+                                                        body):
+        client, engine = roomy
+        with pytest.raises(ServiceRequestError) as ei:
+            client._call("POST", path, body)
+        assert ei.value.status == 400
+        assert engine.counters["requests"] == 0
+
+    def test_sweep_carries_check_ir_to_its_cells(self, roomy):
+        client, _ = roomy
+        jid = client.sweep(["add"], levels=[0], widths=[1], check_ir=True)
+        rec = client.wait_job(jid, timeout=120.0)
+        assert rec["request"]["check_ir"] is True
+        # the verified cell is what the sweep stored; the unverified one
+        # is a different configuration
+        assert client.run("add", level=0, width=1,
+                          check_ir=True)["cache"] == "hit"
+        assert client.run("add", level=0, width=1)["cache"] == "miss"
+
+    def test_overlapping_sweeps_report_only_their_own_hits(self, roomy):
+        from repro.service.keys import SweepRequest
+
+        _, engine = roomy
+        warm = SweepRequest(("add",), (0,), (1, 8))
+        cold = SweepRequest(("sum",), (0,), (1, 8))
+        assert engine.wait(engine.submit_sweep(warm), 120.0)["hits"] == 0
+        # the cold sweep is still compiling while the warm one is served
+        # from the store: those hits are not the cold sweep's
+        slow = engine.submit_sweep(cold)
+        fast = engine.submit_sweep(warm)
+        assert engine.wait(fast, 120.0)["hits"] == 2
+        assert slow.state != "done"
+        assert engine.wait(slow, 120.0)["hits"] == 0
+        assert engine.counters["sweeps"] == 3
+
+    def test_request_counters_lose_no_update_under_threads(self, roomy):
+        import sys
+        import threading
+
+        _, engine = roomy
+        engine.wait(engine.submit("run", "add", 0, 1), 120.0)
+
+        def worker():
+            for _ in range(40):
+                engine.wait(engine.submit("run", "add", 0, 1), 60.0)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert engine.counters["requests"] == 1 + 8 * 40
+        assert engine.counters["hits"] == 8 * 40
+        assert engine.queue_depth == 0
+
     def test_unfinished_jobs_are_never_evicted(self, monkeypatch):
         from repro.service import jobs
 

@@ -12,13 +12,13 @@ import threading
 import pytest
 
 from repro.cluster.launch import ThreadCluster
-from repro.cluster.node import _key_of, serve_node_background
+from repro.cluster.node import serve_node_background
 from repro.cluster.ring import HashRing
 from repro.cluster.router import serve_router_background
 from repro.experiments.sweep import load_sweep
 from repro.pipeline import Level
 from repro.service.client import ServiceClient, ServiceRequestError
-from repro.service.server import _req_fields
+from repro.service.keys import CellRequest
 
 NODES = ("http://n1:1", "http://n2:1", "http://n3:1")
 
@@ -28,10 +28,14 @@ def keys(n: int) -> list[str]:
             for i in range(n)]
 
 
-def fields(workload="dotprod", level=4, width=8) -> dict:
-    f = _req_fields({"workload": workload, "level": level, "width": width})
-    f.pop("timeout")
-    return f
+#: cheap kernels to probe ring ownership with (ports, and so
+#: placement, differ from run to run)
+PROBES = ("add", "sum", "dotprod", "maxval", "merge", "SDS-1", "WSS-1")
+
+
+def run_key(workload="dotprod") -> str:
+    """The key of the ``/v1/run`` request ``client.run(workload)`` sends."""
+    return CellRequest.from_body({"workload": workload}, "run").key
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +123,7 @@ class TestHashRing:
 class TestForwarding:
     def test_any_node_serves_any_key_from_the_owner(self, tmp_path):
         with ThreadCluster(n=3, store_root=tmp_path) as tc:
-            key = _key_of("run", fields())
+            key = run_key()
             ring = tc.states[0].ring
             owner = ring.node_for(key)
             non_owners = [u for u in tc.urls if u != owner]
@@ -142,7 +146,7 @@ class TestForwarding:
         """One node-to-node hop max: a request that already hopped is
         served locally even by a non-owner (no forwarding loops)."""
         with ThreadCluster(n=3, store_root=tmp_path) as tc:
-            key = _key_of("run", fields())
+            key = run_key()
             owner = tc.states[0].ring.node_for(key)
             other = [u for u in tc.urls if u != owner][0]
             c = ServiceClient(other, retry=None,
@@ -206,14 +210,13 @@ class TestWorkStealing:
             # a config whose key node A owns, so no ownership forward
             # happens before admission control sheds it on A
             cfg = None
-            for wl in ("add", "sum", "dotprod", "maxval", "fetch"):
-                f = fields(workload=wl)
-                if a[2].ring.node_for(_key_of("run", f)) == a[3]:
-                    cfg = (wl, f)
+            for wl in PROBES:
+                if a[2].ring.node_for(run_key(wl)) == a[3]:
+                    cfg = wl
                     break
             assert cfg is not None, "no probe workload owned by node A"
-            wl, f = cfg
-            key = _key_of("run", f)
+            wl = cfg
+            key = run_key(wl)
 
             r = ServiceClient(a[3], retry=None).run(wl)
             assert r["cache"] == "stolen"
@@ -243,9 +246,8 @@ class TestWorkStealing:
             from repro.service.client import ServiceOverloaded
 
             wl = None  # a workload whose key node A owns (direct shed)
-            for probe in ("add", "sum", "dotprod", "maxval", "fetch"):
-                if a[2].ring.node_for(
-                        _key_of("run", fields(workload=probe))) == a[3]:
+            for probe in PROBES:
+                if a[2].ring.node_for(run_key(probe)) == a[3]:
                     wl = probe
                     break
             assert wl is not None
@@ -297,6 +299,28 @@ class TestRouter:
         assert ({r["level"] for r in rec["result"]["results"]}
                 == {int(lv) for lv in Level})
 
+    def test_sweep_carries_check_ir_to_every_fanned_out_cell(self, routed):
+        client, _ = routed
+        rec = client.wait_job(
+            client.sweep(["add"], levels=[0], widths=[1, 8], check_ir=True),
+            timeout=120.0)
+        assert rec["request"]["check_ir"] is True
+        assert rec["result"]["configs"] == 2
+        assert client.run("add", level=0, width=8,
+                          check_ir=True)["cache"] == "hit"
+        assert client.run("add", level=0, width=8)["cache"] == "miss"
+
+    def test_malformed_requests_are_400_at_the_router(self, routed):
+        client, router = routed
+        for path, body in [
+                ("/v1/run", {"workload": "add", "disable": ["nope"]}),
+                ("/v1/run", {"workload": "add", "check": "false"}),
+                ("/v1/sweep", {"workloads": ["add"], "widths": [3]})]:
+            with pytest.raises(ServiceRequestError) as ei:
+                client._call("POST", path, body)
+            assert ei.value.status == 400
+        assert router.snapshot()["routed"] == 0
+
     def test_job_table_keeps_only_recent_finished_jobs(self, routed,
                                                        monkeypatch):
         from repro.service import jobs
@@ -311,3 +335,196 @@ class TestRouter:
         with pytest.raises(ServiceRequestError) as ei:
             client.job(ids[0])
         assert ei.value.status == 404
+
+
+# ---------------------------------------------------------------------------
+# one identity, one dispatcher
+# ---------------------------------------------------------------------------
+
+
+class TestEveryHopAgreesOnIdentity:
+    def test_router_client_node_engine_and_sweep_agree(self, tmp_path):
+        """One body, five consumers: the router, a ClusterClient and a
+        non-owner node pick the same owner, the owner's engine files the
+        blob under the request's key, and ``run_sweep(store=)`` reads
+        the key that differs from it only by kind."""
+        import dataclasses
+
+        from repro.cluster.client import ClusterClient
+        from repro.experiments.sweep import run_sweep
+        from repro.service.keys import request_identity
+        from repro.service.store import ArtifactStore
+        from repro.workloads import get_workload
+
+        body = {"workload": "dotprod", "level": 4, "width": 8}
+        req = CellRequest.from_body(body, "run")
+        with ThreadCluster(n=3, store_root=tmp_path / "shards") as tc:
+            httpd, router, url = serve_router_background(tc.urls)
+            try:
+                owner = router.ring.node_for(req.key)
+                via_router = ServiceClient(url, retry=None)._call(
+                    "POST", "/v1/run", body)
+                sdk = ClusterClient(tc.urls)
+                via_sdk = sdk.run("dotprod")
+                other = next(u for u in tc.urls if u != owner)
+                via_node = ServiceClient(other, retry=None)._call(
+                    "POST", "/v1/run", body)
+            finally:
+                httpd.shutdown()
+                httpd.server_close()
+            assert sdk.ring.node_for(req.key) == owner
+            assert (via_router["routed_by"], via_router["owner"]) == (
+                owner, owner)
+            assert (via_sdk["node"], via_sdk["owner"]) == (owner, owner)
+            assert "forwarded" not in via_sdk and sdk.failovers == 0
+            assert (via_node["node"], via_node["forwarded"]) == (owner, True)
+            assert [r["cache"] for r in (via_router, via_sdk, via_node)] == [
+                "miss", "hit", "hit"]
+            holds = [e.store.contains(req.key) for e in tc.engines]
+            assert holds == [u == owner for u in tc.urls]
+
+        store = ArtifactStore(tmp_path / "sweep")
+        run_sweep([get_workload("dotprod")], (Level.LEV4,), (8,),
+                  store=store)
+        as_result = dataclasses.replace(req, kind="result")
+        assert store.contains(as_result.key)
+        assert not store.contains(req.key)
+        ident = {kind: request_identity(kind, "dotprod", 4, 8)
+                 for kind in ("run", "result")}
+        assert {k for k in ident["run"]
+                if ident["run"][k] != ident["result"][k]} == {"kind"}
+
+
+class _FakePeer:
+    """A node that answers every POST with a canned status and records
+    the hop header it was sent."""
+
+    def __init__(self, status=200):
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        peer = self
+        self.status, self.hops = status, []
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):  # noqa: N802
+                self.rfile.read(int(self.headers["Content-Length"]))
+                peer.hops.append(self.headers.get("X-Repro-Hop"))
+                data = (b'{"served": true}' if peer.status == 200
+                        else b'{"error": "canned"}')
+                self.send_response(peer.status)
+                self.send_header("Content-Length", str(len(data)))
+                if peer.status != 200:
+                    self.send_header("Retry-After", "7")
+                self.end_headers()
+                self.wfile.write(data)
+
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = "http://127.0.0.1:%d" % self.httpd.server_address[1]
+        threading.Thread(target=self.httpd.serve_forever,
+                         daemon=True).start()
+
+    def close(self):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+
+
+class TestRingDispatcher:
+    """The one ring walk, against fake peers (the end-to-end behavior
+    is in TestRouter / test_chaos.py)."""
+
+    @pytest.fixture
+    def rig(self):
+        from repro.cluster.launch import free_ports
+        from repro.cluster.peers import RingDispatcher
+
+        live = _FakePeer()
+        dead = "http://127.0.0.1:%d" % free_ports(1)[0]
+        failovers = []
+        peers = RingDispatcher([dead, live.url],
+                               on_failover=lambda: failovers.append(1))
+        by_owner = {}
+        for k in keys(64):
+            by_owner.setdefault(peers.ring.node_for(k), k)
+        yield peers, live, dead, by_owner, failovers
+        live.close()
+
+    def test_dead_owner_fails_over_with_hop_header(self, rig):
+        peers, live, dead, by_owner, failovers = rig
+        url, reply = peers.post("/v1/run", {}, by_owner[dead])
+        assert url == live.url
+        assert reply == {"served": True, "failover": True}
+        assert live.hops == ["route"] and len(failovers) == 1
+
+    def test_live_owner_gets_a_plain_request(self, rig):
+        peers, live, _, by_owner, failovers = rig
+        url, reply = peers.post("/v1/run", {}, by_owner[live.url])
+        assert (url, reply) == (live.url, {"served": True})
+        assert live.hops == [None] and failovers == []
+
+    @pytest.mark.parametrize("status", (429, 503, 400))
+    def test_an_answer_is_relayed_not_failed_over(self, rig, status):
+        from repro.service.client import ServiceOverloaded
+
+        peers, live, _, by_owner, failovers = rig
+        live.status = status
+        with pytest.raises(ServiceRequestError) as ei:
+            peers.post("/v1/run", {}, by_owner[live.url])
+        assert ei.value.status == status and ei.value.retry_after == 7.0
+        assert isinstance(ei.value, ServiceOverloaded) == (status == 429)
+        assert live.hops == [None] and failovers == []
+
+    def test_all_dead_is_service_unavailable(self, rig):
+        from repro.service.client import ServiceUnavailable
+
+        peers, live, dead, by_owner, failovers = rig
+        live.close()
+        with pytest.raises(ServiceUnavailable, match="no node reachable"):
+            peers.post("/v1/run", {}, by_owner[dead])
+        assert len(failovers) == 2
+
+    def test_forwarding_is_the_one_hop_case(self, rig):
+        from repro.service.client import ServiceUnavailable
+
+        peers, live, dead, by_owner, _ = rig
+        peers.post("/v1/run", {}, by_owner[live.url], owner_hop="forward",
+                   max_hops=1)
+        assert live.hops == ["forward"]
+        with pytest.raises(ServiceUnavailable):
+            peers.post("/v1/run", {}, by_owner[dead], owner_hop="forward",
+                       max_hops=1)
+        assert live.hops == ["forward"]  # never tried past the owner
+
+    def test_fleet_views_mark_the_dead_node(self, rig):
+        peers, live, dead, _, _ = rig
+        assert peers.fleet("/healthz", skip=live.url) == {dead: None}
+        assert peers.metrics()[dead] == {"unreachable": True}
+        assert peers.health()["nodes"][dead] is False
+
+
+class TestRouterRelaysVerdicts:
+    def test_unroutable_is_503_and_shed_keeps_its_retry_after(self):
+        """Through the router's HTTP face: all nodes dead -> 503 (and
+        counted), an owner's 429 -> 429 with the owner's Retry-After."""
+        from repro.cluster.launch import free_ports
+        from repro.service.client import ServiceOverloaded
+
+        shedding = _FakePeer(status=429)
+        dead = "http://127.0.0.1:%d" % free_ports(1)[0]
+        rigs = [serve_router_background([u]) for u in (dead, shedding.url)]
+        try:
+            with pytest.raises(ServiceRequestError) as ei:
+                ServiceClient(rigs[0][2], retry=None).run("add")
+            assert ei.value.status == 503
+            assert rigs[0][1].snapshot()["unroutable"] == 1
+            with pytest.raises(ServiceOverloaded) as ei:
+                ServiceClient(rigs[1][2], retry=None).run("add")
+            assert (ei.value.status, ei.value.retry_after) == (429, 7.0)
+            assert shedding.hops == [None]
+        finally:
+            shedding.close()
+            for httpd, _, _ in rigs:
+                httpd.shutdown()
+                httpd.server_close()

@@ -137,3 +137,159 @@ class TestEngineDerivedSalt:
         reader = ArtifactStore(tmp_path)  # current engine-derived salt
         assert reader.get(key) is None
         assert reader.stats.misses >= 1 or reader.stats.invalidated >= 1
+
+
+# ---------------------------------------------------------------------------
+# requests as values: CellRequest / SweepRequest
+# ---------------------------------------------------------------------------
+
+from repro.service.keys import CellRequest, SweepRequest  # noqa: E402
+
+#: digests pinned from commit 2180118 (before identity became a type):
+#: a store written then must be served as hits now
+GOLDEN = [
+    (("run", "add", 4, 8), {},
+     "fe5d0f2d2df564f5b7156da9e8dde4ae85402f2056462584e918c1db283e65be"),
+    (("result", "dotprod", 5, 1), {"seed": 3, "disable": ("cse", "dce")},
+     "d5d7cb0741c9797c584f3dd7058e6194783a32ca9fbac7d84484197f76f1ff0c"),
+    (("compile", "sum", 0, 2), {"check_ir": True},
+     "0c1c95ef7551b886820bcc836b8ca9d87da7ee0302f60605f5ebf1d9141cf058"),
+]
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("args,options,digest", GOLDEN)
+    def test_request_key_and_the_type_agree_with_the_parent(
+            self, args, options, digest):
+        assert request_key(*args, **options) == digest
+        assert CellRequest(*args, **options).key == digest
+
+    @pytest.mark.parametrize("body,kind,digest", [
+        # defaults omitted (level 4, width 8 are the HTTP defaults) ...
+        ({"workload": "add"}, "run", GOLDEN[0][2]),
+        # ... and spelled out
+        ({"workload": "add", "level": 4, "width": 8, "seed": 0,
+          "check": True, "check_ir": False, "disable": []}, "run",
+         GOLDEN[0][2]),
+        # disable permuted and duplicated; kind carried in the body
+        ({"kind": "result", "workload": "dotprod", "level": 5, "width": 1,
+          "seed": 3, "disable": ["dce", "cse", "dce"]}, None, GOLDEN[1][2]),
+        ({"workload": "sum", "level": 0, "width": 2, "check_ir": True,
+          "timeout": 30}, "compile", GOLDEN[2][2]),
+    ])
+    def test_from_body_yields_the_same_keys(self, body, kind, digest):
+        req = CellRequest.from_body(body, kind)
+        assert req.key == digest
+        # and the body it re-emits parses back to an equal request
+        assert CellRequest.from_body(req.to_body(), kind) == req
+
+
+class TestRequestValidation:
+    """The one constructor rejects what no worker could compute."""
+
+    @pytest.mark.parametrize("body", [
+        {},                                             # no workload
+        {"workload": "no-such-kernel"},
+        {"workload": "add", "disable": "dce"},          # would be d, c, e
+        {"workload": "add", "disable": ["nope"]},       # unknown pass
+        {"workload": "add", "disable": ["superblock"]},  # structural pass
+        {"workload": "add", "disable": [1]},
+        {"workload": "add", "check": "false"},          # would be True
+        {"workload": "add", "check_ir": 1},
+        {"workload": "add", "level": "4"},
+        {"workload": "add", "level": True},
+        {"workload": "add", "level": len(SweepRequest(("add",)).levels)},
+        {"workload": "add", "width": 3},
+        {"workload": "add", "width": 8.0},
+        {"workload": "add", "seed": None},
+        {"workload": "add", "timeout": "soon"},
+        {"workload": ["add"]},
+        {"workload": "add", "kind": "frobnicate"},
+    ])
+    def test_malformed_cell_bodies_raise_value_error(self, body):
+        with pytest.raises(ValueError):
+            CellRequest.from_body(body)
+
+    @pytest.mark.parametrize("body", [
+        {},
+        {"workloads": "add"},
+        {"workloads": []},                              # empty sweep
+        {"workloads": ["add"], "levels": []},
+        {"workloads": ["add", "no-such-kernel"]},
+        {"workloads": ["add"], "levels": [0, 6]},
+        {"workloads": ["add"], "widths": [3]},
+        {"workloads": ["add"], "check_ir": "yes"},
+        {"workloads": ["add"], "disable": ["nope"]},
+    ])
+    def test_malformed_sweep_bodies_raise_value_error(self, body):
+        with pytest.raises(ValueError):
+            SweepRequest.from_body(body)
+
+    def test_python_callers_get_the_same_checks(self):
+        with pytest.raises(ValueError, match="unknown workload"):
+            CellRequest("run", "no-such-kernel", 4, 8)
+        with pytest.raises(ValueError, match="disable"):
+            CellRequest("run", "add", 4, 8, disable=("nope",))
+        with pytest.raises(ValueError, match="level"):
+            SweepRequest(("add",), levels=(9,))
+        # ... but may name an off-grid width (custom machines)
+        assert CellRequest("run", "add", 4, 3).width == 3
+
+    def test_identity_ignores_the_timeout(self):
+        a = CellRequest("run", "add", 4, 8, timeout=1.0)
+        b = CellRequest("run", "add", 4, 8, disable=())
+        assert a == b and hash(a) == hash(b) and a.key == b.key
+        assert a.to_body()["timeout"] == 1.0 and "timeout" not in b.to_body()
+
+
+class TestSweepRequest:
+    def test_cells_are_the_grid_in_order_and_carry_every_option(self):
+        sweep = SweepRequest.from_body({
+            "workloads": ["sum", "add"], "levels": [4, 0], "widths": [8, 1],
+            "seed": 2, "check": False, "check_ir": True,
+            "disable": ["dce", "cse"], "timeout": 9})
+        cells = sweep.cells()
+        assert sweep.configs == len(cells) == 8
+        assert [(c.workload, c.level, c.width) for c in cells[:3]] == [
+            ("sum", 4, 8), ("sum", 4, 1), ("sum", 0, 8)]
+        assert {(c.kind, c.seed, c.check, c.check_ir, c.disable, c.timeout)
+                for c in cells} == {
+                    ("run", 2, False, True, ("cse", "dce"), 9.0)}
+        assert SweepRequest.from_body(sweep.to_body()) == sweep
+
+    def test_defaults_are_the_full_grid(self):
+        from repro.pipeline import Level
+
+        sweep = SweepRequest.from_body({"workloads": ["add"]})
+        assert sweep.levels == tuple(int(lv) for lv in Level)
+        assert sweep.widths == (1, 2, 4, 8)
+
+    def test_kinds_differ_only_in_kind(self):
+        """A sweep cell's ``result`` blob and the service's ``run``
+        payload for the same configuration never share a key."""
+        sweep = SweepRequest(("add",), (4,), (8,))
+        (run,), (result,) = sweep.cells("run"), sweep.cells("result")
+        assert run.key == GOLDEN[0][2] != result.key
+        assert run.cell[1:] == result.cell[1:]
+
+
+class TestOneKeyBuilder:
+    def test_nothing_outside_keys_assembles_key_fields(self):
+        """Outside ``service/keys.py`` nothing under ``src/`` calls
+        ``request_key(`` / ``workload_fingerprint(``: every hop gets its
+        key from the request value."""
+        import re
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        call = re.compile(r"\b(request_key|workload_fingerprint)\s*\(")
+        offenders = [
+            f"{path.relative_to(root)}:{n}"
+            for path in sorted(root.rglob("*.py"))
+            if path != root / "service" / "keys.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if call.search(line)
+        ]
+        assert offenders == []
