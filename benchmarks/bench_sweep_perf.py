@@ -64,6 +64,8 @@ def test_sweep_pass_seconds():
                               key=lambda kv: kv[1], reverse=True)
     }
     assert pass_seconds.get("listsched", 0) > 0
+    # register colouring is not a registered pass but rides the same map
+    assert pass_seconds.get("regalloc", 0) > 0
     out = _update_bench({
         "grid": {
             "workloads": [w.name for w in wls],

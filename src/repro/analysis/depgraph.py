@@ -40,6 +40,10 @@ class DepGraph:
     succs: list[list[tuple[int, int]]]
     preds: list[list[tuple[int, int]]]
     latency: list[int]
+    #: memoised ``heights()`` / ``pred_counts()``: one graph serves every
+    #: issue width of a cell, and neither depends on the width
+    _heights: list[int] | None = field(default=None, repr=False)
+    _pred_counts: list[int] | None = field(default=None, repr=False)
 
     def n(self) -> int:
         return len(self.instrs)
@@ -48,10 +52,14 @@ class DepGraph:
         assert i < j, f"dependence edge must go forward: {i} -> {j}"
         self.succs[i].append((j, w))
         self.preds[j].append((i, w))
+        self._heights = self._pred_counts = None
 
     def heights(self) -> list[int]:
         """Critical-path priority: longest weighted path from each node to
-        any sink, plus the node's own latency at the sink end."""
+        any sink, plus the node's own latency at the sink end.  The list
+        is shared between callers: read it, do not mutate it."""
+        if self._heights is not None:
+            return self._heights
         n = self.n()
         h = [0] * n
         for i in range(n - 1, -1, -1):
@@ -61,7 +69,15 @@ class DepGraph:
                 if cand > best:
                     best = cand
             h[i] = best
+        self._heights = h
         return h
+
+    def pred_counts(self) -> list[int]:
+        """Number of *distinct* predecessors of each node (parallel edges
+        between one pair count once).  Shared like ``heights()``."""
+        if self._pred_counts is None:
+            self._pred_counts = [len({i for i, _ in ps}) for ps in self.preds]
+        return self._pred_counts
 
     def transitive_ok(self, order: list[int]) -> bool:
         """Check a proposed order respects all edges (used by tests)."""

@@ -40,17 +40,27 @@ def block_gen_kill(instrs) -> tuple[set[Reg], set[Reg]]:
     return gen, kill
 
 
+def _cfg(func: Function) -> tuple[list[str], dict[str, list[str]]]:
+    """Block labels in layout order and each block's successors inside
+    the function (a block without any is where the function exits)."""
+    bm = func.block_map()
+    succs = {
+        b.label: [s for s in func.successors(b) if s in bm]
+        for b in func.blocks
+    }
+    return list(succs), succs
+
+
 def liveness(func: Function, live_out_exit: set[Reg] | None = None) -> Liveness:
     """Iterative backward may-liveness to fixpoint."""
     lv = Liveness()
     live_out_exit = live_out_exit or set()
-    labels = [b.label for b in func.blocks]
-    bm = func.block_map()
-    succs = {lab: [s for s in func.successors(bm[lab]) if s in bm] for lab in labels}
+    labels, succs = _cfg(func)
     terminal = {lab for lab in labels if not succs[lab]}
 
-    for lab in labels:
-        g, k = block_gen_kill(bm[lab].instrs)
+    for blk in func.blocks:
+        lab = blk.label
+        g, k = block_gen_kill(blk.instrs)
         lv.gen[lab] = g
         lv.kill[lab] = k
         lv.live_in[lab] = set(g)
@@ -71,6 +81,45 @@ def liveness(func: Function, live_out_exit: set[Reg] | None = None) -> Liveness:
                 lv.live_in[lab] = new_in
                 changed = True
     return lv
+
+
+def liveness_masks(
+    func: Function,
+    block_ops: dict[str, list[tuple[int, int]]],
+    exit_mask: int,
+) -> tuple[dict[str, int], dict[str, int]]:
+    """:func:`liveness` over register bitmasks, for callers that number
+    the function's registers densely (register colouring).
+
+    ``block_ops`` gives each block's instructions as ``(destination bit
+    index or -1, mask of registers read)``; ``exit_mask`` is the
+    ``live_out_exit`` set.  Returns ``(live_in, live_out)`` masks keyed by
+    block label — the same least fixpoint as :func:`liveness`.
+    """
+    labels, succs = _cfg(func)
+    gen: dict[str, int] = {}
+    kill: dict[str, int] = {}
+    for lab in labels:
+        g = k = 0
+        for d, uses in block_ops[lab]:
+            g |= uses & ~k
+            if d >= 0:
+                k |= 1 << d
+        gen[lab], kill[lab] = g, k
+    live_in = dict(gen)
+    live_out = {lab: 0 if succs[lab] else exit_mask for lab in labels}
+    changed = True
+    while changed:
+        changed = False
+        for lab in reversed(labels):
+            out = 0 if succs[lab] else exit_mask
+            for s in succs[lab]:
+                out |= live_in[s]
+            new_in = gen[lab] | (out & ~kill[lab])
+            if out != live_out[lab] or new_in != live_in[lab]:
+                live_out[lab], live_in[lab] = out, new_in
+                changed = True
+    return live_in, live_out
 
 
 def live_at_instr_positions(instrs, live_out: set[Reg]) -> list[set[Reg]]:

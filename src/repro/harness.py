@@ -17,7 +17,10 @@ dependence on the configuration, so sweeps can share the early stages:
    (:meth:`repro.machine.MachineConfig.latency_key`): machines differing
    only in issue width share transformed code.
 3. :func:`schedule_kernel` — list scheduling.  Depends on the full machine
-   (the issue width shapes every packet).
+   (the issue width shapes every packet), but its inputs — the dependence
+   DAG of every block — again only on the latencies: the widths of a cell
+   share them through :attr:`TransformedKernel.schedule_inputs`, so the
+   per-width work is the scheduler's heap loop and register colouring.
 
 Stages 2 and 3 mutate the function in place; reuse an earlier stage's
 result across several downstream calls by scheduling a ``.clone()`` of it.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,7 +54,12 @@ from .ir.function import Function
 from .machine import MachineConfig
 from .opt.driver import run_conv
 from .passes import PassOptions, PipelineReport
-from .pipeline import Level, apply_ilp_transforms, schedule_function
+from .pipeline import (
+    Level,
+    ScheduleInputs,
+    apply_ilp_transforms,
+    schedule_function,
+)
 from .regalloc import RegisterUsage, measure_register_usage
 from .schedule.listsched import Schedule
 from .schedule.superblock import SuperblockLoop
@@ -67,6 +75,9 @@ class CompiledKernel:
     sb: SuperblockLoop
     schedules: dict[str, Schedule]
     report: PipelineReport
+    #: the register colouring verified by ``schedule_kernel(check=True)``
+    #: (None when the kernel was scheduled unchecked)
+    usage: RegisterUsage | None = None
 
     @property
     def func(self):
@@ -106,12 +117,15 @@ class TransformedKernel:
     Width-independent: only the machine's latencies were observed
     (tree height reduction), so one ``TransformedKernel`` serves every
     issue width via ``schedule_kernel(tk.clone(), machine)``.
+    ``schedule_inputs`` is one object shared with every clone: the first
+    ``schedule_kernel`` call fills it, the other widths reuse it.
     """
 
     lowered: LoweredKernel
     level: Level
     sb: SuperblockLoop
     report: PipelineReport
+    schedule_inputs: ScheduleInputs = field(default_factory=ScheduleInputs)
 
     def clone(self) -> "TransformedKernel":
         """Clone for scheduling: fresh function/blocks/instruction lists,
@@ -143,7 +157,8 @@ class TransformedKernel:
             None if sb.exit_block is None
             else bmap.get(id(sb.exit_block), sb.exit_block),
         )
-        return TransformedKernel(nlk, self.level, nsb, self.report.fork())
+        return TransformedKernel(nlk, self.level, nsb, self.report.fork(),
+                                 self.schedule_inputs)
 
 
 def lower_conv(kernel: Kernel, options: PassOptions | None = None) -> ConvKernel:
@@ -206,11 +221,12 @@ def schedule_kernel(
         lk.func, machine, lk.live_out_exit, sb=tk.sb, doall=doall,
         check=check, options=options, report=report,
         scheduler=scheduler, solver_budget=solver_budget,
-        solver_store=solver_store,
+        solver_store=solver_store, inputs=tk.schedule_inputs,
     )
-    if check:
-        measure_register_usage(lk.func, lk.live_out_exit, check=True)
-    return CompiledKernel(lk, tk.level, machine, tk.sb, schedules, report)
+    usage = (measure_register_usage(lk.func, lk.live_out_exit, check=True)
+             if check else None)
+    return CompiledKernel(lk, tk.level, machine, tk.sb, schedules, report,
+                          usage)
 
 
 def compile_kernel(
@@ -467,10 +483,12 @@ class WidthResult(NamedTuple):
     #: None when the cell was compiled only (``execute=False``)
     run: KernelRun | None
     #: wall-clock ``t_compile`` / ``t_schedule`` / ``t_simulate`` seconds
-    #: and the per-pass ``t_passes`` map.  Work shared by the cell
-    #: (classical + ILP transformation, the one traced execution) is
-    #: charged to the first machine that paid it, never smeared; the
-    #: classical phase only when this call actually ran it.
+    #: and the per-pass ``t_passes`` map, which also carries register
+    #: colouring as ``"regalloc"`` (it is in none of the three phase
+    #: timers unless ``check_ir`` made it part of scheduling).  Work
+    #: shared by the cell (classical + ILP transformation, the one traced
+    #: execution) is charged to the first machine that paid it, never
+    #: smeared; the classical phase only when this call actually ran it.
     timings: dict
 
 
@@ -537,7 +555,13 @@ def evaluate_cell(
 
     out = []
     for i, ck in enumerate(cks):
-        usage = measure_register_usage(ck.func, ck.lowered.live_out_exit)
+        # a check_ir compile already coloured (and verified) this kernel
+        # inside its t_schedule; otherwise colour now, on this width's bill
+        usage, t_regalloc = ck.usage, None
+        if usage is None:
+            t0 = time.perf_counter()
+            usage = measure_register_usage(ck.func, ck.lowered.live_out_exit)
+            t_regalloc = time.perf_counter() - t0
         run, t_sim = None, 0.0
         if execute:
             t0 = time.perf_counter()
@@ -559,10 +583,13 @@ def evaluate_cell(
             phases = None  # every phase, the classical one included
         else:
             phases = ("ilp", "cleanup", "schedule")
+        t_passes = ck.report.pass_seconds(phases=phases)
+        if t_regalloc is not None:
+            t_passes["regalloc"] = t_regalloc
         out.append(WidthResult(ck, usage, run, {
             "t_compile": t_transform if first else 0.0,
             "t_schedule": t_scheds[i],
             "t_simulate": t_sim + (t_exec if first else 0.0),
-            "t_passes": ck.report.pass_seconds(phases=phases),
+            "t_passes": t_passes,
         }))
     return out

@@ -213,6 +213,19 @@ OP_INFO.update({
     Op.VEXTF: OpInfo(Kind.VEC_PACK, 2, _F, (_VF, _I)),
 })
 
+
+def _ops_of(*kinds: Kind) -> frozenset[Op]:
+    return frozenset(op for op, info in OP_INFO.items() if info.kind in kinds)
+
+
+#: Per-opcode membership tables behind ``Instr``'s structural predicates
+#: (one set lookup instead of a walk through ``OP_INFO`` per query).
+CONTROL_OPS = _ops_of(Kind.BRANCH, Kind.JUMP, Kind.HALT)
+LOAD_OPS = _ops_of(Kind.LOAD, Kind.VEC_LOAD)
+STORE_OPS = _ops_of(Kind.STORE, Kind.VEC_STORE)
+MEM_OPS = LOAD_OPS | STORE_OPS
+VECTOR_OPS = _ops_of(*VECTOR_KINDS)
+
 #: element-wise vector op corresponding to each packable scalar op
 VECTOR_OP_FOR: dict[Op, Op] = {
     Op.ADD: Op.VADD, Op.SUB: Op.VSUB, Op.MUL: Op.VMUL,
@@ -294,26 +307,23 @@ class Instr:
 
     @property
     def is_control(self) -> bool:
-        k = OP_INFO[self.op].kind
-        return k is Kind.BRANCH or k is Kind.JUMP or k is Kind.HALT
+        return self.op in CONTROL_OPS
 
     @property
     def is_load(self) -> bool:
-        k = OP_INFO[self.op].kind
-        return k is Kind.LOAD or k is Kind.VEC_LOAD
+        return self.op in LOAD_OPS
 
     @property
     def is_store(self) -> bool:
-        k = OP_INFO[self.op].kind
-        return k is Kind.STORE or k is Kind.VEC_STORE
+        return self.op in STORE_OPS
 
     @property
     def is_mem(self) -> bool:
-        return self.is_load or self.is_store
+        return self.op in MEM_OPS
 
     @property
     def is_vector(self) -> bool:
-        return OP_INFO[self.op].kind in VECTOR_KINDS
+        return self.op in VECTOR_OPS
 
     @property
     def mem_words(self) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .ir.instructions import Kind, Op
+from .ir.instructions import OP_INFO, Kind, Op
 
 
 #: Table 1 of the paper, keyed by structural kind.
@@ -95,11 +95,21 @@ class MachineConfig:
     vector_lanes: int = DEFAULT_VECTOR_LANES
 
     def latency(self, op: Op) -> int:
-        if op in (Op.MOV, Op.FMOV):
-            return _MOVE_LATENCY
-        from .ir.instructions import OP_INFO
-
-        return self.latencies[OP_INFO[op].kind]
+        try:
+            return self._op_latency[op]
+        except AttributeError:
+            # per-opcode view of ``latencies`` (moves included), built on
+            # first use — request keys construct configurations they never
+            # ask a latency of.  Not a field: equality, ``replace`` and
+            # the cache keys keep seeing the per-kind table only.
+            table = {
+                op: self.latencies[info.kind]
+                for op, info in OP_INFO.items()
+                if info.kind in self.latencies
+            }
+            table[Op.MOV] = table[Op.FMOV] = _MOVE_LATENCY
+            object.__setattr__(self, "_op_latency", table)
+            return table[op]
 
     @property
     def unlimited(self) -> bool:

@@ -71,6 +71,9 @@ class PipelineContext:
     doall: bool = False
     #: run ``verify_function`` in the Conv finalizer (run_conv's flag)
     verify_final: bool = True
+    #: width-independent dependence DAGs the schedule phase runs over
+    #: (:class:`repro.pipeline.ScheduleInputs`)
+    schedule_inputs: object | None = None
     schedules: "dict[str, Schedule] | None" = None
     #: schedule backend: "list" (heuristic) or "optimal" (exact solver)
     scheduler: str = "list"

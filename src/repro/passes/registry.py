@@ -29,7 +29,6 @@ scheduler itself) are ``required`` and exempt from all of those.
 
 from __future__ import annotations
 
-from ..analysis.liveness import liveness
 from ..ir.function import remove_unreachable
 from ..ir.loop import find_loops
 from ..ir.verify import verify_function
@@ -46,6 +45,7 @@ from ..opt.licm import hoist_loop_invariants
 from ..opt.redundant_mem import eliminate_redundant_memory
 from ..pipeline import (
     Level,
+    ScheduleInputs,
     _find_loop,
     prologue_regions,
     protected_registers,
@@ -271,41 +271,24 @@ CLEANUP_PASSES = (
 
 
 def _schedule_inputs(ctx: PipelineContext):
-    """Per-block scheduling inputs shared by both backends.
-
-    Side-exit speculation limits come from the live-in sets of branch
-    targets.  For the superblock body, memory disambiguation sees the
-    preheader and, for DOALL loops, the cross-iteration independence
-    assertion.  Yields ``(block, exit_live, prologue, doall)``.
-    """
-    func, sb = ctx.func, ctx.sb
-    lv = liveness(func, ctx.live_out_exit)
-    regions = prologue_regions(func, sb) if sb is not None else None
-    for blk in func.blocks:
-        if not blk.instrs:
-            continue
-        exit_live = {}
-        for i, ins in enumerate(blk.instrs):
-            if ins.is_control and ins.target is not None:
-                exit_live[i] = lv.live_in.get(ins.target.name, set())
-        is_body = sb is not None and blk is sb.body
-        yield (
-            blk,
-            exit_live,
-            regions if is_body else None,
-            ctx.doall and is_body,
-        )
+    """``(block, dependence DAG)`` of every non-empty block, shared by
+    both backends; the DAGs come from ``ctx.schedule_inputs`` (reused
+    across the issue widths of a cell, see
+    :class:`repro.pipeline.ScheduleInputs`)."""
+    if ctx.schedule_inputs is None:  # nobody to share with: this call only
+        ctx.schedule_inputs = ScheduleInputs()
+    graphs = ctx.schedule_inputs.graphs_for(
+        ctx.func, ctx.machine, ctx.live_out_exit, ctx.sb, ctx.doall
+    )
+    return zip([b for b in ctx.func.blocks if b.instrs], graphs)
 
 
 def _run_listsched(ctx: PipelineContext) -> int:
     """List-schedule every block of the function in place."""
     schedules = {}
     scheduled = 0
-    for blk, exit_live, prologue, doall in _schedule_inputs(ctx):
-        sched = list_schedule(
-            blk.instrs, ctx.machine, exit_live,
-            prologue=prologue, doall=doall,
-        )
+    for blk, g in _schedule_inputs(ctx):
+        sched = list_schedule(blk.instrs, ctx.machine, depgraph=g)
         blk.instrs = sched.order
         schedules[blk.label] = sched
         scheduled += len(sched.order)
@@ -326,10 +309,9 @@ def _run_optsched(ctx: PipelineContext) -> int:
     budget = ctx.solver_budget if ctx.solver_budget else DEFAULT_BUDGET
     schedules = {}
     scheduled = 0
-    for blk, exit_live, prologue, doall in _schedule_inputs(ctx):
+    for blk, g in _schedule_inputs(ctx):
         res = optimal_block_schedule(
-            blk.instrs, ctx.machine, exit_live,
-            prologue=prologue, doall=doall,
+            blk.instrs, ctx.machine, depgraph=g,
             budget=budget, store=ctx.solver_store,
         )
         blk.instrs = res.schedule.order

@@ -25,7 +25,9 @@ declared in :mod:`repro.passes.registry`.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass, field
 
+from .analysis.depgraph import DepGraph, build_depgraph
 from .analysis.liveness import liveness
 from .analysis.loopvars import CountedLoop
 from .ir.function import Function
@@ -162,6 +164,68 @@ def prologue_regions(func: Function, sb: SuperblockLoop):
     return [(kind, instrs) for kind, _, instrs in regions]
 
 
+@dataclass
+class ScheduleInputs:
+    """What the schedule phase needs of a function besides the issue
+    width: the dependence DAG of every non-empty block, in layout order.
+
+    A DAG observes the machine only through
+    :meth:`~repro.machine.MachineConfig.latency_key` (latencies, slot
+    limits, speculation flags, lanes), so one value serves every issue
+    width of a cell: :class:`~repro.harness.TransformedKernel` shares one
+    instance with all its clones and the first width to schedule fills it.
+    Staleness rule: the graphs are reused only for a machine with the
+    ``latency_key`` they were built for *and* a function whose blocks
+    still hold the very instruction sequences they were built from
+    (scheduling a kernel twice, or editing it, rebuilds).
+    """
+
+    latency_key: tuple | None = None
+    graphs: list[DepGraph] = field(default_factory=list)
+
+    def graphs_for(
+        self,
+        func: Function,
+        machine: MachineConfig,
+        live_out_exit: set[Reg],
+        sb: SuperblockLoop | None,
+        doall: bool,
+    ) -> list[DepGraph]:
+        """The DAGs of ``func``'s non-empty blocks under ``machine``,
+        rebuilt (and remembered) when the stored ones are stale.
+
+        Side-exit speculation limits come from the live-in sets of branch
+        targets.  For the superblock body (``sb``), memory disambiguation
+        sees the preheader and, for DOALL loops, the cross-iteration
+        independence assertion.
+        """
+        key = machine.latency_key()
+        blocks = [b for b in func.blocks if b.instrs]
+        if key == self.latency_key and (
+            [b.instrs for b in blocks] == [g.instrs for g in self.graphs]
+        ):
+            return self.graphs
+        lv = liveness(func, live_out_exit)
+        regions = prologue_regions(func, sb) if sb is not None else None
+        graphs = []
+        for blk in blocks:
+            exit_live = {
+                i: lv.live_in.get(ins.target.name, set())
+                for i, ins in enumerate(blk.instrs)
+                if ins.is_control and ins.target is not None
+            }
+            is_body = sb is not None and blk is sb.body
+            # a private copy of the sequence: scheduling replaces (and
+            # later edits may mutate) ``blk.instrs``
+            graphs.append(build_depgraph(
+                list(blk.instrs), machine, exit_live,
+                prologue=regions if is_body else None,
+                doall=doall and is_body,
+            ))
+        self.latency_key, self.graphs = key, graphs
+        return graphs
+
+
 def schedule_function(
     func: Function,
     machine: MachineConfig,
@@ -174,6 +238,7 @@ def schedule_function(
     scheduler: str = "list",
     solver_budget: int | None = None,
     solver_store=None,
+    inputs: ScheduleInputs | None = None,
 ) -> dict[str, Schedule]:
     """Schedule every block of ``func`` in place.
 
@@ -181,10 +246,10 @@ def schedule_function(
     dispatches on ``scheduler``: ``"list"`` (greedy heuristic, the
     default) or ``"optimal"`` (exact solver-backed, with
     ``solver_budget`` deterministic search nodes and optional
-    ``solver_store`` result caching).  Side-exit speculation limits come
-    from the live-in sets of branch targets.  For the superblock body
-    (``sb``), memory disambiguation sees the preheader and, for DOALL
-    loops, the cross-iteration independence assertion.  Returns the
+    ``solver_store`` result caching).  Both backends schedule over the
+    dependence DAGs of ``inputs`` (see :class:`ScheduleInputs`; pass the
+    same instance again to share them across issue widths, omit it to
+    build them for this call only).  Returns the
     per-block schedules (keyed by label).  With ``check=True`` the
     invariant verifier runs on the scheduled function — a scheduler that
     reorders a use above its flow-dependent definition is caught here.
@@ -201,6 +266,7 @@ def schedule_function(
         scheduler=scheduler,
         solver_budget=solver_budget,
         solver_store=solver_store,
+        schedule_inputs=inputs,
     )
     PassManager(options, check=check).run_phase("schedule", ctx)
     return ctx.schedules

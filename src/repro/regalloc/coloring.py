@@ -8,52 +8,60 @@ class is the paper's "registers utilized" statistic.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 
 from ..ir.function import Function
 from ..ir.operands import Reg, RegClass
-from .interference import InterferenceGraph, build_interference
+from .interference import InterferenceGraph, bits, build_interference
 
 
 def color_class(g: InterferenceGraph, cls: RegClass) -> dict[Reg, int]:
-    nodes = sorted(g.of_class(cls), key=lambda r: r.id)
-    if not nodes:
+    members = g.node_mask & g.class_mask[cls]
+    if not members:
         return {}
+    adj = g.adj
     # Simplification stack: repeatedly remove the (degree, id)-minimal
     # node.  A lazy heap replaces the original min-over-set scan (which
     # was quadratic): each degree decrement pushes a fresh entry, and
     # stale entries (already removed, or recorded at an outdated degree)
     # are discarded on pop.  Degrees only decrease and every decrease is
     # pushed, so the pop sequence is *identical* to the min() scan.
-    # adjacency sets only ever hold same-class registers (``add_edge``
-    # rejects cross-class pairs), so no class filtering is needed inside
-    degree = {r: len(g.adj[r]) for r in nodes}
-    removed: set[Reg] = set()
-    stack: list[Reg] = []
-    heap = [(degree[r], r.id, r) for r in nodes]
-    heapq.heapify(heap)
+    # Indices ascend with the id inside a class, so (degree, index) is
+    # the (degree, id) order; adjacency rows only ever hold same-class
+    # registers, so no class filtering is needed inside.
+    degree = {i: adj[i].bit_count() for i in bits(members)}
+    heap = [(d, i) for i, d in degree.items()]
+    heapify(heap)
+    removed = 0
+    stack: list[int] = []
     while heap:
-        d, _, r = heapq.heappop(heap)
-        if r in removed or d != degree[r]:
+        d, i = heappop(heap)
+        if removed >> i & 1 or d != degree[i]:
             continue
-        removed.add(r)
-        stack.append(r)
-        for n in g.adj[r]:
-            if n not in removed:
-                degree[n] -= 1
-                heapq.heappush(heap, (degree[n], n.id, n))
+        removed |= 1 << i
+        stack.append(i)
+        row = adj[i] & ~removed
+        while row:  # bits(row), inlined: the hot loop of the colourer
+            low = row & -row
+            row ^= low
+            n = low.bit_length() - 1
+            d = degree[n] = degree[n] - 1
+            heappush(heap, (d, n))
+    # first-fit: the lowest color none of whose members is a neighbor
+    colored: list[int] = []  # color -> mask of the registers holding it
     colors: dict[Reg, int] = {}
-    get_color = colors.get
-    for r in reversed(stack):
-        # first-fit: the lowest color absent among colored neighbors,
-        # found as the lowest clear bit of the used-color mask
-        mask = 0
-        for n in g.adj[r]:
-            c = get_color(n)
-            if c is not None:
-                mask |= 1 << c
-        colors[r] = (~mask & (mask + 1)).bit_length() - 1
+    regs = g.regs
+    for i in reversed(stack):
+        row = adj[i]
+        for c, holders in enumerate(colored):
+            if not row & holders:
+                colored[c] = holders | 1 << i
+                break
+        else:
+            c = len(colored)
+            colored.append(1 << i)
+        colors[regs[i]] = c
     return colors
 
 
@@ -87,17 +95,24 @@ def verify_coloring(g: InterferenceGraph, colors: dict[Reg, int]) -> None:
     values would share a physical register, i.e. a silent miscompile on
     real hardware even though the virtual-register simulator runs fine.
     """
+    holders: dict[int, int] = {}  # color -> mask of the registers holding it
+    colored = 0
     for r, c in colors.items():
         if c < 0:
             raise ColoringError(f"{r}: negative color {c}")
-        for n in g.adj.get(r, ()):
-            cn = colors.get(n)
-            if cn is None:
-                raise ColoringError(f"{n} interferes with {r} but is uncolored")
-            if cn == c:
-                raise ColoringError(
-                    f"interfering registers {r} and {n} share color {c}"
-                )
+        bit = 1 << g.index[r]
+        holders[c] = holders.get(c, 0) | bit
+        colored |= bit
+    for r, c in colors.items():
+        row = g.adj[g.index[r]]
+        if row & ~colored:
+            n = g.regs_of(row & ~colored)[0]
+            raise ColoringError(f"{n} interferes with {r} but is uncolored")
+        if row & holders[c]:
+            n = g.regs_of(row & holders[c])[0]
+            raise ColoringError(
+                f"interfering registers {r} and {n} share color {c}"
+            )
 
 
 def measure_register_usage(

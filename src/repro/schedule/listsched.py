@@ -94,7 +94,7 @@ def list_schedule(
 
     is_ctrl = [ins.is_control for ins in instrs]
     kinds = [ins.kind for ins in instrs] if slot_limits else None
-    unplaced_preds = [len({i for i, _ in g.preds[j]}) for j in range(n)]
+    unplaced_preds = list(g.pred_counts())
     #: earliest cycle each node may issue given already-placed predecessors
     #: (final by the time the node enters a heap: all preds are placed)
     earliest = [0] * n

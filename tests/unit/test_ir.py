@@ -99,6 +99,19 @@ class TestInstr:
         for op in Op:
             assert op in OP_INFO
 
+    @pytest.mark.parametrize("op", list(Op), ids=lambda op: op.value)
+    def test_predicate_table(self, op):
+        # the per-opcode tables behind the predicates, against the
+        # definition over the opcode's structural kind
+        k = OP_INFO[op].kind
+        ins = Instr(op)
+        assert ins.is_control == (k in (Kind.BRANCH, Kind.JUMP, Kind.HALT))
+        assert ins.is_load == (k in (Kind.LOAD, Kind.VEC_LOAD))
+        assert ins.is_store == (k in (Kind.STORE, Kind.VEC_STORE))
+        assert ins.is_mem == (ins.is_load or ins.is_store)
+        assert ins.is_vector == k.name.startswith("VEC_")
+        assert ins.is_branch == (k is Kind.BRANCH)
+
 
 class TestPrinterParser:
     CASES = [

@@ -39,6 +39,17 @@ class TestLatencies:
         assert m.latency(Op.MOV) == 1
         assert m.latency(Op.FMOV) == 1
 
+    def test_every_opcode_reads_its_kind_latency(self):
+        from repro.ir.instructions import OP_INFO
+
+        slow = MachineConfig(latencies={
+            k: 10 + i for i, k in enumerate(PAPER_LATENCIES)})
+        for m in (issue8(), slow, slow.with_width(2)):
+            for op in Op:
+                want = (1 if op in (Op.MOV, Op.FMOV)
+                        else m.latencies[OP_INFO[op].kind])
+                assert m.latency(op) == want, op
+
     def test_presets(self):
         assert issue1().issue_width == 1
         assert issue2().issue_width == 2

@@ -25,7 +25,7 @@ A:
 """
         )
         g = build_interference(f)
-        assert int_reg(2) not in g.adj[int_reg(1)]
+        assert int_reg(2) not in g.neighbors(int_reg(1))
 
     def test_overlapping_ranges_interfere(self):
         f = parse_function(
@@ -40,21 +40,21 @@ A:
 """
         )
         g = build_interference(f)
-        assert int_reg(2) in g.adj[int_reg(1)]
+        assert int_reg(2) in g.neighbors(int_reg(1))
 
     def test_classes_never_interfere(self):
         f = parse_function(
             "function t:\nA:\n  r1i = 1\n  r1f = 2.0\n  MEM(X) = r1i\n  MEM(Y) = r1f\n  halt\n"
         )
         g = build_interference(f)
-        assert fp_reg(1) not in g.adj[int_reg(1)]
+        assert fp_reg(1) not in g.neighbors(int_reg(1))
 
     def test_entry_live_ins_interfere(self):
         f = parse_function(
             "function t:\nA:\n  r3i = r1i + r2i\n  MEM(X) = r3i\n  halt\n"
         )
         g = build_interference(f)
-        assert int_reg(2) in g.adj[int_reg(1)]
+        assert int_reg(2) in g.neighbors(int_reg(1))
 
     def test_loop_carried_interference(self):
         f = parse_function(
@@ -71,8 +71,8 @@ exit:
         )
         g = build_interference(f)
         # r3i is live across everything, including both defs
-        assert int_reg(3) in g.adj[int_reg(1)]
-        assert int_reg(3) in g.adj[int_reg(2)]
+        assert int_reg(3) in g.neighbors(int_reg(1))
+        assert int_reg(3) in g.neighbors(int_reg(2))
 
 
 class TestColoring:
@@ -93,7 +93,7 @@ A:
         g = build_interference(f)
         colors = color_class(g, RegClass.INT)
         for r, c in colors.items():
-            for n in g.adj[r]:
+            for n in g.neighbors(r):
                 if n in colors:
                     assert colors[n] != c
 

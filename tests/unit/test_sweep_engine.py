@@ -101,6 +101,40 @@ class TestParallelSweep:
         assert all(r.t_compile == 0 for r in rs if r.width != WIDTHS[0])
         assert all(r.t_schedule > 0 and r.t_simulate > 0 for r in rs)
 
+    def test_register_colouring_is_timed_per_width(self, serial_sweep):
+        # colouring is in none of the three phase timers; every width pays
+        # its own and says so in the per-pass map
+        rs = list(serial_sweep.results.values())
+        assert all(r.t_passes["regalloc"] > 0 for r in rs)
+        assert serial_sweep.pass_seconds()["regalloc"] == pytest.approx(
+            sum(r.t_passes["regalloc"] for r in rs))
+
+    def test_checked_compile_is_coloured_once(self, monkeypatch):
+        # check_ir verifies a colouring inside schedule_kernel; the cell
+        # evaluator reuses that one instead of measuring again
+        import repro.harness as harness
+
+        calls = []
+        real = harness.measure_register_usage
+
+        def counting(func, live_out_exit=None, check=False):
+            calls.append(check)
+            return real(func, live_out_exit, check=check)
+
+        monkeypatch.setattr(harness, "measure_register_usage", counting)
+        machines = [MachineConfig(issue_width=wd) for wd in WIDTHS]
+        w = get_workload("sum")
+        checked = harness.evaluate_cell(w, Level.LEV4, machines,
+                                        check_ir=True)
+        assert calls == [True] * len(WIDTHS)
+        assert all(r.ck.usage is r.usage for r in checked)
+        assert all("regalloc" not in r.timings["t_passes"] for r in checked)
+        calls.clear()
+        plain = harness.evaluate_cell(w, Level.LEV4, machines)
+        assert calls == [False] * len(WIDTHS)
+        assert all(r.ck.usage is None for r in plain)
+        assert [r.usage for r in plain] == [r.usage for r in checked]
+
 
 class TestCellEvaluatorIdentity:
     """The sweep task path, ``run_config`` and a multi-width service
