@@ -15,12 +15,11 @@ hard threshold; the gated numbers live in benchmarks/bench_sim_perf.py).
 import os
 import sys
 import time
-from dataclasses import asdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.experiments.sweep import run_sweep          # noqa: E402
+from repro.experiments.sweep import run_sweep, strip_timings  # noqa: E402
 from repro.pipeline import Level                       # noqa: E402
 from repro.workloads import get_workload               # noqa: E402
 
@@ -29,11 +28,6 @@ from repro.workloads import get_workload               # noqa: E402
 WORKLOADS = ("add", "dotprod", "sum", "maxval", "LWS-1", "NAS-5")
 LEVELS = tuple(Level)
 WIDTHS = (1, 2, 4, 8)
-
-
-def strip_timings(result) -> dict:
-    d = asdict(result)
-    return {k: v for k, v in d.items() if not k.startswith("t_")}
 
 
 def main() -> int:

@@ -5,9 +5,10 @@ already running (the workflow starts it in the background).  Drives six
 mixed requests through the client SDK — two fresh runs, a duplicate
 that must be answered from the artifact store, a compile, an async
 sweep job, and an oversized sweep that must be load-shed — then the
-bad-``disable`` probe (six malformed requests are six 400s and leave
-the cell servable), then scrapes ``/metrics`` and fails on any nonzero
-service-side error count.
+bad-request probe (six requests no worker could compute — an unknown
+``disable`` entry, a negative or oversized ``seed`` — are six 400s and
+leave the cell servable), then scrapes ``/metrics`` and fails on any
+nonzero service-side error count.
 """
 
 import sys
@@ -66,15 +67,15 @@ def main() -> int:
         return 1
     assert c.healthz()["ok"] is True
 
-    # 7: a malformed disable list is rejected at the boundary — it must
-    # never reach a worker, so it cannot quarantine the healthy cell
-    for _ in range(6):
+    # 7: what no worker could compute is rejected at the boundary — it
+    # must never reach a worker, so it cannot quarantine the healthy cell
+    for bad in ({"disable": ["nope"]}, {"seed": -1}, {"seed": 1 << 64}) * 2:
         try:
-            c.run("maxval", level=4, width=8, disable=["nope"])
+            c.run("maxval", level=4, width=8, **bad)
         except ServiceRequestError as e:
-            assert e.status == 400, f"bad disable answered {e.status}"
+            assert e.status == 400, f"{bad} answered {e.status}"
         else:
-            print("bad disable list was accepted", file=sys.stderr)
+            print(f"malformed request {bad} was accepted", file=sys.stderr)
             return 1
     assert c.run("maxval", level=4, width=8)["result"]["cycles"] > 0, \
         "cell unservable after malformed requests"

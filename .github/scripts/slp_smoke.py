@@ -16,25 +16,19 @@ Two gates:
 
 import os
 import sys
-from dataclasses import asdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.check.fuzz import CaseSpec, build_workload  # noqa: E402
 from repro.check.oracle import check_workload          # noqa: E402
-from repro.experiments.sweep import run_sweep          # noqa: E402
+from repro.experiments.sweep import run_sweep, strip_timings  # noqa: E402
 from repro.pipeline import Level                       # noqa: E402
 from repro.workloads import all_workloads              # noqa: E402
 
 WIDTHS = (1, 4, 8)
 VEC_TEMPLATES = ("pair", "smooth", "isum")
 TRIPS = (3, 8, 17, 24)
-
-
-def strip_timings(result) -> dict:
-    d = asdict(result)
-    return {k: v for k, v in d.items() if not k.startswith("t_")}
 
 
 def engine_identity() -> int:

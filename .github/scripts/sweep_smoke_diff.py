@@ -14,11 +14,11 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.experiments.sweep import load_sweep, run_sweep   # noqa: E402
+from repro.experiments.sweep import (                       # noqa: E402
+    load_sweep, run_sweep, strip_timings,
+)
 from repro.service.store import ArtifactStore               # noqa: E402
 from repro.workloads import get_workload                    # noqa: E402
-
-from engine_smoke import strip_timings                      # noqa: E402
 
 
 def main(store_dir: str, names: str) -> int:

@@ -5,7 +5,8 @@ Public API quick reference:
 
 * :func:`repro.harness.compile_kernel` / ``run_compiled_kernel`` — compile
   a kernel at a transformation level and simulate it;
-* :class:`repro.pipeline.Level` — Conv / Lev1..Lev4, the paper's levels;
+* :class:`repro.pipeline.Level` — Conv / Lev1..Lev4, the paper's levels,
+  plus Lev5 (SLP vectorization);
 * :mod:`repro.machine` — ``issue1()/issue2()/issue4()/issue8()`` processor
   presets with the paper's Table-1 latencies;
 * :mod:`repro.frontend` — the kernel language (``Kernel``, ``do``,

@@ -18,9 +18,9 @@ same transformed code, and three measurements line up per loop:
   bit-for-bit — a differential check that the solver's reorderings are
   semantics-preserving on real data.
 
-With ``--store DIR`` every solver result is cached content-addressed
-(see :mod:`repro.optsched.cache`); a second run against the same store
-resolves every (loop, machine, II) instance from the cache, which
+With ``--store DIR`` every solver result is an entry of that artifact
+store (see :func:`repro.optsched.problem_key`); a second run against
+the same store resolves every (loop, machine, II) instance from it, which
 ``benchmarks/bench_optsched_headroom.py`` uses to measure the warm-store
 speedup.  Results land in ``results/headroom.txt``.
 """

@@ -330,6 +330,14 @@ def default_cache_path() -> Path:
     return Path(__file__).resolve().parents[3] / "results" / "sweep.json"
 
 
+def strip_timings(result: ConfigResult) -> dict:
+    """The non-timing fields of a result: everything two runs of one
+    configuration must agree on (the ``t_*`` wall-clock phase costs
+    legitimately differ between runs and engines)."""
+    return {k: v for k, v in asdict(result).items()
+            if not k.startswith("t_")}
+
+
 def save_sweep(data: SweepData, path: Path | None = None) -> Path:
     path = path or default_cache_path()
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -41,6 +41,7 @@ output.
 from __future__ import annotations
 
 import copy
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -63,8 +64,16 @@ from .pipeline import (
 from .regalloc import RegisterUsage, measure_register_usage
 from .schedule.listsched import Schedule
 from .schedule.superblock import SuperblockLoop
-from .sim import EngineUnsupported, Memory, ReplayUnsupported, simulate
-from .workloads import Workload, check_run
+from .sim import (
+    EngineUnsupported,
+    Memory,
+    ReplayUnmapped,
+    ReplayUnsupported,
+    TracedRun,
+    compiled_program,
+    simulate,
+)
+from .workloads import Workload, check_run, get_workload
 
 
 @dataclass
@@ -367,22 +376,21 @@ class BatchedRunner:
 
     The dynamic trace of the in-order model depends only on values, so
     the issue widths of one cell share it: construct the runner from any
-    one width's :class:`CompiledKernel` (this executes the program once,
-    valuewise) and call :meth:`run` per width to get that machine's
-    cycle/instruction counts by trace replay — bit-identical to full
-    simulation, at a fraction of the cost.
+    one width's :class:`CompiledKernel` (this executes the program once
+    — a :class:`repro.sim.TracedRun` the runner owns) and call
+    :meth:`run` per width for that machine's cycle/instruction counts by
+    trace replay, bit-identical to full simulation.  End-state outputs
+    are shared across widths (the scheduler preserves the values of
+    memory and live-out scalars; speculation only touches dead or
+    renamed registers).
 
-    End-state outputs are shared across widths (the scheduler preserves
-    the values of memory and live-out scalars; speculation only touches
-    dead or renamed registers).  A width whose schedule the replayer
-    cannot map (or a machine outside replay scope) transparently falls
-    back to a full simulation with freshly bound inputs —
-    ``last_fallback`` reports which path the most recent :meth:`run`
-    took, so callers can re-validate fallback outputs if they need to.
-
-    Construction raises ``EngineUnsupported``/``ReplayUnsupported`` when
-    the cell cannot use the compiled engine at all; callers then run
-    each width the classic way.
+    Which engine times the cell is decided once, here: if the
+    constructor's kernel or machine is outside the compiled engine's
+    scope the runner remembers it and every :meth:`run` is an
+    interpreter simulation with freshly bound inputs; so is a single
+    width whose schedule cannot be mapped onto the trace.
+    ``last_fallback`` says whether the most recent :meth:`run` was
+    interpreted (and so has outputs of its own to validate).
     """
 
     def __init__(
@@ -392,86 +400,71 @@ class BatchedRunner:
         scalars: dict[str, float | int] | None = None,
         max_cycles: int = 200_000_000,
     ):
-        from .sim import compiled_program, exec_plan, execute_plan, replay, replay_spec
-        from .sim.simulator import _bank_dict
-
         self._arrays_in = arrays
         self._scalars_in = scalars
         self._max_cycles = max_cycles
         self.last_fallback = False
         mem, iregs, fregs = bind_inputs(ck.lowered, arrays, scalars)
-        prog = compiled_program(ck.func, ck.machine, mem.symbols)
-        self._plan = exec_plan(prog)
-        spec = replay_spec(self._plan, prog)  # validate before executing
-        self._segs, ivals, fvals = execute_plan(
-            self._plan, mem, iregs, fregs, max_cycles
-        )
+        try:
+            self._trace = TracedRun(
+                compiled_program(ck.func, ck.machine, mem.symbols),
+                mem, iregs, fregs, max_cycles)
+        except (EngineUnsupported, ReplayUnsupported):
+            self._trace = None  # out of scope (nothing was executed)
+            return
         self._symbols = mem.symbols
-        self._replay = replay
-        self._replay_spec = replay_spec
-        self._compiled_program = compiled_program
-        cycles, n_instr = replay(self._segs, spec, max_cycles)
-        out_arrays, out_scalars = collect_outputs(
-            ck.lowered, mem, _bank_dict(ivals), _bank_dict(fvals), scalars or {}
-        )
-        self.arrays = out_arrays
-        self.scalars = out_scalars
-        self._first = KernelRun(cycles, n_instr, out_arrays, out_scalars)
-        self._first_prog = prog
+        self._traced = (ck.func, ck.machine)
+        trace = self._trace
+        self._arrays, self._scalars = collect_outputs(
+            ck.lowered, mem, trace.iregs, trace.fregs, scalars or {})
+        self._first = KernelRun(trace.cycles, trace.instructions,
+                                self._arrays, self._scalars)
 
     def run(self, ck: CompiledKernel) -> KernelRun:
         """Cycle/instruction counts for ``ck``'s machine, with the shared
         end-state outputs.  ``ck`` must be a reschedule of the traced
         kernel (a width clone of the same transformed code)."""
-        from .sim import ReplayUnmapped, ReplayUnsupported
-
         self.last_fallback = False
-        prog = self._compiled_program(ck.func, ck.machine, self._symbols)
-        if prog is self._first_prog:
-            return self._first
-        try:
-            spec = self._replay_spec(self._plan, prog)
-        except (ReplayUnmapped, ReplayUnsupported):
-            self.last_fallback = True
-            return run_compiled_kernel(
-                ck, self._arrays_in, self._scalars_in, self._max_cycles
-            )
-        cycles, n_instr = self._replay(self._segs, spec, self._max_cycles)
-        return KernelRun(cycles, n_instr, self.arrays, self.scalars)
+        if self._trace is not None:
+            func, machine = self._traced
+            if ck.func is func and ck.machine == machine:
+                return self._first
+            try:
+                cycles, n_instr = self._trace.time(
+                    compiled_program(ck.func, ck.machine, self._symbols))
+            except (ReplayUnmapped, ReplayUnsupported):
+                pass
+            else:
+                return KernelRun(cycles, n_instr, self._arrays, self._scalars)
+        self.last_fallback = True
+        return run_compiled_kernel(ck, self._arrays_in, self._scalars_in,
+                                   self._max_cycles, engine="interp")
 
 
 # ---------------------------------------------------------------------------
 # the cell evaluator
 # ---------------------------------------------------------------------------
 
-#: classical optimization is level- and machine-independent, so one
-#: ``ConvKernel`` per (workload, disabled-pass set) serves every cell a
-#: process evaluates (ablation runs that switch classical passes off must
-#: not be served the fully-optimized result, hence the disable-set key).
-_CONV_CACHE: dict[tuple, ConvKernel] = {}
-#: inputs are read-only (``check_run`` copies before mutating;
-#: ``Memory.bind_array`` copies into simulated memory), so one binding
-#: per (workload, seed) serves every configuration.
-_INPUT_CACHE: dict[tuple[str, int], tuple[dict, dict]] = {}
+# The two process memos are bounded and keyed by plain values (DESIGN.md
+# §11.2): whatever seeds and disable sets clients send, a worker holds at
+# most ``maxsize`` of each — above the 40-loop corpus a sweep walks.
 
 
-def _conv_cached(w: Workload, options: PassOptions | None) -> tuple[ConvKernel, float]:
-    """Stage-1 result for a workload, plus its cost if paid just now."""
-    key = (w.name, options.key if options is not None else ())
-    conv = _CONV_CACHE.get(key)
-    if conv is not None:
-        return conv, 0.0
-    t0 = time.perf_counter()
-    conv = _CONV_CACHE[key] = lower_conv(w.build(), options=options)
-    return conv, time.perf_counter() - t0
+@functools.lru_cache(maxsize=64)
+def _conv_kernel(name: str, options: PassOptions | None) -> ConvKernel:
+    """Classical optimization is level- and machine-independent, so one
+    ``ConvKernel`` per (workload, pass options) serves every cell a
+    process evaluates (an ablation that switches classical passes off
+    must not get the fully-optimized one).  Transform a ``.clone()``."""
+    return lower_conv(get_workload(name).build(), options=options)
 
 
-def _inputs_cached(w: Workload, seed: int) -> tuple[dict, dict]:
-    key = (w.name, seed)
-    hit = _INPUT_CACHE.get(key)
-    if hit is None:
-        hit = _INPUT_CACHE[key] = w.make_inputs(seed)
-    return hit
+@functools.lru_cache(maxsize=64)
+def _inputs(name: str, seed: int) -> tuple[dict, dict]:
+    """Inputs are read-only (``check_run`` copies before mutating;
+    ``Memory.bind_array`` copies into simulated memory), so one binding
+    per (workload, seed) serves every configuration."""
+    return get_workload(name).make_inputs(seed)
 
 
 class WidthResult(NamedTuple):
@@ -511,20 +504,25 @@ def evaluate_cell(
     ``machines`` (which must share a latency table — typically the issue
     widths of the grid).
 
-    The classical stage comes from the per-process cache, the ILP
-    transformation runs once, each machine schedules a structural clone
-    and has its registers measured.  With more than one machine and the
-    compiled engine, the cell *executes* once — the dynamic trace is
-    width-independent — and every machine's cycle/instruction counts
-    come from replaying that trace against its own schedule
-    (:class:`BatchedRunner`), bit-identical to simulating each in full; a
-    cell or machine outside the engine's scope falls back to a full
-    simulation.  ``check`` holds the outputs against the workload's NumPy
-    reference, once per distinct set of outputs.  ``check_ir`` runs the
-    between-pass invariant verifier; ``execute=False`` stops after
-    compilation.
+    ``w`` is a corpus workload: the classical stage comes from the
+    per-process memo (and is charged to the call that filled it), the
+    ILP transformation runs once, each machine schedules a structural
+    clone and has its registers measured.  Under the compiled engine the
+    cell *executes* once — the dynamic trace is width-independent — and
+    every machine's cycle/instruction counts come from replaying that
+    trace against its own schedule, bit-identical to simulating each in
+    full.  Whether the cell is in the engine's scope is decided once, by
+    the :class:`BatchedRunner` that owns the execution; what it cannot
+    replay it interprets.  ``check`` holds the outputs against the
+    workload's NumPy reference, once per distinct set of outputs.
+    ``check_ir`` runs the between-pass invariant verifier;
+    ``execute=False`` stops after compilation.
     """
-    conv, t_conv = _conv_cached(w, options)
+    built = _conv_kernel.cache_info().misses
+    t0 = time.perf_counter()
+    conv = _conv_kernel(w.name, options)
+    t_conv = (time.perf_counter() - t0
+              if _conv_kernel.cache_info().misses > built else 0.0)
     t0 = time.perf_counter()
     tk = ilp_transform(conv.clone(), level, machines[0], check=check_ir,
                        options=options)
@@ -544,13 +542,10 @@ def evaluate_cell(
     arrays = scalars = runner = None
     t_exec = 0.0
     if execute:
-        arrays, scalars = _inputs_cached(w, seed)
-        if engine in ("auto", "compiled") and len(cks) > 1:
+        arrays, scalars = _inputs(w.name, seed)
+        if engine != "interp":
             t0 = time.perf_counter()
-            try:
-                runner = BatchedRunner(cks[0], arrays, scalars)
-            except (EngineUnsupported, ReplayUnsupported):
-                pass  # cell outside engine scope: simulate per machine
+            runner = BatchedRunner(cks[0], arrays, scalars)
             t_exec = time.perf_counter() - t0
 
     out = []
@@ -566,12 +561,12 @@ def evaluate_cell(
         if execute:
             t0 = time.perf_counter()
             if runner is None:
-                run = run_compiled_kernel(ck, arrays, scalars, engine=engine)
+                run = run_compiled_kernel(ck, arrays, scalars, engine="interp")
                 own_outputs = True
             else:
                 run = runner.run(ck)
                 # replayed machines share the traced execution's outputs;
-                # one that fell back to a full simulation has its own
+                # an interpreted one has its own
                 own_outputs = i == 0 or runner.last_fallback
             if check and own_outputs:
                 check_run(w, run.arrays, run.scalars, arrays, scalars)

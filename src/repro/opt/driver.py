@@ -10,7 +10,7 @@ Runs the paper's conventional-optimizer baseline to fixpoint:
     induction variable strength reduction, and loop induction variable
     elimination."
 
-Every transformation level of the evaluation (Conv, Lev1..Lev4) starts
+Every transformation level of the evaluation (Conv, Lev1..Lev5) starts
 from the output of this pipeline.
 
 The fixpoint itself is owned by the unified pass manager

@@ -4,17 +4,23 @@ A swappable alternative to heuristic list scheduling, selected with
 ``--scheduler optimal`` through the pass manager:
 
 * :mod:`.solver` — the pure-Python branch-and-bound cycle-assignment
-  engine (deterministic node budgets, stable anytime incumbents, an
-  optional auto-detected z3 adapter);
+  engine (deterministic node budgets, stable anytime incumbents);
 * :mod:`.blocksched` — exact acyclic block scheduling with critical-path
   + resource lower-bound proofs and heuristic fallback under timeout;
 * :mod:`.modulo` — exact modulo scheduling by incremental II search from
-  ``max(ResMII, RecMII)``;
-* :mod:`.cache` — content-addressed caching of solver results through
-  the service's artifact store.
+  ``max(ResMII, RecMII)``.
+
+Both schedulers take an optional ``store``: solver results are plain
+entries of the service's artifact store under
+:func:`~.blocksched.problem_key`.
 """
 
-from .blocksched import OptResult, optimal_block_schedule
+from .blocksched import (
+    SOLVER_VERSION,
+    OptResult,
+    optimal_block_schedule,
+    problem_key,
+)
 from .modulo import DEFAULT_MODULO_BUDGET, ModuloSchedule, modulo_schedule
 from .solver import (
     DEFAULT_BUDGET,
@@ -25,13 +31,12 @@ from .solver import (
     minimize_makespan,
     solve_decision,
     verify_assignment,
-    z3_available,
 )
 
 __all__ = [
-    "OptResult", "optimal_block_schedule",
+    "SOLVER_VERSION", "OptResult", "optimal_block_schedule", "problem_key",
     "DEFAULT_MODULO_BUDGET", "ModuloSchedule", "modulo_schedule",
     "DEFAULT_BUDGET", "Incumbent", "SchedProblem", "SolveOutcome",
     "lower_bound", "minimize_makespan", "solve_decision",
-    "verify_assignment", "z3_available",
+    "verify_assignment",
 ]

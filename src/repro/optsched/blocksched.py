@@ -35,19 +35,40 @@ there is real headroom.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..analysis.depgraph import DepGraph, build_depgraph
 from ..ir.instructions import Instr
 from ..ir.operands import Reg
 from ..machine import MachineConfig
 from ..schedule.listsched import Schedule, list_schedule
+from ..service.keys import content_key
 from .solver import (
     DEFAULT_BUDGET,
     SchedProblem,
+    SolveOutcome,
     minimize_makespan,
     verify_assignment,
 )
+
+#: bump when solver behavior changes (search order, propagation, bounds)
+SOLVER_VERSION = 1
+
+
+def problem_key(problem: SchedProblem, budget: int, mode: str = "min",
+                extra: dict | None = None) -> str:
+    """Store key of one solver computation: the canonical instance plus
+    the deterministic node budget *is* the computation (there is no
+    other solver, so nothing outside the key can change the answer).
+    Blocks with the same dependence structure under the same machine
+    share one entry fleet-wide; a result under a small budget never
+    answers a large-budget query; ``extra`` carries what else a search
+    mode's answer depends on."""
+    fields = {"solver": SOLVER_VERSION, "mode": mode, "budget": int(budget),
+              "problem": problem.canonical()}
+    if extra:
+        fields["extra"] = extra
+    return content_key(**fields)
 
 
 @dataclass
@@ -150,8 +171,7 @@ def optimal_block_schedule(
     Same signature surface as
     :func:`~repro.schedule.listsched.list_schedule` plus the solver
     budget and an optional :class:`~repro.service.store.ArtifactStore`
-    for fleet-wide solver-result caching (see
-    :mod:`repro.optsched.cache`).
+    holding solver results fleet-wide under :func:`problem_key`.
     """
     t0 = time.perf_counter()
     n = len(instrs)
@@ -172,17 +192,23 @@ def optimal_block_schedule(
         ub_assignment[pos[id(ins)]] = t
     ub_cost = heuristic.makespan
 
+    outcome = None
     if store is not None:
-        from .cache import cached_minimize
-
-        outcome, cached = cached_minimize(
-            store, problem, ub_cost, tuple(ub_assignment), budget
-        )
-    else:
+        # the heuristic bound is part of the key: the incumbent under
+        # timeout *is* the heuristic seed, so another seed is another search
+        key = problem_key(problem, budget, "min", {"ub": int(ub_cost)})
+        payload = store.get(key)
+        if payload is not None:
+            if payload["assignment"] is not None:
+                payload["assignment"] = tuple(payload["assignment"])
+            outcome = SolveOutcome(**payload)
+    cached = outcome is not None
+    if not cached:
         outcome = minimize_makespan(
             problem, ub_cost, tuple(ub_assignment), budget=budget
         )
-        cached = False
+        if store is not None:
+            store.put(key, asdict(outcome))
 
     if outcome.assignment is not None and outcome.cost < ub_cost:
         verify_assignment(problem, outcome.assignment)

@@ -47,7 +47,7 @@ from ..schedule.pipelining import (
     _cross_register_edges,
     compute_bounds,
 )
-from .blocksched import problem_from_depgraph
+from .blocksched import problem_from_depgraph, problem_key
 from .solver import BudgetExhausted, _Budget, solve_decision, verify_assignment
 
 #: default deterministic node budget for one loop's II search
@@ -208,22 +208,26 @@ def modulo_schedule(
     ub = max(acyclic.makespan, 1)
     mii = inst.bounds.mii
 
+    result = None
     if store is not None:
-        from .cache import cached_modulo
-
-        payload, cached = cached_modulo(store, inst, ub, mii, budget)
-        return ModuloSchedule(
-            payload["ii"], tuple(payload["times"]), inst.bounds,
-            payload["status"], payload["optimal"], payload["nodes"],
-            time.perf_counter() - t0, cached=cached,
-            acyclic_makespan=ub,
-        )
-
-    result = search_ii(inst, ub, mii, budget)
+        # keyed by the II-independent instance (intra-iteration problem +
+        # cross-iteration edges) plus the search's bounds and budget
+        key = problem_key(
+            _problem_at_ii(inst, max(mii, 1)), budget, "modulo", {
+                "cross": sorted(list(c) for c in inst.cross),
+                "ub": int(ub),
+                "mii": int(mii),
+            })
+        result = store.get(key)
+    cached = result is not None
+    if not cached:
+        result = search_ii(inst, ub, mii, budget)
+        if store is not None:
+            store.put(key, result)
     return ModuloSchedule(
         result["ii"], tuple(result["times"]), inst.bounds,
         result["status"], result["optimal"], result["nodes"],
-        time.perf_counter() - t0, acyclic_makespan=ub,
+        time.perf_counter() - t0, cached=cached, acyclic_makespan=ub,
     )
 
 
@@ -236,8 +240,8 @@ def search_ii(inst: _Instance, ub: int, mii: int, budget: int) -> dict:
     which degrades the answer from "optimal" to "upper-bound" rather
     than all the way to the acyclic fallback.  Only when every remaining
     candidate is exhausted does the search fall back
-    (``timeout-incumbent``).  Returns a JSON-stable payload (cached
-    verbatim by :mod:`repro.optsched.cache`): achieved ii, flat issue
+    (``timeout-incumbent``).  Returns a JSON-stable payload (what
+    :func:`modulo_schedule` stores verbatim): achieved ii, flat issue
     times, proof status, and the deterministic node count spent.
     """
     acyclic = list_schedule(inst.body, inst.machine, depgraph=inst.depgraph)

@@ -27,18 +27,14 @@ so backtracking is exact):
 * the search budget is a **deterministic node count** — never wall
   clock — so a given (problem, budget) pair always returns the same
   answer, on any machine, which is what lets results be shared through
-  the content-addressed store (see :mod:`repro.optsched.cache`).
+  the content-addressed store (see :func:`repro.optsched.problem_key`).
 
 Anytime behavior is delegated to :class:`Incumbent`: the caller seeds it
 with the heuristic schedule, and a candidate replaces the incumbent only
 on a *strictly* smaller cost — equal-cost candidates keep the earlier
-discovery — so repeated runs under any budget agree bit for bit.
-
-If the ``z3`` SMT solver happens to be installed (it is not a
-dependency), :func:`z3_available` reports it and
-:func:`minimize_makespan` transparently uses it for the optimality
-search; the pure-Python engine is the reference path and the only one
-exercised in CI.
+discovery — so repeated runs under any budget agree bit for bit.  This
+pure-Python engine is the only solver: a stored result depends on
+nothing the key does not name.
 """
 
 from __future__ import annotations
@@ -439,63 +435,11 @@ DEFAULT_BUDGET = 50_000
 MAX_EXACT_N = 512
 
 
-def z3_available() -> bool:
-    """Is the optional z3 SMT adapter importable?  (Never a dependency.)"""
-    try:
-        import z3  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-def _minimize_with_z3(problem: SchedProblem, lb: int, ub: int):
-    """Optimality search via the z3 SMT solver (optional adapter).
-
-    Returns ``(assignment, cost)`` with cost in ``[lb, ub]``, or ``None``
-    when z3 cannot be used.  Only reached when :func:`z3_available`.
-    """
-    import z3
-
-    n = problem.n
-    opt = z3.Optimize()
-    ts = [z3.Int(f"t{i}") for i in range(n)]
-    mk = z3.Int("makespan")
-    for i in range(n):
-        opt.add(ts[i] >= 0)
-        opt.add(ts[i] + problem.latency[i] <= mk)
-    for i, j, w in problem.edges:
-        opt.add(ts[j] - ts[i] >= w)
-    width = problem.effective_width
-    for c in range(ub):
-        in_c = [z3.If(ts[i] == c, 1, 0) for i in range(n)]
-        if width < _UNLIMITED:
-            opt.add(z3.Sum(in_c) <= width)
-        br = [z3.If(ts[i] == c, 1, 0)
-              for i in range(n) if problem.is_branch[i]]
-        if br:
-            opt.add(z3.Sum(br) <= max(problem.branch_slots, 1))
-        for kind, lim in problem.slot_limits:
-            ks = [z3.If(ts[i] == c, 1, 0)
-                  for i in range(n) if problem.kind[i] == kind]
-            if ks:
-                opt.add(z3.Sum(ks) <= lim)
-    opt.add(mk >= lb)
-    opt.add(mk <= ub)
-    opt.minimize(mk)
-    if opt.check() != z3.sat:
-        return None
-    model = opt.model()
-    assignment = tuple(model[t].as_long() for t in ts)
-    return assignment, model[mk].as_long()
-
-
 def minimize_makespan(
     problem: SchedProblem,
     ub_cost: int,
     ub_assignment: tuple[int, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
-    use_z3: bool | None = None,
 ) -> SolveOutcome:
     """Minimize the acyclic makespan below a heuristic upper bound.
 
@@ -515,16 +459,6 @@ def minimize_makespan(
         # the heuristic already sits on a provable lower bound
         return SolveOutcome(incumbent.assignment, incumbent.cost, True,
                             lb, 0, "optimal")
-
-    if use_z3 is None:
-        use_z3 = z3_available()
-    if use_z3 and z3_available():
-        found = _minimize_with_z3(problem, lb, ub_cost)
-        if found is not None:
-            assignment, cost = found
-            incumbent.offer(cost, assignment)
-            return SolveOutcome(incumbent.assignment, incumbent.cost, True,
-                                lb, 0, "optimal")
 
     est = asap_times(problem)
     hs = heights(problem)

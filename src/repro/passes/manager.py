@@ -1,6 +1,6 @@
 """The pass manager: declarative pipeline ordering, fixpoints, gating.
 
-The compiler's five cumulative levels (Conv, Lev1..Lev4) used to be
+The compiler's six cumulative levels (Conv, Lev1..Lev5) used to be
 hardwired as three ad-hoc driver loops (the Conv fixpoint, the
 level-gated ILP transform sequence plus its cleanup loop, and the
 scheduling step).  This module replaces them with data:

@@ -43,10 +43,6 @@ DEFAULT_WORKLOADS = ("add", "sum", "dotprod")
 DEFAULT_LEVELS = (0, 4)
 DEFAULT_WIDTHS = (1, 8)
 
-#: timing fields are wall-clock and legitimately differ between runs;
-#: everything else in a result must be byte-identical under faults
-TIMING_FIELDS = ("t_compile", "t_schedule", "t_simulate", "t_passes")
-
 BUILTIN_PLANS = {
     "kill":   ((("worker.kill", 0.5, 1, 0.0, False),),
                "SIGKILL workers mid-task"),
@@ -115,15 +111,12 @@ def _expected_quarantines(plan: FaultPlan, keys) -> int:
 
 
 def _canon_sweep(data) -> dict:
-    from dataclasses import asdict
+    """Everything in a sweep that must be byte-identical under faults
+    (timing fields are wall-clock and legitimately differ)."""
+    from ..experiments.sweep import strip_timings
 
-    out = {}
-    for (n, lv, wd), r in sorted(data.results.items()):
-        d = asdict(r)
-        for f in TIMING_FIELDS:
-            d.pop(f, None)
-        out[f"{n}/L{lv}/w{wd}"] = d
-    return out
+    return {f"{n}/L{lv}/w{wd}": strip_timings(r)
+            for (n, lv, wd), r in sorted(data.results.items())}
 
 
 def _run_sweep(workloads, levels, widths, jobs, root: Path,

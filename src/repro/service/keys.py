@@ -75,6 +75,15 @@ def canonical_json(obj) -> str:
                       allow_nan=False)
 
 
+def content_key(**fields) -> str:
+    """SHA-256 content address of a computation's identity ``fields``
+    under the :data:`CODE_VERSION` salt — the one digest every key of
+    the artifact store is made with (request keys here, exact-solver
+    keys in :mod:`repro.optsched`)."""
+    payload = {"salt": CODE_VERSION, **fields}
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
 @functools.lru_cache(maxsize=256)
 def workload_fingerprint(workload: str) -> str:
     """SHA-256 of the workload's canonicalized kernel source.
@@ -167,9 +176,7 @@ def request_key(
     )
     if fingerprint is None:
         fingerprint = workload_fingerprint(workload)
-    payload = {"salt": CODE_VERSION, "kernel": fingerprint, "request": ident}
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
+    return content_key(kernel=fingerprint, request=ident)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +193,17 @@ def _disableable() -> frozenset[str]:
     return frozenset(p.name for p in ablatable_passes())
 
 
-def _validated(kind: str, workloads, levels, disable) -> tuple[str, ...]:
+def _validated(kind: str, workloads, levels, seed,
+               disable) -> tuple[str, ...]:
     """Reject what no worker could compute, where the request is built —
     so a malformed one is never admitted, never reaches the fork pool
     and never feeds a healthy cell's circuit breaker.  Returns the
     canonical (deduplicated, sorted) disable set."""
     if kind not in KINDS:
         raise ValueError(f"unknown request kind {kind!r} (known: {KINDS})")
+    # what numpy's default_rng takes as one unsigned 64-bit word
+    if not _is(seed, int) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"bad seed {seed!r}: not an unsigned 64-bit integer")
     for w in workloads:
         try:
             workload_fingerprint(w)
@@ -284,7 +295,8 @@ class CellRequest(_Options):
 
     def __post_init__(self):
         object.__setattr__(self, "disable", _validated(
-            self.kind, (self.workload,), (self.level,), self.disable))
+            self.kind, (self.workload,), (self.level,), self.seed,
+            self.disable))
 
     @classmethod
     def from_body(cls, body: dict, kind: str | None = None) -> "CellRequest":
@@ -334,7 +346,7 @@ class SweepRequest(_Options):
         if self.configs == 0:
             raise ValueError("empty sweep")
         object.__setattr__(self, "disable", _validated(
-            "run", self.workloads, self.levels, self.disable))
+            "run", self.workloads, self.levels, self.seed, self.disable))
 
     @classmethod
     def from_body(cls, body: dict) -> "SweepRequest":

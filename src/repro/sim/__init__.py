@@ -6,7 +6,7 @@ from .executor import (
     compiled_program,
 )
 from .simulator import (
-    DEFAULT_ENGINE, RunResult, SimulationError, run_compiled, run_traced,
+    DEFAULT_ENGINE, RunResult, SimulationError, TracedRun, run_compiled,
     simulate,
 )
 from .blockgen import EngineUnsupported, ExecPlan, exec_plan, execute_plan
@@ -19,8 +19,8 @@ __all__ = [
     "Memory", "SimMemoryError", "WORD",
     "ENGINE_VERSION", "CompiledInstr", "CompiledProgram", "compile_instr",
     "compiled_program",
-    "DEFAULT_ENGINE", "RunResult", "SimulationError", "run_compiled",
-    "run_traced", "simulate",
+    "DEFAULT_ENGINE", "RunResult", "SimulationError", "TracedRun",
+    "run_compiled", "simulate",
     "EngineUnsupported", "ExecPlan", "exec_plan", "execute_plan",
     "ReplaySpec", "ReplayUnmapped", "ReplayUnsupported", "replay",
     "replay_spec",

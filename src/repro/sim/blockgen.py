@@ -341,22 +341,10 @@ class ExecPlan:
 
 
 def exec_plan(prog: CompiledProgram) -> ExecPlan:
-    """Memoized :class:`ExecPlan` for a compiled program (raises
-    :class:`EngineUnsupported`, also memoized, when codegen cannot
-    express the program)."""
-    plan = getattr(prog, "_exec_plan", None)
-    if plan is not None:
-        return plan
-    why = getattr(prog, "_exec_plan_unsupported", None)
-    if why is not None:
-        raise EngineUnsupported(why)
-    try:
-        plan = ExecPlan(prog)
-    except EngineUnsupported as e:
-        prog._exec_plan_unsupported = str(e)
-        raise
-    prog._exec_plan = plan
-    return plan
+    """Generate block code for a compiled program (raises
+    :class:`EngineUnsupported` when codegen cannot express it).  The
+    plan belongs to the caller, like the program it was built from."""
+    return ExecPlan(prog)
 
 
 def execute_plan(

@@ -17,7 +17,6 @@ Floating point is IEEE double.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 from ..ir.block import Block
@@ -308,40 +307,10 @@ class CompiledProgram:
         self.n_vfregs = nregs[VFP_BANK]
 
 
-#: per-function memo of CompiledPrograms, keyed by machine + symbol table +
-#: an instruction-identity fingerprint (weak on the function, so programs
-#: die with their function)
-_PROGRAM_CACHE: "weakref.WeakKeyDictionary[Function, dict]" = weakref.WeakKeyDictionary()
-_PROGRAM_CACHE_LIMIT = 8
-
-
 def compiled_program(
     func: Function, machine: MachineConfig, symbols: dict[str, int]
 ) -> CompiledProgram:
-    """Memoized :class:`CompiledProgram` construction.
-
-    Repeated simulation of the same function on the same machine (figure
-    refreshes, ablations, repeated ``run_compiled_kernel`` calls) reuses the
-    lowered program instead of recompiling every instruction.  The cache key
-    fingerprints the instruction objects in layout order, so in-place
-    reordering, insertion, or deletion after a prior simulation is detected
-    and recompiled (the cached program keeps the fingerprinted instructions
-    alive, so ids cannot be recycled while an entry lives).
-    """
-    key = (
-        machine.cache_key(),
-        tuple(sorted(symbols.items())),
-        tuple(b.label for b in func.blocks),
-        tuple(map(id, func.iter_instrs())),
-    )
-    per_func = _PROGRAM_CACHE.get(func)
-    if per_func is None:
-        per_func = {}
-        _PROGRAM_CACHE[func] = per_func
-    prog = per_func.get(key)
-    if prog is None:
-        if len(per_func) >= _PROGRAM_CACHE_LIMIT:
-            per_func.clear()
-        prog = CompiledProgram(func, machine, symbols)
-        per_func[key] = prog
-    return prog
+    """Lower ``func`` for simulation on ``machine`` against a symbol
+    table.  The caller owns the program: nothing else keeps it (or
+    ``func``) alive."""
+    return CompiledProgram(func, machine, symbols)

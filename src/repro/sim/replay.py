@@ -132,17 +132,11 @@ class ReplaySpec:
 
 
 def replay_spec(plan: ExecPlan, prog: CompiledProgram) -> ReplaySpec:
-    """Memoized :class:`ReplaySpec` (cached on the target program; the
-    cache entry keeps the plan alive so its id cannot be recycled)."""
-    cache = getattr(prog, "_replay_specs", None)
-    if cache is None:
-        cache = prog._replay_specs = {}
-    hit = cache.get(id(plan))
-    if hit is not None:
-        return hit[1]
-    spec = ReplaySpec(plan, prog)
-    cache[id(plan)] = (plan, spec)
-    return spec
+    """``prog``'s view of ``plan``'s segments: raises
+    :class:`ReplayUnsupported` for a machine outside the timing model,
+    :class:`ReplayUnmapped` when ``prog`` is not a reschedule of the
+    traced program."""
+    return ReplaySpec(plan, prog)
 
 
 def _transition(rows: tuple, state: tuple, width: int):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from ..ir.function import Function
 from ..machine import MachineConfig
+from .blockgen import EngineUnsupported, exec_plan, execute_plan
 from .errors import SimulationError
 from .executor import (
     C_ALU,
@@ -45,6 +46,7 @@ from .executor import (
     compiled_program,
 )
 from .memory import Memory, SimMemoryError
+from .replay import ReplayUnsupported, replay, replay_spec
 
 #: engine used by ``simulate(engine="auto")``.  "compiled" is the
 #: closure-compiled execute-then-replay engine (bit-identical results,
@@ -84,7 +86,6 @@ def simulate(
     ``iregs`` / ``fregs`` provide live-in register values; ``memory``
     supplies bound arrays and the symbol table.  Execution starts at the
     entry block and ends when control falls off the end of the last block.
-    Program lowering is memoized per (function, machine, symbol table).
 
     ``engine`` selects the simulator core: ``"compiled"`` executes
     closure-compiled blocks once and replays the trace for timing
@@ -100,39 +101,56 @@ def simulate(
     if engine == "auto":
         engine = DEFAULT_ENGINE
     if engine == "compiled" and trace is None and not collect_block_visits:
-        from .blockgen import EngineUnsupported
-        from .replay import ReplayUnsupported
-
         try:
-            return run_traced(prog, memory, iregs or {}, fregs or {},
-                              max_cycles)
+            t = TracedRun(prog, memory, iregs or {}, fregs or {}, max_cycles)
         except (EngineUnsupported, ReplayUnsupported):
             pass  # outside the compiled engine's scope: interpret
+        else:
+            return RunResult(t.cycles, t.instructions, t.iregs, t.fregs,
+                             memory, {})
     return run_compiled(
         prog, memory, iregs or {}, fregs or {}, max_cycles,
         collect_block_visits, trace,
     )
 
 
-def run_traced(
-    prog: CompiledProgram,
-    memory: Memory,
-    iregs: dict[int, int],
-    fregs: dict[int, float],
-    max_cycles: int = 200_000_000,
-) -> RunResult:
-    """The compiled engine: execute blocks once, replay the trace for
-    timing.  Raises ``EngineUnsupported``/``ReplayUnsupported`` (before
-    touching ``memory``) when the program or machine is out of scope."""
-    from .blockgen import exec_plan, execute_plan
-    from .replay import replay, replay_spec
+class TracedRun:
+    """The compiled engine: one execution of a program, timed for any
+    issue width.
 
-    plan = exec_plan(prog)
-    spec = replay_spec(plan, prog)  # validate machine before executing
-    segs, ivals, fvals = execute_plan(plan, memory, iregs, fregs, max_cycles)
-    cycles, n_instr = replay(segs, spec, max_cycles)
-    return RunResult(cycles, n_instr, _bank_dict(ivals), _bank_dict(fvals),
-                     memory, {})
+    Construction generates block code for ``prog``, executes it once
+    (mutating ``memory``, which it does not keep) and replays the
+    recorded trace on ``prog``'s own machine: ``cycles``,
+    ``instructions`` and the end-state ``iregs`` / ``fregs`` are exactly
+    the interpreter's.  It owns the plan and the trace; nothing outlives
+    it.  Raises ``EngineUnsupported``/``ReplayUnsupported`` — before
+    touching ``memory`` — when the program or its machine is out of
+    scope.
+    """
+
+    def __init__(
+        self,
+        prog: CompiledProgram,
+        memory: Memory,
+        iregs: dict[int, int],
+        fregs: dict[int, float],
+        max_cycles: int = 200_000_000,
+    ):
+        self._plan = exec_plan(prog)
+        spec = replay_spec(self._plan, prog)  # validate machine before executing
+        self._segs, ivals, fvals = execute_plan(
+            self._plan, memory, iregs, fregs, max_cycles)
+        self._max_cycles = max_cycles
+        self.iregs, self.fregs = _bank_dict(ivals), _bank_dict(fvals)
+        self.cycles, self.instructions = replay(self._segs, spec, max_cycles)
+
+    def time(self, prog: CompiledProgram) -> tuple[int, int]:
+        """``(cycles, instructions)`` of the traced execution on the
+        machine of ``prog``, a reschedule of the traced program (else
+        ``ReplayUnmapped``; ``ReplayUnsupported`` for a machine without
+        a replay model)."""
+        return replay(self._segs, replay_spec(self._plan, prog),
+                      self._max_cycles)
 
 
 def _bank_dict(vals: list) -> dict:

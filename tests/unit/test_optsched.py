@@ -23,7 +23,7 @@ from repro.optsched import (
     optimal_block_schedule,
     verify_assignment,
 )
-from repro.optsched.cache import problem_key
+from repro.optsched import problem_key
 from repro.pipeline import Level
 from repro.schedule.pipelining import compute_bounds
 from repro.service.store import ArtifactStore
@@ -246,6 +246,60 @@ class TestSolverCache:
         p = _chain(3)
         assert problem_key(p, 100) != problem_key(p, 200)
         assert problem_key(p, 100) == problem_key(p, 100)
+
+    def test_golden_problem_keys(self):
+        # recorded before solver keys moved onto service.keys.content_key:
+        # they change only with SOLVER_VERSION / CODE_VERSION, on purpose
+        loads = SchedProblem(latency=(1,) * 4, is_branch=(False,) * 4,
+                             kind=("LOAD",) * 4, edges=(), width=0,
+                             slot_limits=(("LOAD", 1),))
+        ring = SchedProblem(latency=(2, 1, 1), is_branch=(False, False, True),
+                            kind=("", "", ""),
+                            edges=((0, 1, 2), (1, 2, 0), (2, 0, -3)),
+                            width=2, period=3)
+        assert problem_key(_chain(3), 100) == (
+            "6235c8a7e44fcb1f338737f508b6b674db6e10ec41d2d08d8ecdd841f2b9bc3c")
+        assert problem_key(loads, 50000, "min", {"ub": 4}) == (
+            "5dbf1ef04a88589f45b0fc50f8b11f6f5515049a46c428a01173cf152cddab7e")
+        assert problem_key(ring, 100000, "modulo", {
+            "cross": [[2, 0, 1, 1]], "ub": 5, "mii": 3}) == (
+            "c699817da64da4e108f7d2bc3a490580b50c07be49413238705b5f63db402fba")
+
+    def test_a_store_written_before_the_fold_still_hits(self, tmp_path):
+        """``data/parent_solver_store`` holds the ten blobs the commit
+        before this layout wrote for the three computations below (an
+        existing ``--solver-store`` directory): all of them are found,
+        nothing is recomputed or rewritten."""
+        import shutil
+        from pathlib import Path
+
+        root = tmp_path / "s"
+        shutil.copytree(Path(__file__).parent / "data" / "parent_solver_store",
+                        root)
+        store = ArtifactStore(root)
+        body = parse_block(
+            """
+            r1f = MEM(A+r2i)
+            r3f = r1f + r4f
+            MEM(B+r2i) = r3f
+            r2i = r2i + 4
+            blt (r2i r5i) L
+            """
+        ).instrs
+        assert optimal_block_schedule(body, issue2(), store=store).cached
+        ck = compile_kernel(get_workload("merge").build(), Level.LEV4,
+                            issue8(), scheduler="optimal", solver_store=store)
+        body_proof = ck.report.optsched[ck.sb.header]
+        assert body_proof["cached"] and body_proof["optimal_makespan"] == 11
+        w = get_workload("sum")
+        ck = compile_kernel(w.build(), Level.LEV4, issue8())
+        ms = modulo_schedule(
+            ck.sb.body.instrs, issue8(), iterations=ck.report.unroll_factor,
+            prologue=ck.sb.preheader.instrs, doall=w.loop_type == "doall",
+            store=store)
+        assert ms.cached and (ms.ii, ms.status) == (4, "optimal")
+        assert store.stats.hits == 42
+        assert store.stats.misses == store.stats.puts == 0
 
 
 class TestBackendSwitch:

@@ -202,6 +202,9 @@ class TestRequestValidation:
         {"workload": "add", "width": 3},
         {"workload": "add", "width": 8.0},
         {"workload": "add", "seed": None},
+        {"workload": "add", "seed": -1},                # default_rng raises
+        {"workload": "add", "seed": 1 << 64},
+        {"workload": "add", "seed": 1.0},
         {"workload": "add", "timeout": "soon"},
         {"workload": ["add"]},
         {"workload": "add", "kind": "frobnicate"},
@@ -220,6 +223,7 @@ class TestRequestValidation:
         {"workloads": ["add"], "widths": [3]},
         {"workloads": ["add"], "check_ir": "yes"},
         {"workloads": ["add"], "disable": ["nope"]},
+        {"workloads": ["add"], "seed": -1},
     ])
     def test_malformed_sweep_bodies_raise_value_error(self, body):
         with pytest.raises(ValueError):
@@ -232,6 +236,11 @@ class TestRequestValidation:
             CellRequest("run", "add", 4, 8, disable=("nope",))
         with pytest.raises(ValueError, match="level"):
             SweepRequest(("add",), levels=(9,))
+        with pytest.raises(ValueError, match="seed"):
+            CellRequest("run", "add", 4, 8, seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            SweepRequest(("add",), seed=-1)
+        assert CellRequest("run", "add", 4, 8, seed=(1 << 64) - 1).key
         # ... but may name an off-grid width (custom machines)
         assert CellRequest("run", "add", 4, 3).width == 3
 
