@@ -8,9 +8,9 @@ Two measurements, both gated on byte-identical results, recorded in
   grid simulated at four issue widths, interpreter (four full
   simulations) vs. the batched engine (execute once through generated
   block code, replay timing per width).  Corpus inputs are small
-  (hundred-ish iterations), so set-up — lowering the program per width,
-  generating and compiling block code — is a visible fraction of the
-  cell and the honest speedup is modest.  Every batched run pays that
+  (hundred-ish iterations), so set-up — lowering the program (once per
+  cell), generating and compiling block code — is a visible fraction of
+  the cell and the honest speedup is modest.  Every batched run pays that
   set-up: the engine keeps nothing between runs, which is what a sweep
   cell or a service request sees (each compiles fresh functions).
 * **large traces** — the same comparison on scaled kernels (16384-long

@@ -40,22 +40,12 @@ def block_gen_kill(instrs) -> tuple[set[Reg], set[Reg]]:
     return gen, kill
 
 
-def _cfg(func: Function) -> tuple[list[str], dict[str, list[str]]]:
-    """Block labels in layout order and each block's successors inside
-    the function (a block without any is where the function exits)."""
-    bm = func.block_map()
-    succs = {
-        b.label: [s for s in func.successors(b) if s in bm]
-        for b in func.blocks
-    }
-    return list(succs), succs
-
-
 def liveness(func: Function, live_out_exit: set[Reg] | None = None) -> Liveness:
     """Iterative backward may-liveness to fixpoint."""
     lv = Liveness()
     live_out_exit = live_out_exit or set()
-    labels, succs = _cfg(func)
+    succs = func.successor_map()
+    labels = list(succs)
     terminal = {lab for lab in labels if not succs[lab]}
 
     for blk in func.blocks:
@@ -96,7 +86,8 @@ def liveness_masks(
     ``live_out_exit`` set.  Returns ``(live_in, live_out)`` masks keyed by
     block label — the same least fixpoint as :func:`liveness`.
     """
-    labels, succs = _cfg(func)
+    succs = func.successor_map()
+    labels = list(succs)
     gen: dict[str, int] = {}
     kill: dict[str, int] = {}
     for lab in labels:

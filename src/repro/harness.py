@@ -412,7 +412,6 @@ class BatchedRunner:
         except (EngineUnsupported, ReplayUnsupported):
             self._trace = None  # out of scope (nothing was executed)
             return
-        self._symbols = mem.symbols
         self._traced = (ck.func, ck.machine)
         trace = self._trace
         self._arrays, self._scalars = collect_outputs(
@@ -430,8 +429,7 @@ class BatchedRunner:
             if ck.func is func and ck.machine == machine:
                 return self._first
             try:
-                cycles, n_instr = self._trace.time(
-                    compiled_program(ck.func, ck.machine, self._symbols))
+                cycles, n_instr = self._trace.time(ck.func, ck.machine)
             except (ReplayUnmapped, ReplayUnsupported):
                 pass
             else:
@@ -501,8 +499,9 @@ def evaluate_cell(
     solver_store=None,
 ) -> list[WidthResult]:
     """Evaluate one (workload, level) cell on every machine of
-    ``machines`` (which must share a latency table — typically the issue
-    widths of the grid).
+    ``machines``, which must share one ``latency_key()`` — typically the
+    issue widths of the grid — else ``ValueError``: the cell is
+    transformed once, for ``machines[0]``.
 
     ``w`` is a corpus workload: the classical stage comes from the
     per-process memo (and is charged to the call that filled it), the
@@ -518,6 +517,10 @@ def evaluate_cell(
     ``check_ir`` runs the between-pass invariant verifier;
     ``execute=False`` stops after compilation.
     """
+    if len({m.latency_key() for m in machines}) > 1:
+        raise ValueError(
+            "the machines of a cell must differ in issue width only "
+            "(one latency_key())")
     built = _conv_kernel.cache_info().misses
     t0 = time.perf_counter()
     conv = _conv_kernel(w.name, options)

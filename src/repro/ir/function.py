@@ -110,16 +110,16 @@ class Function:
 
     def successors(self, blk: Block) -> list[str]:
         """Successor labels: every branch target plus fall-through."""
+        return self._successors(blk, self.fallthrough_succ(blk))
+
+    @staticmethod
+    def _successors(blk: Block, fallthrough: str | None) -> list[str]:
         succ: list[str] = []
         for ins in blk.branches():
             if ins.target is not None and ins.target.name not in succ:
                 succ.append(ins.target.name)
-        if blk.falls_through:
-            idx = self.blocks.index(blk)
-            if idx + 1 < len(self.blocks):
-                nxt = self.blocks[idx + 1].label
-                if nxt not in succ:
-                    succ.append(nxt)
+        if fallthrough is not None and fallthrough not in succ:
+            succ.append(fallthrough)
         return succ
 
     def fallthrough_succ(self, blk: Block) -> str | None:
@@ -130,12 +130,28 @@ class Function:
             return self.blocks[idx + 1].label
         return None
 
-    def predecessors(self) -> dict[str, list[str]]:
-        preds: dict[str, list[str]] = {b.label: [] for b in self.blocks}
-        for b in self.blocks:
-            for s in self.successors(b):
-                if s in preds:
-                    preds[s].append(b.label)
+    def successor_map(self) -> dict[str, list[str]]:
+        """Every block's successors inside the function, keyed by label in
+        layout order (a block without any is where the function exits):
+        one pass, where :meth:`successors` searches the layout per block."""
+        blocks = self.blocks
+        labels = {b.label for b in blocks}
+        nexts = [b.label for b in blocks[1:]] + [None]
+        return {
+            b.label: [s for s in self._successors(
+                b, nxt if b.falls_through else None) if s in labels]
+            for b, nxt in zip(blocks, nexts)
+        }
+
+    def predecessors(self, succs: dict | None = None) -> dict[str, list[str]]:
+        """Every block's predecessor labels; ``succs`` is this function's
+        :meth:`successor_map` when the caller already has it."""
+        if succs is None:
+            succs = self.successor_map()
+        preds: dict[str, list[str]] = {lab: [] for lab in succs}
+        for lab, ss in succs.items():
+            for s in ss:
+                preds[s].append(lab)
         return preds
 
     def iter_instrs(self) -> Iterator[Instr]:

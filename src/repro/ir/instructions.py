@@ -218,13 +218,23 @@ def _ops_of(*kinds: Kind) -> frozenset[Op]:
     return frozenset(op for op, info in OP_INFO.items() if info.kind in kinds)
 
 
-#: Per-opcode membership tables behind ``Instr``'s structural predicates
-#: (one set lookup instead of a walk through ``OP_INFO`` per query).
+#: Per-opcode membership tables behind ``Instr``'s structural predicates.
 CONTROL_OPS = _ops_of(Kind.BRANCH, Kind.JUMP, Kind.HALT)
 LOAD_OPS = _ops_of(Kind.LOAD, Kind.VEC_LOAD)
 STORE_OPS = _ops_of(Kind.STORE, Kind.VEC_STORE)
 MEM_OPS = LOAD_OPS | STORE_OPS
 VECTOR_OPS = _ops_of(*VECTOR_KINDS)
+
+# The predicates are the hottest queries of a compile, and a set lookup
+# hashes the opcode through ``Enum.__hash__`` (a Python-level call): each
+# member carries its answers as plain attributes instead.
+for _op in Op:
+    _op.is_control = _op in CONTROL_OPS
+    _op.is_load = _op in LOAD_OPS
+    _op.is_store = _op in STORE_OPS
+    _op.is_mem = _op in MEM_OPS
+    _op.is_vector = _op in VECTOR_OPS
+del _op
 
 #: element-wise vector op corresponding to each packable scalar op
 VECTOR_OP_FOR: dict[Op, Op] = {
@@ -307,23 +317,23 @@ class Instr:
 
     @property
     def is_control(self) -> bool:
-        return self.op in CONTROL_OPS
+        return self.op.is_control
 
     @property
     def is_load(self) -> bool:
-        return self.op in LOAD_OPS
+        return self.op.is_load
 
     @property
     def is_store(self) -> bool:
-        return self.op in STORE_OPS
+        return self.op.is_store
 
     @property
     def is_mem(self) -> bool:
-        return self.op in MEM_OPS
+        return self.op.is_mem
 
     @property
     def is_vector(self) -> bool:
-        return self.op in VECTOR_OPS
+        return self.op.is_vector
 
     @property
     def mem_words(self) -> int:

@@ -14,15 +14,16 @@ from .block import Block
 from .function import Function
 
 
-def reverse_postorder(func: Function) -> list[str]:
-    """Block labels in reverse postorder from the entry."""
-    bm = func.block_map()
+def reverse_postorder(func: Function, succs: dict | None = None) -> list[str]:
+    """Block labels in reverse postorder from the entry (``succs``: the
+    function's ``successor_map()`` when the caller already has it)."""
+    if succs is None:
+        succs = func.successor_map()
     seen: set[str] = set()
     post: list[str] = []
 
     # Iterative DFS to avoid recursion limits on long block chains.
     stack: list[tuple[str, int]] = [(func.entry.label, 0)]
-    succs = {b.label: [s for s in func.successors(b) if s in bm] for b in func.blocks}
     seen.add(func.entry.label)
     while stack:
         lab, i = stack[-1]
@@ -39,10 +40,13 @@ def reverse_postorder(func: Function) -> list[str]:
     return list(reversed(post))
 
 
-def dominators(func: Function) -> dict[str, set[str]]:
-    """Classic iterative dominator sets (small CFGs; clarity over speed)."""
-    rpo = reverse_postorder(func)
-    preds = func.predecessors()
+def dominators(func: Function, succs: dict | None = None) -> dict[str, set[str]]:
+    """Classic iterative dominator sets (small CFGs; clarity over speed);
+    ``succs`` as in :func:`reverse_postorder`."""
+    if succs is None:
+        succs = func.successor_map()
+    rpo = reverse_postorder(func, succs)
+    preds = func.predecessors(succs)
     all_labs = set(rpo)
     entry = func.entry.label
     dom: dict[str, set[str]] = {lab: set(all_labs) for lab in rpo}
@@ -127,17 +131,18 @@ def find_loops(func: Function) -> list[Loop]:
     Loops sharing a header are merged (standard natural-loop convention).
     The result is ordered outermost-first by nesting depth.
     """
-    dom = dominators(func)
+    succs = func.successor_map()
+    dom = dominators(func, succs)
     bm = func.block_map()
 
     # backedges: edge u->h where h dominates u
     back: dict[str, list[str]] = {}
-    for b in func.blocks:
-        for s in func.successors(b):
-            if s in dom.get(b.label, set()):
-                back.setdefault(s, []).append(b.label)
+    for lab, ss in succs.items():
+        for s in ss:
+            if s in dom.get(lab, set()):
+                back.setdefault(s, []).append(lab)
 
-    preds = func.predecessors()
+    preds = func.predecessors(succs)
     loops: list[Loop] = []
     for header, latches in back.items():
         body: set[str] = {header}

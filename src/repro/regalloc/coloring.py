@@ -8,7 +8,6 @@ class is the paper's "registers utilized" statistic.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 
 from ..ir.function import Function
@@ -22,32 +21,39 @@ def color_class(g: InterferenceGraph, cls: RegClass) -> dict[Reg, int]:
         return {}
     adj = g.adj
     # Simplification stack: repeatedly remove the (degree, id)-minimal
-    # node.  A lazy heap replaces the original min-over-set scan (which
-    # was quadratic): each degree decrement pushes a fresh entry, and
-    # stale entries (already removed, or recorded at an outdated degree)
-    # are discarded on pop.  Degrees only decrease and every decrease is
-    # pushed, so the pop sequence is *identical* to the min() scan.
-    # Indices ascend with the id inside a class, so (degree, index) is
-    # the (degree, id) order; adjacency rows only ever hold same-class
-    # registers, so no class filtering is needed inside.
-    degree = {i: adj[i].bit_count() for i in bits(members)}
-    heap = [(d, i) for i, d in degree.items()]
-    heapify(heap)
-    removed = 0
+    # node, from a bucket queue: ``bucket[d]`` is the mask of unremoved
+    # nodes whose current degree is ``d``.  Indices ascend with the id
+    # inside a class, so the lowest set bit of the lowest non-empty
+    # bucket is the (degree, id) minimum; adjacency rows only ever hold
+    # same-class registers, so no class filtering is needed inside.
+    degree = [0] * members.bit_length()
+    bucket = [0] * members.bit_count()  # a degree is below the node count
+    for i in bits(members):
+        d = degree[i] = adj[i].bit_count()
+        bucket[d] |= 1 << i
+    alive = members
     stack: list[int] = []
-    while heap:
-        d, i = heappop(heap)
-        if removed >> i & 1 or d != degree[i]:
-            continue
-        removed |= 1 << i
+    d = 0
+    while alive:
+        while not bucket[d]:
+            d += 1
+        low = bucket[d] & -bucket[d]
+        bucket[d] ^= low
+        alive ^= low
+        i = low.bit_length() - 1
         stack.append(i)
-        row = adj[i] & ~removed
+        row = adj[i] & alive
         while row:  # bits(row), inlined: the hot loop of the colourer
             low = row & -row
             row ^= low
             n = low.bit_length() - 1
-            d = degree[n] = degree[n] - 1
-            heappush(heap, (d, n))
+            dn = degree[n] = degree[n] - 1
+            bucket[dn + 1] ^= low
+            bucket[dn] |= low
+        # the removed node's degree was minimal and its neighbours fell
+        # by exactly one, so no bucket below d - 1 can have filled
+        if d:
+            d -= 1
     # first-fit: the lowest color none of whose members is a neighbor
     colored: list[int] = []  # color -> mask of the registers holding it
     colors: dict[Reg, int] = {}

@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..ir.function import Function
+from ..machine import MachineConfig
 from .blockgen import FALL, ExecPlan
 from .errors import SimulationError
 from .executor import CompiledProgram
@@ -59,84 +61,88 @@ class ReplayUnsupported(Exception):
 
 
 class ReplayUnmapped(Exception):
-    """A segment exit has no position in the target schedule (the target
-    program is not a reschedule of the traced one)."""
+    """The target is not a reschedule of the traced program: its blocks
+    are not permutations of the traced ones, or its latencies differ."""
+
+
+def timing_rows(prog: CompiledProgram) -> list[dict[int, tuple]]:
+    """Per block of ``prog``, instruction identity -> timing row.
+
+    A row is what the packet loop needs of one instruction —
+    ``(reg_source_keys, dest_key, latency, closes_packet)`` with
+    registers packed to single ints (``bank << 24 | id``) so the
+    in-flight dict is int-keyed — no tuple allocation per lookup.  It
+    does not depend on the issue width, and width clones share their
+    instruction objects: one table serves every reschedule of ``prog``
+    on a machine with the same latencies, for as long as ``prog`` keeps
+    the instructions alive.
+    """
+    table = []
+    for code in prog.flat:
+        rows = {}
+        for cat, fn, srcs, rsrcs, db, di, lat, meta in code:
+            rk = tuple(
+                (rsrcs[x] << 24) | rsrcs[x + 1]
+                for x in range(0, len(rsrcs), 2)
+            )
+            dk = (db << 24) | di if db >= 0 else -1
+            rows[id(meta[2])] = (rk, dk, lat, cat in _CTRL)
+        table.append(rows)
+    return table
 
 
 class ReplaySpec:
-    """One target program's view of a plan's segments.
+    """One target schedule's view of a plan's segments.
 
-    ``rows[s]`` is the tuple of timing rows the target machine issues
-    for segment ``s``: the target block's scheduled order up to and
-    including the exit instruction (located by identity — width clones
-    share instruction objects), or the whole block for a fall-through.
-    Each row is pre-slimmed to what the packet loop needs —
-    ``(reg_source_keys, dest_key, latency, closes_packet)`` with
-    registers packed to single ints (``bank << 24 | id``) so the
-    in-flight dict is int-keyed — no tuple allocation per lookup.
+    ``rows[s]`` is the tuple of timing rows (see :func:`timing_rows`)
+    the target machine issues for segment ``s``: the target block's
+    scheduled order up to and including the exit instruction, or the
+    whole block for a fall-through.  ``func`` is the target schedule —
+    the traced function or a width clone of it — and ``table`` the
+    timing rows of its instructions under ``machine``'s latencies.
     ``seg_len[s]`` is the per-width instruction count.
     """
 
-    def __init__(self, plan: ExecPlan, prog: CompiledProgram):
-        machine = prog.machine
+    def __init__(self, plan: ExecPlan, machine: MachineConfig,
+                 func: Function, table: list[dict[int, tuple]]):
         if machine.slot_limits:
             raise ReplayUnsupported("per-kind slot limits")
         if min(machine.latencies.values()) < 1:
             raise ReplayUnsupported("latency below 1 cycle")
-        ep = plan.prog
-        if prog is not ep and prog.labels != ep.labels:
+        if [b.label for b in func.blocks] != plan.prog.labels:
             raise ReplayUnmapped("block structure differs")
         self.plan = plan
-        self.prog = prog
         self.width = machine.issue_width if machine.issue_width > 0 else 1 << 30
-        rows: list[tuple] = []
-        lens: list[int] = []
-        pos_maps: dict[int, dict[int, int]] = {}
-        slim_cache: dict[int, list[tuple]] = {}
-
-        def slim(b: int) -> list[tuple]:
-            out = slim_cache.get(b)
-            if out is None:
-                out = slim_cache[b] = []
-                for cat, fn, srcs, rsrcs, db, di, lat, meta in prog.flat[b]:
-                    rk = tuple(
-                        (rsrcs[x] << 24) | rsrcs[x + 1]
-                        for x in range(0, len(rsrcs), 2)
-                    )
-                    dk = (db << 24) | di if db >= 0 else -1
-                    out.append((rk, dk, lat, cat in _CTRL))
-            return out
-
-        for s, b in enumerate(plan.seg_block):
-            row = prog.flat[b]
-            exit_ci = plan.seg_exit[s]
+        views = []
+        for blk, known in zip(func.blocks, table):
+            view = tuple(map(known.get, map(id, blk.instrs)))
+            if len(view) != len(known) or None in view:
+                raise ReplayUnmapped(
+                    f"block {blk.label} is not a reschedule of the traced one")
+            views.append(view)
+        self.rows: list[tuple] = []
+        for b, exit_ci in zip(plan.seg_block, plan.seg_exit):
             if exit_ci is FALL:
-                rows.append(tuple(slim(b)))
-                lens.append(len(row))
-            else:
-                pm = pos_maps.get(b)
-                if pm is None:
-                    pm = pos_maps[b] = {
-                        id(r[7][2]): p for p, r in enumerate(row)
-                    }
-                p = pm.get(id(exit_ci.instr))
-                if p is None:
-                    raise ReplayUnmapped(
-                        f"exit {exit_ci.instr!r} not in target block "
-                        f"{prog.labels[b]}"
-                    )
-                rows.append(tuple(slim(b)[: p + 1]))
-                lens.append(p + 1)
-        self.rows = rows
-        self.seg_len = np.array(lens, dtype=np.int64)
+                self.rows.append(views[b])
+                continue
+            blk = func.blocks[b]
+            try:  # located by identity: ``Instr`` has no ``__eq__``
+                p = blk.instrs.index(exit_ci.instr)
+            except ValueError:
+                raise ReplayUnmapped(
+                    f"exit {exit_ci.instr!r} not in target block "
+                    f"{blk.label}") from None
+            self.rows.append(views[b][: p + 1])
+        self.seg_len = np.array([len(r) for r in self.rows], dtype=np.int64)
 
 
 def replay_spec(plan: ExecPlan, prog: CompiledProgram) -> ReplaySpec:
     """``prog``'s view of ``plan``'s segments: raises
     :class:`ReplayUnsupported` for a machine outside the timing model,
     :class:`ReplayUnmapped` when ``prog`` is not a reschedule of the
-    traced program."""
-    return ReplaySpec(plan, prog)
+    traced program.  ``prog.func`` must still be in the order it was
+    lowered in."""
+    return ReplaySpec(plan, prog.machine, prog.func, timing_rows(prog))
 
 
 def _transition(rows: tuple, state: tuple, width: int):
@@ -206,9 +212,10 @@ def replay(
 
     rows = spec.rows
     width = spec.width
-    name = spec.prog.func.name
-    labels = spec.prog.labels
-    seg_block = spec.plan.seg_block
+    plan = spec.plan
+    name = plan.prog.func.name
+    labels = plan.prog.labels
+    seg_block = plan.seg_block
     memo: dict = {}
     seen: dict = {}
     sl = arr.tolist()

@@ -46,7 +46,9 @@ from .executor import (
     compiled_program,
 )
 from .memory import Memory, SimMemoryError
-from .replay import ReplayUnsupported, replay, replay_spec
+from .replay import (
+    ReplaySpec, ReplayUnmapped, ReplayUnsupported, replay, timing_rows,
+)
 
 #: engine used by ``simulate(engine="auto")``.  "compiled" is the
 #: closure-compiled execute-then-replay engine (bit-identical results,
@@ -122,10 +124,10 @@ class TracedRun:
     (mutating ``memory``, which it does not keep) and replays the
     recorded trace on ``prog``'s own machine: ``cycles``,
     ``instructions`` and the end-state ``iregs`` / ``fregs`` are exactly
-    the interpreter's.  It owns the plan and the trace; nothing outlives
-    it.  Raises ``EngineUnsupported``/``ReplayUnsupported`` — before
-    touching ``memory`` — when the program or its machine is out of
-    scope.
+    the interpreter's.  It owns the plan, the trace and the timing rows
+    of the instructions it lowered; nothing outlives it.  Raises
+    ``EngineUnsupported``/``ReplayUnsupported`` — before touching
+    ``memory`` — when the program or its machine is out of scope.
     """
 
     def __init__(
@@ -137,20 +139,27 @@ class TracedRun:
         max_cycles: int = 200_000_000,
     ):
         self._plan = exec_plan(prog)
-        spec = replay_spec(self._plan, prog)  # validate machine before executing
+        self._rows = timing_rows(prog)
+        # validate the machine before executing
+        spec = ReplaySpec(self._plan, prog.machine, prog.func, self._rows)
         self._segs, ivals, fvals = execute_plan(
             self._plan, memory, iregs, fregs, max_cycles)
         self._max_cycles = max_cycles
         self.iregs, self.fregs = _bank_dict(ivals), _bank_dict(fvals)
         self.cycles, self.instructions = replay(self._segs, spec, max_cycles)
 
-    def time(self, prog: CompiledProgram) -> tuple[int, int]:
-        """``(cycles, instructions)`` of the traced execution on the
-        machine of ``prog``, a reschedule of the traced program (else
-        ``ReplayUnmapped``; ``ReplayUnsupported`` for a machine without
-        a replay model)."""
-        return replay(self._segs, replay_spec(self._plan, prog),
-                      self._max_cycles)
+    def time(self, func: Function, machine: MachineConfig) -> tuple[int, int]:
+        """``(cycles, instructions)`` of the traced execution under
+        ``func``'s schedule on ``machine``.  ``func`` must be a
+        reschedule of the traced function — the same instruction objects
+        block by block, in any order — and ``machine`` must have the
+        traced machine's latencies, which the shared timing rows carry
+        (else ``ReplayUnmapped``; ``ReplayUnsupported`` for a machine
+        without a replay model)."""
+        spec = ReplaySpec(self._plan, machine, func, self._rows)
+        if machine.latencies != self._plan.prog.machine.latencies:
+            raise ReplayUnmapped("latencies differ from the traced machine's")
+        return replay(self._segs, spec, self._max_cycles)
 
 
 def _bank_dict(vals: list) -> dict:
