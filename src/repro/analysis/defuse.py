@@ -36,6 +36,11 @@ class DefUse:
     def used(self) -> set[Reg]:
         return set(self.uses)
 
+    def touching(self, reg: Reg) -> list[int]:
+        """Ascending positions of the instructions that define or use
+        ``reg``."""
+        return sorted({*self.defs.get(reg, ()), *self.uses.get(reg, ())})
+
     def single_def(self, reg: Reg) -> int | None:
         d = self.defs.get(reg, [])
         return d[0] if len(d) == 1 else None

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..ir.instructions import Instr, Op
+from .defuse import DefUse
 from ..ir.operands import Imm, Operand, Reg
 
 
@@ -94,18 +95,15 @@ def find_accumulators(
     or off-trace uses — those cannot be expanded safely.
     """
     out: list[AccumulatorInfo] = []
-    regs = {ins.dest for ins in body if ins.dest is not None}
-    for reg in sorted(regs, key=lambda r: (r.cls.value, r.id)):
+    du = DefUse.of(body)
+    for reg in sorted(du.defs, key=lambda r: (r.cls.value, r.id)):
         if reg in forbidden:
             continue
         updates: list[int] = []
         kind: str | None = None
         ok = True
-        for i, ins in enumerate(body):
-            defines = ins.dest == reg
-            uses = reg in set(ins.reg_uses())
-            if not (defines or uses):
-                continue
+        for i in du.touching(reg):
+            ins = body[i]
             if _is_self_update(ins, reg, _ACC_OPS_ADD) and kind in (None, "add"):
                 # subtraction only as V = V - x (V on the left)
                 if ins.op in (Op.SUB, Op.FSUB) and ins.srcs[0] != reg:

@@ -18,7 +18,9 @@ symbols as bases (arrays are padded apart by the memory binder).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..ir.instructions import Instr, Op
 from ..ir.operands import Imm, Operand, Reg, Sym
@@ -49,7 +51,7 @@ class AddrExpr:
             return AddrExpr(0, ())
         return AddrExpr(self.const * m, _norm({k: c * m for k, c in self.terms}))
 
-    @property
+    @cached_property
     def base_syms(self) -> frozenset:
         return frozenset(k[1] for k, _ in self.terms if k[0] == "sym")
 
@@ -82,14 +84,13 @@ class AddressAnalysis:
         self.instrs = instrs
         self.space = space
         self.region_kind = region_kind
-        # last def position of each reg before index i, computed on demand
-        self._def_before: list[dict[Reg, int]] = []
-        cur: dict[Reg, int] = {}
+        #: register -> ascending positions of its definitions
+        self._def_positions: dict[Reg, list[int]] = {}
         for i, ins in enumerate(instrs):
-            self._def_before.append(dict(cur))
             if ins.dest is not None:
-                cur[ins.dest] = i
-        self._all_defs = cur
+                self._def_positions.setdefault(ins.dest, []).append(i)
+        #: register -> position of its last definition
+        self._all_defs = {r: ps[-1] for r, ps in self._def_positions.items()}
         self._memo: dict[tuple, AddrExpr] = {}
         self._prologue: "AddressAnalysis | None" = None
         if prologue:
@@ -112,8 +113,10 @@ class AddressAnalysis:
         if isinstance(operand, Sym):
             return AddrExpr(0, ((("sym", operand.name), 1),))
         assert isinstance(operand, Reg)
-        defs = self._def_before[at] if at < len(self._def_before) else self._all_defs
-        dpos = defs.get(operand, -1)
+        # the last definition before ``at`` (-1: live into the region)
+        positions = self._def_positions.get(operand, ())
+        before = bisect_left(positions, at)
+        dpos = positions[before - 1] if before else -1
         return self._reg_expr(operand, dpos, depth)
 
     def _reg_expr(self, reg: Reg, dpos: int, depth: int) -> AddrExpr:

@@ -122,11 +122,16 @@ class MachineConfig:
         """Hashable identity of this configuration (the dataclass itself is
         unhashable because of the latency/slot dicts).  Two configurations
         with equal keys produce identical compiled programs and schedules."""
+        def by_kind(table: dict[Kind, int]) -> tuple:
+            # (``_value_``, not the ``value`` descriptor: every request
+            # key asks for this)
+            return tuple(sorted([(k._value_, v) for k, v in table.items()]))
+
         return (
             self.issue_width,
             self.branch_slots,
-            tuple(sorted((k.value, v) for k, v in self.latencies.items())),
-            tuple(sorted((k.value, v) for k, v in self.slot_limits.items())),
+            by_kind(self.latencies),
+            by_kind(self.slot_limits),
             self.speculative_loads,
             self.speculative_fp,
             self.vector_lanes,

@@ -24,6 +24,8 @@ propagate, the rest are logged and counted.
 from __future__ import annotations
 
 import errno
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -103,18 +105,32 @@ def clean_orphan_tmps(root: Path, grace_s: float = DEFAULT_TMP_GRACE_S,
     Returns the number of files removed; errors while removing are
     tolerated (another janitor may have won the race).
     """
-    if not root.is_dir():
-        return 0
     now = time.time() if now is None else now
     removed = 0
-    pattern = "**/*.tmp" if recursive else "*.tmp"
-    for p in root.glob(pattern):
+    # os.scandir, not ``root.glob("**/*.tmp")``: a store has 256 fan-out
+    # directories and thousands of blobs, and only their names are needed
+    pending = [os.fspath(root)]
+    while pending:
         try:
-            if not p.is_file() or now - p.stat().st_mtime < grace_s:
-                continue
-            p.unlink()
-            removed += 1
-        except OSError as e:
-            if classify_os_error(e) == "fatal":
-                raise
+            with os.scandir(pending.pop()) as scan:
+                entries = list(scan)
+        except OSError:
+            continue  # missing or unreadable: nothing to clean there
+        for entry in entries:
+            try:
+                if entry.is_dir(follow_symlinks=False):
+                    if recursive:
+                        pending.append(entry.path)
+                    continue
+                if not entry.name.endswith(".tmp"):
+                    continue
+                st = os.stat(entry.path)
+                if not stat.S_ISREG(st.st_mode) \
+                        or now - st.st_mtime < grace_s:
+                    continue
+                os.unlink(entry.path)
+                removed += 1
+            except OSError as e:
+                if classify_os_error(e) == "fatal":
+                    raise
     return removed

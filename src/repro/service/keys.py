@@ -100,6 +100,25 @@ def workload_fingerprint(workload: str) -> str:
     return hashlib.sha256(src.encode()).hexdigest()
 
 
+def _checked_machine(kind: str, width: int, machine: MachineConfig | None,
+                     schedule_backend: str) -> MachineConfig:
+    """The machine a request names (the paper machine at ``width`` by
+    default), after the checks identity and key share."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown request kind {kind!r} (known: {KINDS})")
+    if schedule_backend not in ("list", "optimal"):
+        raise ValueError(
+            f"unknown schedule backend {schedule_backend!r}"
+        )
+    if machine is None:
+        return MachineConfig(issue_width=int(width))
+    if machine.issue_width != int(width):
+        raise ValueError(
+            f"machine issue_width {machine.issue_width} != width {width}"
+        )
+    return machine
+
+
 def request_identity(
     kind: str,
     workload: str,
@@ -122,18 +141,7 @@ def request_identity(
     materialized so heuristic and exact-scheduled artifacts never share
     a key.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown request kind {kind!r} (known: {KINDS})")
-    if schedule_backend not in ("list", "optimal"):
-        raise ValueError(
-            f"unknown schedule backend {schedule_backend!r}"
-        )
-    if machine is None:
-        machine = MachineConfig(issue_width=int(width))
-    elif machine.issue_width != int(width):
-        raise ValueError(
-            f"machine issue_width {machine.issue_width} != width {width}"
-        )
+    machine = _checked_machine(kind, width, machine, schedule_backend)
     return {
         "kind": kind,
         "workload": str(workload),
@@ -146,6 +154,32 @@ def request_identity(
         "machine": to_description(machine),
         "schedule_backend": str(schedule_backend),
     }
+
+
+def _object(pieces: dict[str, str]) -> str:
+    """Canonical JSON of a dict, from the canonical JSON of its values:
+    the sorted join of its items.  (The names are this module's own
+    identifiers, so they need no escaping.)"""
+    return "{%s}" % ",".join([f'"{k}":{pieces[k]}' for k in sorted(pieces)])
+
+
+_BOOL = ("false", "true")
+
+#: canonical JSON of a machine description by ``cache_key()`` — a
+#: bounded, value-keyed process memo (oldest entry goes first): a sweep
+#: names four machines in 960 keys
+_MACHINE_JSON: dict[tuple, str] = {}
+_MACHINE_JSON_LIMIT = 64
+
+
+def _machine_json(machine: MachineConfig) -> str:
+    key = machine.cache_key()
+    text = _MACHINE_JSON.get(key)
+    if text is None:
+        if len(_MACHINE_JSON) >= _MACHINE_JSON_LIMIT:
+            del _MACHINE_JSON[next(iter(_MACHINE_JSON))]
+        text = _MACHINE_JSON[key] = canonical_json(to_description(machine))
+    return text
 
 
 def request_key(
@@ -164,19 +198,32 @@ def request_key(
 ) -> str:
     """Content address of a request's result: SHA-256 hex digest over the
     canonical identity, the kernel-source fingerprint, and the
-    code-version salt.
+    code-version salt — ``content_key(kernel=fingerprint,
+    request=request_identity(...))``, with the canonical text assembled
+    from canonical pieces instead of re-encoding the identity dict (the
+    machine description is most of it and a grid names four).
 
     ``fingerprint`` can be supplied to avoid rebuilding the kernel when
     the caller loops over many configurations of one workload.
     """
-    ident = request_identity(
-        kind, workload, level, width, seed=seed, check=check,
-        check_ir=check_ir, disable=disable, machine=machine,
-        schedule_backend=schedule_backend,
-    )
+    machine = _checked_machine(kind, width, machine, schedule_backend)
     if fingerprint is None:
         fingerprint = workload_fingerprint(workload)
-    return content_key(kernel=fingerprint, request=ident)
+    request = _object({
+        "kind": json.dumps(kind),
+        "workload": json.dumps(str(workload)),
+        "level": str(int(level)),
+        "width": str(int(width)),
+        "seed": str(int(seed)),
+        "check": _BOOL[bool(check)],
+        "check_ir": _BOOL[bool(check_ir)],
+        "disable": "[%s]" % ",".join(map(json.dumps, sorted(set(disable)))),
+        "machine": _machine_json(machine),
+        "schedule_backend": json.dumps(str(schedule_backend)),
+    })
+    text = _object({"salt": json.dumps(CODE_VERSION),
+                    "kernel": json.dumps(fingerprint), "request": request})
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,32 @@ Blobs are JSON envelopes addressed by the SHA-256 request key of
     root/
       objects/ab/abcdef....json     # envelope: salt, key, payload
       quarantine/                   # corrupt blobs, moved aside
-      index.json                    # LRU bookkeeping (best-effort)
+      index.log                     # recency log (advisory)
+
+``index.log`` is append-only, one line per event: ``<key> <size>`` when
+a blob is put or used, ``<key> -`` when it is removed (evicted,
+quarantined, invalidated).  *Line order is recency*: the last line of a
+key decides whether it is indexed, and the order of those last lines is
+the LRU order.  A put appends its line (ahead of it, the blobs this
+handle read since its last write) with one ``O_APPEND`` write; a handle
+that only reads writes nothing.  In memory the index is a dict in the
+same order beside a running byte total, so a put, a hit and an eviction
+cost the same whatever the store holds.
+
+Opening replays the log and **looks at no blob**.  An indexed blob that
+has vanished (another process evicted or quarantined it) is dropped
+where it is noticed anyway: ``get`` finds no file (a miss), eviction
+unlinks nothing and forgets the entry.  A log with more than twice as
+many lines as live keys is compacted on open (tmp + ``os.replace``); a
+torn last line is skipped and compacted away; a missing log, or one
+with any other unparsable line, is rebuilt by scanning ``objects/``.  A
+directory written before the log existed has an ``index.json``: it is
+read once, as the initial order, and removed.
+
+The log is advisory — the blobs are the truth.  A failed append or
+compaction is ignored, and lines appended while another handle compacts
+are lost; either way the blob is served, it is only unknown to the size
+cap until the log is next rebuilt.
 
 Guarantees:
 
@@ -24,14 +49,17 @@ Guarantees:
   a mismatch is a miss and the stale blob is deleted.
 * **LRU size-capped eviction** — ``max_bytes`` caps the total blob
   size; inserting past the cap evicts least-recently-*used* blobs
-  (reads refresh recency).  Recency is a *logical use counter*, not a
-  wall-clock stamp: ``time.time()`` can step backwards (NTP, manual
-  resets) and across machines two stores' clocks never agree, either of
-  which would silently reorder eviction and throw away the hottest
-  blob.  The counter is persisted in the index and survives reopen; a
-  lost or torn index is rebuilt by scanning ``objects/`` (recency
-  degrades to file-mtime *rank*, re-assigned deterministically, and
-  correctness is unaffected).
+  (reads refresh recency).  Recency is a *logical use counter* — the
+  position in ``index.log`` — not a wall-clock stamp: ``time.time()``
+  can step backwards (NTP, manual resets) and across machines two
+  stores' clocks never agree, either of which would silently reorder
+  eviction and throw away the hottest blob.  It survives reopen; a lost
+  or garbled log is rebuilt by scanning ``objects/`` (recency degrades
+  to file-mtime order, ties broken by key, and correctness is
+  unaffected).
+* **Shared directories** — index events are appended, never a rewrite
+  of one handle's view, so handles (and processes) putting distinct
+  keys into one directory all stay indexed and evictable.
 * **Classified failure handling** — write and eviction I/O errors run
   through the :mod:`repro.resilience.errors` taxonomy: transient ones
   (``ENOSPC``, ``EIO``, ...) are retried under the shared
@@ -52,6 +80,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -64,11 +93,15 @@ from ..resilience.errors import (
     log_tolerated,
 )
 from ..resilience.retry import RetryPolicy, retry_call
-from .keys import CODE_VERSION, canonical_json
+from .keys import CODE_VERSION
 
 #: write/rename retry schedule: brief, because a put that cannot land
 #: quickly should degrade (skip persistence) rather than stall serving
 PUT_RETRY = RetryPolicy(max_attempts=3, base_s=0.01, cap_s=0.1, budget_s=1.0)
+
+_KEY = re.compile(r"[0-9a-f]{64}")
+#: one event of ``index.log``: ``<key> <size>`` or ``<key> -``
+_EVENT = re.compile(r"^([0-9a-f]{64}) ([0-9]+|-)$", re.MULTILINE)
 
 
 @dataclass
@@ -94,19 +127,15 @@ class StoreStats:
 
 
 @dataclass
-class _Entry:
-    size: int
-    used: int  # logical-use counter: higher = more recently used
-
-
-@dataclass
 class ArtifactStore:
     """One process's handle on a store directory.
 
     Safe for concurrent use by multiple processes: blob writes are
-    atomic renames, reads tolerate missing/corrupt files, and the index
-    is advisory.  Not internally locked — callers in one process should
-    serialize access per handle (the job engine does).
+    atomic renames, reads tolerate missing/corrupt files, and index
+    events are single ``O_APPEND`` writes, so handles on one directory
+    do not lose each other's entries.  Not internally locked — callers
+    in one process should serialize access per handle (the job engine
+    does).
     """
 
     root: Path
@@ -122,95 +151,145 @@ class ArtifactStore:
 
     def __post_init__(self):
         self.root = Path(self.root)
-        self._objects = self.root / "objects"
-        self._quarantine = self.root / "quarantine"
-        self._index_path = self.root / "index.json"
-        self._objects.mkdir(parents=True, exist_ok=True)
+        self._objects = os.path.join(self.root, "objects")
+        self._log_path = os.path.join(self.root, "index.log")
+        os.makedirs(self._objects, exist_ok=True)
         self.stats.tmp_cleaned += clean_orphan_tmps(self.root, self.tmp_grace_s)
         #: per-key write-attempt sequence, so injected write faults fire
         #: on the first attempt and let the retry/recompute land clean
         self._fault_seq: Counter = Counter()
-        self._index: dict[str, _Entry] = {}
+        #: key -> blob size, least recently used first
+        self._index: dict[str, int] = {}
+        self._total = 0
+        #: events since this handle's last log write, in order: key ->
+        #: size (used) or None (removed); bounded by the keys it touched
+        self._unlogged: dict[str, int | None] = {}
         self._load_index()
 
     # -- paths ----------------------------------------------------------
 
-    def _blob_path(self, key: str) -> Path:
-        if len(key) != 64 or any(c not in "0123456789abcdef" for c in key):
+    def _path(self, key: str) -> str:
+        if not isinstance(key, str) or _KEY.fullmatch(key) is None:
             raise ValueError(f"malformed store key {key!r}")
-        return self._objects / key[:2] / f"{key}.json"
+        return f"{self._objects}/{key[:2]}/{key}.json"
+
+    def _blob_path(self, key: str) -> Path:
+        return Path(self._path(key))
 
     # -- index ----------------------------------------------------------
 
     def _load_index(self) -> None:
+        if not self._replay_log():
+            self._rebuild_index()
+
+    def _replay_log(self) -> bool:
+        """Load ``index.log``: the last event of a key wins and line
+        order is recency.  No blob is looked at — one that vanished is
+        dropped where it is noticed, at ``get`` and at eviction.  False
+        when there is no log or it does not parse."""
         try:
-            raw = json.loads(self._index_path.read_text())
-            # ``used`` may be a legacy wall-clock float from an index
-            # written before the logical counter; it is only used as a
-            # rank below, so both forms load fine
+            with open(self._log_path, encoding="ascii") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError):
+            return False
+        # whatever follows the last newline is a torn append: skipped
+        complete = text[: text.rfind("\n") + 1]
+        events = _EVENT.findall(complete)
+        if len(events) != complete.count("\n"):
+            return False
+        for key, size in events:
+            self._index.pop(key, None)
+            if size != "-":
+                self._index[key] = int(size)
+        self._total = sum(self._index.values())
+        # compact a log that is mostly history, and one with a torn
+        # tail (the next append would be glued to it)
+        if len(complete) != len(text) or len(events) > 2 * len(self._index):
+            self._write_log()
+        return True
+
+    def _rebuild_index(self) -> None:
+        """Start a log from the pre-log ``index.json`` if the directory
+        has one (read once, then removed), else from a directory scan."""
+        legacy = self.root / "index.json"
+        try:
+            # ``used`` is a logical counter or an older wall-clock
+            # float, either way only an order
             loaded = [
-                (k, int(v["size"]), float(v["used"]))
-                for k, v in raw.get("entries", {}).items()
+                (float(v["used"]), k, int(v["size"]))
+                for k, v in json.loads(legacy.read_text())["entries"].items()
+                if _KEY.fullmatch(k)
             ]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-            loaded = None
-        if loaded is None:
-            # rebuild from a directory scan; recency falls back to the
-            # blobs' mtime *rank* (ties broken by key, so the rebuild is
-            # deterministic for a given set of files)
+        except (OSError, json.JSONDecodeError, AttributeError, KeyError,
+                TypeError, ValueError):
+            # recency falls back to the blobs' mtime order (ties broken
+            # by key, so the rebuild is deterministic for a given set of
+            # files)
             loaded = []
-            for p in self._objects.glob("??/*.json"):
+            for p in Path(self._objects).glob("??/*.json"):
                 try:
                     st = p.stat()
                 except OSError:
                     continue
-                loaded.append((p.stem, st.st_size, st.st_mtime))
-        else:
-            # drop index entries whose blob vanished (another process
-            # evicted or quarantined it)
-            loaded = [
-                (k, size, used) for k, size, used in loaded
-                if self._blob_path(k).exists()
-            ]
-        # re-rank into compact logical counters 1..n, preserving order:
-        # only the *order* of recency stamps matters for LRU, and ranks
-        # are immune to whatever clock produced the originals
-        loaded.sort(key=lambda t: (t[2], t[0]))
-        self._index = {
-            k: _Entry(size, rank)
-            for rank, (k, size, _) in enumerate(loaded, start=1)
-        }
-        self._use_seq = len(loaded)
+                if _KEY.fullmatch(p.stem):
+                    loaded.append((st.st_mtime, p.stem, st.st_size))
+        self._index = {k: size for _, k, size in sorted(loaded)}
+        self._total = sum(self._index.values())
+        self._write_log()
+        legacy.unlink(missing_ok=True)
 
-    def _next_use(self) -> int:
-        """The next logical-use stamp (never goes backwards)."""
-        self._use_seq += 1
-        return self._use_seq
-
-    def _save_index(self) -> None:
-        payload = {
-            "entries": {
-                k: {"size": e.size, "used": e.used}
-                for k, e in self._index.items()
-            }
-        }
-        tmp = self._index_path.with_name(f".index-{os.getpid()}.tmp")
+    def _write_log(self) -> None:
+        """Replace the log by one line per live key, in recency order."""
+        tmp = f"{self._log_path}.{os.getpid()}.tmp"
         try:
-            tmp.write_text(canonical_json(payload))
-            os.replace(tmp, self._index_path)
+            with open(tmp, "w", encoding="ascii") as f:
+                f.writelines(f"{k} {size}\n"
+                             for k, size in self._index.items())
+            os.replace(tmp, self._log_path)
         except OSError:
-            tmp.unlink(missing_ok=True)  # advisory only
+            _unlink_missing_ok(tmp)  # advisory only
+
+    def _append_log(self) -> None:
+        """One ``O_APPEND`` write of every event since the last one."""
+        lines = "".join(
+            f"{k} {'-' if size is None else size}\n"
+            for k, size in self._unlogged.items())
+        self._unlogged.clear()
+        try:
+            fd = os.open(self._log_path,
+                         os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            try:
+                os.write(fd, lines.encode("ascii"))
+            finally:
+                os.close(fd)
+        except OSError:
+            pass  # advisory only: the blobs are the truth
+
+    def _used(self, key: str, size: int) -> None:
+        """``key`` (``size`` bytes) is now the most recently used."""
+        self._total += size - self._index.pop(key, 0)
+        self._index[key] = size
+        self._unlogged.pop(key, None)
+        self._unlogged[key] = size
+
+    def _removed(self, key: str) -> None:
+        size = self._index.pop(key, None)
+        if size is not None:
+            self._total -= size
+            self._unlogged.pop(key, None)
+            self._unlogged[key] = None
 
     # -- public API -----------------------------------------------------
 
     def get(self, key: str):
         """The stored payload for ``key``, or None on any kind of miss."""
-        path = self._blob_path(key)
+        path = self._path(key)
         try:
-            raw = path.read_bytes()
+            with open(path, "rb") as f:
+                raw = f.read()
         except OSError:
             self.stats.misses += 1
-            self._index.pop(key, None)
+            self._removed(key)
             return None
         try:
             # parse from raw bytes: a torn blob may not even be valid UTF-8
@@ -220,23 +299,19 @@ class ArtifactStore:
             env_salt = env["salt"]
         except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
                 TypeError, ValueError):
-            self._quarantine_blob(path)
-            self._index.pop(key, None)
+            self._quarantine_blob(key)
+            self._removed(key)
             self.stats.misses += 1
             return None
         if env_salt != self.salt:
             # written by a different code version: stale, not corrupt
-            path.unlink(missing_ok=True)
-            self._index.pop(key, None)
+            _unlink_missing_ok(path)
+            self._removed(key)
             self.stats.invalidated += 1
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        e = self._index.get(key)
-        if e is None:
-            self._index[key] = _Entry(len(raw), self._next_use())
-        else:
-            e.used = self._next_use()
+        self._used(key, len(raw))
         return env["payload"]
 
     def put(self, key: str, payload) -> Path | None:
@@ -247,14 +322,14 @@ class ArtifactStore:
         future read is a miss and recomputes) and ``None`` is returned.
         Only fatal errors raise.
         """
-        path = self._blob_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = self._path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         # plain dumps, not canonical_json: blob *content* must round-trip
         # with dict insertion order intact (e.g. a ConfigResult's
         # t_passes map records pass execution order); only key
         # derivation needs canonical form
         data = json.dumps({"salt": self.salt, "key": key,
-                           "payload": payload})
+                           "payload": payload}).encode("ascii")
 
         def count_retry(attempt, delay, exc):
             self.stats.put_retries += 1
@@ -268,14 +343,14 @@ class ArtifactStore:
             self.stats.put_failures += 1
             log_tolerated(f"store.put {key[:16]}", e)
             return None
-        self._index[key] = _Entry(len(data.encode()), self._next_use())
+        self._used(key, len(data))
         self.stats.puts += 1
         if self.max_bytes is not None:
             self._evict_to(self.max_bytes, keep=key)
-        self._save_index()
-        return path
+        self._append_log()
+        return Path(path)
 
-    def _write_blob(self, path: Path, key: str, data: str) -> None:
+    def _write_blob(self, path: str, key: str, data: bytes) -> None:
         """tmp-write + fsync + atomic rename, with the write fault sites."""
         plan = faults.ARMED
         attempt = 0
@@ -286,9 +361,9 @@ class ArtifactStore:
                 # a torn write is *silent*: the writer thinks it
                 # succeeded, and only a later read detects + quarantines
                 data = data[: max(1, len(data) // 2)]
-        tmp = path.with_name(f".{key[:16]}-{os.getpid()}.tmp")
+        tmp = f"{os.path.dirname(path)}/.{key[:16]}-{os.getpid()}.tmp"
         try:
-            with open(tmp, "w") as f:
+            with open(tmp, "wb") as f:
                 if plan is not None and plan.fire("store.enospc", key, attempt):
                     raise OSError(errno.ENOSPC, "injected: no space left")
                 f.write(data)
@@ -298,27 +373,29 @@ class ArtifactStore:
                 os.fsync(f.fileno())
             os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            _unlink_missing_ok(tmp)
             raise
 
     def contains(self, key: str) -> bool:
-        return self._blob_path(key).exists()
+        return os.path.exists(self._path(key))
 
     def total_bytes(self) -> int:
-        return sum(e.size for e in self._index.values())
+        return self._total
 
     def __len__(self) -> int:
         return len(self._index)
 
     # -- maintenance ----------------------------------------------------
 
-    def _quarantine_blob(self, path: Path) -> None:
-        self._quarantine.mkdir(parents=True, exist_ok=True)
-        dest = self._quarantine / f"{path.stem}-{os.getpid()}-{time.time_ns()}"
+    def _quarantine_blob(self, key: str) -> None:
+        quarantine = self.root / "quarantine"
+        quarantine.mkdir(parents=True, exist_ok=True)
+        path = self._path(key)
         try:
-            os.replace(path, dest)
+            os.replace(path,
+                       quarantine / f"{key}-{os.getpid()}-{time.time_ns()}")
         except OSError:
-            path.unlink(missing_ok=True)  # raced: someone else moved it
+            _unlink_missing_ok(path)  # raced: someone else moved it
         self.stats.quarantined += 1
 
     def _evict_to(self, max_bytes: int, keep: str | None = None) -> None:
@@ -327,25 +404,36 @@ class ArtifactStore:
         ``keep`` (the blob just written) is never evicted: a single
         entry larger than the cap stays until something newer lands.
         """
-        total = self.total_bytes()
-        if total <= max_bytes:
-            return
-        for key, e in sorted(self._index.items(), key=lambda kv: kv[1].used):
-            if key == keep:
-                continue
-            try:
-                self._blob_path(key).unlink(missing_ok=True)
-            except OSError as err:
-                # a blob we cannot unlink right now is not fatal to the
-                # cache: classify, log, count, and move on (a later
-                # eviction or the index rebuild will reconcile it)
-                if classify_os_error(err) == "fatal":
-                    raise
-                self.stats.evict_errors += 1
-                log_tolerated(f"store.evict {key[:16]}", err)
-                continue
-            del self._index[key]
-            self.stats.evictions += 1
-            total -= e.size
-            if total <= max_bytes:
-                break
+        evicted = []
+        total = self._total
+        try:
+            for key, size in self._index.items():
+                if total <= max_bytes:
+                    break
+                if key == keep:
+                    continue
+                try:
+                    # (a blob already gone is evicted all the same)
+                    self._blob_path(key).unlink(missing_ok=True)
+                except OSError as err:
+                    # a blob we cannot unlink right now is not fatal to
+                    # the cache: classify, log, count, and move on (a
+                    # later eviction will reconcile it)
+                    if classify_os_error(err) == "fatal":
+                        raise
+                    self.stats.evict_errors += 1
+                    log_tolerated(f"store.evict {key[:16]}", err)
+                    continue
+                evicted.append(key)
+                total -= size
+        finally:
+            for key in evicted:
+                self._removed(key)
+            self.stats.evictions += len(evicted)
+
+
+def _unlink_missing_ok(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass

@@ -226,55 +226,57 @@ def combine_operations(
     swaps adjacent entries).
     """
     total = 0
-    changed = True
-    while changed:
-        changed = False
-        for j, i2 in enumerate(body):
-            for r1 in set(i2.reg_uses()):
-                # find the reaching definition of r1
-                i_def = None
-                for i in range(j - 1, -1, -1):
-                    if body[i].dest == r1:
-                        i_def = i
-                        break
-                if i_def is None:
-                    continue
-                i1 = body[i_def]
-                src = next(
-                    (s for s in i1.srcs if isinstance(s, Reg)), None
-                )
-                if src is None:
-                    continue
-                needs_swap = src == r1  # I1 overwrites its own source
-                if needs_swap:
-                    # only exchange adjacent instructions, and never hoist a
-                    # branch over a definition live at its exit target
-                    if i_def != j - 1:
-                        continue
-                    if i2.is_control and r1 in protected:
-                        continue
-                    if i2.dest is not None and (
-                        i2.dest == src or i2.dest == r1
-                    ):
-                        continue
-                    # the value I2 needs is r1 *before* I1's update, which
-                    # after the exchange is exactly what r1 holds
-                    pass
-                else:
-                    # r1 must come from a different register; I2 simply
-                    # re-reads that register, so it must not be redefined
-                    # between I1 and I2
-                    redefined = any(
-                        body[t].dest == src for t in range(i_def + 1, j)
-                    )
-                    if redefined:
-                        continue
-                if _try_combine(i1, i2):
-                    if needs_swap:
-                        body[i_def], body[j] = body[j], body[i_def]
-                    total += 1
-                    changed = True
+    j = 0
+    # everything before ``j`` is known not to combine: a rewrite changes
+    # only I2 (and, on an exchange, the slot before it), so the scan
+    # resumes at the rewritten instruction instead of restarting
+    while j < len(body):
+        i2 = body[j]
+        for r1 in set(i2.reg_uses()):
+            # find the reaching definition of r1
+            i_def = None
+            for i in range(j - 1, -1, -1):
+                if body[i].dest == r1:
+                    i_def = i
                     break
-            if changed:
+            if i_def is None:
+                continue
+            i1 = body[i_def]
+            src = next(
+                (s for s in i1.srcs if isinstance(s, Reg)), None
+            )
+            if src is None:
+                continue
+            needs_swap = src == r1  # I1 overwrites its own source
+            if needs_swap:
+                # only exchange adjacent instructions, and never hoist a
+                # branch over a definition live at its exit target
+                if i_def != j - 1:
+                    continue
+                if i2.is_control and r1 in protected:
+                    continue
+                if i2.dest is not None and (
+                    i2.dest == src or i2.dest == r1
+                ):
+                    continue
+                # the value I2 needs is r1 *before* I1's update, which
+                # after the exchange is exactly what r1 holds
+                pass
+            else:
+                # r1 must come from a different register; I2 simply
+                # re-reads that register, so it must not be redefined
+                # between I1 and I2
+                redefined = any(
+                    body[t].dest == src for t in range(i_def + 1, j)
+                )
+                if redefined:
+                    continue
+            if _try_combine(i1, i2):
+                if needs_swap:
+                    body[i_def], body[j] = body[j], body[i_def]
+                    j = i_def
+                total += 1
                 break
+        else:
+            j += 1
     return total

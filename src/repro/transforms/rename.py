@@ -24,6 +24,7 @@ register, except:
 
 from __future__ import annotations
 
+from ..analysis.defuse import DefUse
 from ..analysis.liveness import liveness
 from ..analysis.loopvars import find_accumulators
 from ..ir.function import Function
@@ -40,18 +41,13 @@ def _accumulator_chain_regs(body: list[Instr]) -> set[Reg]:
     # single-update accumulators stable (renaming them is pure churn)
     from ..analysis.loopvars import _ACC_OPS_ADD, _ACC_OPS_MUL, _is_self_update
 
-    regs = {ins.dest for ins in body if ins.dest is not None}
-    for reg in regs:
-        ok = False
-        for ops in (_ACC_OPS_ADD, _ACC_OPS_MUL):
-            if all(
-                _is_self_update(ins, reg, ops)
-                for ins in body
-                if ins.dest == reg or reg in set(ins.reg_uses())
-            ):
-                ok = True
-                break
-        if ok:
+    du = DefUse.of(body)
+    for reg in du.defs:
+        touching = du.touching(reg)
+        if any(
+            all(_is_self_update(body[i], reg, ops) for i in touching)
+            for ops in (_ACC_OPS_ADD, _ACC_OPS_MUL)
+        ):
             out.add(reg)
     return out
 

@@ -99,6 +99,74 @@ class TestRequestKeyStability:
         }
 
 
+class TestKeyAssembly:
+    """``request_key`` assembles its canonical text from canonical
+    pieces (the machine's from a memo); the definition it must keep
+    meeting is the digest of the canonical JSON of the whole identity."""
+
+    def test_assembled_key_is_the_digest_of_the_canonical_identity(self):
+        import hashlib
+        import random
+
+        from repro.ir.instructions import Kind
+        from repro.machine import PAPER_LATENCIES
+        from repro.passes.registry import ablatable_passes
+        from repro.pipeline import Level
+        from repro.service.keys import KINDS, LEVELS
+        from repro.workloads import all_workloads
+
+        rng = random.Random(2026)
+        names = [w.name for w in all_workloads()]
+        passes = [p.name for p in ablatable_passes()]
+        for n in range(300):
+            width = rng.choice((1, 2, 4, 8, 3, 16))
+            machine = None
+            if n % 2:
+                latencies = dict(PAPER_LATENCIES)
+                for kind in rng.sample(list(latencies), 3):
+                    latencies[kind] = rng.randrange(1, 20)
+                machine = MachineConfig(
+                    issue_width=width, latencies=latencies,
+                    branch_slots=rng.choice((1, 2)),
+                    slot_limits={k: rng.randrange(1, 4) for k in
+                                 rng.sample(list(Kind), rng.randrange(3))},
+                    speculative_loads=rng.random() < 0.5,
+                    speculative_fp=rng.random() < 0.5,
+                    vector_lanes=rng.choice((0, 2, 4, 8)))
+            level = rng.choice(LEVELS)
+            args = (rng.choice(KINDS), rng.choice(names),
+                    rng.choice((level, Level(level))), width)
+            options = dict(
+                seed=rng.choice((0, 1, 2**63, rng.randrange(2**64))),
+                check=rng.random() < 0.5, check_ir=rng.random() < 0.5,
+                disable=tuple(rng.choices(passes, k=rng.randrange(4))),
+                machine=machine,
+                schedule_backend=rng.choice(("list", "optimal")))
+            fingerprint = workload_fingerprint(args[1])
+            if n % 7 == 0:  # strings that need escaping
+                args = (args[0], 'we"ird\\n\u00e4me\n', *args[2:])
+                options["disable"] += ('p"\u00df',)
+            want = hashlib.sha256(canonical_json({
+                "salt": CODE_VERSION, "kernel": fingerprint,
+                "request": request_identity(*args, **options),
+            }).encode()).hexdigest()
+            assert request_key(*args, **options,
+                               fingerprint=fingerprint) == want, (args, options)
+
+    def test_machine_memo_is_bounded_and_keyed_by_value(self):
+        from repro.service import keys
+
+        for lanes in range(100):
+            request_key("run", "add", 4, 8,
+                        machine=MachineConfig(8, vector_lanes=lanes))
+        assert len(keys._MACHINE_JSON) == keys._MACHINE_JSON_LIMIT
+        before = dict(keys._MACHINE_JSON)
+        # an equal configuration is the same entry, whichever object
+        request_key("run", "add", 4, 8,
+                    machine=MachineConfig(8, vector_lanes=99))
+        assert keys._MACHINE_JSON == before
+
+
 class TestWorkloadFingerprint:
     def test_stable_and_distinct(self):
         assert workload_fingerprint("add") == workload_fingerprint("add")

@@ -9,6 +9,8 @@ are each pinned here.
 import hashlib
 import json
 import multiprocessing
+import os
+import random
 
 import pytest
 
@@ -45,6 +47,14 @@ class TestRoundTrip:
             store.get("../../etc/passwd")
         with pytest.raises(ValueError, match="malformed"):
             store.put("abc", {})
+        good = key_of(1)
+        for bad in (good.upper(), good[:63], good + "0", good + "\n",
+                    good[:63] + "g", good.encode(), 7, None):
+            for call in (store.get, store.contains, store._blob_path,
+                         lambda k: store.put(k, {})):
+                with pytest.raises(ValueError, match="malformed"):
+                    call(bad)
+        assert not (store.root / "index.log").read_text()
 
     def test_real_request_keys_address_blobs(self, store):
         k = request_key("run", "add", 4, 8)
@@ -106,10 +116,18 @@ class TestCorruptionTolerance:
         a = ArtifactStore(tmp_path / "s")
         a.put(key_of(9), {"v": 1})
         a.put(key_of(10), {"v": 2})
-        (tmp_path / "s" / "index.json").write_text('{"entries": {zzz')
+        # garbage in the middle of the log (a torn *last* line is only
+        # skipped: TestIndexLog) throws the whole log away
+        log = tmp_path / "s" / "index.log"
+        first, second = log.read_text().splitlines()
+        log.write_text(f"{first}\n{{\"entries\": {{zzz\n{second}\n")
+        os.utime(a._blob_path(key_of(9)), (2000.0, 2000.0))
+        os.utime(a._blob_path(key_of(10)), (1000.0, 1000.0))
         b = ArtifactStore(tmp_path / "s")
         assert len(b) == 2
         assert b.get(key_of(9)) == {"v": 1}
+        # rewritten whole, in the scan's mtime order
+        assert log.read_text() == f"{second}\n{first}\n"
 
 
 class TestVersionSalt:
@@ -206,6 +224,218 @@ class TestConcurrentWriters:
         for j in range(4):
             got = reader.get(key_of(80 + j))
             assert got == {"tag": str(j), "i": 4, "cycles": 123}
+
+
+def _distinct_writer(root, base, n):
+    s = ArtifactStore(root)
+    for i in range(n):
+        s.put(key_of(base + i), {"i": i, "pad": "x" * 64})
+
+
+class TestSharedDirectory:
+    """Handles on one directory do not lose each other's index entries:
+    an event is one ``O_APPEND`` line, not a rewrite of one handle's
+    view.  (An unindexed blob would be invisible to the size cap.)"""
+
+    def _assert_all_evictable(self, root, keys):
+        fresh = ArtifactStore(root, max_bytes=1)
+        assert len(fresh) == len(keys)
+        paths = [fresh._blob_path(k) for k in keys]
+        assert all(p.exists() for p in paths)
+        fresh.put(key_of(999), {"v": 0})
+        assert fresh.stats.evictions == len(keys)
+        assert not any(p.exists() for p in paths)
+
+    def test_two_handles_both_indexed(self, tmp_path):
+        root = tmp_path / "s"
+        a, b = ArtifactStore(root), ArtifactStore(root)
+        a.put(key_of(60), {"v": 1})
+        b.put(key_of(61), {"v": 2})
+        a.put(key_of(62), {"v": 3})
+        self._assert_all_evictable(root, [key_of(i) for i in (60, 61, 62)])
+
+    def test_forked_writers_of_distinct_keys_all_indexed(self, tmp_path):
+        root = tmp_path / "s"
+        ArtifactStore(root)
+        ctx = multiprocessing.get_context("fork")
+        ps = [ctx.Process(target=_distinct_writer, args=(root, 100 * j, 20))
+              for j in (1, 2, 3)]
+        for p in ps:
+            p.start()
+        for p in ps:
+            p.join(60)
+        assert all(not p.is_alive() and p.exitcode == 0 for p in ps)
+        self._assert_all_evictable(
+            root, [key_of(100 * j + i) for j in (1, 2, 3) for i in range(20)])
+
+
+class TestIndexLog:
+    """``index.log``: one appended line per event, line order is
+    recency, and nothing about it costs in proportion to the store."""
+
+    @pytest.fixture(scope="class")
+    def thousand(self, tmp_path_factory):
+        """A 1000-entry store and the log's size after each put."""
+        root = tmp_path_factory.mktemp("thousand") / "s"
+        store = ArtifactStore(root)
+        sizes = []
+        for i in range(1000):
+            store.put(key_of(i), {"i": i % 10, "pad": "x" * 40})
+            sizes.append((root / "index.log").stat().st_size)
+        return root, sizes
+
+    def test_a_put_appends_one_line_whatever_the_store_holds(self, thousand):
+        root, sizes = thousand
+        line = len(f"{key_of(0)} {ArtifactStore(root).total_bytes() // 1000}\n")
+        assert sizes[9] - sizes[8] == sizes[999] - sizes[998] == line
+        assert sizes[999] == 1000 * line
+        assert sorted(p.name for p in root.iterdir()) == ["index.log",
+                                                         "objects"]
+
+    def test_open_stats_no_blob(self, thousand, tmp_path, monkeypatch):
+        hundred = tmp_path / "s"
+        small = ArtifactStore(hundred)
+        for i in range(100):
+            small.put(key_of(i), {"i": i})
+        calls = []
+        for name in ("stat", "lstat"):
+            real = getattr(os, name)
+            monkeypatch.setattr(
+                os, name,
+                lambda *a, _real=real, **kw: calls.append(a) or _real(*a, **kw))
+        counts = []
+        for root, n in ((hundred, 100), (thousand[0], 1000)):
+            del calls[:]
+            assert len(ArtifactStore(root)) == n
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4, counts
+
+    def test_torn_last_line_is_skipped(self, tmp_path):
+        root = tmp_path / "s"
+        a = ArtifactStore(root)
+        for i in (1, 2, 3):
+            a.put(key_of(i), {"v": i})
+        log = root / "index.log"
+        whole = log.read_text()
+        # the tail of a line that would have parsed on its own
+        log.write_text(whole + f"{key_of(1)} 7")
+        b = ArtifactStore(root)
+        assert list(b._index) == [key_of(1), key_of(2), key_of(3)]
+        assert b.total_bytes() == a.total_bytes()
+        # and the tail is gone, so the next append starts a line
+        assert log.read_text() == whole
+        b.put(key_of(4), {"v": 4})
+        assert len(ArtifactStore(root)) == 4
+
+    def test_compaction_keeps_order_and_halves_the_file(self, tmp_path):
+        root = tmp_path / "s"
+        a = ArtifactStore(root)
+        for i in (1, 2, 3):
+            a.put(key_of(i), {"v": i})
+        for _ in range(3):
+            assert a.get(key_of(1)) is not None
+            a.put(key_of(2), {"v": 2})          # logs the read, then itself
+        order = [key_of(3), key_of(1), key_of(2)]
+        assert list(a._index) == order
+        log = root / "index.log"
+        before = log.read_text()
+        assert len(before.splitlines()) == 9    # > 2 x 3 live keys
+        b = ArtifactStore(root)
+        after = log.read_text()
+        assert [ln.split()[0] for ln in after.splitlines()] == order
+        assert list(b._index) == order and b.total_bytes() == a.total_bytes()
+        assert 2 * len(after) <= len(before)
+        # at twice the live keys or fewer, the log is left alone
+        b.put(key_of(3), {"v": 3})
+        grown = log.read_text()
+        ArtifactStore(root)
+        assert log.read_text() == grown and len(grown.splitlines()) == 4
+
+    def test_removals_are_logged(self, tmp_path):
+        root = tmp_path / "s"
+        a = ArtifactStore(root, max_bytes=1)
+        a.put(key_of(1), {"v": 1})
+        a.put(key_of(2), {"v": 2})              # evicts 1
+        lines = (root / "index.log").read_text().splitlines()
+        assert lines[-1] == f"{key_of(1)} -"
+        assert list(ArtifactStore(root)._index) == [key_of(2)]
+
+    def test_a_reader_writes_nothing(self, tmp_path):
+        root = tmp_path / "s"
+        ArtifactStore(root).put(key_of(1), {"v": 1})
+        before = (root / "index.log").read_bytes()
+        stamp = (root / "index.log").stat().st_mtime_ns
+        reader = ArtifactStore(root)
+        assert reader.get(key_of(1)) == {"v": 1}
+        assert reader.get(key_of(2)) is None
+        assert (root / "index.log").read_bytes() == before
+        assert (root / "index.log").stat().st_mtime_ns == stamp
+
+    def test_blob_removed_behind_the_handle(self, tmp_path):
+        """Open no longer verifies blobs; one that vanished is dropped
+        where it is noticed — a miss at ``get``, a no-op at eviction."""
+        root = tmp_path / "s"
+        pad = "x" * 500
+        writer = ArtifactStore(root)
+        for i in range(1, 6):
+            writer.put(key_of(i), {"pad": pad})
+        each = writer.total_bytes() // 5
+        writer._blob_path(key_of(1)).unlink()
+        writer._blob_path(key_of(3)).unlink()
+
+        s = ArtifactStore(root, max_bytes=3 * each)
+        assert len(s) == 5                      # not verified at open
+        assert s.get(key_of(3)) is None         # noticed: a plain miss
+        assert s.stats.misses == 1 and s.stats.quarantined == 0
+        assert len(s) == 4 and s.total_bytes() == 4 * each
+        s.put(key_of(6), {"pad": pad})          # evicts 1 (gone) and 2
+        assert s.stats.evict_errors == 0
+        on_disk = sorted(p.stem for p in (root / "objects").glob("??/*.json"))
+        assert on_disk == sorted(s._index) == sorted(
+            key_of(i) for i in (4, 5, 6))
+        assert s.total_bytes() == 3 * each == sum(
+            s._blob_path(k).stat().st_size for k in s._index)
+
+    def test_eviction_order_matches_the_use_counter_reference(self, tmp_path):
+        """The store this replaced stamped every use with a counter and
+        evicted in ``sorted(..., key=used)`` order; position in the
+        recency dict must pick the same victims on a random trace."""
+        rng = random.Random(23)
+        store = ArtifactStore(tmp_path / "s", max_bytes=4_000)
+        ref: dict[str, list[int]] = {}          # key -> [size, used]
+        clock = 0
+
+        def ref_evict(cap, keep=None):
+            total = sum(size for size, _ in ref.values())
+            for k, (size, _) in sorted(ref.items(), key=lambda kv: kv[1][1]):
+                if total <= cap:
+                    break
+                if k != keep:
+                    del ref[k]
+                    total -= size
+
+        for _ in range(200):
+            k = key_of(rng.randrange(24))
+            op = rng.random()
+            clock += 1
+            if op < 0.5:
+                path = store.put(k, {"pad": "x" * rng.randrange(100, 900)})
+                ref[k] = [path.stat().st_size, clock]
+                ref_evict(store.max_bytes, keep=k)
+            elif op < 0.9:
+                assert (store.get(k) is not None) == (k in ref)
+                if k in ref:
+                    ref[k][1] = clock
+            else:
+                cap = rng.randrange(1_000, 4_000)
+                store._evict_to(cap)
+                ref_evict(cap)
+            assert list(store._index) == sorted(ref, key=lambda k: ref[k][1])
+            assert store.total_bytes() == sum(size for size, _ in ref.values())
+        assert store.stats.evictions > 20
+        # and the log replays to the same order
+        store.put(key_of(99), {"pad": ""})
+        assert list(ArtifactStore(tmp_path / "s")._index) == list(store._index)
 
 
 class TestStoreResilience:
@@ -329,6 +559,8 @@ class TestClockCorrectness:
         assert store.get(key_of(72)) is not None
 
     def test_use_counter_persists_across_reopen(self, tmp_path):
+        # the counter is position in ``index.log``: a read is logged
+        # with the handle's next put
         pad = "x" * 3000  # ~3.1KB with envelope: three fit, four do not
         store = ArtifactStore(tmp_path / "s", max_bytes=10_500)
         store.put(key_of(73), {"pad": pad})
@@ -343,21 +575,27 @@ class TestClockCorrectness:
         assert reopened.get(key_of(75)) is not None
 
     def test_legacy_wall_clock_index_loads_as_rank(self, tmp_path):
-        """An index written by the old code carries wall-clock floats in
-        ``used``; they load as a recency *rank* (order preserved) and
-        are re-stamped as logical counters."""
+        """A store directory written before the recency log has an
+        ``index.json`` whose ``used`` fields are logical counters or,
+        older still, wall-clock floats; either way they are read once,
+        as an *order*, into the log, and the file is gone."""
         pad = "x" * 3000
         store = ArtifactStore(tmp_path / "s", max_bytes=7_000)
         store.put(key_of(76), {"pad": pad})
         store.put(key_of(77), {"pad": pad})
-        # rewrite the index the way the old code would have: wall-clock
-        # stamps, with 77 older than 76
-        idx = json.loads((tmp_path / "s" / "index.json").read_text())
-        idx["entries"][key_of(76)]["used"] = 1_700_000_000.75
-        idx["entries"][key_of(77)]["used"] = 1_600_000_000.25
-        (tmp_path / "s" / "index.json").write_text(json.dumps(idx))
+        # the directory as the old code would have left it: wall-clock
+        # stamps, with 77 older than 76, and no log
+        size = store.total_bytes() // 2
+        (tmp_path / "s" / "index.log").unlink()
+        (tmp_path / "s" / "index.json").write_text(json.dumps({"entries": {
+            key_of(76): {"size": size, "used": 1_700_000_000.75},
+            key_of(77): {"size": size, "used": 1_600_000_000.25},
+        }}))
 
         reopened = ArtifactStore(tmp_path / "s", max_bytes=7_000)
+        assert not (tmp_path / "s" / "index.json").exists()
+        assert (tmp_path / "s" / "index.log").read_text() == (
+            f"{key_of(77)} {size}\n{key_of(76)} {size}\n")
         reopened.put(key_of(78), {"pad": pad})
         assert reopened.get(key_of(77)) is None   # oldest by float order
         assert reopened.get(key_of(76)) is not None
@@ -369,13 +607,14 @@ class TestClockCorrectness:
         store = ArtifactStore(tmp_path / "s", max_bytes=None)
         for i in (80, 81, 82):
             store.put(key_of(i), {"pad": pad})
-        (tmp_path / "s" / "index.json").unlink()
+        (tmp_path / "s" / "index.log").unlink()
         # make 81 the stale one on disk, regardless of write order
         for i, mtime in ((80, 3000.0), (81, 1000.0), (82, 2000.0)):
             p = store._blob_path(key_of(i))
             _os.utime(p, (mtime, mtime))
 
         rebuilt = ArtifactStore(tmp_path / "s", max_bytes=7_000)
+        assert list(rebuilt._index) == [key_of(81), key_of(82), key_of(80)]
         rebuilt.put(key_of(83), {"pad": pad})
         assert rebuilt.get(key_of(81)) is None
         assert rebuilt.get(key_of(80)) is not None
