@@ -8,7 +8,9 @@ cluster plus a router, then drives the scale-out guarantees end to end:
 2. the same key submitted through every node compiles exactly once
    (ownership forwarding funnels into one engine's single-flight), and
    the router's and a ``ClusterClient``'s ring name the owner the
-   serving node reports;
+   serving node reports; 100 hits from one client then ride kept-alive
+   connections (``/metrics`` ``http.requests / http.connections >= 10``
+   on the router and the owner node);
 3. one node is SIGKILLed mid-batch — every remaining request is still
    answered, lost artifacts are recomputed, and nothing is served
    twice or differently;
@@ -70,6 +72,20 @@ def main() -> int:
                     == served["owner"] == served["node"]), (
                 f"({wl},{lv},{wd}): router/client/node disagree on owner")
             assert served["cache"] == "hit" and sdk.failovers == 0
+
+        # connections are reused on both hops: 100 hits from one client
+        # ride its router connection and the router's one to the owner
+        owner = router.ring.node_for(CellRequest("run", "dotprod", 4, 8).key)
+        for _ in range(100):
+            assert c.run("dotprod", level=4, width=8,
+                         timeout=60.0)["cache"] == "hit"
+        m = c.metrics()
+        for where, http in (("router", m["http"]),
+                            (owner, m["nodes"][owner]["http"])):
+            assert http["requests"] >= 10 * http["connections"], (
+                f"{where}: connections are not reused: {http}")
+            print(f"{where}: {http['requests']} requests over "
+                  f"{http['connections']} connection(s)")
 
         # 3: SIGKILL a node mid-batch; the batch must complete with
         # zero lost or duplicated results

@@ -7,8 +7,10 @@ that must be answered from the artifact store, a compile, an async
 sweep job, and an oversized sweep that must be load-shed — then the
 bad-request probe (six requests no worker could compute — an unknown
 ``disable`` entry, a negative or oversized ``seed`` — are six 400s and
-leave the cell servable), then scrapes ``/metrics`` and fails on any
-nonzero service-side error count.
+leave the cell servable), then 100 store hits from the same client,
+then scrapes ``/metrics`` and fails on any nonzero service-side error
+count or on connections not being reused (``http.requests /
+http.connections`` under 10 — a count, not a clock).
 """
 
 import sys
@@ -80,6 +82,10 @@ def main() -> int:
     assert c.run("maxval", level=4, width=8)["result"]["cycles"] > 0, \
         "cell unservable after malformed requests"
 
+    # 8: 100 store hits from this one client ride its kept-alive connection
+    for _ in range(100):
+        assert c.run("dotprod", level=4, width=8)["cache"] == "hit"
+
     m = c.metrics()
     print(f"metrics: {m}")
     assert m["hits"] >= 1, "the duplicate request never hit the store"
@@ -87,8 +93,14 @@ def main() -> int:
     if m["errors"]:
         print(f"service reported {m['errors']} error(s)", file=sys.stderr)
         return 1
+    http = m["http"]
+    if http["requests"] < 10 * http["connections"]:
+        print(f"connections are not reused: {http}", file=sys.stderr)
+        return 1
     print("service smoke: ok "
-          f"({m['requests']} requests, {m['hits']} hits, {m['shed']} shed)")
+          f"({m['requests']} requests, {m['hits']} hits, {m['shed']} shed, "
+          f"{http['requests']} HTTP requests over {http['connections']} "
+          "connection(s))")
     return 0
 
 

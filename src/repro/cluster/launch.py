@@ -65,7 +65,8 @@ def _wait_healthy(urls: list[str], deadline_s: float = 30.0) -> None:
     while pending:
         url = pending[0]
         try:
-            ok = ServiceClient(url, timeout=2.0, retry=None).healthz().get("ok")
+            with ServiceClient(url, timeout=2.0, retry=None) as probe:
+                ok = probe.healthz().get("ok")
         except (ServiceUnavailable, ServiceRequestError):
             ok = False
         if ok:

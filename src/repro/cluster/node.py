@@ -230,11 +230,10 @@ class _NodeHandler(_Handler):
             "computed": self.engine.counters["computed"],
         })
 
-    def _get_metrics(self, _) -> None:
-        m = self.engine.metrics()
-        m["cluster"] = {"node": self.cluster.self_url,
-                        **self.cluster.snapshot()}
-        self._send(200, m)
+    def _metrics(self) -> dict:
+        return {**self.engine.metrics(),
+                "cluster": {"node": self.cluster.self_url,
+                            **self.cluster.snapshot()}}
 
     # -- POST ------------------------------------------------------------
 

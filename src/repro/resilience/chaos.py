@@ -154,6 +154,7 @@ def _run_serve(cells, jobs, store_dir: Path,
             out[c.label] = r["result"]
         metrics = engine.metrics()
     finally:
+        client.close()
         httpd.shutdown()
         engine.close()
     return out, metrics, client.retries

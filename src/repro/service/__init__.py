@@ -20,9 +20,12 @@ requests in, cached or freshly computed artifacts out.
 * :mod:`repro.service.server` — an HTTP front-end on stdlib
   ``ThreadingHTTPServer``: ``POST /v1/compile``, ``POST /v1/run``,
   ``POST /v1/sweep``, ``GET /v1/jobs/<id>``, ``GET /healthz``,
-  ``GET /metrics``.
-* :mod:`repro.service.client` — a small SDK over ``urllib`` used by
-  ``repro submit`` and ``examples/service_client.py``.
+  ``GET /metrics``, over persistent HTTP/1.1 connections.
+* :mod:`repro.service.client` — a small SDK over ``http.client`` used
+  by ``repro submit``, ``examples/service_client.py`` and every cluster
+  hop: one persistent connection per (client, thread), probed before
+  reuse and replaced if the server closed it, a request never resent
+  by the transport.
 
 Entry points: ``python -m repro serve`` / ``python -m repro submit``.
 """

@@ -1,13 +1,22 @@
-"""Client SDK for the compilation service (stdlib ``urllib`` only).
+"""Client SDK for the compilation service (stdlib ``http.client`` only).
 
     from repro.service.client import ServiceClient
 
-    c = ServiceClient("http://127.0.0.1:8734")
-    c.healthz()
-    r = c.run("dotprod", level=4, width=8)        # blocks; cached or fresh
-    job = c.sweep(["add", "sum"], widths=[1, 8])  # async: returns job id
-    data = c.wait_job(job)                        # poll until done
-    c.metrics()["hits"]
+    with ServiceClient("http://127.0.0.1:8734") as c:
+        c.healthz()
+        r = c.run("dotprod", level=4, width=8)        # blocks; cached or fresh
+        job = c.sweep(["add", "sum"], widths=[1, 8])  # async: returns job id
+        data = c.wait_job(job)                        # poll until done
+        c.metrics()["hits"]
+
+The transport is one persistent HTTP/1.1 connection per (client,
+thread), reused for every request that thread sends; :meth:`close` (or
+leaving the ``with``) drops the calling thread's.  Before a kept-alive
+connection is reused it is probed with a zero-timeout ``select``: an
+idle socket is readable only once the server has closed it, so such a
+connection is replaced *before* anything is sent.  The transport never
+sends a request twice — a failure after sending is a
+:class:`ServiceUnavailable`, and only the retry policy below sends again.
 
 Errors are raised as :class:`ServiceUnavailable` (connection refused or
 dropped), :class:`ServiceOverloaded` (HTTP 429 — back off and retry),
@@ -27,10 +36,11 @@ from __future__ import annotations
 import email.utils
 import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
-from datetime import datetime, timezone
+import urllib.parse
+from datetime import timezone
 
 from ..resilience.retry import RetryPolicy, RetryState
 
@@ -91,12 +101,23 @@ class ServiceUnavailable(RuntimeError):
     """The service could not be reached at all."""
 
 
+class _Connection(http.client.HTTPConnection):
+    """A pooled connection that closes its socket when it is dropped
+    with its thread or client, not in the garbage collector's
+    unclosed-socket warning."""
+
+    def __del__(self):
+        self.close()
+
+
 class ServiceClient:
     def __init__(self, base_url: str, timeout: float = 300.0,
                  retry: RetryPolicy | None = CLIENT_RETRY,
                  retry_overloaded: bool = False,
                  headers: dict | None = None):
         self.base_url = base_url.rstrip("/")
+        url = urllib.parse.urlsplit(self.base_url)
+        self._host, self._port, self._prefix = url.hostname, url.port, url.path
         self.timeout = timeout
         self.retry = retry
         self.retry_overloaded = retry_overloaded
@@ -105,8 +126,36 @@ class ServiceClient:
         self.headers = dict(headers or {})
         #: transport retries performed over this client's lifetime
         self.retries = 0
+        #: ``.conn``: the calling thread's persistent connection
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """Drop the calling thread's connection; the next request from
+        this thread opens a new one."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            self._local.conn = None
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- transport ------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, probed before reuse."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = _Connection(self._host, self._port,
+                                                  timeout=self.timeout)
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            # an idle kept-alive socket is readable only once the server
+            # has closed it: reconnect now, while nothing has been sent
+            conn.close()
+        return conn
 
     def _retryable(self, e: Exception) -> bool:
         if isinstance(e, ServiceUnavailable):
@@ -134,27 +183,27 @@ class ServiceClient:
     def _call_once(self, method: str, path: str,
                    body: dict | None = None) -> dict:
         data = json.dumps(body).encode() if body is not None else None
-        req = urllib.request.Request(
-            self.base_url + path, data=data, method=method,
-            headers={"Content-Type": "application/json", **self.headers},
-        )
+        conn = self._connection()
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return json.loads(resp.read() or b"{}")
-        except urllib.error.HTTPError as e:
-            try:
-                message = json.loads(e.read() or b"{}").get("error", str(e))
-            except json.JSONDecodeError:
-                message = str(e)
-            retry_after = parse_retry_after(e.headers.get("Retry-After"))
-            cls = ServiceOverloaded if e.code == 429 else ServiceRequestError
-            raise cls(e.code, message, retry_after) from None
-        except urllib.error.URLError as e:
-            raise ServiceUnavailable(f"{self.base_url}: {e.reason}") from None
+            conn.request(method, self._prefix + path, body=data, headers={
+                "Content-Type": "application/json", **self.headers})
+            resp = conn.getresponse()
+            raw = resp.read()
         except (http.client.HTTPException, OSError) as e:
-            # a dropped connection mid-response surfaces raw from
-            # http.client rather than wrapped in URLError
+            # refused, reset, dropped mid-reply or timed out: the
+            # connection is done, and whether to send again is the retry
+            # policy's call, never the transport's
+            self.close()
             raise ServiceUnavailable(f"{self.base_url}: {e!r}") from None
+        if 200 <= resp.status < 300:
+            return json.loads(raw or b"{}")
+        try:
+            message = json.loads(raw or b"{}").get("error", resp.reason)
+        except (json.JSONDecodeError, AttributeError):
+            message = resp.reason
+        retry_after = parse_retry_after(resp.getheader("Retry-After"))
+        cls = ServiceOverloaded if resp.status == 429 else ServiceRequestError
+        raise cls(resp.status, message, retry_after)
 
     # -- endpoints ------------------------------------------------------
 

@@ -8,7 +8,17 @@ Endpoints (all JSON in/out)::
     GET  /v1/jobs/<id> job status + result once done
     GET  /healthz      liveness
     GET  /metrics      request counts, hit/miss ratio, queue depth,
-                       p50/p95 latency, shed count, store bytes
+                       p50/p95 latency, shed count, store bytes, and
+                       ``http: {connections, requests}`` accepted/handled
+
+Connections are persistent (HTTP/1.1): a client keeps one open per
+thread and a handler thread serves it until the client closes it, so a
+hit pays no TCP handshake and no thread start.  The server closes a
+connection only after a reply that says ``Connection: close`` — a
+request that asked for it, a ``Content-Length`` that cannot be trusted
+(a 400: its body would otherwise be read as the next request) — or
+without a reply under an injected ``server.drop_response``.  There is no
+idle timeout.
 
 ``compile`` and ``run`` block until the result is ready (they ride the
 engine's single-flight/batching and per-request timeout); ``sweep``
@@ -77,10 +87,33 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     overflows and the kernel resets connections before the handler ever
     sees them.  128 matches the admission-control queue bound — beyond
     that the service is shedding anyway.
+
+    It counts the connections it accepts and the requests its handlers
+    serve (``/metrics`` ``http``).  A handler thread lives as long as its
+    client's connection, so ``server_close()`` does not join threads
+    parked on idle ones.
     """
 
     request_queue_size = 128
     daemon_threads = True
+    block_on_close = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._http_lock = threading.Lock()
+        self._http = {"connections": 0, "requests": 0}
+
+    def count(self, name: str) -> None:
+        with self._http_lock:
+            self._http[name] += 1
+
+    def http_counts(self) -> dict:
+        with self._http_lock:
+            return dict(self._http)
+
+    def process_request(self, request, client_address):
+        self.count("connections")
+        super().process_request(request, client_address)
 
 
 class _DroppedResponse(Exception):
@@ -89,6 +122,14 @@ class _DroppedResponse(Exception):
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
+    #: persistent connections (see the module docstring)
+    protocol_version = "HTTP/1.1"
+    #: a kept-alive reply must leave at once, not wait for the client's
+    #: delayed ACK under Nagle's algorithm (~40 ms a request)
+    disable_nagle_algorithm = True
+    #: buffered replies: headers and body leave in one write, flushed
+    #: by ``handle_one_request``
+    wbufsize = -1
     #: set by make_server
     engine: JobEngine = None
     quiet: bool = True
@@ -115,16 +156,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for k, v in dict(headers or {}).items():
             self.send_header(k, v)
         self.end_headers()
         self.wfile.write(data)
 
+    def _read_body(self) -> bytes:
+        """Read the request body off the connection, so that the next
+        request on it starts clean.  A non-integer, negative or oversized
+        ``Content-Length`` is a 400 that closes the connection: the body
+        cannot be skipped (and ``-1`` would read until the client hangs
+        up)."""
+        length = self.headers.get("Content-Length") or "0"
+        n = int(length) if length.isascii() and length.isdigit() else -1
+        if not 0 <= n <= MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServiceError(400, f"bad Content-Length {length!r} "
+                                    f"(at most {MAX_BODY_BYTES} bytes)")
+        return self.rfile.read(n)
+
     def _body(self) -> dict:
-        n = int(self.headers.get("Content-Length", 0) or 0)
-        if n > MAX_BODY_BYTES:
-            raise ServiceError(400, "request body too large")
-        raw = self.rfile.read(n) if n else b"{}"
+        raw = self._read_body()
         try:
             body = json.loads(raw or b"{}")
         except json.JSONDecodeError as e:
@@ -169,12 +223,15 @@ class _Handler(BaseHTTPRequestHandler):
         getattr(self, name)(arg)
 
     def do_GET(self):  # noqa: N802
+        self.server.count("requests")
         try:
+            self._read_body()
             self._route("GET")
         except ServiceError as e:
             self._send(e.status, {"error": str(e)})
 
     def do_POST(self):  # noqa: N802
+        self.server.count("requests")
         try:
             self._do_post()
         except _DroppedResponse:
@@ -206,7 +263,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, self.engine.health())
 
     def _get_metrics(self, _) -> None:
-        self._send(200, self.engine.metrics())
+        self._send(200, {**self._metrics(), "http": self.server.http_counts()})
+
+    def _metrics(self) -> dict:
+        """The ``/metrics`` payload; the server adds its ``http`` counts."""
+        return self.engine.metrics()
 
     def _get_job(self, jid: str) -> None:
         job = self.engine.job(jid)

@@ -321,6 +321,29 @@ class TestRouter:
             assert ei.value.status == 400
         assert router.snapshot()["routed"] == 0
 
+    def test_hits_ride_one_connection_per_hop(self, tmp_path):
+        """200 hits from one client: one connection to the router, and
+        per node at most one per router handler thread (here: one)."""
+        with ThreadCluster(n=3, store_root=tmp_path) as tc:
+            httpd, router, url = serve_router_background(tc.urls)
+            try:
+                client = ServiceClient(url, retry=None)
+                for _ in range(200):
+                    client.run("add")
+                at_router = httpd.http_counts()
+                at_nodes = {u: s.http_counts()
+                            for u, s in zip(tc.urls, tc.servers)}
+            finally:
+                httpd.shutdown()
+                httpd.server_close()
+        for node in tc.servers:
+            node.server_close()
+        assert at_router == {"connections": 1, "requests": 200}
+        owner = router.ring.node_for(run_key("add"))
+        assert at_nodes[owner] == {"connections": 1, "requests": 200}
+        assert all(c["connections"] <= at_router["connections"]
+                   for c in at_nodes.values())
+
     def test_job_table_keeps_only_recent_finished_jobs(self, routed,
                                                        monkeypatch):
         from repro.service import jobs

@@ -1,15 +1,33 @@
-"""Clock-correctness units: ``Retry-After`` parsing (both RFC 9110
-forms) and monotonic job deadlines.
+"""Client units: ``Retry-After`` parsing (both RFC 9110 forms),
+monotonic job deadlines, and the persistent-connection transport.
 
-These pin the bugfix sweep's client/jobs halves: a server-suggested
-backoff must be honored whether it arrives as delta-seconds or an
-HTTP-date, and a job's deadline must be immune to wall-clock steps.
+The clock half pins the bugfix sweep's client/jobs halves: a
+server-suggested backoff must be honored whether it arrives as
+delta-seconds or an HTTP-date, and a job's deadline must be immune to
+wall-clock steps.  The transport half counts connections on a live
+server (``/metrics`` ``http``): one per client thread, a connection the
+server closed is replaced before anything is sent, nothing is sent
+twice, and a ``Content-Length`` that cannot be trusted closes the
+connection.
 """
 
+import select
+import socket
+import threading
 import time
 
-from repro.service.client import CLIENT_RETRY, ServiceClient, parse_retry_after
+import pytest
+
+from repro.resilience import faults
+from repro.resilience.faults import FaultPlan, FaultSite
+from repro.service.client import (
+    CLIENT_RETRY,
+    ServiceClient,
+    ServiceUnavailable,
+    parse_retry_after,
+)
 from repro.service.jobs import Job
+from repro.service.server import MAX_BODY_BYTES, serve_background
 
 
 class TestParseRetryAfter:
@@ -88,3 +106,134 @@ class TestMonotonicDeadlines:
         assert d["finished"] is None
         assert d["elapsed_s"] is None
         assert "deadline_mono" not in d  # internal, not API
+
+
+# ---------------------------------------------------------------------------
+# persistent connections
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def server(tmp_path):
+    httpd, engine, url = serve_background(store_dir=tmp_path / "store")
+    yield httpd, url
+    httpd.shutdown()
+    httpd.server_close()
+    engine.close()
+
+
+def _drop_plan(drop: list[bool]) -> FaultPlan:
+    """A plan whose ``server.drop_response`` fires on exactly the POST
+    replies marked True, in arrival order."""
+    site = FaultSite("server.drop_response", rate=0.5)
+    for seed in range(1000):
+        plan = FaultPlan(seed, (site,))
+        if [plan.count_for(site.site, f"#{i}") > 0
+                for i in range(len(drop))] == drop:
+            return plan
+    raise AssertionError(f"no seed drops exactly {drop}")
+
+
+class TestPersistentConnections:
+    def test_one_connection_per_client_thread(self, server):
+        httpd, url = server
+        c = ServiceClient(url, retry=None)
+        for _ in range(50):
+            c.healthz()
+        assert httpd.http_counts() == {"connections": 1, "requests": 50}
+
+        threads = [threading.Thread(target=lambda: [c.healthz()
+                                                    for _ in range(10)])
+                   for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert httpd.http_counts() == {"connections": 3, "requests": 70}
+        # and /metrics reports the same counts (itself included)
+        assert c.metrics()["http"] == {"connections": 3, "requests": 71}
+
+    def test_leaving_the_with_block_drops_the_connection(self, server):
+        httpd, url = server
+        with ServiceClient(url, retry=None) as c:
+            c.healthz()
+        c.healthz()
+        assert httpd.http_counts()["connections"] == 2
+
+    def test_connection_closed_while_idle_is_replaced_before_sending(
+            self, server):
+        httpd, url = server
+
+        class ClosesWhenIdle(httpd.RequestHandlerClass):
+            def _get_healthz(self, arg):
+                super()._get_healthz(arg)
+                # closed after the reply, unannounced: an idle timeout
+                self.close_connection = True
+
+        httpd.RequestHandlerClass = ClosesWhenIdle
+        c = ServiceClient(url)
+        c.healthz()
+        # the server's FIN has arrived: the pooled socket reads as closed
+        assert select.select([c._local.conn.sock], [], [], 1.0)[0]
+        assert c.metrics()["http"] == {"connections": 2, "requests": 2}
+        assert c.retries == 0  # replaced before sending, not resent
+
+    def test_dropped_reply_on_a_reused_connection(self, server):
+        httpd, url = server
+        bare = ServiceClient(url, retry=None)
+        bare.healthz()  # a GET: never dropped; opens the connection
+        with faults.armed(_drop_plan([True])):
+            with pytest.raises(ServiceUnavailable):
+                bare.run("add", level=0, width=1)
+        assert bare.retries == 0
+
+        c = ServiceClient(url)
+        assert c.retry is CLIENT_RETRY
+        c.healthz()
+        with faults.armed(_drop_plan([True, False])) as plan:
+            r = c.run("add", level=0, width=1)
+        assert r["result"]["cycles"] > 0
+        assert plan.injected["server.drop_response"] == 1
+        assert c.retries == 1
+        # healthz + dropped run per client, + the retried run: each
+        # dropped reply cost its connection, and nothing else was sent
+        assert httpd.http_counts() == {"connections": 3, "requests": 5}
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "-5",
+                                        str(MAX_BODY_BYTES + 1)])
+    def test_untrusted_content_length_is_400_and_closes(self, server, length):
+        _, url = server
+        host, port = url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=1.0) as s:
+            s.sendall(f"POST /v1/run HTTP/1.1\r\nHost: {host}\r\n"
+                      f"Content-Length: {length}\r\n\r\n".encode())
+            # read to EOF: a server that kept the connection open (or
+            # waited for a body) would time this read out after 1 s
+            reply = s.makefile("rb").read()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert b"bad Content-Length" in body
+
+    def test_kept_alive_hits_do_not_stall(self, server):
+        """200 hits on one connection: about 0.2 s; a reply held back
+        by Nagle's algorithm for the client's delayed ACK costs ~40 ms
+        each, about 8 s."""
+        httpd, url = server
+        c = ServiceClient(url, retry=None)
+        assert c.run("add", level=0, width=1)["cache"] == "miss"
+        t0 = time.perf_counter()
+        for _ in range(200):
+            assert c.run("add", level=0, width=1)["cache"] == "hit"
+        assert time.perf_counter() - t0 < 2.0
+        assert httpd.http_counts()["connections"] == 1
+
+    def test_server_close_does_not_wait_for_idle_connections(self, server):
+        httpd, url = server
+        c = ServiceClient(url, retry=None)
+        c.healthz()  # leaves a handler thread parked on the idle connection
+        closer = threading.Thread(
+            target=lambda: (httpd.shutdown(), httpd.server_close()))
+        closer.start()
+        closer.join(2.0)
+        assert not closer.is_alive()
