@@ -9,7 +9,7 @@ architecture"):
   kernel yields the golden final state every optimization level must
   reproduce.
 * :mod:`repro.check.oracle` — the differential oracle: compiles every
-  corpus kernel at Conv..Lev4 across machine configs and asserts the
+  corpus kernel at Conv..Lev5 across machine configs and asserts the
   simulated final memory/scalar state matches the golden state, with
   first-divergent-store provenance on failure.
 * :mod:`repro.check.fuzz` — a seeded random loop-nest generator with

@@ -9,10 +9,13 @@ pass-attribution methodology of Kong & Pouchet's "performance
 vocabulary" and Shivam et al.'s achievable-peak studies, applied to the
 paper's transformation repertoire.
 
-A positive contribution means the pass earns cycles; ~0 means it never
-fires or is fully shadowed by later passes; negative means it actively
-hurts on that loop (e.g. an expansion whose compensation code outweighs
-the exposed parallelism at this width).
+A positive contribution means the pass earns cycles; ~0 means it does
+not fire on that loop, or is shadowed or pre-empted at this level
+(every registered pass fires on some corpus loop, see
+``tests/unit/test_pass_census.py``); negative means it actively hurts
+on that loop (e.g. an expansion whose compensation code outweighs the
+exposed parallelism at this width), or that it pays mostly at issue-1,
+since the Conv denominator is re-measured with the pass disabled.
 
 The default workload set is the 9-kernel oracle subset used by CI, so
 the table is cheap to regenerate; ``--workloads all`` covers the full
@@ -177,7 +180,10 @@ def render_ablation(data: AblationData) -> str:
     head = (f"Leave-one-out pass ablation — {data.level.label} at "
             f"issue-{data.width}, speedup vs issue-1 Conv\n"
             f"contribution = full-pipeline speedup minus speedup with the "
-            f"pass disabled\n")
+            f"pass disabled\n"
+            f"the issue-1 Conv denominator is re-measured with the pass "
+            f"disabled too,\nso a pass that pays mostly at issue-1 (ivsr) "
+            f"reads negative\n")
     name_w = max(len("(full speedup)"),
                  max((len(p) for p in data.passes), default=4)) + 2
     cols = "".join(f"{w:>10}" for w in data.workloads)

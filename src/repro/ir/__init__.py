@@ -28,7 +28,7 @@ from .instructions import (
     make,
 )
 from .block import Block
-from .function import EXIT_LABEL, Function, reachable_labels, remove_unreachable
+from .function import EXIT_LABEL, Function, reachable_labels
 from .loop import Loop, dominators, ensure_preheader, find_loops, innermost_loops, reverse_postorder
 from .builder import FunctionBuilder
 from .printer import format_block, format_function, format_instr, format_schedule
@@ -41,7 +41,7 @@ __all__ = [
     "Instr", "Kind", "NEGATED_BRANCH", "Op", "OpInfo", "OP_INFO",
     "SWAPPED_BRANCH", "make",
     "Block",
-    "EXIT_LABEL", "Function", "reachable_labels", "remove_unreachable",
+    "EXIT_LABEL", "Function", "reachable_labels",
     "Loop", "dominators", "ensure_preheader", "find_loops",
     "innermost_loops", "reverse_postorder",
     "FunctionBuilder",

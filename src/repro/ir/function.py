@@ -208,12 +208,3 @@ def reachable_labels(func: Function) -> set[str]:
         seen.add(lab)
         work.extend(func.successors(bm[lab]))
     return seen
-
-
-def remove_unreachable(func: Function) -> int:
-    """Delete unreachable blocks; returns how many were removed."""
-    keep = reachable_labels(func)
-    dead = [b for b in func.blocks if b.label not in keep]
-    for b in dead:
-        func.blocks.remove(b)
-    return len(dead)

@@ -108,8 +108,9 @@ def verify_def_before_use(
     ``defined_on_entry`` lists registers initialized outside the
     instruction stream (the harness binds one per declared kernel scalar —
     ``Function.pinned_regs`` for lowered kernels).  Only blocks reachable
-    from the entry are checked: mid-pipeline IR may hold detached blocks
-    that a later cleanup removes.
+    from the entry are checked, because a block no path reaches never
+    executes.  ``tests/unit/test_pass_census.py`` checks that the corpus
+    functions have no such block after the conv phase and at Lev5.
     """
     if not func.blocks:
         return

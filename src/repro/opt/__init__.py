@@ -1,7 +1,7 @@
 """repro.opt — the classical ("Conv") optimizer."""
 
 from .constprop import propagate_constants
-from .copyprop import propagate_copies_global, propagate_copies_local
+from .copyprop import propagate_copies_local
 from .cse import eliminate_common_subexpressions
 from .dce import eliminate_dead_code, remove_nops
 from .driver import run_conv
@@ -11,7 +11,7 @@ from .redundant_mem import eliminate_redundant_memory
 
 __all__ = [
     "propagate_constants",
-    "propagate_copies_global", "propagate_copies_local",
+    "propagate_copies_local",
     "eliminate_common_subexpressions",
     "eliminate_dead_code", "remove_nops",
     "run_conv",

@@ -99,42 +99,6 @@ def _identity(ins: Instr) -> Operand | None:
     return None
 
 
-_CMP_FOLD = {
-    "blt": lambda a, b: a < b, "ble": lambda a, b: a <= b,
-    "bgt": lambda a, b: a > b, "bge": lambda a, b: a >= b,
-    "beq": lambda a, b: a == b, "bne": lambda a, b: a != b,
-    "fblt": lambda a, b: a < b, "fble": lambda a, b: a <= b,
-    "fbgt": lambda a, b: a > b, "fbge": lambda a, b: a >= b,
-    "fbeq": lambda a, b: a == b, "fbne": lambda a, b: a != b,
-}
-
-
-def fold_constant_branches(func: Function) -> int:
-    """Resolve branches whose both operands are compile-time constants:
-    always-taken becomes a jump, never-taken disappears.  With a known
-    trip count this is what erases an unnecessary preconditioning loop
-    (the paper's "iteration count known on loop entry" case)."""
-    from ..ir.instructions import Kind
-
-    changed = 0
-    for blk in func.blocks:
-        new_instrs = []
-        for ins in blk.instrs:
-            if ins.kind is Kind.BRANCH:
-                a, b = ins.srcs
-                if isinstance(a, (Imm, FImm)) and isinstance(b, (Imm, FImm)):
-                    changed += 1
-                    if _CMP_FOLD[ins.op.value](a.value, b.value):
-                        new_instrs.append(
-                            Instr(Op.JMP, target=ins.target, prob=ins.prob)
-                        )
-                        break  # the rest of the block is unreachable
-                    continue  # never taken: drop
-            new_instrs.append(ins)
-        blk.instrs = new_instrs
-    return changed
-
-
 def propagate_constants(func: Function) -> int:
     """Local constant propagation + folding.  Returns rewrites made."""
     changed = 0

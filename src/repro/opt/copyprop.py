@@ -1,12 +1,10 @@
-"""Copy propagation.
+"""Copy propagation and move coalescing.
 
 Local: within a block, after ``d = s`` every use of ``d`` reads ``s``
-until either is redefined.
-
-Global: a register with exactly one definition in the whole function,
-which is a move from a register that is *never* redefined after that
-point (conservatively: has exactly one definition as well, or is never
-defined at all — a live-in), can be propagated everywhere.
+until either is redefined.  There is no global form: every register
+move the classical phase leaves behind copies or writes a register with
+several definitions, or is a loop-carried update read before it is
+written (DESIGN.md §10.2).
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from ..ir.function import Function
-from ..ir.instructions import Instr, Op
+from ..ir.instructions import Op
 from ..ir.operands import Reg
 
 
@@ -96,71 +94,4 @@ def coalesce_moves(func: Function) -> int:
             use_count[t] -= 1
             changed += 1
             # do not advance i: the next instruction shifted into place
-    return changed
-
-
-def propagate_copies_global(func: Function) -> int:
-    from ..ir.loop import dominators
-
-    def_count: dict[Reg, int] = defaultdict(int)
-    def_site: dict[Reg, tuple[str, int, Instr]] = {}
-    for blk in func.blocks:
-        for pos, ins in enumerate(blk.instrs):
-            if ins.dest is not None:
-                def_count[ins.dest] += 1
-                def_site[ins.dest] = (blk.label, pos, ins)
-
-    dom = dominators(func)
-
-    def def_dominates_all_uses(d: Reg) -> bool:
-        dlab, dpos, _ = def_site[d]
-        for blk in func.blocks:
-            for pos, ins in enumerate(blk.instrs):
-                if d in set(ins.reg_uses()):
-                    if blk.label == dlab:
-                        if pos <= dpos:
-                            return False
-                    elif dlab not in dom.get(blk.label, set()):
-                        return False
-        return True
-
-    def src_def_dominates(s: Reg, dlab: str, dpos: int) -> bool:
-        """s's single def (if any) must dominate the move, else the move
-        might read a stale s around a backedge."""
-        if s not in def_site:
-            return True  # live-in, never written
-        slab, spos, _ = def_site[s]
-        if slab == dlab:
-            return spos < dpos
-        return slab in dom.get(dlab, set())
-
-    sub: dict[Reg, Reg] = {}
-    for d, (dlab, dpos, ins) in def_site.items():
-        if def_count[d] != 1 or ins.op not in (Op.MOV, Op.FMOV):
-            continue
-        s = ins.srcs[0]
-        if (
-            isinstance(s, Reg)
-            and def_count.get(s, 0) <= 1
-            and s != d
-            and src_def_dominates(s, dlab, dpos)
-            and def_dominates_all_uses(d)
-        ):
-            sub[d] = s
-    if not sub:
-        return 0
-    # resolve chains d -> s -> t
-    for d in list(sub):
-        seen = {d}
-        t = sub[d]
-        while t in sub and t not in seen:
-            seen.add(t)
-            t = sub[t]
-        sub[d] = t
-    changed = 0
-    for ins in func.iter_instrs():
-        m = {r: sub[r] for r in ins.reg_uses() if r in sub}
-        if m:
-            ins.replace_uses(m)
-            changed += 1
     return changed

@@ -34,7 +34,7 @@ from ..analysis.loopvars import CountedLoop
 from ..ir.function import Function
 from ..ir.instructions import Instr, Op
 from ..ir.loop import Loop, dominators, ensure_preheader, find_loops
-from ..ir.operands import Imm, Operand, Reg, Sym
+from ..ir.operands import Imm, Operand, Reg
 
 
 @dataclass
@@ -43,16 +43,6 @@ class _BasicIV:
     step: int
     inc: Instr
     inc_block: str
-
-
-@dataclass
-class _DerivedIV:
-    """x = scale * iv + offset_expr; stepped by scale * iv.step."""
-
-    reg: Reg
-    basic: _BasicIV
-    scale: int
-    inc: Instr  # the increment instruction created for x
 
 
 def _find_basic_ivs(func: Function, loop: Loop, dom, latch: str) -> dict[Reg, _BasicIV]:

@@ -29,15 +29,9 @@ scheduler itself) are ``required`` and exempt from all of those.
 
 from __future__ import annotations
 
-from ..ir.function import remove_unreachable
-from ..ir.loop import find_loops
 from ..ir.verify import verify_function
-from ..opt.constprop import fold_constant_branches, propagate_constants
-from ..opt.copyprop import (
-    coalesce_moves,
-    propagate_copies_global,
-    propagate_copies_local,
-)
+from ..opt.constprop import propagate_constants
+from ..opt.copyprop import coalesce_moves, propagate_copies_local
 from ..opt.cse import eliminate_common_subexpressions
 from ..opt.dce import eliminate_dead_code
 from ..opt.ivsr import strength_reduce_ivs
@@ -77,7 +71,6 @@ def _conv_round_start(ctx: PipelineContext) -> None:
 
 
 def _conv_finalize(ctx: PipelineContext, mgr) -> None:
-    remove_unreachable(ctx.func)
     ctx.func.reindex_regs()
     if ctx.verify_final:
         verify_function(ctx.func)
@@ -95,9 +88,6 @@ CONV_PASSES = (
     Pass("copyprop-local", "conv",
          lambda ctx: propagate_copies_local(ctx.func),
          doc="block-local copy propagation"),
-    Pass("copyprop-global", "conv",
-         lambda ctx: propagate_copies_global(ctx.func),
-         doc="global copy propagation"),
     Pass("cse", "conv",
          lambda ctx: eliminate_common_subexpressions(
              ctx.func, ctx.conv_protected),
@@ -253,12 +243,6 @@ CLEANUP_PASSES = (
     Pass("cleanup-redundant-mem", "cleanup",
          lambda ctx: eliminate_redundant_memory(ctx.func, ctx.prologues),
          doc="cross-iteration store-to-load forwarding in the superblock"),
-    Pass("cleanup-branch-fold", "cleanup",
-         lambda ctx: fold_constant_branches(ctx.func),
-         doc="resolve the remainder guard once the trip count is constant"),
-    Pass("cleanup-unreachable", "cleanup",
-         lambda ctx: remove_unreachable(ctx.func),
-         doc="drop unreachable precondition loops"),
     Pass("cleanup-dce", "cleanup",
          lambda ctx: eliminate_dead_code(ctx.func, ctx.live_out_exit),
          doc="dead code elimination after folding"),

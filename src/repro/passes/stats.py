@@ -117,7 +117,7 @@ class PipelineReport:
 
     @property
     def copies(self) -> int:
-        return self.rewrites("coalesce", "copyprop-local", "copyprop-global")
+        return self.rewrites("coalesce", "copyprop-local")
 
     @property
     def cse(self) -> int:

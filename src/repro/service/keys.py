@@ -46,7 +46,7 @@ from ..workloads import get_workload
 
 #: Compiler-side salt component: bump when compiled output changes
 #: (pass behavior, scheduling, lowering).
-COMPILER_VERSION = "repro-2026.08-pm5"
+COMPILER_VERSION = "repro-2026.10-pm6"
 
 #: Bump when compiled output or simulation semantics change: every
 #: artifact keyed under the old salt becomes unreachable (and is lazily

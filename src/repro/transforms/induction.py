@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.liveness import liveness
-from ..ir.function import Function
 from ..ir.instructions import Instr, Op
 from ..ir.operands import Imm, Operand, Reg
 from ..schedule.superblock import SuperblockLoop
@@ -48,22 +46,6 @@ class InductionChain:
     @property
     def k(self) -> int:
         return len(self.def_positions)
-
-
-def _add_operands(ins: Instr) -> tuple[Reg, Operand] | None:
-    """For ``d = a + b`` return (reg_source, other) when exactly one source
-    is a register of d's class; None otherwise."""
-    if ins.op is not Op.ADD:
-        return None
-    a, b = ins.srcs
-    if isinstance(a, Reg) and not isinstance(b, Reg):
-        return a, b
-    if isinstance(b, Reg) and not isinstance(a, Reg):
-        return b, a
-    if isinstance(a, Reg) and isinstance(b, Reg):
-        # register step: disambiguate below using def counts
-        return None
-    return None
 
 
 def find_induction_chains(body: list[Instr]) -> list[InductionChain]:

@@ -242,15 +242,15 @@ class TestWorkStealing:
         urls = [a[3], b[3]]
         for rig in (a, b):
             rig[2].join(urls)
+        # the rigs are identical, so name the owner of the probe's key A
+        # (a direct shed, no ownership forward) instead of hunting for a
+        # key A happens to own
+        wl = PROBES[0]
+        if a[2].ring.node_for(run_key(wl)) != a[3]:
+            a, b = b, a
         try:
             from repro.service.client import ServiceOverloaded
 
-            wl = None  # a workload whose key node A owns (direct shed)
-            for probe in PROBES:
-                if a[2].ring.node_for(run_key(probe)) == a[3]:
-                    wl = probe
-                    break
-            assert wl is not None
             with pytest.raises(ServiceOverloaded):
                 ServiceClient(a[3], retry=None).run(wl)
             # A offered B the work once; B, saturated, shed it without
@@ -314,6 +314,8 @@ class TestRouter:
         client, router = routed
         for path, body in [
                 ("/v1/run", {"workload": "add", "disable": ["nope"]}),
+                ("/v1/run", {"workload": "add",
+                             "disable": ["copyprop-global"]}),
                 ("/v1/run", {"workload": "add", "check": "false"}),
                 ("/v1/sweep", {"workloads": ["add"], "widths": [3]})]:
             with pytest.raises(ServiceRequestError) as ei:

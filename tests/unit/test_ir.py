@@ -27,7 +27,6 @@ from repro.ir import (
     parse_function,
     parse_instr,
     parse_operand,
-    remove_unreachable,
     verify_function,
     verify_instr,
 )
@@ -213,13 +212,6 @@ D:
         f = parse_function("function t:\nA:\n  jmp B\nB:\n  halt\nC:\n  halt\n")
         f.retarget("B", "C")
         assert f.get_block("A").instrs[0].target.name == "C"
-
-    def test_remove_unreachable(self):
-        f = parse_function(
-            "function t:\nA:\n  jmp C\nB:\n  nop\nC:\n  halt\n"
-        )
-        assert remove_unreachable(f) == 1
-        assert [b.label for b in f.blocks] == ["A", "C"]
 
     def test_duplicate_label_rejected(self):
         f = Function("t")

@@ -14,12 +14,8 @@ from repro.ir import (
     verify_function,
 )
 from repro.machine import unlimited
-from repro.opt.constprop import fold_constant_branches, propagate_constants
-from repro.opt.copyprop import (
-    coalesce_moves,
-    propagate_copies_global,
-    propagate_copies_local,
-)
+from repro.opt.constprop import propagate_constants
+from repro.opt.copyprop import coalesce_moves, propagate_copies_local
 from repro.opt.cse import eliminate_common_subexpressions
 from repro.opt.dce import eliminate_dead_code
 from repro.opt.driver import run_conv
@@ -60,16 +56,6 @@ class TestConstProp:
         propagate_constants(f)
         assert f.get_block("A").instrs[1].op is Op.DIV
 
-    def test_fold_constant_branch_taken(self):
-        f = f_of("function t:\nA:\n  beq (3 3) C\nB:\n  nop\nC:\n  halt\n")
-        assert fold_constant_branches(f) == 1
-        assert f.get_block("A").instrs[0].op is Op.JMP
-
-    def test_fold_constant_branch_not_taken(self):
-        f = f_of("function t:\nA:\n  beq (3 4) C\nB:\n  nop\nC:\n  halt\n")
-        fold_constant_branches(f)
-        assert f.get_block("A").instrs == []
-
 
 class TestCopyProp:
     def test_local(self):
@@ -84,13 +70,6 @@ class TestCopyProp:
         propagate_copies_local(f)
         # r2i's copy of r1i died when r1i was redefined
         assert str(f.get_block("A").instrs[2]) == "r3i = r2i + 1"
-
-    def test_global_across_blocks(self):
-        f = f_of(
-            "function t:\nA:\n  r2i = r1i\nB:\n  r3i = r2i + 1\n  halt\n"
-        )
-        propagate_copies_global(f)
-        assert str(f.get_block("B").instrs[0]) == "r3i = r1i + 1"
 
     def test_coalesce_restores_self_update(self):
         f = f_of(

@@ -248,8 +248,9 @@ class TestSolverCache:
         assert problem_key(p, 100) == problem_key(p, 100)
 
     def test_golden_problem_keys(self):
-        # recorded before solver keys moved onto service.keys.content_key:
-        # they change only with SOLVER_VERSION / CODE_VERSION, on purpose
+        # recorded before solver keys moved onto service.keys.content_key
+        # and re-recorded for the repro-2026.10-pm6 salt: they change only
+        # with SOLVER_VERSION / CODE_VERSION, on purpose
         loads = SchedProblem(latency=(1,) * 4, is_branch=(False,) * 4,
                              kind=("LOAD",) * 4, edges=(), width=0,
                              slot_limits=(("LOAD", 1),))
@@ -258,18 +259,20 @@ class TestSolverCache:
                             edges=((0, 1, 2), (1, 2, 0), (2, 0, -3)),
                             width=2, period=3)
         assert problem_key(_chain(3), 100) == (
-            "6235c8a7e44fcb1f338737f508b6b674db6e10ec41d2d08d8ecdd841f2b9bc3c")
+            "0180daf32c7747a6bbb78a620c2a4403ef72016846a265be6670733d2883fb34")
         assert problem_key(loads, 50000, "min", {"ub": 4}) == (
-            "5dbf1ef04a88589f45b0fc50f8b11f6f5515049a46c428a01173cf152cddab7e")
+            "f5b307a04f8b99de68f15fa8461a290f042b91955f100217e69b8760718308aa")
         assert problem_key(ring, 100000, "modulo", {
             "cross": [[2, 0, 1, 1]], "ub": 5, "mii": 3}) == (
-            "c699817da64da4e108f7d2bc3a490580b50c07be49413238705b5f63db402fba")
+            "213dde092140ad4009a57fae18431295e2403934e72b54325ae39cde6795fd8a")
 
     def test_a_store_written_before_the_fold_still_hits(self, tmp_path):
         """``data/parent_solver_store`` holds the ten blobs the commit
         before this layout wrote for the three computations below (an
-        existing ``--solver-store`` directory): all of them are found,
-        nothing is recomputed or rewritten."""
+        existing ``--solver-store`` directory), re-keyed for the
+        repro-2026.10-pm6 salt (under the old salt today's code writes
+        them byte for byte): all of them are found, nothing is
+        recomputed or rewritten."""
         import shutil
         from pathlib import Path
 

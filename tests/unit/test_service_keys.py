@@ -213,15 +213,18 @@ class TestEngineDerivedSalt:
 
 from repro.service.keys import CellRequest, SweepRequest  # noqa: E402
 
-#: digests pinned from commit 2180118 (before identity became a type):
-#: a store written then must be served as hits now
+#: digests first pinned from commit 2180118 (before identity became a
+#: type) and re-recorded once, on purpose, for the repro-2026.10-pm6 salt
+#: (global copy propagation was deleted, which changes the compiled code
+#: of some ``disable`` sets): a store written under this salt must be
+#: served as hits
 GOLDEN = [
     (("run", "add", 4, 8), {},
-     "fe5d0f2d2df564f5b7156da9e8dde4ae85402f2056462584e918c1db283e65be"),
+     "18f69b8f79ac8621a57ed034c05c1dec951bae6e88caca456e5891d817e04a33"),
     (("result", "dotprod", 5, 1), {"seed": 3, "disable": ("cse", "dce")},
-     "d5d7cb0741c9797c584f3dd7058e6194783a32ca9fbac7d84484197f76f1ff0c"),
+     "2e524f5f70121d93c04b7b1b8d3b014c818c1d1f0510343e3629daacc8e79ed1"),
     (("compile", "sum", 0, 2), {"check_ir": True},
-     "0c1c95ef7551b886820bcc836b8ca9d87da7ee0302f60605f5ebf1d9141cf058"),
+     "7c1f80adcf3b6b64a7c6089faeaf16e0fac5bd914a17e9a113ee885613cda99a"),
 ]
 
 
@@ -260,6 +263,7 @@ class TestRequestValidation:
         {"workload": "no-such-kernel"},
         {"workload": "add", "disable": "dce"},          # would be d, c, e
         {"workload": "add", "disable": ["nope"]},       # unknown pass
+        {"workload": "add", "disable": ["copyprop-global"]},  # deleted pass
         {"workload": "add", "disable": ["superblock"]},  # structural pass
         {"workload": "add", "disable": [1]},
         {"workload": "add", "check": "false"},          # would be True
