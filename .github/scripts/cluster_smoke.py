@@ -15,13 +15,17 @@ cluster plus a router, then drives the scale-out guarantees end to end:
    answered, lost artifacts are recomputed, and nothing is served
    twice or differently;
 4. the router's aggregated ``/metrics`` reports zero errors on the
-   survivors.
+   survivors;
+5. a routed hit's ``result`` equals the owner node's, and the router
+   and every surviving node answer the three hostile heads of
+   ``hostile_heads.py`` with a JSON 4xx and a close.
 """
 
 import sys
 import tempfile
 from pathlib import Path
 
+from hostile_heads import check_hostile_heads
 from repro.cluster.client import ClusterClient
 from repro.cluster.launch import ProcessCluster
 from repro.cluster.router import serve_router_background
@@ -116,6 +120,24 @@ def main() -> int:
         assert m["router"]["unroutable"] == 0
         assert m["router"]["failovers"] > 0, \
             "the kill never exercised failover"
+
+        # 5: a routed hit relays the owner's result; hostile heads are
+        # one JSON 4xx and a close at the router and at every survivor
+        wl, lv, wd = next(
+            cfg for cfg in GRID
+            if router.ring.node_for(CellRequest("run", *cfg).key) != victim)
+        owner = router.ring.node_for(CellRequest("run", wl, lv, wd).key)
+        routed = c.run(wl, level=lv, width=wd, timeout=60.0)
+        at_owner = ServiceClient(owner, retry=None).run(
+            wl, level=lv, width=wd, timeout=60.0)
+        assert routed["cache"] == at_owner["cache"] == "hit"
+        assert routed["result"] == at_owner["result"], \
+            "the routed hit differs from the owner's"
+        problems = [p for u in [url, *survivors]
+                    for p in check_hostile_heads(u)]
+        if problems:
+            print("\n".join(problems), file=sys.stderr)
+            return 1
         print(f"cluster smoke: ok ({len(GRID)} configs over 3 nodes, "
               f"{m['router']['routed']} routed, "
               f"{m['router']['failovers']} failovers, victim {victim})")

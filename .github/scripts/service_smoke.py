@@ -8,14 +8,17 @@ sweep job, and an oversized sweep that must be load-shed — then the
 bad-request probe (six requests no worker could compute — an unknown
 ``disable`` entry, a negative or oversized ``seed`` — are six 400s and
 leave the cell servable), then 100 store hits from the same client,
-then scrapes ``/metrics`` and fails on any nonzero service-side error
-count or on connections not being reused (``http.requests /
-http.connections`` under 10 — a count, not a clock).
+then the three hostile heads of ``hostile_heads.py`` (each must be a
+JSON 4xx that closes its connection), then scrapes ``/metrics`` and
+fails on any nonzero service-side error count or on connections not
+being reused (``http.requests / http.connections`` under 10 — a count,
+not a clock).
 """
 
 import sys
 import time
 
+from hostile_heads import check_hostile_heads
 from repro.service.client import (
     ServiceClient,
     ServiceOverloaded,
@@ -85,6 +88,12 @@ def main() -> int:
     # 8: 100 store hits from this one client ride its kept-alive connection
     for _ in range(100):
         assert c.run("dotprod", level=4, width=8)["cache"] == "hit"
+
+    # 9: heads that cannot be framed are one JSON 4xx and a close each
+    problems = check_hostile_heads(URL)
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 1
 
     m = c.metrics()
     print(f"metrics: {m}")

@@ -28,6 +28,8 @@ plain proxying.
 
 from __future__ import annotations
 
+import json
+
 from ..service.client import ServiceClient
 from ..service.keys import CellRequest, SweepRequest
 from .peers import RingDispatcher
@@ -59,14 +61,15 @@ class ClusterClient(ServiceClient):
                     "/metrics": self.peers.metrics}[path]()
         if path != "/v1/sweep":
             req = CellRequest.from_body(body, path.rsplit("/", 1)[1])
-            return self.peers.post(path, body, req.key)[1]
+            return json.loads(self.peers.post(path, body, req.key)[1])
         # whole-grid sweeps — placement only (any string hashes onto the
         # ring): the same grid always lands on the same node, spreading
         # distinct sweeps
         s = SweepRequest.from_body(body)
         key = (f"sweep:{sorted(s.workloads)}:{sorted(s.levels)}"
                f":{sorted(s.widths)}:{s.seed}")
-        url, reply = self.peers.post(path, body, key)
+        url, raw = self.peers.post(path, body, key)
+        reply = json.loads(raw)
         # the handle pins polling to the node that holds the job record
         # (a node that stole the sweep reports where it really lives)
         reply["job"] = (reply.get("node") or reply.get("routed_by") or url,

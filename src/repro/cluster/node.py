@@ -55,6 +55,7 @@ from ..service.jobs import JobEngine, Overloaded
 from ..service.keys import CellRequest, SweepRequest
 from ..service.server import ServiceError, ServiceHTTPServer, _Handler
 from ..service.store import ArtifactStore
+from ..service.wire import with_fields
 from .peers import HOP_HEADER, RingDispatcher
 from .ring import HashRing
 
@@ -116,18 +117,18 @@ class ClusterState:
 
     # -- forwarding ------------------------------------------------------
 
-    def forward(self, path: str, req: CellRequest) -> dict | None:
+    def forward(self, path: str, req: CellRequest) -> bytes | None:
         """Proxy a request to the owning node — the dispatcher's one-hop
-        case; None if it is down.  (If the owner answers, even 429/503,
-        its verdict propagates and is relayed as-is.)"""
+        case: the owner's reply bytes with ``forwarded`` spliced in, or
+        None if it is down.  (If the owner answers, even 429/503, its
+        verdict propagates and is relayed as-is.)"""
         try:
             _, reply = self.peers.post(path, req.to_body(), req.key,
                                        owner_hop="forward", max_hops=1)
         except ServiceUnavailable:
             return None
         self.count("forwarded_out")
-        reply["forwarded"] = True
-        return reply
+        return with_fields(reply, {"forwarded": True})
 
     # -- work stealing ---------------------------------------------------
 
@@ -265,7 +266,7 @@ class _NodeHandler(_Handler):
         if owner != cl.self_url and hop is None:
             reply = cl.forward(self.path, req)
             if reply is not None:
-                self._send(200, reply)
+                self._send_raw(200, reply)
                 return
             # owner down: compute here so the request still succeeds
             # (the artifact lands on this shard; the chaos oracle

@@ -26,6 +26,7 @@ from ..service.client import (
     ServiceRequestError,
     ServiceUnavailable,
 )
+from ..service.wire import with_fields
 from .ring import HashRing
 
 #: one node-to-node hop is allowed; a request carrying this header
@@ -66,24 +67,25 @@ class RingDispatcher:
 
     def post(self, path: str, body: dict, key: str, *,
              owner_hop: str | None = None,
-             max_hops: int | None = None) -> tuple[str, dict]:
+             max_hops: int | None = None) -> tuple[str, bytes]:
         """POST along ``key``'s preference order; returns ``(url,
-        reply)`` of the first node that answers.  The owner gets
+        reply)`` of the first node that answers, the reply as the JSON
+        bytes it sent (relayed, not decoded).  The owner gets
         ``owner_hop`` (a router's plain request, a node's ``forward``);
         ``max_hops=1`` is the no-failover case.  Raises
         :class:`ServiceUnavailable` when no node tried is reachable."""
         last = None
         for i, url in enumerate(self.ring.preference(key)[:max_hops]):
             try:
-                reply = self.client(url, "route" if i else owner_hop)._call(
-                    "POST", path, body)
+                reply = self.client(url, "route" if i else owner_hop
+                                    )._call_raw("POST", path, body)
             except ServiceUnavailable as e:
                 last = e
                 if self.on_failover is not None:
                     self.on_failover()
                 continue
             if i:
-                reply["failover"] = True
+                reply = with_fields(reply, {"failover": True})
             return url, reply
         raise ServiceUnavailable(
             f"no node reachable for key {key[:12]}: {last}")

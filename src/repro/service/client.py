@@ -1,4 +1,4 @@
-"""Client SDK for the compilation service (stdlib ``http.client`` only).
+"""Client SDK for the compilation service (stdlib sockets only).
 
     from repro.service.client import ServiceClient
 
@@ -10,39 +10,48 @@
         c.metrics()["hits"]
 
 The transport is one persistent HTTP/1.1 connection per (client,
-thread), reused for every request that thread sends; :meth:`close` (or
-leaving the ``with``) drops the calling thread's.  Before a kept-alive
+thread) — a socket with ``TCP_NODELAY`` and a buffered reader on it,
+framed by :mod:`repro.service.wire` — reused for every request that
+thread sends; :meth:`close` (or leaving the ``with``) drops the calling
+thread's.  A request leaves in one write.  Before a kept-alive
 connection is reused it is probed with a zero-timeout ``select``: an
 idle socket is readable only once the server has closed it, so such a
-connection is replaced *before* anything is sent.  The transport never
-sends a request twice — a failure after sending is a
+connection is replaced *before* anything is sent.  A reply is framed
+by its ``Content-Length``; one that says ``Connection: close``, or an
+HTTP/1.0 reply, ends the connection.
+The transport never sends a request twice — a failure after sending is a
 :class:`ServiceUnavailable`, and only the retry policy below sends again.
 
 Errors are raised as :class:`ServiceUnavailable` (connection refused or
-dropped), :class:`ServiceOverloaded` (HTTP 429 — back off and retry),
-or :class:`ServiceRequestError` (anything else non-2xx, with the
-server's error string).  Transport failures and 503 (quarantined cell)
-are retried under the shared :class:`~repro.resilience.retry.RetryPolicy`
-— safe because every request is idempotent by canonical key; 429 is
-retried only when ``retry_overloaded=True`` (by default shedding is a
-signal the caller should see).  ``Retry-After`` headers override the
-computed backoff, in both RFC 9110 forms — delta-seconds *and*
-HTTP-date (:func:`parse_retry_after`).  Used by ``repro submit``, ``experiments/sweep.py``
-clients, and ``examples/service_client.py``.
+dropped, or a reply that cannot be framed), :class:`ServiceOverloaded`
+(HTTP 429 — back off and retry), or :class:`ServiceRequestError`
+(anything else non-2xx, with the server's error string).  Transport
+failures and 503 (quarantined cell) are retried under the shared
+:class:`~repro.resilience.retry.RetryPolicy` — safe because every
+request is idempotent by canonical key; 429 is retried only when
+``retry_overloaded=True`` (by default shedding is a signal the caller
+should see).  ``Retry-After`` headers override the computed backoff, in
+both RFC 9110 forms — delta-seconds *and* HTTP-date
+(:func:`parse_retry_after`).  Used by ``repro submit``,
+``experiments/sweep.py`` clients, ``examples/service_client.py`` and
+every cluster hop; a hop that relays a reply takes its bytes from
+:meth:`ServiceClient._call_raw` instead of decoding them.
 """
 
 from __future__ import annotations
 
 import email.utils
-import http.client
 import json
 import select
+import socket
 import threading
 import time
 import urllib.parse
+import weakref
 from datetime import timezone
 
 from ..resilience.retry import RetryPolicy, RetryState
+from .wire import Headers, HeadError, read_headers, read_line
 
 #: default transport retry schedule (connection drops, 503)
 CLIENT_RETRY = RetryPolicy(max_attempts=5, base_s=0.05, cap_s=2.0,
@@ -101,13 +110,48 @@ class ServiceUnavailable(RuntimeError):
     """The service could not be reached at all."""
 
 
-class _Connection(http.client.HTTPConnection):
-    """A pooled connection that closes its socket when it is dropped
-    with its thread or client, not in the garbage collector's
-    unclosed-socket warning."""
+class _Socket:
+    """A connected socket and the buffered reader on it.  ``close()``
+    closes both, and so does dropping the object with its thread or
+    client — a ``weakref.finalize`` rather than ``__del__``, which in a
+    reference cycle may run after the socket's own finalizer has warned
+    that it was never closed."""
 
-    def __del__(self):
-        self.close()
+    def __init__(self, sock: socket.socket):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+        self.close = weakref.finalize(self, _close_all, self.rfile, sock)
+
+
+def _close_all(*files) -> None:
+    for f in files:
+        f.close()
+
+
+def _read_reply(rfile) -> tuple[int, str, Headers, bytes, bool]:
+    """``(status, reason, headers, body, keep)`` of one reply; ``keep``
+    says whether the connection may carry another request.  The service
+    frames every reply by ``Content-Length``; one without it is an
+    error."""
+    line = read_line(rfile, 502, "status line")
+    if not line:
+        raise ConnectionError("connection closed before the reply")
+    version, _, rest = line.rstrip(b"\r\n").partition(b" ")
+    code, _, reason = rest.partition(b" ")
+    if not version.startswith(b"HTTP/") or not (
+            len(code) == 3 and code.isdigit()):
+        raise HeadError(502, f"bad status line {line[:80]!r}")
+    headers = read_headers(rfile)
+    length = headers.get("Content-Length", "")
+    if not (length.isascii() and length.isdigit()):
+        raise HeadError(502, f"bad Content-Length {length!r}")
+    body = rfile.read(int(length))
+    if len(body) < int(length):
+        raise ConnectionError("connection closed inside the reply body")
+    keep = (version == b"HTTP/1.1"
+            and "close" not in headers.get("Connection", "").lower())
+    return int(code), reason.decode("latin-1"), headers, body, keep
 
 
 class ServiceClient:
@@ -117,7 +161,8 @@ class ServiceClient:
                  headers: dict | None = None):
         self.base_url = base_url.rstrip("/")
         url = urllib.parse.urlsplit(self.base_url)
-        self._host, self._port, self._prefix = url.hostname, url.port, url.path
+        self._host, self._port = url.hostname, url.port or 80
+        self._netloc, self._prefix = url.netloc, url.path
         self.timeout = timeout
         self.retry = retry
         self.retry_overloaded = retry_overloaded
@@ -145,16 +190,17 @@ class ServiceClient:
 
     # -- transport ------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Socket:
         """The calling thread's connection, probed before reuse."""
         conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = _Connection(self._host, self._port,
-                                                  timeout=self.timeout)
-        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+        if conn is not None and select.select([conn.sock], [], [], 0)[0]:
             # an idle kept-alive socket is readable only once the server
             # has closed it: reconnect now, while nothing has been sent
-            conn.close()
+            self.close()
+            conn = None
+        if conn is None:
+            conn = self._local.conn = _Socket(socket.create_connection(
+                (self._host, self._port), self.timeout))
         return conn
 
     def _retryable(self, e: Exception) -> bool:
@@ -165,6 +211,11 @@ class ServiceClient:
         return isinstance(e, ServiceRequestError) and e.status == 503
 
     def _call(self, method: str, path: str, body: dict | None = None) -> dict:
+        return json.loads(self._call_raw(method, path, body) or b"{}")
+
+    def _call_raw(self, method: str, path: str,
+                  body: dict | None = None) -> bytes:
+        """The body of a 2xx reply, as bytes, under the retry policy."""
         if self.retry is None:
             return self._call_once(method, path, body)
         state = RetryState(self.retry)
@@ -181,29 +232,36 @@ class ServiceClient:
                 time.sleep(delay)
 
     def _call_once(self, method: str, path: str,
-                   body: dict | None = None) -> dict:
-        data = json.dumps(body).encode() if body is not None else None
-        conn = self._connection()
+                   body: dict | None = None) -> bytes:
+        head = (f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+                f"Host: {self._netloc}\r\n")
+        head += "".join(f"{k}: {v}\r\n" for k, v in self.headers.items())
+        data = b""
+        if body is not None:
+            data = json.dumps(body).encode()
+            head += ("Content-Type: application/json\r\n"
+                     f"Content-Length: {len(data)}\r\n")
         try:
-            conn.request(method, self._prefix + path, body=data, headers={
-                "Content-Type": "application/json", **self.headers})
-            resp = conn.getresponse()
-            raw = resp.read()
-        except (http.client.HTTPException, OSError) as e:
-            # refused, reset, dropped mid-reply or timed out: the
-            # connection is done, and whether to send again is the retry
-            # policy's call, never the transport's
+            conn = self._connection()
+            conn.sock.sendall(head.encode("latin-1") + b"\r\n" + data)
+            status, reason, headers, raw, keep = _read_reply(conn.rfile)
+        except (OSError, ValueError) as e:
+            # refused, reset, dropped mid-reply, timed out or unframable:
+            # the connection is done, and whether to send again is the
+            # retry policy's call, never the transport's
             self.close()
             raise ServiceUnavailable(f"{self.base_url}: {e!r}") from None
-        if 200 <= resp.status < 300:
-            return json.loads(raw or b"{}")
+        if not keep:
+            self.close()
+        if 200 <= status < 300:
+            return raw
         try:
-            message = json.loads(raw or b"{}").get("error", resp.reason)
+            message = json.loads(raw or b"{}").get("error", reason)
         except (json.JSONDecodeError, AttributeError):
-            message = resp.reason
-        retry_after = parse_retry_after(resp.getheader("Retry-After"))
-        cls = ServiceOverloaded if resp.status == 429 else ServiceRequestError
-        raise cls(resp.status, message, retry_after)
+            message = reason
+        retry_after = parse_retry_after(headers.get("Retry-After"))
+        cls = ServiceOverloaded if status == 429 else ServiceRequestError
+        raise cls(status, message, retry_after)
 
     # -- endpoints ------------------------------------------------------
 

@@ -10,7 +10,7 @@ Request lifecycle::
 
     submit ──admission──▶ store lookup ──hit──▶ done (cache="hit")
                 │ full                │ miss
-                ▼                     ▼
+                ▼                     ▼  (onto the loop)
             Overloaded         single-flight table ──in flight──▶ join
                (shed)                 │ new
                                       ▼
@@ -19,6 +19,12 @@ Request lifecycle::
                          the process pool ──▶ store.put per width ──▶
                          resolve every joined future
 
+* **Hits never reach the loop** — :meth:`JobEngine.submit_request`
+  reads the store on the calling thread (the store handle is locked):
+  a hit is admitted, filed as a finished job holding the stored
+  payload's bytes (``Job.raw``, which the HTTP server splices into its
+  reply undecoded) and counted there.  Only a miss is handed to the
+  loop.  A sweep's cells are looked up on the loop.
 * **Requests are values** — every request is a validated
   :class:`~repro.service.keys.CellRequest` (a sweep a
   :class:`~repro.service.keys.SweepRequest`) built once by the caller;
@@ -65,6 +71,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import hashlib
+import json
 import threading
 import time
 from collections import deque
@@ -169,6 +176,8 @@ class Job:
     state: str = "queued"        # queued | running | done | failed | timeout
     cache: Optional[str] = None  # hit | miss | joined (single-flight)
     result: Optional[dict] = None
+    #: a store hit's payload as stored (JSON bytes); ``result`` stays None
+    raw: Optional[bytes] = None
     error: Optional[str] = None
     #: wall-clock timestamps, display only (never used for deadlines)
     created: float = field(default_factory=time.time)
@@ -195,7 +204,8 @@ class Job:
     def as_dict(self) -> dict:
         return {
             "id": self.id, "kind": self.kind, "request": self.request,
-            "state": self.state, "cache": self.cache, "result": self.result,
+            "state": self.state, "cache": self.cache,
+            "result": self.result if self.raw is None else json.loads(self.raw),
             "error": self.error, "created": self.created,
             "finished": self.finished, "elapsed_s": self.elapsed_s,
         }
@@ -344,13 +354,27 @@ class JobEngine:
             CellRequest(kind, workload, int(level), int(width), **options))
 
     def submit_request(self, req: CellRequest) -> Job:
-        """Admit one compile/run request; returns immediately with a Job
-        whose ``future`` resolves to the result payload."""
+        """Admit one compile/run request.  A store hit returns a finished
+        Job holding the payload bytes (``raw``), answered on this thread;
+        otherwise the Job's ``future`` resolves to the result payload."""
         self._admit(1)
-        return self._start(
-            req.kind, req,
-            lambda job: self._request(
-                req, functools.partial(setattr, job, "cache")), 1)
+        t0 = time.perf_counter()
+        raw = self.store.get_raw(req.key) if self.store is not None else None
+        if raw is None:
+            return self._start(
+                req.kind, req,
+                lambda job: self._request(
+                    req, functools.partial(setattr, job, "cache"),
+                    lookup=False), 1)
+        job = self._jobs.add(lambda jid: Job(jid, req.kind, req.to_body(),
+                                             cache="hit", raw=raw))
+        job.finish("done")
+        self._jobs.finish(job.id)
+        with self._lock:
+            self._pending -= 1
+            self.counters["hits"] += 1
+        self._latencies.append(time.perf_counter() - t0)
+        return job
 
     def submit_sweep(self, sweep: SweepRequest) -> Job:
         """Admit a grid of run requests atomically (all or shed)."""
@@ -365,6 +389,8 @@ class JobEngine:
 
     def wait(self, job: Job, timeout: float | None = None) -> dict:
         """Block until the job resolves; raises its failure if any."""
+        if job.raw is not None:
+            return json.loads(job.raw)
         return job.future.result(timeout)
 
     # -- request handling (loop thread) --------------------------------
@@ -410,14 +436,17 @@ class JobEngine:
             ),
         }
 
-    async def _request(self, req: CellRequest, disposition) -> dict:
-        """Resolve one configuration: store, single-flight, or batch;
-        ``disposition`` is told which (hit | joined | miss) up front."""
+    async def _request(self, req: CellRequest, disposition,
+                       lookup: bool = True) -> dict:
+        """Resolve one configuration: store (unless the caller already
+        missed it), single-flight, or batch; ``disposition`` is told
+        which (hit | joined | miss) up front."""
         key = req.key
-        if self.store is not None:
+        if lookup and self.store is not None:
             cached = self.store.get(key)
             if cached is not None:
-                self.counters["hits"] += 1
+                with self._lock:
+                    self.counters["hits"] += 1
                 disposition("hit")
                 return cached
         self.counters["misses"] += 1
@@ -487,21 +516,11 @@ class JobEngine:
         Called by the server when admission control rejects a request:
         a previously computed (possibly stale-version-adjacent) result
         beats a 429 for read-mostly clients.  Returns None when nothing
-        is stored — the caller sheds for real.  The read is bounced onto
-        the engine loop because the store handle is not internally
-        locked.
+        is stored — the caller sheds for real.
         """
         if self.store is None or self._closed:
             return None
-
-        async def _read():
-            return self.store.get(req.key)
-
-        try:
-            cached = asyncio.run_coroutine_threadsafe(
-                _read(), self._loop).result(timeout=5.0)
-        except Exception:
-            return None
+        cached = self.store.get(req.key)
         if cached is not None:
             with self._lock:
                 self._degraded_serves += 1
@@ -509,19 +528,13 @@ class JobEngine:
 
     def store_put(self, key: str, payload: dict) -> bool:
         """Persist a payload computed *elsewhere* into this node's store
-        shard (thread-safe: bounced onto the engine loop, which owns the
-        store handle).  The cluster layer uses this to land work-stolen
-        and forwarded results on the key's owning shard."""
+        shard.  The cluster layer uses this to land work-stolen and
+        forwarded results on the key's owning shard."""
         if self.store is None or self._closed:
             return False
-
-        async def _write():
-            return self.store.put(key, payload) is not None
-
         try:
-            return asyncio.run_coroutine_threadsafe(
-                _write(), self._loop).result(timeout=10.0)
-        except Exception:
+            return self.store.put(key, payload) is not None
+        except (OSError, ValueError):
             return False
 
     # -- metrics --------------------------------------------------------

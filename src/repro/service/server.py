@@ -13,16 +13,24 @@ Endpoints (all JSON in/out)::
 
 Connections are persistent (HTTP/1.1): a client keeps one open per
 thread and a handler thread serves it until the client closes it, so a
-hit pays no TCP handshake and no thread start.  The server closes a
-connection only after a reply that says ``Connection: close`` — a
-request that asked for it, a ``Content-Length`` that cannot be trusted
-(a 400: its body would otherwise be read as the next request) — or
-without a reply under an injected ``server.drop_response``.  There is no
+hit pays no TCP handshake and no thread start.  Heads are read by
+:mod:`repro.service.wire` (``_Handler.parse_request``), not the
+stdlib's ``email`` parser, and every reply — the stdlib's own error
+replies included — is JSON whose head and body leave in one write.  The
+server closes a connection only after a reply that says ``Connection:
+close`` or without a reply under an injected ``server.drop_response``.
+It says so when the request asked for it (or spoke HTTP/1.0), and when
+the stream is past framing: a ``Content-Length`` that cannot be trusted
+(400) or any ``Transfer-Encoding`` (411) — a body left unread would be
+parsed as the next request — a request line over 65 536 bytes (414), a
+header line over that or more than 100 header fields (431).  There is no
 idle timeout.
 
 ``compile`` and ``run`` block until the result is ready (they ride the
-engine's single-flight/batching and per-request timeout); ``sweep``
-returns a job id immediately — poll ``/v1/jobs/<id>``.  Saturation is
+engine's single-flight/batching and per-request timeout); a store hit is
+answered on the handler thread, its stored payload bytes spliced into
+the reply undecoded.  ``sweep`` returns a job id immediately — poll
+``/v1/jobs/<id>``.  Saturation is
 surfaced as ``429`` with ``Retry-After`` — unless the artifact store
 already holds the requested result, in which case it is served stale
 with ``"degraded": true`` (a previously computed answer beats a
@@ -46,7 +54,8 @@ the engine forks its workers — the chaos suite's entry point for
 injecting dropped/delayed responses, worker crashes, and store I/O
 errors into a live server.
 
-No new dependencies: ``http.server`` + ``json`` only.  Not a hardened
+No new dependencies: ``http.server``'s threading server + ``json``
+only.  Not a hardened
 public-internet server — it is the in-lab traffic front of the
 compilation service (bind it to localhost).
 """
@@ -68,6 +77,7 @@ from .client import ServiceRequestError
 from .jobs import JobEngine, Overloaded, RequestTimeout
 from .keys import CellRequest, SweepRequest
 from .store import ArtifactStore
+from .wire import HeadError, read_headers, with_fields
 
 #: request bodies larger than this are rejected outright (bad client)
 MAX_BODY_BYTES = 1 << 20
@@ -140,7 +150,65 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.quiet:
             super().log_message(fmt, *args)
 
+    def parse_request(self) -> bool:
+        """Parse :attr:`raw_requestline` and the head after it on
+        :attr:`rfile` with :mod:`repro.service.wire` instead of the
+        stdlib's ``email`` parser; False once an error reply is queued.
+
+        Only a ``Content-Length`` body is read: any ``Transfer-Encoding``
+        is a 411 that closes the connection (a body left unread would be
+        parsed as the next request).
+        """
+        self.command = None
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline,
+                               "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3:
+            self.send_error(400, f"bad request line {self.requestline!r}")
+            return False
+        command, path, version = words
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            self.send_error(505 if version.startswith("HTTP/") else 400,
+                            f"unsupported protocol {version!r}")
+            return False
+        try:
+            self.headers = read_headers(self.rfile)
+        except HeadError as e:
+            self.send_error(e.status, str(e))
+            return False
+        if "Transfer-Encoding" in self.headers:
+            self.send_error(411, "Transfer-Encoding is not supported: "
+                                 "send a Content-Length")
+            return False
+        # set only now: the response fault sites fire on POST replies
+        # of the handlers, never on a refused head
+        self.command, self.path, self.request_version = command, path, version
+        tokens = {t.strip() for t in
+                  self.headers.get("Connection", "").lower().split(",")}
+        self.close_connection = "close" in tokens or (
+            version == "HTTP/1.0" and "keep-alive" not in tokens)
+        if (version == "HTTP/1.1"
+                and self.headers.get("Expect", "").lower() == "100-continue"):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.wfile.flush()
+        return True
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """Every error reply is JSON, including the ones the stdlib sends
+        (414 request line too long, 501 unknown method); it closes the
+        connection, whose stream may be past any framing."""
+        self.close_connection = True
+        self._send(code, {"error": message or self.responses.get(
+            code, ("error",))[0]})
+
     def _send(self, status: int, payload: dict, headers: dict = ()) -> None:
+        self._send_raw(status, json.dumps(payload).encode(), headers)
+
+    def _send_raw(self, status: int, data: bytes, headers: dict = ()) -> None:
+        """Queue one reply whose body is the JSON bytes ``data``: head
+        and body are one write, flushed by ``handle_one_request``."""
         plan = faults.ARMED
         if plan is not None and self.command == "POST":
             # response-path fault sites; keyed by arrival order (HTTP
@@ -152,16 +220,16 @@ class _Handler(BaseHTTPRequestHandler):
                           plan.next_seq("server.delay_response"))
             if s is not None:
                 time.sleep(s.delay_s)
-        data = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        head = (f"HTTP/1.1 {status} {self.responses.get(status, ('',))[0]}"
+                f"\r\nServer: {self.version_string()}"
+                f"\r\nDate: {self.date_time_string()}"
+                "\r\nContent-Type: application/json"
+                f"\r\nContent-Length: {len(data)}\r\n")
         if self.close_connection:
-            self.send_header("Connection", "close")
-        for k, v in dict(headers or {}).items():
-            self.send_header(k, v)
-        self.end_headers()
-        self.wfile.write(data)
+            head += "Connection: close\r\n"
+        head += "".join(f"{k}: {v}\r\n" for k, v in dict(headers).items())
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + data)
+        self.log_request(status, len(data))
 
     def _read_body(self) -> bytes:
         """Read the request body off the connection, so that the next
@@ -276,7 +344,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, job.as_dict())
 
     def _post_cell(self, req: CellRequest, extra: dict | None = None) -> None:
-        """One blocking compile/run through the local engine."""
+        """One blocking compile/run through the local engine.  A store
+        hit is answered on this thread, its stored payload bytes spliced
+        into the reply as they are."""
         try:
             job = self.engine.submit_request(req)
         except Overloaded:
@@ -284,6 +354,11 @@ class _Handler(BaseHTTPRequestHandler):
             if reply is None:
                 raise
             self._send(200, {**reply, **(extra or {})})
+            return
+        if job.raw is not None:
+            self._send_raw(200, with_fields(
+                b'{"job": %s, "cache": "hit", "result": %s}'
+                % (json.dumps(job.id).encode(), job.raw), extra))
             return
         result = self.engine.wait(job)
         self._send(200, {"job": job.id, "cache": job.cache,

@@ -1,12 +1,19 @@
 """Content-addressed on-disk artifact store.
 
-Blobs are JSON envelopes addressed by the SHA-256 request key of
+Blobs are addressed by the SHA-256 request key of
 :mod:`repro.service.keys`, laid out git-style under the store root::
 
     root/
-      objects/ab/abcdef....json     # envelope: salt, key, payload
+      objects/ab/abcdef....json     # header line, then the payload's JSON
       quarantine/                   # corrupt blobs, moved aside
       index.log                     # recency log (advisory)
+
+A blob is one ASCII header line, ``<salt> <key> <length> <sha256>``,
+then the payload's JSON bytes verbatim: ``length`` and ``sha256`` are
+those of the payload bytes.  :meth:`ArtifactStore.get_raw` checks the
+header and returns the payload bytes as stored, so a service hit can be
+relayed to its client without being decoded; :meth:`ArtifactStore.get`
+is ``json.loads`` of them.
 
 ``index.log`` is append-only, one line per event: ``<key> <size>`` when
 a blob is put or used, ``<key> -`` when it is removed (evicted,
@@ -22,11 +29,13 @@ Opening replays the log and **looks at no blob**.  An indexed blob that
 has vanished (another process evicted or quarantined it) is dropped
 where it is noticed anyway: ``get`` finds no file (a miss), eviction
 unlinks nothing and forgets the entry.  A log with more than twice as
-many lines as live keys is compacted on open (tmp + ``os.replace``); a
-torn last line is skipped and compacted away; a missing log, or one
-with any other unparsable line, is rebuilt by scanning ``objects/``.  A
-directory written before the log existed has an ``index.json``: it is
-read once, as the initial order, and removed.
+many lines as live keys is compacted (tmp + ``os.replace``) — on open,
+and by a handle whose own appends take it past that line, which first
+replays the log again so that other handles' events are kept.  A torn
+last line is skipped and compacted away; a missing log, or one with any
+other unparsable line, is rebuilt by scanning ``objects/``.  A directory
+written before the log existed has an ``index.json``: it is read once,
+as the initial order, and removed.
 
 The log is advisory — the blobs are the truth.  A failed append or
 compaction is ignored, and lines appended while another handle compacts
@@ -39,14 +48,17 @@ Guarantees:
   directory and ``os.replace``d into place, so readers (and concurrent
   writers of the same key: last rename wins, both contents identical by
   construction) never observe a torn blob at its final path.
-* **Corruption tolerance** — a blob that fails to parse, fails its
-  envelope check, or carries the wrong key is treated as a *miss* and
+* **Corruption tolerance** — a blob whose header does not parse, names
+  another key, or whose payload has the wrong length or digest (torn,
+  bit-flipped, copied to the wrong path) is treated as a *miss* and
   moved into ``quarantine/`` so it cannot poison later reads (and so a
   corrupt file is preserved for inspection instead of being silently
   clobbered by the recomputation).
-* **Version-salt invalidation** — every envelope records the
-  :data:`~repro.service.keys.CODE_VERSION` salt it was written under;
-  a mismatch is a miss and the stale blob is deleted.
+* **Version-salt invalidation** — every header records the
+  :data:`~repro.service.keys.CODE_VERSION` salt it was written under; a
+  mismatch is a miss and the stale blob is deleted.  So is a JSON
+  envelope ``{salt, key, payload}`` written before the header layout:
+  it is never read, only recomputed.
 * **LRU size-capped eviction** — ``max_bytes`` caps the total blob
   size; inserting past the cap evicts least-recently-*used* blobs
   (reads refresh recency).  Recency is a *logical use counter* — the
@@ -60,6 +72,9 @@ Guarantees:
 * **Shared directories** — index events are appended, never a rewrite
   of one handle's view, so handles (and processes) putting distinct
   keys into one directory all stay indexed and evictable.
+* **Shared handles** — one lock guards a handle's index and counters,
+  so threads share it; a put's tmp write, ``fsync`` and rename, and a
+  get's read and check, run outside it.
 * **Classified failure handling** — write and eviction I/O errors run
   through the :mod:`repro.resilience.errors` taxonomy: transient ones
   (``ENOSPC``, ``EIO``, ...) are retried under the shared
@@ -78,9 +93,11 @@ the write, ``store.eio`` raises at the fsync.
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
 import re
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -99,6 +116,9 @@ from .keys import CODE_VERSION
 #: quickly should degrade (skip persistence) rather than stall serving
 PUT_RETRY = RetryPolicy(max_attempts=3, base_s=0.01, cap_s=0.1, budget_s=1.0)
 
+#: copied per blob: ``copy()`` skips the digest lookup and set-up that
+#: ``hashlib.sha256(data)`` repeats on every put and every hit
+_SHA256 = hashlib.sha256()
 _KEY = re.compile(r"[0-9a-f]{64}")
 #: one event of ``index.log``: ``<key> <size>`` or ``<key> -``
 _EVENT = re.compile(r"^([0-9a-f]{64}) ([0-9]+|-)$", re.MULTILINE)
@@ -126,6 +146,34 @@ class StoreStats:
         return dict(self.__dict__)
 
 
+def _sha256(data) -> str:
+    h = _SHA256.copy()
+    h.update(data)
+    return h.hexdigest()
+
+
+def _blob(salt: str, key: str, data: bytes) -> bytes:
+    """A blob: its header line, then the payload bytes ``data``."""
+    return f"{salt} {key} {len(data)} {_sha256(data)}\n".encode() + data
+
+
+def _payload(blob: bytes, key: str, salt: str) -> bytes | str:
+    """The payload bytes of ``blob`` if it is ``key``'s under ``salt``;
+    else ``"stale"`` (another salt, or a pre-header JSON envelope) or
+    ``"corrupt"``."""
+    if blob.startswith(b"{"):
+        return "stale"
+    nl = blob.find(b"\n")
+    head = blob[:nl].rsplit(b" ", 3) if nl > 0 else ()
+    if (len(head) != 4 or head[1] != key.encode()
+            or head[2] != str(len(blob) - nl - 1).encode()
+            or head[3] != _sha256(memoryview(blob)[nl + 1:]).encode()):
+        return "corrupt"
+    if head[0] != salt.encode():
+        return "stale"
+    return blob[nl + 1:]
+
+
 @dataclass
 class ArtifactStore:
     """One process's handle on a store directory.
@@ -133,15 +181,14 @@ class ArtifactStore:
     Safe for concurrent use by multiple processes: blob writes are
     atomic renames, reads tolerate missing/corrupt files, and index
     events are single ``O_APPEND`` writes, so handles on one directory
-    do not lose each other's entries.  Not internally locked — callers
-    in one process should serialize access per handle (the job engine
-    does).
+    do not lose each other's entries.  Safe for concurrent use by the
+    threads of one process: a lock guards the index and the counters.
     """
 
     root: Path
     #: total blob-byte cap; None = unbounded
     max_bytes: int | None = None
-    #: envelope salt; artifacts written under any other salt are stale
+    #: header salt; artifacts written under any other salt are stale
     salt: str = CODE_VERSION
     stats: StoreStats = field(default_factory=StoreStats)
     #: a tmp file older than this is an orphan (its writer is dead)
@@ -155,6 +202,8 @@ class ArtifactStore:
         self._log_path = os.path.join(self.root, "index.log")
         os.makedirs(self._objects, exist_ok=True)
         self.stats.tmp_cleaned += clean_orphan_tmps(self.root, self.tmp_grace_s)
+        #: guards everything below, and ``stats``
+        self._lock = threading.Lock()
         #: per-key write-attempt sequence, so injected write faults fire
         #: on the first attempt and let the retry/recompute land clean
         self._fault_seq: Counter = Counter()
@@ -164,6 +213,8 @@ class ArtifactStore:
         #: events since this handle's last log write, in order: key ->
         #: size (used) or None (removed); bounded by the keys it touched
         self._unlogged: dict[str, int | None] = {}
+        #: lines ``index.log`` holds as far as this handle knows
+        self._log_lines = 0
         self._load_index()
 
     # -- paths ----------------------------------------------------------
@@ -176,7 +227,7 @@ class ArtifactStore:
     def _blob_path(self, key: str) -> Path:
         return Path(self._path(key))
 
-    # -- index ----------------------------------------------------------
+    # -- index (under the lock) -----------------------------------------
 
     def _load_index(self) -> None:
         if not self._replay_log():
@@ -197,14 +248,17 @@ class ArtifactStore:
         events = _EVENT.findall(complete)
         if len(events) != complete.count("\n"):
             return False
+        index: dict[str, int] = {}
         for key, size in events:
-            self._index.pop(key, None)
+            index.pop(key, None)
             if size != "-":
-                self._index[key] = int(size)
-        self._total = sum(self._index.values())
+                index[key] = int(size)
+        self._index = index
+        self._total = sum(index.values())
+        self._log_lines = len(events)
         # compact a log that is mostly history, and one with a torn
         # tail (the next append would be glued to it)
-        if len(complete) != len(text) or len(events) > 2 * len(self._index):
+        if len(complete) != len(text) or len(events) > 2 * len(index):
             self._write_log()
         return True
 
@@ -246,14 +300,18 @@ class ArtifactStore:
                 f.writelines(f"{k} {size}\n"
                              for k, size in self._index.items())
             os.replace(tmp, self._log_path)
+            self._log_lines = len(self._index)
         except OSError:
             _unlink_missing_ok(tmp)  # advisory only
 
     def _append_log(self) -> None:
-        """One ``O_APPEND`` write of every event since the last one."""
+        """One ``O_APPEND`` write of every event since the last one; past
+        twice as many lines as live keys, the log is replayed (with any
+        other handle's events) and compacted."""
         lines = "".join(
             f"{k} {'-' if size is None else size}\n"
             for k, size in self._unlogged.items())
+        n = len(self._unlogged)
         self._unlogged.clear()
         try:
             fd = os.open(self._log_path,
@@ -263,7 +321,10 @@ class ArtifactStore:
             finally:
                 os.close(fd)
         except OSError:
-            pass  # advisory only: the blobs are the truth
+            return  # advisory only: the blobs are the truth
+        self._log_lines += n
+        if self._log_lines > 2 * len(self._index):
+            self._load_index()
 
     def _used(self, key: str, size: int) -> None:
         """``key`` (``size`` bytes) is now the most recently used."""
@@ -281,38 +342,42 @@ class ArtifactStore:
 
     # -- public API -----------------------------------------------------
 
-    def get(self, key: str):
-        """The stored payload for ``key``, or None on any kind of miss."""
+    def get_raw(self, key: str) -> bytes | None:
+        """The stored payload for ``key`` as the JSON bytes that were
+        put, checked against the blob's header; None on any kind of
+        miss."""
         path = self._path(key)
         try:
-            with open(path, "rb") as f:
-                raw = f.read()
+            blob = _read_file(path)
         except OSError:
-            self.stats.misses += 1
-            self._removed(key)
+            with self._lock:
+                self.stats.misses += 1
+                self._removed(key)
             return None
-        try:
-            # parse from raw bytes: a torn blob may not even be valid UTF-8
-            env = json.loads(raw)
-            if env["key"] != key or "payload" not in env:
-                raise ValueError("envelope mismatch")
-            env_salt = env["salt"]
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                TypeError, ValueError):
-            self._quarantine_blob(key)
-            self._removed(key)
-            self.stats.misses += 1
-            return None
-        if env_salt != self.salt:
+        payload = _payload(blob, key, self.salt)
+        if isinstance(payload, bytes):
+            with self._lock:
+                self.stats.hits += 1
+                self._used(key, len(blob))
+            return payload
+        if payload == "stale":
             # written by a different code version: stale, not corrupt
             _unlink_missing_ok(path)
-            self._removed(key)
-            self.stats.invalidated += 1
+        else:
+            self._quarantine_blob(key)
+        with self._lock:
             self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._used(key, len(raw))
-        return env["payload"]
+            self._removed(key)
+            if payload == "stale":
+                self.stats.invalidated += 1
+            else:
+                self.stats.quarantined += 1
+        return None
+
+    def get(self, key: str):
+        """The stored payload for ``key``, or None on any kind of miss."""
+        raw = self.get_raw(key)
+        return None if raw is None else json.loads(raw)
 
     def put(self, key: str, payload) -> Path | None:
         """Store a JSON-serializable payload under ``key`` atomically.
@@ -328,26 +393,28 @@ class ArtifactStore:
         # with dict insertion order intact (e.g. a ConfigResult's
         # t_passes map records pass execution order); only key
         # derivation needs canonical form
-        data = json.dumps({"salt": self.salt, "key": key,
-                           "payload": payload}).encode("ascii")
+        blob = _blob(self.salt, key, json.dumps(payload).encode())
 
         def count_retry(attempt, delay, exc):
-            self.stats.put_retries += 1
+            with self._lock:
+                self.stats.put_retries += 1
 
         try:
-            retry_call(lambda: self._write_blob(path, key, data),
+            retry_call(lambda: self._write_blob(path, key, blob),
                        policy=self.retry, on_retry=count_retry)
         except OSError as e:
             if classify_os_error(e) == "fatal":
                 raise
-            self.stats.put_failures += 1
+            with self._lock:
+                self.stats.put_failures += 1
             log_tolerated(f"store.put {key[:16]}", e)
             return None
-        self._used(key, len(data))
-        self.stats.puts += 1
-        if self.max_bytes is not None:
-            self._evict_to(self.max_bytes, keep=key)
-        self._append_log()
+        with self._lock:
+            self._used(key, len(blob))
+            self.stats.puts += 1
+            if self.max_bytes is not None:
+                self._evict_to(self.max_bytes, keep=key)
+            self._append_log()
         return Path(path)
 
     def _write_blob(self, path: str, key: str, data: bytes) -> None:
@@ -355,13 +422,15 @@ class ArtifactStore:
         plan = faults.ARMED
         attempt = 0
         if plan is not None:
-            attempt = self._fault_seq[key]
-            self._fault_seq[key] += 1
+            with self._lock:
+                attempt = self._fault_seq[key]
+                self._fault_seq[key] += 1
             if plan.fire("store.torn_write", key, attempt):
                 # a torn write is *silent*: the writer thinks it
                 # succeeded, and only a later read detects + quarantines
                 data = data[: max(1, len(data) // 2)]
-        tmp = f"{os.path.dirname(path)}/.{key[:16]}-{os.getpid()}.tmp"
+        tmp = (f"{os.path.dirname(path)}/.{key[:16]}-{os.getpid()}"
+               f"-{threading.get_ident()}.tmp")
         try:
             with open(tmp, "wb") as f:
                 if plan is not None and plan.fire("store.enospc", key, attempt):
@@ -396,10 +465,10 @@ class ArtifactStore:
                        quarantine / f"{key}-{os.getpid()}-{time.time_ns()}")
         except OSError:
             _unlink_missing_ok(path)  # raced: someone else moved it
-        self.stats.quarantined += 1
 
     def _evict_to(self, max_bytes: int, keep: str | None = None) -> None:
-        """Delete least-recently-used blobs until total size fits.
+        """Delete least-recently-used blobs until total size fits (under
+        the lock).
 
         ``keep`` (the blob just written) is never evicted: a single
         entry larger than the cap stays until something newer lands.
@@ -430,6 +499,20 @@ class ArtifactStore:
             for key in evicted:
                 self._removed(key)
             self.stats.evictions += len(evicted)
+
+
+def _read_file(path: str, chunk: int = 1 << 16) -> bytes:
+    """A file's bytes: for a blob, one ``open``, ``read`` and ``close``
+    (``open(path, "rb").read()`` adds ``fstat``, ``ioctl``, ``lseek``
+    and a second ``read``, each a release of the GIL)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        parts = [os.read(fd, chunk)]
+        while len(parts[-1]) == chunk:
+            parts.append(os.read(fd, chunk))
+    finally:
+        os.close(fd)
+    return b"".join(parts)
 
 
 def _unlink_missing_ok(path: str) -> None:

@@ -26,6 +26,7 @@ from repro.service.client import (
     ServiceOverloaded,
     ServiceRequestError,
 )
+from repro.service.keys import CellRequest
 from repro.service.server import serve_background
 from repro.workloads import get_workload
 
@@ -259,6 +260,27 @@ class TestLongLivedServer:
         assert slow.state != "done"
         assert engine.wait(slow, 120.0)["hits"] == 0
         assert engine.counters["sweeps"] == 3
+
+    def test_a_hit_never_reaches_the_engine_loop(self, roomy, monkeypatch):
+        """A stored key is answered on the calling thread: the loop's
+        ``_request`` is not called, the job holds the stored bytes, and
+        in-process ``wait`` still returns the payload dict."""
+        client, engine = roomy
+        first = client.run("add", level=0, width=8)
+        assert first["cache"] == "miss"
+        calls = []
+        monkeypatch.setattr(engine, "_request",
+                            lambda *a, **kw: calls.append(a))
+        req = CellRequest("run", "add", 0, 8)
+        job = engine.submit_request(req)
+        assert (job.state, job.cache, job.future) == ("done", "hit", None)
+        assert job.raw == engine.store.get_raw(req.key)
+        assert engine.wait(job) == first["result"]
+        assert engine.job(job.id).as_dict()["result"] == first["result"]
+        again = client.run("add", level=0, width=8)
+        assert (again["cache"], again["result"]) == ("hit", first["result"])
+        assert calls == []
+        assert engine.counters["hits"] == 2 and engine.queue_depth == 0
 
     def test_request_counters_lose_no_update_under_threads(self, roomy):
         import sys

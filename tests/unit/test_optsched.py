@@ -270,9 +270,10 @@ class TestSolverCache:
         """``data/parent_solver_store`` holds the ten blobs the commit
         before this layout wrote for the three computations below (an
         existing ``--solver-store`` directory), re-keyed for the
-        repro-2026.10-pm6 salt (under the old salt today's code writes
-        them byte for byte): all of them are found, nothing is
-        recomputed or rewritten."""
+        repro-2026.10-pm6 salt and re-recorded in the store's header
+        layout, which reads a JSON-envelope blob as stale: same keys,
+        same payloads, and the bytes a fresh store writes for them.  All
+        of them are found, nothing is recomputed or rewritten."""
         import shutil
         from pathlib import Path
 

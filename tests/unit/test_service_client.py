@@ -11,6 +11,7 @@ twice, and a ``Content-Length`` that cannot be trusted closes the
 connection.
 """
 
+import json
 import select
 import socket
 import threading
@@ -214,6 +215,49 @@ class TestPersistentConnections:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"\r\nConnection: close" in head
         assert b"bad Content-Length" in body
+
+    @pytest.mark.parametrize("head,status", [
+        # a chunked body used to be read as empty (a JSON 400) and its
+        # chunks then parsed as the next request (an HTML 400)
+        (b"POST /v1/run HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"11\r\n{\"workload\":\"add\"}\r\n0\r\n\r\n", 411),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+         431),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"".join(b"X-%d: 1\r\n" % i for i in range(101)) + b"\r\n", 431),
+    ], ids=["chunked", "request-line", "header-line", "101-headers"])
+    def test_an_unframable_head_is_one_json_error_and_a_close(
+            self, server, head, status):
+        _, url = server
+        host, port = url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=1.0) as s:
+            s.sendall(head)
+            # read to EOF within the 1 s timeout: one reply, then a close
+            reply = s.makefile("rb").read()
+        head_out, _, body = reply.partition(b"\r\n\r\n")
+        assert head_out.startswith(b"HTTP/1.1 %d " % status)
+        assert b"\r\nConnection: close" in head_out
+        assert b"\r\nContent-Type: application/json" in head_out
+        assert set(json.loads(body)) == {"error"}
+
+    def test_expect_continue_and_http10_close(self, server):
+        _, url = server
+        host, port = url.removeprefix("http://").split(":")
+        body = b'{"workload": "nope"}'
+        with socket.create_connection((host, int(port)), timeout=1.0) as s:
+            f = s.makefile("rb")
+            s.sendall(b"POST /v1/run HTTP/1.1\r\nExpect: 100-continue\r\n"
+                      b"Content-Length: %d\r\n\r\n" % len(body))
+            assert f.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert f.readline() == b"\r\n"
+            s.sendall(body)
+            assert f.readline().startswith(b"HTTP/1.1 400 ")
+            # an HTTP/1.0 request on the same connection is its last
+            s.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            rest = f.read()
+        assert rest.count(b"HTTP/1.1 200 ") == 1
+        assert b"\r\nConnection: close" in rest
 
     def test_kept_alive_hits_do_not_stall(self, server):
         """200 hits on one connection: about 0.2 s; a reply held back

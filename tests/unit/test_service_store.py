@@ -94,8 +94,8 @@ class TestCorruptionTolerance:
         assert store.get(k) is None
         assert store.stats.quarantined == 1
 
-    def test_wrong_key_envelope_is_miss(self, store):
-        """A blob whose envelope names a different key (e.g. a file
+    def test_wrong_key_blob_is_miss(self, store):
+        """A blob whose header names a different key (e.g. a file
         copied to the wrong path) must not be served."""
         k1, k2 = key_of(6), key_of(7)
         p1 = store.put(k1, {"v": 1})
@@ -105,12 +105,54 @@ class TestCorruptionTolerance:
         assert store.get(k2) is None
         assert store.get(k1) == {"v": 1}
 
-    def test_missing_payload_field_is_miss(self, store):
+    def test_a_blob_is_a_header_line_then_the_payload_bytes(self, store):
         k = key_of(8)
-        p = self._blob_path(store, k)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(json.dumps({"salt": store.salt, "key": k}))
-        assert store.get(k) is None
+        payload = {"cycles": 42, "t_passes": {"b": 1.0, "a": 2.0}}
+        data = json.dumps(payload).encode()
+        blob = store.put(k, payload).read_bytes()
+        assert blob == (f"{store.salt} {k} {len(data)} "
+                        f"{hashlib.sha256(data).hexdigest()}\n").encode() + data
+        assert store.get_raw(k) == data
+        assert store.stats.hits == 1
+
+    @staticmethod
+    def _damage(store, k, how):
+        p = store._blob_path(k)
+        blob = p.read_bytes()
+        if how == "truncated":
+            p.write_bytes(blob[:-7])
+        elif how == "bit-flip":
+            flipped = bytearray(blob)
+            flipped[-3] ^= 0x01                 # same length, one bit
+            p.write_bytes(bytes(flipped))
+        elif how == "wrong-key":
+            ArtifactStore(store.root).put(key_of(99), {"v": 1})
+            p.write_bytes(store._blob_path(key_of(99)).read_bytes())
+        elif how == "other-salt":
+            ArtifactStore(store.root, salt="code-v0").put(k, {"v": 1})
+        elif how == "legacy-envelope":
+            # what the store wrote before the header layout
+            p.write_text(json.dumps({"salt": store.salt, "key": k,
+                                     "payload": {"v": 1}}))
+        return p
+
+    @pytest.mark.parametrize("how,fate", [
+        ("truncated", "quarantined"), ("bit-flip", "quarantined"),
+        ("wrong-key", "quarantined"), ("other-salt", "invalidated"),
+        ("legacy-envelope", "invalidated")])
+    def test_each_damage_has_its_disposition(self, store, how, fate):
+        k = key_of(9)
+        store.put(k, {"v": 1})
+        p = self._damage(store, k, how)
+        assert store.get_raw(k) is None
+        assert (store.stats.quarantined, store.stats.invalidated) == (
+            (1, 0) if fate == "quarantined" else (0, 1))
+        assert store.stats.misses == 1 and not p.exists()
+        assert len(list((store.root / "quarantine").glob("*"))) == (
+            fate == "quarantined")
+        # and the recompute lands and is served
+        store.put(k, {"v": 1})
+        assert store.get(k) == {"v": 1}
 
     def test_torn_index_rebuilt_from_scan(self, tmp_path):
         a = ArtifactStore(tmp_path / "s")
@@ -163,7 +205,7 @@ class TestEviction:
     def test_reads_refresh_recency(self, tmp_path):
         import time
 
-        # each blob is ~3.1KB with its envelope: two fit, three do not
+        # each blob is ~3.1KB with its header: two fit, three do not
         store = ArtifactStore(tmp_path / "s", max_bytes=7_000)
         pad = "x" * 3000
         store.put(key_of(30), {"pad": pad})
@@ -332,12 +374,13 @@ class TestIndexLog:
         a = ArtifactStore(root)
         for i in (1, 2, 3):
             a.put(key_of(i), {"v": i})
-        for _ in range(3):
-            assert a.get(key_of(1)) is not None
-            a.put(key_of(2), {"v": 2})          # logs the read, then itself
-        order = [key_of(3), key_of(1), key_of(2)]
-        assert list(a._index) == order
+        size = a._index[key_of(1)]
         log = root / "index.log"
+        # the history three handles leave that each read key 1 and then
+        # put key 2 (one handle compacts its own: test below)
+        with log.open("a") as f:
+            f.write(f"{key_of(1)} {size}\n{key_of(2)} {size}\n" * 3)
+        order = [key_of(3), key_of(1), key_of(2)]
         before = log.read_text()
         assert len(before.splitlines()) == 9    # > 2 x 3 live keys
         b = ArtifactStore(root)
@@ -351,14 +394,49 @@ class TestIndexLog:
         ArtifactStore(root)
         assert log.read_text() == grown and len(grown.splitlines()) == 4
 
+    def test_a_long_lived_handle_compacts_its_own_log(self, tmp_path,
+                                                      monkeypatch):
+        """10 000 hit/put cycles on one handle: every cycle appends two
+        lines, and the handle compacts the log once it holds more than
+        twice as many lines as live keys, as an open would."""
+        monkeypatch.setattr(os, "fsync", lambda fd: None)  # not under test
+        root = tmp_path / "s"
+        store = ArtifactStore(root)
+        live = 8
+        for i in range(live):
+            store.put(key_of(i), {"v": i})
+        log = root / "index.log"
+        longest = 0
+        for i in range(10_000):
+            assert store.get(key_of(i % live)) is not None
+            store.put(key_of((i + 3) % live), {"v": (i + 3) % live})
+            longest = max(longest, log.read_bytes().count(b"\n"))
+        assert longest <= 2 * live + 1
+        assert list(ArtifactStore(root)._index) == list(store._index)
+
+    def test_compaction_keeps_another_handles_events(self, tmp_path):
+        root = tmp_path / "s"
+        a, b = ArtifactStore(root), ArtifactStore(root)
+        a.put(key_of(1), {"v": 1})
+        b.put(key_of(2), {"v": 2})              # a has not seen this one
+        for _ in range(3):
+            assert a.get(key_of(1)) is not None
+            a.put(key_of(3), {"v": 3})          # the third one compacts
+        lines = (root / "index.log").read_text().splitlines()
+        assert [ln.split()[0] for ln in lines] == [key_of(2), key_of(1),
+                                                   key_of(3)]
+        assert list(a._index) == [key_of(2), key_of(1), key_of(3)]
+
     def test_removals_are_logged(self, tmp_path):
         root = tmp_path / "s"
-        a = ArtifactStore(root, max_bytes=1)
+        a = ArtifactStore(root)
         a.put(key_of(1), {"v": 1})
-        a.put(key_of(2), {"v": 2})              # evicts 1
+        a.max_bytes = 2 * a.total_bytes()       # room for two blobs
+        a.put(key_of(2), {"v": 2})
+        a.put(key_of(3), {"v": 3})              # evicts 1
         lines = (root / "index.log").read_text().splitlines()
         assert lines[-1] == f"{key_of(1)} -"
-        assert list(ArtifactStore(root)._index) == [key_of(2)]
+        assert list(ArtifactStore(root)._index) == [key_of(2), key_of(3)]
 
     def test_a_reader_writes_nothing(self, tmp_path):
         root = tmp_path / "s"
@@ -547,7 +625,7 @@ class TestClockCorrectness:
 
         monkeypatch.setattr(time_mod, "time", backwards)
         store = ArtifactStore(tmp_path / "s", max_bytes=7_000)
-        pad = "x" * 3000  # ~3.1KB with envelope: two fit, three do not
+        pad = "x" * 3000  # ~3.1KB with its header: two fit, three do not
         store.put(key_of(70), {"pad": pad})
         store.put(key_of(71), {"pad": pad})
         assert store.get(key_of(70)) is not None  # 70 now most recent
@@ -561,7 +639,7 @@ class TestClockCorrectness:
     def test_use_counter_persists_across_reopen(self, tmp_path):
         # the counter is position in ``index.log``: a read is logged
         # with the handle's next put
-        pad = "x" * 3000  # ~3.1KB with envelope: three fit, four do not
+        pad = "x" * 3000  # ~3.1KB with its header: three fit, four do not
         store = ArtifactStore(tmp_path / "s", max_bytes=10_500)
         store.put(key_of(73), {"pad": pad})
         store.put(key_of(74), {"pad": pad})
