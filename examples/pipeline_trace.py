@@ -13,8 +13,8 @@ from repro.frontend import ArrayDecl, Kernel, Ty, aref, assign, do, var
 from repro.harness import compile_kernel
 from repro.machine import issue8
 from repro.pipeline import Level
-from repro.sim import Memory, simulate
-from repro.sim.trace import render_packets, render_pipeline
+from repro.sim import Memory
+from repro.sim.trace import render_packets, render_pipeline, trace_run
 
 N = 32
 
@@ -40,9 +40,8 @@ def traced_run(level: Level):
     B = rng.integers(1, 5, N).astype(float)
     mem.bind_array("A", A)
     mem.bind_array("B", B)
-    trace: list = []
     s_reg = ck.lowered.scalar_regs["s"]
-    res = simulate(ck.func, issue8(), mem, fregs={s_reg.id: 0.0}, trace=trace)
+    res, trace = trace_run(ck.func, issue8(), mem, fregs={s_reg.id: 0.0})
     s = res.fregs[ck.lowered.scalar_regs["s"].id]
     assert np.isclose(s, np.dot(A, B))
     return res, trace

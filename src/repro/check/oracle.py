@@ -34,7 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..harness import ilp_transform, lower_conv, run_compiled_kernel, schedule_kernel
+from ..harness import (
+    BatchedRunner,
+    ilp_transform,
+    lower_conv,
+    run_compiled_kernel,
+    schedule_kernel,
+)
 from ..machine import MachineConfig
 from ..pipeline import ALL_LEVELS, Level
 from ..workloads import Workload, all_workloads
@@ -146,10 +152,13 @@ def check_workload(
 ) -> tuple[int, list[Divergence]]:
     """Differentially check one workload; returns (configs checked, divergences).
 
-    ``cross_engine=True`` additionally runs every configuration under
-    *both* simulator engines — the interpreter and the block-compiled
-    trace/replay core — and requires bit-identical cycles, instruction
-    counts, and end states (kind ``engine-vs-engine`` on mismatch).
+    The widths of a level are timed the way the sweep times them: one
+    :class:`~repro.harness.BatchedRunner` executes the first schedule
+    and replays its trace for every width, which shares its end state.
+    ``cross_engine=True`` additionally simulates every configuration on
+    the reference interpreter and requires bit-identical cycles,
+    instruction counts, and end states (kind ``engine-vs-engine`` on
+    mismatch).
     ``scheduler="optimal"`` checks the exact solver-backed schedule
     backend instead of heuristic list scheduling — the same golden-state
     comparison proves the solver's reorderings semantics-preserving.
@@ -194,15 +203,25 @@ def check_workload(
         # per-lane chain intact and stay bit-identical)
         exact = (tk.report.accumulators == 0 and tk.report.trees == 0
                  and tk.report.slp_reassoc == 0)
+        cks = []
         for i, width in enumerate(widths):
-            machine = MachineConfig(issue_width=width)
             try:
                 clone = tk.clone() if i + 1 < len(widths) else tk
-                ck = schedule_kernel(clone, machine, check=check_ir,
-                                     scheduler=scheduler,
-                                     solver_budget=solver_budget,
-                                     solver_store=solver_store)
-                run = run_compiled_kernel(ck, arrays=arrays, scalars=scalars)
+                cks.append(schedule_kernel(
+                    clone, MachineConfig(issue_width=width), check=check_ir,
+                    scheduler=scheduler, solver_budget=solver_budget,
+                    solver_store=solver_store))
+            except Exception as e:  # noqa: BLE001
+                divs.append(
+                    Divergence(w.name, level.label, width, "compile-error", repr(e))
+                )
+        runner = None
+        for ck in cks:
+            width = ck.machine.issue_width
+            try:
+                if runner is None:
+                    runner = BatchedRunner(ck, arrays, scalars)
+                run = runner.run(ck)
             except Exception as e:  # noqa: BLE001
                 divs.append(
                     Divergence(w.name, level.label, width, "compile-error", repr(e))
@@ -236,26 +255,23 @@ def check_workload(
                 )
 
             if cross_engine:
-                # both engines on identical code and inputs: timing and
-                # end state must match bit for bit
-                compiled = run_compiled_kernel(
-                    ck, arrays=arrays, scalars=scalars, engine="compiled"
-                )
+                # the reference interpreter on identical code and inputs:
+                # timing and end state must match the replay bit for bit
                 interp = run_compiled_kernel(
                     ck, arrays=arrays, scalars=scalars, engine="interp"
                 )
                 eng_diff = _diff_states(
-                    w, compiled.arrays, compiled.scalars,
+                    w, run.arrays, run.scalars,
                     interp.arrays, interp.scalars, True,
                 )
                 if eng_diff is None:
-                    if compiled.cycles != interp.cycles:
+                    if run.cycles != interp.cycles:
                         eng_diff = (f"cycles diverge: compiled "
-                                    f"{compiled.cycles} interp {interp.cycles}")
-                    elif compiled.instructions != interp.instructions:
+                                    f"{run.cycles} interp {interp.cycles}")
+                    elif run.instructions != interp.instructions:
                         eng_diff = (
                             f"instruction counts diverge: compiled "
-                            f"{compiled.instructions} interp "
+                            f"{run.instructions} interp "
                             f"{interp.instructions}"
                         )
                 if eng_diff is not None:

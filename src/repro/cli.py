@@ -209,8 +209,7 @@ def cmd_sweep(args) -> int:
 
         wls = [get_workload(n) for n in args.workloads.split(",")]
         data = run_sweep(wls, verbose=True, jobs=args.jobs,
-                         check_ir=args.check, options=options, store=store,
-                         engine=args.engine)
+                         check_ir=args.check, options=options, store=store)
         for (name, level, width), r in data.results.items():
             print(f"{name:<14}{Level(level).label:<6}issue-{width}: "
                   f"{r.cycles} cycles, {r.instructions} instrs, "
@@ -234,8 +233,6 @@ def cmd_sweep(args) -> int:
         argv.append("--check")
     if args.store:
         argv.extend(["--store", args.store])
-    if args.engine != "auto":
-        argv.extend(["--engine", args.engine])
     for name in (args.disable_pass or ()):
         argv.extend(["--disable-pass", name])
     return run_all_main(argv)
@@ -458,12 +455,6 @@ def main(argv=None) -> int:
                         "write back everything computed here (rerun with "
                         "the same DIR to resume an interrupted sweep)")
     p.add_argument("--check", action="store_true", help=check_help)
-    p.add_argument("--engine", choices=("auto", "compiled", "interp"),
-                   default="auto",
-                   help="simulator engine: 'compiled' = block-compiled "
-                        "execute-once/replay-per-width core, 'interp' = "
-                        "reference interpreter, 'auto' (default) = compiled "
-                        "with fallback; results are bit-identical either way")
     p.add_argument("--fault-plan", metavar="FILE",
                    help="arm a fault-injection plan from a JSON file "
                         "(chaos testing only; see `python -m repro chaos`)")
@@ -543,9 +534,9 @@ def main(argv=None) -> int:
     p.add_argument("--no-ir-check", action="store_true",
                    help="skip the between-pass invariant verifier")
     p.add_argument("--cross-engine", action="store_true",
-                   help="additionally run every configuration under both "
-                        "simulator engines (interpreter and block-compiled "
-                        "replay) and require bit-identical results")
+                   help="additionally simulate every configuration on the "
+                        "reference interpreter and require results "
+                        "bit-identical to the block-compiled replay")
     p.add_argument("--verbose", action="store_true")
     add_scheduler_flags(p)
 

@@ -92,13 +92,6 @@ def main(argv=None) -> int:
                     help="persistent artifact store: reuse configurations "
                          "computed by earlier (or interrupted) sweeps, and "
                          "write back everything computed here")
-    ap.add_argument("--engine", choices=("auto", "compiled", "interp"),
-                    default="auto",
-                    help="simulator engine: 'compiled' executes generated "
-                         "block code once per cell and replays timing per "
-                         "width, 'interp' is the reference interpreter, "
-                         "'auto' (default) picks compiled with interpreter "
-                         "fallback; results are identical either way")
     args = ap.parse_args(argv)
 
     from ..passes import PassOptions
@@ -112,7 +105,7 @@ def main(argv=None) -> int:
         store = ArtifactStore(Path(args.store))
     data = sweep_cached(force=args.force, verbose=not args.quiet,
                         jobs=args.jobs, check_ir=args.check, options=options,
-                        store=store, engine=args.engine)
+                        store=store)
     outdir = default_cache_path().parent
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -211,10 +211,9 @@ def run_sweep(
 ) -> SweepData:
     """Run the evaluation grid.
 
-    ``engine`` selects the simulator core (see
-    :func:`repro.sim.simulate`): the default compiled engine executes
-    each (workload, level) cell once and replays the trace per width;
-    ``"interp"`` forces the tuple interpreter.  Both produce identical
+    Each (workload, level) cell executes once and its trace is replayed
+    per width; ``engine="interp"`` names the reference interpreter
+    instead (see :func:`repro.sim.simulate`).  Both produce identical
     results, so the engine is *not* part of the store identity.
     ``check_ir=True`` runs the invariant verifier between every compiler
     pass of every configuration (the CLI ``--check`` flag); ``options``
@@ -388,7 +387,7 @@ def load_sweep(path: Path | None = None, require_complete: bool = True) -> Sweep
 def sweep_cached(force: bool = False, verbose: bool = False, jobs: int = 1,
                  check_ir: bool = False,
                  options: PassOptions | None = None,
-                 store=None, engine: str = "auto") -> SweepData:
+                 store=None) -> SweepData:
     """Load the saved grid or compute and save it.
 
     ``check_ir=True`` forces a fresh sweep with the between-pass
@@ -406,7 +405,7 @@ def sweep_cached(force: bool = False, verbose: bool = False, jobs: int = 1,
         if cached is not None:
             return cached
     data = run_sweep(verbose=verbose, jobs=jobs, check_ir=check_ir,
-                     options=options, store=store, engine=engine)
+                     options=options, store=store)
     if not ablated:
         save_sweep(data)
     return data

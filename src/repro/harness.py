@@ -64,15 +64,7 @@ from .pipeline import (
 from .regalloc import RegisterUsage, measure_register_usage
 from .schedule.listsched import Schedule
 from .schedule.superblock import SuperblockLoop
-from .sim import (
-    EngineUnsupported,
-    Memory,
-    ReplayUnmapped,
-    ReplayUnsupported,
-    TracedRun,
-    compiled_program,
-    simulate,
-)
+from .sim import Memory, TracedRun, compiled_program, simulate
 from .workloads import Workload, check_run, get_workload
 
 
@@ -359,8 +351,9 @@ def run_compiled_kernel(
 
     Every declared array must be provided with matching total size; input
     scalars default to 0.  Returns final array contents and the kernel's
-    declared output scalars.  ``engine`` selects the simulator core
-    (see :func:`repro.sim.simulate`).
+    declared output scalars.  ``engine="interp"`` names the reference
+    interpreter instead of the compiled engine (see
+    :func:`repro.sim.simulate`).
     """
     mem, iregs, fregs = bind_inputs(ck.lowered, arrays, scalars)
     res = simulate(ck.func, ck.machine, mem, iregs, fregs,
@@ -382,15 +375,9 @@ class BatchedRunner:
     trace replay, bit-identical to full simulation.  End-state outputs
     are shared across widths (the scheduler preserves the values of
     memory and live-out scalars; speculation only touches dead or
-    renamed registers).
-
-    Which engine times the cell is decided once, here: if the
-    constructor's kernel or machine is outside the compiled engine's
-    scope the runner remembers it and every :meth:`run` is an
-    interpreter simulation with freshly bound inputs; so is a single
-    width whose schedule cannot be mapped onto the trace.
-    ``last_fallback`` says whether the most recent :meth:`run` was
-    interpreted (and so has outputs of its own to validate).
+    renamed registers).  A kernel that is not a reschedule of the traced
+    one — another transformation of the cell, another latency table —
+    raises :class:`repro.sim.ReplayUnmapped`.
     """
 
     def __init__(
@@ -400,20 +387,11 @@ class BatchedRunner:
         scalars: dict[str, float | int] | None = None,
         max_cycles: int = 200_000_000,
     ):
-        self._arrays_in = arrays
-        self._scalars_in = scalars
-        self._max_cycles = max_cycles
-        self.last_fallback = False
         mem, iregs, fregs = bind_inputs(ck.lowered, arrays, scalars)
-        try:
-            self._trace = TracedRun(
-                compiled_program(ck.func, ck.machine, mem.symbols),
-                mem, iregs, fregs, max_cycles)
-        except (EngineUnsupported, ReplayUnsupported):
-            self._trace = None  # out of scope (nothing was executed)
-            return
+        self._trace = trace = TracedRun(
+            compiled_program(ck.func, ck.machine, mem.symbols),
+            mem, iregs, fregs, max_cycles)
         self._traced = (ck.func, ck.machine)
-        trace = self._trace
         self._arrays, self._scalars = collect_outputs(
             ck.lowered, mem, trace.iregs, trace.fregs, scalars or {})
         self._first = KernelRun(trace.cycles, trace.instructions,
@@ -423,20 +401,11 @@ class BatchedRunner:
         """Cycle/instruction counts for ``ck``'s machine, with the shared
         end-state outputs.  ``ck`` must be a reschedule of the traced
         kernel (a width clone of the same transformed code)."""
-        self.last_fallback = False
-        if self._trace is not None:
-            func, machine = self._traced
-            if ck.func is func and ck.machine == machine:
-                return self._first
-            try:
-                cycles, n_instr = self._trace.time(ck.func, ck.machine)
-            except (ReplayUnmapped, ReplayUnsupported):
-                pass
-            else:
-                return KernelRun(cycles, n_instr, self._arrays, self._scalars)
-        self.last_fallback = True
-        return run_compiled_kernel(ck, self._arrays_in, self._scalars_in,
-                                   self._max_cycles, engine="interp")
+        func, machine = self._traced
+        if ck.func is func and ck.machine == machine:
+            return self._first
+        cycles, n_instr = self._trace.time(ck.func, ck.machine)
+        return KernelRun(cycles, n_instr, self._arrays, self._scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +475,18 @@ def evaluate_cell(
     ``w`` is a corpus workload: the classical stage comes from the
     per-process memo (and is charged to the call that filled it), the
     ILP transformation runs once, each machine schedules a structural
-    clone and has its registers measured.  Under the compiled engine the
-    cell *executes* once — the dynamic trace is width-independent — and
-    every machine's cycle/instruction counts come from replaying that
-    trace against its own schedule, bit-identical to simulating each in
-    full.  Whether the cell is in the engine's scope is decided once, by
-    the :class:`BatchedRunner` that owns the execution; what it cannot
-    replay it interprets.  ``check`` holds the outputs against the
-    workload's NumPy reference, once per distinct set of outputs.
-    ``check_ir`` runs the between-pass invariant verifier;
-    ``execute=False`` stops after compilation.
+    clone and has its registers measured.  The cell *executes* once —
+    the dynamic trace is width-independent — through the
+    :class:`BatchedRunner` that owns the execution, and every machine's
+    cycle/instruction counts come from replaying that trace against its
+    own schedule, bit-identical to simulating each in full.
+    ``engine="interp"`` names the reference interpreter instead, which
+    simulates every machine in full.  ``check`` holds the first
+    machine's outputs against the workload's NumPy reference: replayed
+    machines share them (the cross-engine oracle compares each width's
+    own outputs under the reference).  ``check_ir`` runs the
+    between-pass invariant verifier; ``execute=False`` stops after
+    compilation.
     """
     if len({m.latency_key() for m in machines}) > 1:
         raise ValueError(
@@ -542,14 +513,17 @@ def evaluate_cell(
             solver_store=solver_store))
         t_scheds.append(time.perf_counter() - t0)
 
-    arrays = scalars = runner = None
+    arrays = scalars = run_width = None
     t_exec = 0.0
     if execute:
         arrays, scalars = _inputs(w.name, seed)
-        if engine != "interp":
-            t0 = time.perf_counter()
-            runner = BatchedRunner(cks[0], arrays, scalars)
-            t_exec = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        run_width = (
+            functools.partial(run_compiled_kernel, arrays=arrays,
+                              scalars=scalars, engine="interp")
+            if engine == "interp"
+            else BatchedRunner(cks[0], arrays, scalars).run)
+        t_exec = time.perf_counter() - t0
 
     out = []
     for i, ck in enumerate(cks):
@@ -563,15 +537,8 @@ def evaluate_cell(
         run, t_sim = None, 0.0
         if execute:
             t0 = time.perf_counter()
-            if runner is None:
-                run = run_compiled_kernel(ck, arrays, scalars, engine="interp")
-                own_outputs = True
-            else:
-                run = runner.run(ck)
-                # replayed machines share the traced execution's outputs;
-                # an interpreted one has its own
-                own_outputs = i == 0 or runner.last_fallback
-            if check and own_outputs:
+            run = run_width(ck)
+            if check and i == 0:
                 check_run(w, run.arrays, run.scalars, arrays, scalars)
             t_sim = time.perf_counter() - t0
         first = i == 0

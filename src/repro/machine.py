@@ -94,6 +94,17 @@ class MachineConfig:
     #: pass (Lev5) may form; 0 disables vectorization entirely
     vector_lanes: int = DEFAULT_VECTOR_LANES
 
+    def __post_init__(self):
+        # a write completes no earlier than the cycle after its issue, and
+        # a kind a packet may carry has at least one slot: the scheduler,
+        # the solver and both simulator engines rely on both
+        if min(self.latencies.values(), default=1) < 1:
+            raise ValueError("latency below 1 cycle: " + ", ".join(
+                k.name for k, v in self.latencies.items() if v < 1))
+        if self.slot_limits and min(self.slot_limits.values()) < 1:
+            raise ValueError("slot limit below 1: " + ", ".join(
+                k.name for k, v in self.slot_limits.items() if v < 1))
+
     def latency(self, op: Op) -> int:
         try:
             return self._op_latency[op]

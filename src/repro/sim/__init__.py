@@ -6,23 +6,21 @@ from .executor import (
     compiled_program,
 )
 from .simulator import (
-    DEFAULT_ENGINE, RunResult, SimulationError, TracedRun, run_compiled,
-    simulate,
+    RunResult, SimulationError, TracedRun, run_compiled, simulate,
 )
 from .blockgen import EngineUnsupported, ExecPlan, exec_plan, execute_plan
 from .replay import (
     ReplaySpec, ReplayUnmapped, ReplayUnsupported, replay, replay_spec,
 )
-from .trace import render_packets, render_pipeline
+from .trace import render_packets, render_pipeline, trace_run
 
 __all__ = [
     "Memory", "SimMemoryError", "WORD",
     "ENGINE_VERSION", "CompiledInstr", "CompiledProgram", "compile_instr",
     "compiled_program",
-    "DEFAULT_ENGINE", "RunResult", "SimulationError", "TracedRun",
-    "run_compiled", "simulate",
+    "RunResult", "SimulationError", "TracedRun", "run_compiled", "simulate",
     "EngineUnsupported", "ExecPlan", "exec_plan", "execute_plan",
     "ReplaySpec", "ReplayUnmapped", "ReplayUnsupported", "replay",
     "replay_spec",
-    "render_packets", "render_pipeline",
+    "render_packets", "render_pipeline", "trace_run",
 ]

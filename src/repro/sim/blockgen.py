@@ -37,8 +37,8 @@ codegen artifact like ``NameError``):
 * division by zero and loads from unbound addresses translate the same
   way (``ZeroDivisionError``/``KeyError`` at a known line).
 
-Programs the generator cannot express raise :class:`EngineUnsupported`
-and the caller falls back to the interpreter.
+Every opcode has a generator; :class:`EngineUnsupported` guards only
+an ``Op`` added without one.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ from .memory import SimMemoryError
 
 
 class EngineUnsupported(Exception):
-    """This program cannot be closure-compiled; use the interpreter."""
+    """An instruction has no block-code generator (an ``Op`` added to the
+    IR without teaching this module about it)."""
 
 
 #: sentinel exit for "fell through the end of the block"
@@ -113,26 +114,9 @@ def _shrl(a, b):
 _BANK_VAR = {INT_BANK: "iv", FP_BANK: "fv", VINT_BANK: "vi", VFP_BANK: "vf"}
 
 
-def _expr(desc) -> str:
-    """Fetch expression for one operand descriptor (bank, key)."""
-    bank, key = desc
-    if bank != CONST:
-        return f"{_BANK_VAR[bank]}[{key}]"
-    if isinstance(key, float) and not math.isfinite(key):
-        raise EngineUnsupported(f"non-finite constant {key!r}")
-    return f"({key!r})"
-
-
 def _dest(ci: CompiledInstr) -> str:
     bank, idx = ci.dest
     return f"{_BANK_VAR[bank]}[{idx}]"
-
-
-def _addr_expr(s0, s1) -> str:
-    """Word-index expression for a load/store address (base + offset)."""
-    if s0[0] == CONST and s1[0] == CONST:
-        return repr((s0[1] + s1[1]) >> 2)  # fold; Python >> floors like runtime
-    return f"({_expr(s0)} + {_expr(s1)}) >> 2"
 
 
 class ExecPlan:
@@ -155,9 +139,29 @@ class ExecPlan:
         self._line_starts: list[int] = []   # parallel: first lineno of instr
         self._line_gi: list[int] = []
         self.filename = f"<simblocks:{prog.func.name}:{id(prog)}>"
+        self._consts: dict[str, float] = {}  # global name -> non-finite
         self._build()
 
     # -- codegen ------------------------------------------------------------
+
+    def _expr(self, desc) -> str:
+        """Fetch expression for one operand descriptor (bank, key).  A
+        non-finite float has no literal, so it is bound as a global of
+        the generated module — the very object the interpreter reads."""
+        bank, key = desc
+        if bank != CONST:
+            return f"{_BANK_VAR[bank]}[{key}]"
+        if isinstance(key, float) and not math.isfinite(key):
+            name = f"_k{len(self._consts)}"
+            self._consts[name] = key
+            return name
+        return f"({key!r})"
+
+    def _addr_expr(self, s0, s1) -> str:
+        """Word-index expression for a load/store address (base + offset)."""
+        if s0[0] == CONST and s1[0] == CONST:
+            return repr((s0[1] + s1[1]) >> 2)  # fold; >> floors like runtime
+        return f"({self._expr(s0)} + {self._expr(s1)}) >> 2"
 
     def _new_seg(self, block: int, exit_ci, next_block: int | None) -> int:
         self.seg_block.append(block)
@@ -187,6 +191,7 @@ class ExecPlan:
             "_idiv": _idiv, "_irem": _irem, "_shrl": _shrl,
             "_flt": float, "_trunc": math.trunc,
             "_ur": self._raise_uninit_read, "_us": self._raise_uninit_store,
+            **self._consts,
         }
         for vop, name in _VHELPER.items():
             g[name] = VEC_SEMANTICS[vop]
@@ -207,29 +212,31 @@ class ExecPlan:
         if cat == C_BRANCH:
             tgt = self.prog.index[ci.target]
             seg = self._new_seg(b, ci, tgt)
-            a, bx = _expr(ci.srcs[0]), _expr(ci.srcs[1])
+            a, bx = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
             out = []
             if op in _EQNE:
-                checks = [f"{_expr(s)} is None" for s in ci.srcs if s[0] != CONST]
+                checks = [f"{self._expr(s)} is None"
+                          for s in ci.srcs if s[0] != CONST]
                 if checks:
                     out.append(f"if {' or '.join(checks)}: _ur({gi})")
             out.append(f"if {a} {_CMP_INFIX[op]} {bx}:")
             out.append(f"    return {seg}")
             return out
         if cat == C_LOAD:
-            return [f"{_dest(ci)} = mem[{_addr_expr(ci.srcs[0], ci.srcs[1])}]"]
+            addr = self._addr_expr(ci.srcs[0], ci.srcs[1])
+            return [f"{_dest(ci)} = mem[{addr}]"]
         if cat == C_STORE:
             s0, s1, sv = ci.srcs
-            addr = _addr_expr(s0, s1)
+            addr = self._addr_expr(s0, s1)
             if sv[0] == CONST:
-                return [f"mem[{addr}] = {_expr(sv)}"]
+                return [f"mem[{addr}] = {self._expr(sv)}"]
             # interpreter order: fetch value, compute address (TypeError ->
             # uninitialized *read*), THEN reject a None value as an
             # uninitialized *store* — keep the address first here so the
             # read error wins when both apply
             return [
                 f"_a = {addr}",
-                f"_v = {_expr(sv)}",
+                f"_v = {self._expr(sv)}",
                 f"if _v is None: _us({gi})",
                 "mem[_a] = _v",
             ]
@@ -240,7 +247,7 @@ class ExecPlan:
                 f"mem[_w + {j}]" if j else "mem[_w]" for j in range(lanes)
             )
             return [
-                f"_w = {_addr_expr(ci.srcs[0], ci.srcs[1])}",
+                f"_w = {self._addr_expr(ci.srcs[0], ci.srcs[1])}",
                 f"{_dest(ci)} = ({words})",
             ]
         if cat == C_VSTORE:
@@ -248,8 +255,8 @@ class ExecPlan:
             # same commit order as the scalar store: address first (read
             # error wins), then the uninitialized-value guard, then writes
             out = [
-                f"_a = {_addr_expr(s0, s1)}",
-                f"_v = {_expr(sv)}",
+                f"_a = {self._addr_expr(s0, s1)}",
+                f"_v = {self._expr(sv)}",
                 f"if _v is None: _us({gi})",
             ]
             out.extend(
@@ -261,31 +268,33 @@ class ExecPlan:
             # variadic pack: tuple literal; tuple display accepts None
             # silently, so guard every register lane explicitly
             out = []
-            checks = [f"{_expr(s)} is None" for s in ci.srcs if s[0] != CONST]
+            checks = [f"{self._expr(s)} is None"
+                      for s in ci.srcs if s[0] != CONST]
             if checks:
                 out.append(f"if {' or '.join(checks)}: _ur({gi})")
             out.append(
-                f"{_dest(ci)} = ({', '.join(_expr(s) for s in ci.srcs)},)"
+                f"{_dest(ci)} = ({', '.join(self._expr(s) for s in ci.srcs)},)"
             )
             return out
         # ALU (generic C_ALU: two- or one-operand)
         if op in _VHELPER:
-            a, bx = _expr(ci.srcs[0]), _expr(ci.srcs[1])
+            a, bx = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
             return [f"{_dest(ci)} = {_VHELPER[op]}({a}, {bx})"]
         if op in (Op.VEXT, Op.VEXTF):
-            return [f"{_dest(ci)} = {_expr(ci.srcs[0])}[{_expr(ci.srcs[1])}]"]
+            v, lane = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
+            return [f"{_dest(ci)} = {v}[{lane}]"]
         if op in _INFIX:
-            a, bx = _expr(ci.srcs[0]), _expr(ci.srcs[1])
+            a, bx = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
             return [f"{_dest(ci)} = {a} {_INFIX[op]} {bx}"]
         if op in _HELPER:
-            a, bx = _expr(ci.srcs[0]), _expr(ci.srcs[1])
+            a, bx = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
             return [f"{_dest(ci)} = {_HELPER[op]}({a}, {bx})"]
         if op in (Op.MOV, Op.FMOV):
-            return [f"{_dest(ci)} = {_expr(ci.srcs[0])}"]
+            return [f"{_dest(ci)} = {self._expr(ci.srcs[0])}"]
         if op is Op.ITOF:
-            return [f"{_dest(ci)} = _flt({_expr(ci.srcs[0])})"]
+            return [f"{_dest(ci)} = _flt({self._expr(ci.srcs[0])})"]
         if op is Op.FTOI:
-            return [f"{_dest(ci)} = _trunc({_expr(ci.srcs[0])})"]
+            return [f"{_dest(ci)} = _trunc({self._expr(ci.srcs[0])})"]
         raise EngineUnsupported(f"cannot compile {ci.instr!r}")
 
     # -- interpreter-identical error raising --------------------------------
@@ -341,9 +350,8 @@ class ExecPlan:
 
 
 def exec_plan(prog: CompiledProgram) -> ExecPlan:
-    """Generate block code for a compiled program (raises
-    :class:`EngineUnsupported` when codegen cannot express it).  The
-    plan belongs to the caller, like the program it was built from."""
+    """Generate block code for a compiled program.  The plan belongs to
+    the caller, like the program it was built from."""
     return ExecPlan(prog)
 
 

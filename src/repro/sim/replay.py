@@ -15,11 +15,15 @@ interpreter's packet loop exactly:
 
 * state between segments is ``(instructions already issued into the
   open packet, in-flight writes as (register, cycles-until-ready))``;
+  on a machine with per-kind slot limits it also carries the open
+  packet's issue count per limited kind (in ``slot_limits`` order) — a
+  fall-through into the next block keeps filling the same packet;
 * a segment transition issues the target schedule's instruction prefix
   for that segment (everything up to and including its exit in *that
   width's* block order), mirroring the interpreter's check order:
   packet-full first, then flow/WAW readiness with the idle-packet
-  fast-forward, branches closing their packet;
+  fast-forward, then the per-kind slot check (a kind at its limit
+  closes the packet), branches closing their packet;
 * transitions are memoized per (segment, entry state): steady-state
   loop iterations hit the memo instead of re-walking instructions;
 * when the (segment, state) pair recurs — a periodic steady state —
@@ -30,9 +34,9 @@ interpreter's packet loop exactly:
 Dropping in-flight writes that completed at or before the segment
 boundary is exact *because every latency is at least 1*: a completed
 write imposes no flow constraint, and its WAW bound ``ready - lat + 1``
-cannot exceed the current cycle.  Machines with a sub-1 latency or with
-per-kind slot limits fall back to the full simulator
-(:class:`ReplayUnsupported`).
+cannot exceed the current cycle.  :class:`~repro.machine.MachineConfig`
+refuses a latency below 1, so every machine the repo can build has a
+replay model.
 
 Instruction counts come from the same trace: ``bincount(segments) ·
 segment_length`` with per-width segment lengths (a width that speculated
@@ -57,7 +61,8 @@ _CTRL = (C_BRANCH, C_JUMP, C_HALT)
 
 
 class ReplayUnsupported(Exception):
-    """This machine's timing cannot be replayed; run the full simulator."""
+    """Nothing raises this any more: every machine has a replay model.
+    Kept importable for callers written when some did not."""
 
 
 class ReplayUnmapped(Exception):
@@ -69,7 +74,7 @@ def timing_rows(prog: CompiledProgram) -> list[dict[int, tuple]]:
     """Per block of ``prog``, instruction identity -> timing row.
 
     A row is what the packet loop needs of one instruction —
-    ``(reg_source_keys, dest_key, latency, closes_packet)`` with
+    ``(reg_source_keys, dest_key, latency, closes_packet, kind)`` with
     registers packed to single ints (``bank << 24 | id``) so the
     in-flight dict is int-keyed — no tuple allocation per lookup.  It
     does not depend on the issue width, and width clones share their
@@ -86,7 +91,7 @@ def timing_rows(prog: CompiledProgram) -> list[dict[int, tuple]]:
                 for x in range(0, len(rsrcs), 2)
             )
             dk = (db << 24) | di if db >= 0 else -1
-            rows[id(meta[2])] = (rk, dk, lat, cat in _CTRL)
+            rows[id(meta[2])] = (rk, dk, lat, cat in _CTRL, meta[0])
         table.append(rows)
     return table
 
@@ -100,19 +105,20 @@ class ReplaySpec:
     whole block for a fall-through.  ``func`` is the target schedule —
     the traced function or a width clone of it — and ``table`` the
     timing rows of its instructions under ``machine``'s latencies.
-    ``seg_len[s]`` is the per-width instruction count.
+    ``seg_len[s]`` is the per-width instruction count.  ``limits`` is
+    the machine's per-kind slot limits (None without any) and ``start``
+    the timing state at program entry.
     """
 
     def __init__(self, plan: ExecPlan, machine: MachineConfig,
                  func: Function, table: list[dict[int, tuple]]):
-        if machine.slot_limits:
-            raise ReplayUnsupported("per-kind slot limits")
-        if min(machine.latencies.values()) < 1:
-            raise ReplayUnsupported("latency below 1 cycle")
         if [b.label for b in func.blocks] != plan.prog.labels:
             raise ReplayUnmapped("block structure differs")
         self.plan = plan
         self.width = machine.issue_width if machine.issue_width > 0 else 1 << 30
+        self.limits = dict(machine.slot_limits) or None
+        self.start = (0, ()) if self.limits is None else (
+            0, (), (0,) * len(self.limits))
         views = []
         for blk, known in zip(func.blocks, table):
             view = tuple(map(known.get, map(id, blk.instrs)))
@@ -138,29 +144,31 @@ class ReplaySpec:
 
 def replay_spec(plan: ExecPlan, prog: CompiledProgram) -> ReplaySpec:
     """``prog``'s view of ``plan``'s segments: raises
-    :class:`ReplayUnsupported` for a machine outside the timing model,
     :class:`ReplayUnmapped` when ``prog`` is not a reschedule of the
     traced program.  ``prog.func`` must still be in the order it was
     lowered in."""
     return ReplaySpec(plan, prog.machine, prog.func, timing_rows(prog))
 
 
-def _transition(rows: tuple, state: tuple, width: int):
+def _transition(rows: tuple, state: tuple, width: int, limits):
     """Issue one segment's instructions from ``state``; returns
     ``(cycle_delta, last_issue_delta, exit_state)``.
 
     Mirrors the interpreter's packet loop: packet-full check first, then
     operand/WAW readiness (fast-forwarding an idle packet to the stall
-    end, closing a non-empty one), control instructions closing their
-    packet.  Cycles are relative to segment entry; ``last_issue_delta``
-    is -1 when nothing issued (empty fall-through blocks).
+    end, closing a non-empty one), then — with ``limits`` — the per-kind
+    slot check, which closes a packet whose slots of that kind are
+    used up; control instructions close their packet.  Cycles are
+    relative to segment entry; ``last_issue_delta`` is -1 when nothing
+    issued (empty fall-through blocks).
     """
-    issued, inflight = state
+    issued, inflight = state[0], state[1]
     ready = dict(inflight)
     get = ready.get
+    used = dict(zip(limits, state[2])) if limits else None
     cycle = 0
     dli = -1
-    for rk, dk, lat, closes in rows:
+    for rk, dk, lat, closes, kind in rows:
         while True:
             if issued >= width:
                 issued = 0
@@ -182,6 +190,16 @@ def _transition(rows: tuple, state: tuple, width: int):
                     issued = 0
                     cycle += 1
                     continue
+            if limits:
+                if issued == 0:  # a new packet: no slot of it used yet
+                    used = dict.fromkeys(limits, 0)
+                lim = limits.get(kind)
+                if lim is not None:
+                    if used[kind] >= lim:
+                        issued = 0
+                        cycle += 1
+                        continue
+                    used[kind] += 1
             break
         issued += 1
         dli = cycle
@@ -193,7 +211,10 @@ def _transition(rows: tuple, state: tuple, width: int):
             cycle += 1
     pruned = [(k, v - cycle) for k, v in ready.items() if v > cycle]
     pruned.sort()
-    return cycle, dli, (issued, tuple(pruned))
+    if not limits:
+        return cycle, dli, (issued, tuple(pruned))
+    counts = tuple(used.values()) if issued else (0,) * len(limits)
+    return cycle, dli, (issued, tuple(pruned), counts)
 
 
 def replay(
@@ -212,6 +233,7 @@ def replay(
 
     rows = spec.rows
     width = spec.width
+    limits = spec.limits
     plan = spec.plan
     name = plan.prog.func.name
     labels = plan.prog.labels
@@ -219,7 +241,7 @@ def replay(
     memo: dict = {}
     seen: dict = {}
     sl = arr.tolist()
-    state = (0, ())
+    state = spec.start
     cycle = 0
     last_issue = -1
     i = 0
@@ -228,7 +250,7 @@ def replay(
         key = (s, state)
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = _transition(rows[s], state, width)
+            hit = memo[key] = _transition(rows[s], state, width, limits)
         dc, dli, nstate = hit
         prev = seen.get(key)
         if prev is None:

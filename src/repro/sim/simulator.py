@@ -9,25 +9,29 @@ The simulator is *execution driven*: it computes real values, follows real
 branch outcomes, and mutates simulated memory, so transformation
 correctness is checked at the same time performance is measured.
 
-The interpreter executes millions of dynamic instructions per sweep, so the
-hot loop works on the pre-flattened form built by
-:class:`repro.sim.executor.CompiledProgram`: plain instruction tuples
-(no attribute chasing) and flat list-indexed register banks (registers are
-densely reindexed by ``Function.reindex_regs``; a list index replaces two
-dict probes per operand).  Reads of never-written registers surface as
+Every cycle count the repo reports comes from :class:`TracedRun`: block
+code (:mod:`repro.sim.blockgen`) executes the program once and
+:mod:`repro.sim.replay` times the trace on any machine.
+:func:`run_compiled`, the tuple interpreter, is the reference it is
+checked against, reached only by naming it (``engine="interp"``,
+:func:`repro.sim.trace.trace_run`).  Its hot loop works on the
+pre-flattened form built by :class:`repro.sim.executor.CompiledProgram`:
+plain instruction tuples (no attribute chasing) and flat list-indexed
+register banks (registers are densely reindexed by
+``Function.reindex_regs``; a list index replaces two dict probes per
+operand).  Reads of never-written registers surface as
 :class:`SimulationError` rather than silently producing zeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ir.function import Function
 from ..machine import MachineConfig
-from .blockgen import EngineUnsupported, exec_plan, execute_plan
+from .blockgen import exec_plan, execute_plan
 from .errors import SimulationError
 from .executor import (
-    C_ALU,
     C_ALU1,
     C_ALU2,
     C_ALUN,
@@ -35,25 +39,15 @@ from .executor import (
     C_HALT,
     C_JUMP,
     C_LOAD,
-    C_NOP,
     C_STORE,
     C_VLOAD,
     C_VSTORE,
     CONST,
     CompiledProgram,
-    FP_BANK,
-    INT_BANK,
     compiled_program,
 )
 from .memory import Memory, SimMemoryError
-from .replay import (
-    ReplaySpec, ReplayUnmapped, ReplayUnsupported, replay, timing_rows,
-)
-
-#: engine used by ``simulate(engine="auto")``.  "compiled" is the
-#: closure-compiled execute-then-replay engine (bit-identical results,
-#: see DESIGN.md §13); "interp" is the tuple interpreter below.
-DEFAULT_ENGINE = "compiled"
+from .replay import ReplaySpec, ReplayUnmapped, replay, timing_rows
 
 
 @dataclass
@@ -65,7 +59,6 @@ class RunResult:
     iregs: dict[int, int]
     fregs: dict[int, float]
     memory: Memory
-    block_visits: dict[str, int] = field(default_factory=dict)
 
     @property
     def ipc(self) -> float:
@@ -79,8 +72,6 @@ def simulate(
     iregs: dict[int, int] | None = None,
     fregs: dict[int, float] | None = None,
     max_cycles: int = 200_000_000,
-    collect_block_visits: bool = False,
-    trace: list | None = None,
     engine: str = "auto",
 ) -> RunResult:
     """Run ``func`` to completion on the given machine configuration.
@@ -89,31 +80,17 @@ def simulate(
     supplies bound arrays and the symbol table.  Execution starts at the
     entry block and ends when control falls off the end of the last block.
 
-    ``engine`` selects the simulator core: ``"compiled"`` executes
-    closure-compiled blocks once and replays the trace for timing
-    (results are bit-identical to the interpreter); ``"interp"`` forces
-    the tuple interpreter; ``"auto"`` (default) uses
-    :data:`DEFAULT_ENGINE` but falls back to the interpreter when a
-    per-instruction issue ``trace`` or ``collect_block_visits`` is
-    requested, or when the program/machine is outside the compiled
-    engine's scope (slot-limit ablations, sub-unit latencies).
+    The compiled engine (:class:`TracedRun`) runs it; ``engine="interp"``
+    names the reference interpreter instead, whose results are
+    bit-identical (``"auto"``, the default, and ``"compiled"`` are the
+    compiled engine's names).
     """
     memory = memory if memory is not None else Memory()
     prog = compiled_program(func, machine, memory.symbols)
-    if engine == "auto":
-        engine = DEFAULT_ENGINE
-    if engine == "compiled" and trace is None and not collect_block_visits:
-        try:
-            t = TracedRun(prog, memory, iregs or {}, fregs or {}, max_cycles)
-        except (EngineUnsupported, ReplayUnsupported):
-            pass  # outside the compiled engine's scope: interpret
-        else:
-            return RunResult(t.cycles, t.instructions, t.iregs, t.fregs,
-                             memory, {})
-    return run_compiled(
-        prog, memory, iregs or {}, fregs or {}, max_cycles,
-        collect_block_visits, trace,
-    )
+    if engine == "interp":
+        return run_compiled(prog, memory, iregs or {}, fregs or {}, max_cycles)
+    t = TracedRun(prog, memory, iregs or {}, fregs or {}, max_cycles)
+    return RunResult(t.cycles, t.instructions, t.iregs, t.fregs, memory)
 
 
 class TracedRun:
@@ -125,9 +102,7 @@ class TracedRun:
     recorded trace on ``prog``'s own machine: ``cycles``,
     ``instructions`` and the end-state ``iregs`` / ``fregs`` are exactly
     the interpreter's.  It owns the plan, the trace and the timing rows
-    of the instructions it lowered; nothing outlives it.  Raises
-    ``EngineUnsupported``/``ReplayUnsupported`` — before touching
-    ``memory`` — when the program or its machine is out of scope.
+    of the instructions it lowered; nothing outlives it.
     """
 
     def __init__(
@@ -140,7 +115,6 @@ class TracedRun:
     ):
         self._plan = exec_plan(prog)
         self._rows = timing_rows(prog)
-        # validate the machine before executing
         spec = ReplaySpec(self._plan, prog.machine, prog.func, self._rows)
         self._segs, ivals, fvals = execute_plan(
             self._plan, memory, iregs, fregs, max_cycles)
@@ -154,8 +128,8 @@ class TracedRun:
         reschedule of the traced function — the same instruction objects
         block by block, in any order — and ``machine`` must have the
         traced machine's latencies, which the shared timing rows carry
-        (else ``ReplayUnmapped``; ``ReplayUnsupported`` for a machine
-        without a replay model)."""
+        (else ``ReplayUnmapped``); its width and slot limits are its
+        own."""
         spec = ReplaySpec(self._plan, machine, func, self._rows)
         if machine.latencies != self._plan.prog.machine.latencies:
             raise ReplayUnmapped("latencies differ from the traced machine's")
@@ -173,9 +147,11 @@ def run_compiled(
     iregs: dict[int, int],
     fregs: dict[int, float],
     max_cycles: int = 200_000_000,
-    collect_block_visits: bool = False,
     trace: list | None = None,
 ) -> RunResult:
+    """The reference interpreter: one packet loop that executes and times
+    together.  ``trace``, when given, collects ``(cycle, instruction)``
+    issue events."""
     machine = prog.machine
     width = machine.issue_width if machine.issue_width > 0 else 1 << 30
     slot_limits = machine.slot_limits
@@ -207,7 +183,6 @@ def run_compiled(
     codes = prog.flat
     nexts = prog.next_index
     labels = prog.labels
-    visits: dict[str, int] = {}
 
     cycle = 0
     n_instr = 0
@@ -217,16 +192,11 @@ def run_compiled(
 
     # Skip leading empty blocks.
     while bi < len(codes) and not codes[bi]:
-        if collect_block_visits:
-            visits[labels[bi]] = visits.get(labels[bi], 0) + 1
         nxt = nexts[bi]
         if nxt is None:
             return RunResult(0, 0, _bank_dict(ivals), _bank_dict(fvals),
-                             memory, visits)
+                             memory)
         bi = nxt
-
-    if collect_block_visits:
-        visits[labels[bi]] = 1
 
     code = codes[bi]
     ncode = len(code)
@@ -256,9 +226,6 @@ def run_compiled(
                 code = codes[bi]
                 ncode = len(code)
                 ii = 0
-                if collect_block_visits:
-                    lab = labels[bi]
-                    visits[lab] = visits.get(lab, 0) + 1
                 continue
             if issued >= width:
                 break
@@ -376,9 +343,6 @@ def run_compiled(
                     code = codes[bi]
                     ncode = len(code)
                     ii = 0
-                    if collect_block_visits:
-                        lab = labels[bi]
-                        visits[lab] = visits.get(lab, 0) + 1
                 else:
                     ii += 1
                 break  # branch terminates the issue packet
@@ -464,9 +428,6 @@ def run_compiled(
                 code = codes[bi]
                 ncode = len(code)
                 ii = 0
-                if collect_block_visits:
-                    lab = labels[bi]
-                    visits[lab] = visits.get(lab, 0) + 1
                 break
             # C_NOP: just consumes an issue slot
 
@@ -483,4 +444,4 @@ def run_compiled(
     # as ending one cycle after the final issue, so total cycles is
     # last_issue + 1.  In-flight completion beyond that is not charged.
     return RunResult(last_issue + 1, n_instr, _bank_dict(ivals),
-                     _bank_dict(fvals), memory, visits)
+                     _bank_dict(fvals), memory)

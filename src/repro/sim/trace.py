@@ -1,7 +1,8 @@
 """Execution traces and ASCII pipeline diagrams.
 
-Pass ``trace=[]`` to :func:`repro.sim.simulate` to collect ``(cycle,
-instruction)`` issue events, then render them:
+:func:`trace_run` simulates a function on the reference interpreter and
+collects its ``(cycle, instruction)`` issue events (the compiled engine
+times whole segments and never sees a single issue); render them with:
 
 * :func:`render_packets` — one line per cycle showing the issue packet
   (what actually went down the pipe together);
@@ -16,9 +17,30 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from ..ir.function import Function
 from ..ir.instructions import Instr
 from ..ir.printer import format_instr
 from ..machine import MachineConfig
+from .executor import compiled_program
+from .memory import Memory
+from .simulator import RunResult, run_compiled
+
+
+def trace_run(
+    func: Function,
+    machine: MachineConfig,
+    memory: Memory | None = None,
+    iregs: dict[int, int] | None = None,
+    fregs: dict[int, float] | None = None,
+    max_cycles: int = 200_000_000,
+) -> tuple[RunResult, list[tuple[int, Instr]]]:
+    """Run ``func`` like :func:`repro.sim.simulate` and return its result
+    with the issue events ``(cycle, instruction)`` in issue order."""
+    memory = memory if memory is not None else Memory()
+    trace: list[tuple[int, Instr]] = []
+    res = run_compiled(compiled_program(func, machine, memory.symbols),
+                       memory, iregs or {}, fregs or {}, max_cycles, trace)
+    return res, trace
 
 
 def render_packets(

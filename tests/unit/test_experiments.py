@@ -1,6 +1,8 @@
 """Unit tests for the experiments harness: binning, distributions,
 sweep plumbing, renderers, and the CLI."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.experiments.histograms import (
 from repro.experiments.sweep import (
     ConfigResult,
     SweepData,
+    default_cache_path,
     load_sweep,
     run_config,
     save_sweep,
@@ -179,3 +182,27 @@ class TestCLI:
         assert main(["compile", "add", "--level", "4"]) == 0
         out = capsys.readouterr().out
         assert "registers:" in out
+
+
+class TestAblationArtifactsAgreeWithTheGrid:
+    """Each ablation's unmodified column is a Lev3 / issue-8 cell of the
+    committed grid: an ablation that stops being re-recorded when the
+    pipeline changes shows here as a stale number."""
+
+    def test_baseline_columns_are_sweep_cells(self):
+        data = load_sweep()
+        results = default_cache_path().parent
+        rows = []
+        for stem in ("ablation_slots", "ablation_speculation"):
+            # title, rule and header lines, then "loop baseline other ratio"
+            for line in (results / f"{stem}.txt").read_text().splitlines()[3:]:
+                name, baseline = line.split()[:2]
+                rows.append((stem, name, int(baseline)))
+        for line in (results / "ablation_thr.txt").read_text().splitlines():
+            m = re.match(r"([\w-]+): latency-aware (\d+),", line)
+            if m:
+                rows.append(("ablation_thr", m[1], int(m[2])))
+        assert len(rows) == 4 + 5 + 3
+        for stem, name, cycles in rows:
+            cell = data.results[(name, int(Level.LEV3), 8)]
+            assert cycles == cell.cycles, (stem, name)

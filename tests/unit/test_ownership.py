@@ -5,7 +5,7 @@ process memo keyed by plain values, or a store entry — never something
 a cell leaves behind.  These tests pin that from the outside: what a
 cell built dies with the cell, a process that keeps evaluating cells
 stops growing, the two harness memos stay under their bound whatever
-clients send, and the one engine decision per cell is made once.
+clients send, and a cell executes once whatever machine times it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import copy
 import gc
 import weakref
+
+import pytest
 
 import repro.harness as harness
 import repro.sim.simulator as simulator
@@ -29,7 +31,7 @@ from repro.machine import MachineConfig
 from repro.passes.registry import ablatable_passes
 from repro.pipeline import Level
 from repro.service.jobs import compute_cell
-from repro.sim import CompiledProgram, ExecPlan, ReplaySpec
+from repro.sim import CompiledProgram, ExecPlan, ReplaySpec, ReplayUnmapped
 from repro.workloads import get_workload
 
 WIDTHS = (1, 2, 4, 8)
@@ -108,7 +110,7 @@ class TestProcessMemosAreBounded:
         assert "listsched" in warm.timings["t_passes"]
 
 
-class TestOneEngineDecisionPerCell:
+class TestOneExecutionPerCell:
     def _cell(self, name="dotprod", level=Level.LEV4):
         w = get_workload(name)
         arrays, scalars = w.make_inputs(0)
@@ -135,7 +137,6 @@ class TestOneEngineDecisionPerCell:
             "replay", simulator.replay))
         first = runner.run(cks[0])
         assert first is runner.run(cks[0])
-        assert not runner.last_fallback
         # the same function on an equal machine is the same kernel,
         # whichever CompiledKernel object carries it
         assert runner.run(copy.copy(cks[0])) is first
@@ -145,22 +146,17 @@ class TestOneEngineDecisionPerCell:
         assert calls == {"compiled_program": 0, "replay": 1}
         assert other.arrays is first.arrays
 
-    def test_foreign_kernel_is_interpreted(self):
+    def test_foreign_kernel_is_refused(self):
         cks, arrays, scalars = self._cell()
         foreign, _, _ = self._cell()
         runner = BatchedRunner(cks[0], arrays, scalars)
-        got = runner.run(foreign[3])
-        assert runner.last_fallback
-        want = runner.run(cks[3])
-        assert not runner.last_fallback
-        assert (got.cycles, got.instructions) == (want.cycles,
-                                                  want.instructions)
-        assert got.arrays is not want.arrays
+        with pytest.raises(ReplayUnmapped):
+            runner.run(foreign[3])
 
-    def test_out_of_scope_cell_decides_once(self, monkeypatch):
-        """Slot-limited machines have no replay model: the runner finds
-        out once, every width is interpreted, every width's own outputs
-        are checked."""
+    def test_slot_limited_cell_executes_once(self, monkeypatch):
+        """Slot-limited machines are replayed like any other: one
+        execution, whose outputs are checked once, and the interpreter's
+        counts for every width."""
         plans: list = []
         _record_instances(monkeypatch, ExecPlan, plans)
         checks = []
@@ -171,11 +167,10 @@ class TestOneEngineDecisionPerCell:
         machines = [MachineConfig(issue_width=wd, slot_limits={Kind.LOAD: 1})
                     for wd in WIDTHS]
         auto = evaluate_cell(w, Level.LEV2, machines)
-        assert len(plans) <= 1
-        assert len(checks) == len(WIDTHS)
-        assert len({id(a) for a in checks}) == len(WIDTHS)
+        assert len(plans) == 1
+        assert len(checks) == 1
         interp = evaluate_cell(w, Level.LEV2, machines, engine="interp")
-        assert len(plans) <= 1
+        assert len(plans) == 1
         assert ([(r.run.cycles, r.run.instructions) for r in auto]
                 == [(r.run.cycles, r.run.instructions) for r in interp])
 

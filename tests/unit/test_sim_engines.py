@@ -12,7 +12,7 @@ Three layers of evidence:
   transformation levels x four issue widths;
 * the width-batched path (execute once, replay timing per width —
   :class:`repro.harness.BatchedRunner`) against independent full
-  simulations of every width;
+  simulations of every width, slot-limited machines included;
 * error-semantics parity: reads of never-written registers, division
   by zero, and unmapped memory must raise the same exception type with
   the same message from generated block code as from the interpreter —
@@ -32,10 +32,21 @@ from repro.harness import (
     schedule_kernel,
 )
 from repro.ir import parse_function
-from repro.ir.instructions import Kind
+from repro.ir.block import Block
+from repro.ir.function import Function
+from repro.ir.instructions import OP_INFO, Instr, Kind, Op
+from repro.ir.operands import FImm, Imm, Label, Reg, RegClass
 from repro.machine import MachineConfig, unlimited
 from repro.pipeline import ALL_LEVELS, Level
-from repro.sim import Memory, SimMemoryError, SimulationError, simulate
+from repro.sim import (
+    Memory,
+    ReplayUnmapped,
+    SimMemoryError,
+    SimulationError,
+    compiled_program,
+    exec_plan,
+    simulate,
+)
 from repro.workloads import get_workload
 
 ORACLE_KERNELS = (
@@ -98,18 +109,15 @@ class TestBatchedReplayVsFullSim:
             runner = BatchedRunner(cks[0], arrays, scalars)
             for ck, width in zip(cks, WIDTHS):
                 got = runner.run(ck)
-                assert not runner.last_fallback, (
-                    f"{name}/{level.label}/w{width} unexpectedly fell back"
-                )
                 want = run_compiled_kernel(
                     ck, arrays=arrays, scalars=scalars, engine="interp"
                 )
                 _assert_runs_equal(got, want, f"{name}/{level.label}/w{width}")
 
-    def test_batched_falls_back_on_foreign_schedule(self):
+    def test_batched_refuses_foreign_schedule(self):
         # a kernel transformed separately shares no instruction objects,
-        # so its exits cannot be mapped onto the trace: the runner must
-        # fall back to a full simulation, not crash or mis-time
+        # so its exits cannot be mapped onto the trace: the runner says
+        # so instead of timing something else
         w = get_workload("dotprod")
         arrays, scalars = w.make_inputs(0)
         conv = lower_conv(w.build())
@@ -118,16 +126,12 @@ class TestBatchedReplayVsFullSim:
         ck1 = schedule_kernel(tk1, MachineConfig(issue_width=1))
         ck2 = schedule_kernel(tk2, MachineConfig(issue_width=8))
         runner = BatchedRunner(ck1, arrays, scalars)
-        got = runner.run(ck2)
-        assert runner.last_fallback
-        want = run_compiled_kernel(
-            ck2, arrays=arrays, scalars=scalars, engine="interp"
-        )
-        _assert_runs_equal(got, want, "foreign schedule fallback")
+        with pytest.raises(ReplayUnmapped):
+            runner.run(ck2)
 
-    def test_batched_falls_back_on_slot_limits(self):
-        # slot-limited machines have no replay model; the batched path
-        # must degrade to full simulation with identical results
+    def test_batched_replays_slot_limits(self):
+        # a slot-limited width of a cell is replayed from the unlimited
+        # width-1 trace, identically to simulating it in full
         w = get_workload("sum")
         arrays, scalars = w.make_inputs(0)
         conv = lower_conv(w.build())
@@ -137,11 +141,146 @@ class TestBatchedReplayVsFullSim:
         limited = schedule_kernel(tk.clone(), limited_machine)
         runner = BatchedRunner(base, arrays, scalars)
         got = runner.run(limited)
-        assert runner.last_fallback
         want = run_compiled_kernel(
             limited, arrays=arrays, scalars=scalars, engine="interp"
         )
-        _assert_runs_equal(got, want, "slot-limit fallback")
+        _assert_runs_equal(got, want, "slot-limited replay")
+
+
+#: ``benchmarks/bench_ablation_slots.py``'s machine, and two more shapes:
+#: a memory port, and an FP multiplier beside two integer ALUs
+SLOT_LIMITS = {
+    "fp-limited": {Kind.FP_ALU: 1, Kind.FP_MUL: 1, Kind.FP_DIV: 1},
+    "load-1": {Kind.LOAD: 1},
+    "fmul-1-ialu-2": {Kind.FP_MUL: 1, Kind.INT_ALU: 2},
+}
+
+
+class TestSlotLimitedReplay:
+    """Replay on slot-limited machines equals the interpreter: cycles,
+    instructions and end state, every level, widths 1/2/4/8."""
+
+    @pytest.mark.parametrize("limits", SLOT_LIMITS)
+    @pytest.mark.parametrize("name", ["NAS-1", "SRS-5", "add", "tomcatv-1"])
+    def test_corpus(self, name, limits):
+        w = get_workload(name)
+        arrays, scalars = w.make_inputs(0)
+        conv = lower_conv(w.build())
+        machines = [MachineConfig(issue_width=wd,
+                                  slot_limits=SLOT_LIMITS[limits])
+                    for wd in WIDTHS]
+        for level in ALL_LEVELS:
+            tk = ilp_transform(conv.clone(), level, machines[0])
+            cks = [schedule_kernel(tk.clone(), m) for m in machines]
+            runner = BatchedRunner(cks[0], arrays, scalars)
+            for ck in cks:
+                want = run_compiled_kernel(
+                    ck, arrays=arrays, scalars=scalars, engine="interp")
+                _assert_runs_equal(
+                    runner.run(ck), want,
+                    f"{name}/{level.label}/w{ck.machine.issue_width}/{limits}")
+
+    @staticmethod
+    def _cycles(text, limits, width=4, **kw):
+        """Cycles of ``text`` on a ``width``-wide machine with ``limits``,
+        after asserting both engines agree on everything."""
+        interp, compiled = _run_both(
+            text, MachineConfig(issue_width=width, slot_limits=limits), **kw)
+        assert (interp.cycles, interp.instructions, interp.iregs,
+                interp.fregs) == (compiled.cycles, compiled.instructions,
+                                  compiled.iregs, compiled.fregs)
+        return interp.cycles
+
+    def test_limit_hit_right_after_an_idle_fast_forward(self):
+        # the fadd waits for the load: its packet fast-forwards to cycle
+        # 2, then the second fadd finds the one FP_ALU slot taken
+        text = """
+function t:
+A:
+  r2f = MEM(A+0)
+  r3f = r2f + r1f
+  r4f = r1f + r1f
+  halt
+"""
+        kw = dict(fregs={1: 1.5}, mem_fn=_one_slot_memory)
+        assert self._cycles(text, {Kind.FP_ALU: 1}, **kw) == 4
+        assert self._cycles(text, {}, **kw) == 3
+
+    def test_fall_through_keeps_the_open_packets_slot_counts(self):
+        # A's fadd and B's first instructions share one packet: B's fadd
+        # must see A's use of the FP_ALU slot across the block boundary
+        text = """
+function t:
+A:
+  r2f = r1f + r1f
+B:
+  r3f = r1f * r1f
+  r4f = r1f + r1f
+  halt
+"""
+        assert self._cycles(text, {Kind.FP_ALU: 1}, fregs={1: 2.0}) == 2
+        assert self._cycles(text, {}, fregs={1: 2.0}) == 1
+
+    def test_a_branch_closes_a_limited_packet(self):
+        # every iteration's fadd opens a fresh packet after the branch: a
+        # count carried past the branch would cost a cycle per iteration
+        text = """
+function t:
+A:
+  r1i = 0
+L:
+  r4f = r2f + r3f
+  r1i = r1i + 1
+  blt (r1i 40) L
+X:
+  halt
+"""
+        kw = dict(fregs={2: 1.0, 3: 2.0})
+        limited = self._cycles(text, {Kind.FP_ALU: 1}, **kw)
+        assert limited == self._cycles(text, {}, **kw)
+        assert self._cycles(text, {Kind.FP_ALU: 1, Kind.BRANCH: 1}, **kw) \
+            == limited
+
+
+def _instr_for(op: Op) -> Instr:
+    """One well-formed instance of ``op`` over fresh registers."""
+    info = OP_INFO[op]
+    lanes = 4 if op.is_vector else 0
+    classes = info.src_cls * lanes if info.n_srcs < 0 else info.src_cls
+    srcs = tuple(Reg(i + 1, cls) for i, cls in enumerate(classes))
+    if op in (Op.VEXT, Op.VEXTF):
+        srcs = (srcs[0], Imm(0))
+    dest = Reg(9, info.dest_cls) if info.dest_cls is not None else None
+    target = Label("T") if info.kind in (Kind.BRANCH, Kind.JUMP) else None
+    return Instr(op, dest, srcs, target, lanes=lanes)
+
+
+def test_block_code_exists_for_every_op():
+    f = Function("every_op")
+    f.blocks = [Block(f"B{i}", [_instr_for(op)]) for i, op in enumerate(Op)]
+    f.blocks.append(Block("T", [Instr(Op.HALT)]))
+    plan = exec_plan(compiled_program(f, MachineConfig(), {}))
+    assert len(plan.block_fns) == len(f.blocks)
+    assert [ci.instr.op for ci in plan.instrs] == [*Op, Op.HALT]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_constants_run_on_the_compiled_engine(value):
+    f = Function("nonfinite")
+    f.blocks = [Block("A", [
+        Instr(Op.FADD, Reg(2, RegClass.FP), (Reg(1, RegClass.FP), FImm(value))),
+        Instr(Op.FBEQ, None, (Reg(1, RegClass.FP), FImm(value)), Label("A")),
+        Instr(Op.HALT),
+    ])]
+    machine = MachineConfig(issue_width=2)
+    plan = exec_plan(compiled_program(f, machine, {}))
+    assert "_k0" in plan.source  # bound, not spelled as a literal
+    interp, compiled = (
+        simulate(f, machine, Memory(), fregs={1: 1.0}, engine=e)
+        for e in ("interp", "compiled"))
+    assert (interp.cycles, interp.instructions) == (
+        compiled.cycles, compiled.instructions)
+    assert repr(interp.fregs) == repr(compiled.fregs)
 
 
 def _run_both(text, machine=None, mem_fn=None, iregs=None, fregs=None, **kw):

@@ -7,7 +7,7 @@ from repro.frontend import ArrayDecl, Kernel, Ty, aref, assign, do, flt, if_, va
 from repro.frontend.pretty import expr_str, kernel_str
 from repro.ir import parse_function
 from repro.machine import issue2, unlimited
-from repro.sim import Memory, render_packets, render_pipeline, simulate
+from repro.sim import Memory, render_packets, render_pipeline, trace_run
 
 
 class TestTrace:
@@ -30,9 +30,7 @@ exit:
         mem = Memory()
         mem.bind_array("A", np.arange(1.0, 5.0))
         mem.bind_array("B", np.zeros(4))
-        trace: list = []
-        res = simulate(f, machine, mem, fregs={4: 2.0}, trace=trace)
-        return res, trace
+        return trace_run(f, machine, mem, fregs={4: 2.0})
 
     def test_trace_covers_all_instructions(self):
         res, trace = self.run_traced(unlimited())

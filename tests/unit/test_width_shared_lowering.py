@@ -4,7 +4,7 @@
 timing rows of that lowering (``TracedRun.time(func, machine)``); the
 public per-width path (``compiled_program`` + ``replay_spec``) and the
 interpreter are the references.  What is not a reschedule of the traced
-program is ``ReplayUnmapped`` and the runner interprets it.
+program is ``ReplayUnmapped``, from ``time`` and from the runner alike.
 
 The colourer's bucket queue must pop in the order of the lazy heap it
 replaced; the heap lives on here as the reference.
@@ -35,7 +35,6 @@ from repro.regalloc import color_class
 from repro.regalloc.interference import InterferenceGraph, bits
 from repro.sim import (
     ReplayUnmapped,
-    ReplayUnsupported,
     TracedRun,
     compiled_program,
     exec_plan,
@@ -100,8 +99,8 @@ def test_fuzz_widths_share_one_lowering():
 
 
 class TestWhatIsNotAReschedule:
-    """Each target below is outside the shared table: ``time`` says
-    ``ReplayUnmapped``, the runner interprets and says so."""
+    """Each target below is outside the shared table: ``time`` and the
+    runner both say ``ReplayUnmapped``."""
 
     @staticmethod
     def _cell(name: str):
@@ -114,16 +113,13 @@ class TestWhatIsNotAReschedule:
     def cell(self):
         return self._cell("dotprod")
 
-    def _assert_interpreted(self, first, target, arrays, scalars):
+    def _assert_unmapped(self, first, target, arrays, scalars):
         with pytest.raises(ReplayUnmapped):
             _traced(first, arrays, scalars).time(target.func, target.machine)
         runner = BatchedRunner(first, arrays, scalars)
-        got = runner.run(target)
-        assert runner.last_fallback
-        assert (got.cycles, got.instructions) == _interp(
-            target, arrays, scalars)
-        runner.run(first)
-        assert not runner.last_fallback
+        with pytest.raises(ReplayUnmapped):
+            runner.run(target)
+        assert runner.run(first).cycles == _interp(first, arrays, scalars)[0]
 
     def test_foreign_schedule(self, cell):
         tk, arrays, scalars = cell
@@ -132,7 +128,7 @@ class TestWhatIsNotAReschedule:
         foreign_tk = ilp_transform(lower_conv(w.build()), Level.LEV4,
                                    MachineConfig())
         (foreign,) = _schedules(foreign_tk, [MachineConfig(issue_width=4)])
-        self._assert_interpreted(first, foreign, arrays, scalars)
+        self._assert_unmapped(first, foreign, arrays, scalars)
 
     def test_block_with_an_instruction_dropped(self):
         tk, arrays, scalars = self._cell("add")
@@ -141,14 +137,14 @@ class TestWhatIsNotAReschedule:
         body = short.sb.body.instrs
         # without a store every register is still defined where it is read
         body.remove(next(i for i in body if i.is_store))
-        self._assert_interpreted(first, short, arrays, scalars)
+        self._assert_unmapped(first, short, arrays, scalars)
 
     def test_another_latency_table(self, cell):
         tk, arrays, scalars = cell
         slow_mul = MachineConfig(
             issue_width=4, latencies={**PAPER_LATENCIES, Kind.FP_MUL: 5})
         first, other = _schedules(tk, [MachineConfig(issue_width=1), slow_mul])
-        self._assert_interpreted(first, other, arrays, scalars)
+        self._assert_unmapped(first, other, arrays, scalars)
         # the public per-width path lowers for the target's own latencies
         mem, iregs, fregs = bind_inputs(first.lowered, arrays, scalars)
         plan = exec_plan(
@@ -158,17 +154,18 @@ class TestWhatIsNotAReschedule:
             other.func, slow_mul, mem.symbols))) == _interp(
                 other, arrays, scalars)
 
-    def test_machines_without_a_replay_model_stay_unsupported(self, cell):
+    def test_every_buildable_machine_has_a_replay_model(self, cell):
         tk, arrays, scalars = cell
         limited = MachineConfig(issue_width=4, slot_limits={Kind.LOAD: 1})
-        fast = MachineConfig(
-            issue_width=4, latencies={**PAPER_LATENCIES, Kind.INT_ALU: 0})
-        first, a, b = _schedules(
-            tk, [MachineConfig(issue_width=1), limited, fast])
+        first, a = _schedules(tk, [MachineConfig(issue_width=1), limited])
         trace = _traced(first, arrays, scalars)
-        for ck in (a, b):
-            with pytest.raises(ReplayUnsupported):
-                trace.time(ck.func, ck.machine)
+        assert trace.time(a.func, a.machine) == _interp(a, arrays, scalars)
+        # a latency below one cycle is refused where the machine is built
+        with pytest.raises(ValueError, match="latency below 1 cycle"):
+            MachineConfig(issue_width=4,
+                          latencies={**PAPER_LATENCIES, Kind.INT_ALU: 0})
+        with pytest.raises(ValueError, match="slot limit below 1"):
+            MachineConfig(issue_width=4, slot_limits={Kind.LOAD: 0})
 
     def test_cell_of_mixed_latency_tables_is_refused(self):
         machines = [
