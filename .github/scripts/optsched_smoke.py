@@ -1,14 +1,15 @@
-"""CI optimal-scheduler smoke: the exact backend is a safe substitution.
+"""CI exact-scheduling smoke: the solver measures the list scheduler.
 
-Three gates over a six-loop corpus slice at Lev4 and Lev5, issue-8:
+Three gates over a six-loop corpus slice at Lev4 and Lev5, issue-8,
+where each loop is list-scheduled and exactly scheduled
+(``repro.optsched.schedule_exactly``) from the same transformed code:
 
 1. **Never worse, honestly labeled** — the exact schedule's inner-loop
    makespan is <= the heuristic's for every (loop, level), and every
    scheduled block carries an ``optimal`` or ``timeout-incumbent``
    proof status (``too-large`` or a missing record fails).
-2. **Differential oracle byte-identity** — both backends schedule the
-   same transformed code; their simulated end states must be
-   bit-identical on real data for every loop.
+2. **Differential oracle byte-identity** — the two schedules' simulated
+   end states must be bit-identical on real data for every loop.
 3. **Warm store replay** — rescheduling against the store populated by
    the first pass must answer every non-trivial block and every modulo
    search from the solver cache, with identical results.
@@ -32,7 +33,7 @@ from repro.harness import (                                   # noqa: E402
     schedule_kernel,
 )
 from repro.machine import issue8                              # noqa: E402
-from repro.optsched import modulo_schedule                    # noqa: E402
+from repro.optsched import modulo_schedule, schedule_exactly  # noqa: E402
 from repro.pipeline import Level                              # noqa: E402
 from repro.service.store import ArtifactStore                 # noqa: E402
 from repro.workloads import get_workload                      # noqa: E402
@@ -45,9 +46,8 @@ def check_config(name: str, level: Level, store) -> int:
     w = get_workload(name)
     machine = issue8()
     tk = ilp_transform(lower_conv(w.build()), level, machine)
-    ck_h = schedule_kernel(tk.clone(), machine)
-    ck_o = schedule_kernel(tk, machine, scheduler="optimal",
-                           solver_store=store, check=True)
+    ck_o, proofs = schedule_exactly(tk, machine, store=store, check=True)
+    ck_h = schedule_kernel(tk, machine)
     label = f"{name}@{level.label}"
     bad = 0
 
@@ -55,8 +55,8 @@ def check_config(name: str, level: Level, store) -> int:
         print(f"FAIL {label}: exact makespan {ck_o.inner_makespan} > "
               f"heuristic {ck_h.inner_makespan}")
         bad += 1
-    statuses = {p["status"] for p in ck_o.report.optsched.values()}
-    if not ck_o.report.optsched or \
+    statuses = {p["status"] for p in proofs.values()}
+    if not proofs or \
             statuses - {"optimal", "timeout-incumbent"}:
         print(f"FAIL {label}: bad proof statuses {statuses}")
         bad += 1
@@ -69,7 +69,7 @@ def check_config(name: str, level: Level, store) -> int:
                     for k in rh.arrays)
             and rh.scalars == ro.scalars)
     if not same:
-        print(f"FAIL {label}: end states diverge between backends")
+        print(f"FAIL {label}: end states diverge between the schedules")
         bad += 1
 
     ms = modulo_schedule(
@@ -84,11 +84,10 @@ def check_config(name: str, level: Level, store) -> int:
         bad += 1
 
     if not bad:
-        opt = sum(1 for p in ck_o.report.optsched.values()
-                  if p["status"] == "optimal")
+        opt = sum(1 for p in proofs.values() if p["status"] == "optimal")
         print(f"ok {label}: makespan {ck_o.inner_makespan} "
               f"(heur {ck_h.inner_makespan}), "
-              f"{opt}/{len(ck_o.report.optsched)} blocks proved, "
+              f"{opt}/{len(proofs)} blocks proved, "
               f"ii={ms.ii} [{ms.status}], states identical")
     return bad
 
@@ -98,10 +97,9 @@ def check_warm_replay(name: str, level: Level, store) -> int:
     w = get_workload(name)
     machine = issue8()
     tk = ilp_transform(lower_conv(w.build()), level, machine)
-    ck = schedule_kernel(tk, machine, scheduler="optimal",
-                         solver_store=store)
+    ck, proofs = schedule_exactly(tk, machine, store=store)
     bad = 0
-    for label, p in ck.report.optsched.items():
+    for label, p in proofs.items():
         blk = next(b for b in ck.func.blocks if b.label == label)
         if len(blk.instrs) > 1 and not p["cached"]:
             print(f"FAIL {name}@{level.label}: block {label} "

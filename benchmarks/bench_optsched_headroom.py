@@ -3,12 +3,13 @@
 Runs :mod:`repro.experiments.headroom` twice against one solver store —
 a cold pass that computes every exact-scheduling proof and a warm pass
 that must resolve every solver instance from the content-addressed
-cache — and asserts the backend's contract:
+cache — and asserts the exact solver's contract:
 
 * the exact schedule is never longer than the heuristic one, on any of
   the 40 loops, and every loop carries an honest proof status
   (``optimal`` or ``timeout-incumbent``, never silent failure);
-* both backends compute bit-identical end states on real data;
+* the list and the exact schedule compute bit-identical end states on
+  real data;
 * the warm pass hits the solver cache (every modulo search cached, at
   least one block cache hit per loop) and spends a small fraction of
   the cold pass's solver time.
@@ -44,7 +45,7 @@ def test_optsched_headroom(benchmark, tmp_path):
         assert r.proved_lb <= r.optimal_makespan, r.name
         # exact modulo II sits between the bound and the acyclic schedule
         assert r.mii <= r.exact_ii, r.name
-        # both backends compute the same answers
+        # the list and the exact schedule compute the same answers
         assert r.states_match, r.name
 
     # warm pass: every modulo search answered from the store, every loop

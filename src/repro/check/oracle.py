@@ -146,9 +146,6 @@ def check_workload(
     seed: int = 0,
     check_ir: bool = True,
     cross_engine: bool = False,
-    scheduler: str = "list",
-    solver_budget: int | None = None,
-    solver_store=None,
 ) -> tuple[int, list[Divergence]]:
     """Differentially check one workload; returns (configs checked, divergences).
 
@@ -159,9 +156,6 @@ def check_workload(
     the reference interpreter and requires bit-identical cycles,
     instruction counts, and end states (kind ``engine-vs-engine`` on
     mismatch).
-    ``scheduler="optimal"`` checks the exact solver-backed schedule
-    backend instead of heuristic list scheduling — the same golden-state
-    comparison proves the solver's reorderings semantics-preserving.
     """
     divs: list[Divergence] = []
     arrays, scalars = w.make_inputs(seed)
@@ -208,9 +202,7 @@ def check_workload(
             try:
                 clone = tk.clone() if i + 1 < len(widths) else tk
                 cks.append(schedule_kernel(
-                    clone, MachineConfig(issue_width=width), check=check_ir,
-                    scheduler=scheduler, solver_budget=solver_budget,
-                    solver_store=solver_store))
+                    clone, MachineConfig(issue_width=width), check=check_ir))
             except Exception as e:  # noqa: BLE001
                 divs.append(
                     Divergence(w.name, level.label, width, "compile-error", repr(e))
@@ -290,9 +282,6 @@ def run_oracle(
     check_ir: bool = True,
     verbose: bool = False,
     cross_engine: bool = False,
-    scheduler: str = "list",
-    solver_budget: int | None = None,
-    solver_store=None,
 ) -> OracleReport:
     """Run the differential oracle over the corpus (default: all 40)."""
     workloads = workloads or all_workloads()
@@ -301,8 +290,6 @@ def run_oracle(
     for w in workloads:
         checked, divs = check_workload(
             w, levels, widths, seed, check_ir, cross_engine=cross_engine,
-            scheduler=scheduler, solver_budget=solver_budget,
-            solver_store=solver_store,
         )
         report.kernels_checked += 1
         report.configs_checked += checked

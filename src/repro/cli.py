@@ -13,7 +13,6 @@
     python -m repro cluster --nodes 3 --store DIR # multi-node scale-out
     python -m repro submit run dotprod --level 4 --width 8  # client SDK
     python -m repro mii dotprod [--exact]        # software-pipelining bounds
-    python -m repro run dotprod --scheduler optimal  # exact solver backend
     python -m repro headroom                     # heuristic-vs-optimal report
     python -m repro check                        # differential oracle, all 40
     python -m repro check --fuzz 50              # + seeded random loop nests
@@ -47,18 +46,6 @@ from .pipeline import Level
 from .regalloc import measure_register_usage
 from .schedule.pipelining import compute_bounds
 from .workloads import all_workloads, check_run, get_workload
-
-
-def _solver_store(args):
-    """ArtifactStore from --solver-store (None = no solver caching)."""
-    path = getattr(args, "solver_store", None)
-    if not path:
-        return None
-    from pathlib import Path
-
-    from .service.store import ArtifactStore
-
-    return ArtifactStore(Path(path))
 
 
 def _pass_options(args) -> PassOptions | None:
@@ -114,24 +101,13 @@ def cmd_compile(args) -> int:
     )
     schedule_function(lk.func, machine, lk.live_out_exit, sb=sb,
                       doall=lk.inner_kind == "doall", check=args.check,
-                      options=options, report=rep,
-                      scheduler=args.scheduler,
-                      solver_budget=args.solver_budget,
-                      solver_store=_solver_store(args))
+                      options=options, report=rep)
     print(f"\n=== {level.label} on issue-{args.width or 'inf'}: "
           f"unroll x{rep.unroll_factor}, {rep.renamed} renamed, "
           f"{rep.inductions} ind, {rep.accumulators} acc, "
           f"{rep.searches} search, {rep.combined} combined, "
           f"{rep.trees} trees ===")
     print(format_block(sb.body))
-    if rep.optsched:
-        print("\nexact-scheduling proofs (per block):")
-        for label, p in sorted(rep.optsched.items()):
-            print(f"  {label:<12}{p['status']:<18}"
-                  f"heur={p['heuristic_makespan']} "
-                  f"opt={p['optimal_makespan']} lb>={p['proved_lb']} "
-                  f"nodes={p['nodes']}"
-                  f"{'  [cached]' if p['cached'] else ''}")
     usage = measure_register_usage(lk.func, lk.live_out_exit)
     print(f"\nregisters: {usage.int_regs} int + {usage.fp_regs} fp = {usage.total}")
     if args.stats:
@@ -170,15 +146,12 @@ def cmd_run(args) -> int:
     w = get_workload(args.workload)
     machine = MachineConfig(issue_width=args.width)
     options = _pass_options(args)
-    store = _solver_store(args)
     levels = list(Level) if args.all_levels else [Level(args.level)]
     base = run_config(w, Level.CONV, MachineConfig(issue_width=1),
                       check_ir=args.check, options=options).cycles
     print(f"{w.name} (type={w.loop_type}); baseline issue-1/Conv = {base} cycles")
     for level in levels:
-        r = run_config(w, level, machine, check_ir=args.check, options=options,
-                       scheduler=args.scheduler,
-                       solver_budget=args.solver_budget, solver_store=store)
+        r = run_config(w, level, machine, check_ir=args.check, options=options)
         print(f"  {level.label}@issue-{args.width}: {r.cycles} cycles, "
               f"{r.instructions} instrs, speedup {base / r.cycles:.2f}, "
               f"{r.total_regs} regs  [checked]")
@@ -255,10 +228,7 @@ def cmd_check(args) -> int:
               f"({'with' if not args.no_ir_check else 'without'} IR checks)")
         report = run_oracle(wls, widths=widths, seed=args.seed,
                             check_ir=not args.no_ir_check, verbose=args.verbose,
-                            cross_engine=args.cross_engine,
-                            scheduler=args.scheduler,
-                            solver_budget=args.solver_budget,
-                            solver_store=_solver_store(args))
+                            cross_engine=args.cross_engine)
         print(report.summary())
         for d in report.divergences:
             print(f"  {d}")
@@ -400,20 +370,6 @@ def main(argv=None) -> int:
                        help="dump the IR after every pass that rewrote "
                             "something")
 
-    def add_scheduler_flags(p):
-        p.add_argument("--scheduler", choices=("list", "optimal"),
-                       default="list",
-                       help="schedule backend: greedy list scheduling "
-                            "(default) or the exact solver with proof of "
-                            "optimality (heuristic fallback under budget)")
-        p.add_argument("--solver-budget", type=int, default=None,
-                       metavar="NODES",
-                       help="deterministic search-node budget per block "
-                            "for --scheduler optimal")
-        p.add_argument("--solver-store", metavar="DIR",
-                       help="content-addressed store caching exact-solver "
-                            "results across runs")
-
     sub.add_parser("passes",
                    help="list the registered pass pipeline "
                         "(phases, level gates, ablatability)")
@@ -430,7 +386,6 @@ def main(argv=None) -> int:
                    help="print the per-pass stats table (rewrites, "
                         "instruction delta, wall time)")
     add_pipeline_flags(p)
-    add_scheduler_flags(p)
 
     p = sub.add_parser("run", help="compile, simulate, and check a workload")
     p.add_argument("workload")
@@ -440,7 +395,6 @@ def main(argv=None) -> int:
     p.add_argument("--all-levels", action="store_true")
     p.add_argument("--check", action="store_true", help=check_help)
     add_pipeline_flags(p)
-    add_scheduler_flags(p)
 
     p = sub.add_parser("sweep", help="run the full evaluation grid")
     p.add_argument("--force", action="store_true")
@@ -538,7 +492,6 @@ def main(argv=None) -> int:
                         "reference interpreter and require results "
                         "bit-identical to the block-compiled replay")
     p.add_argument("--verbose", action="store_true")
-    add_scheduler_flags(p)
 
     args, extra = ap.parse_known_args(argv)
     if args.cmd in ("ablate", "serve", "chaos", "cluster", "headroom"):

@@ -1,9 +1,11 @@
 """Heuristic-vs-optimal scheduling headroom over the corpus.
 
-``python -m repro headroom`` answers the question the exact backend
+``python -m repro headroom`` answers the question the exact solver
 exists for: *how much schedule length does greedy list scheduling leave
-on the table?*  Every loop nest is compiled once per backend from the
-same transformed code, and three measurements line up per loop:
+on the table?*  Every loop nest is transformed once, then list-scheduled
+(:func:`~repro.harness.schedule_kernel`) and exactly scheduled
+(:func:`~repro.optsched.schedule_exactly`) from the same code and
+dependence DAGs, and three measurements line up per loop:
 
 * **block headroom** — the heuristic inner-loop makespan vs. the exact
   solver's, with the per-block proof status (``optimal`` means every
@@ -14,15 +16,16 @@ same transformed code, and three measurements line up per loop:
   RecMII)`` vs. the exact modulo scheduler's achieved II vs. the acyclic
   makespan, i.e. what software pipelining would add on top of the best
   acyclic schedule;
-* **simulated cycles** under both backends, with the end states compared
-  bit-for-bit — a differential check that the solver's reorderings are
-  semantics-preserving on real data.
+* **simulated cycles** under both schedules, with the end states
+  compared bit-for-bit — a differential check that the solver's
+  reorderings are semantics-preserving on real data.
 
 With ``--store DIR`` every solver result is an entry of that artifact
 store (see :func:`repro.optsched.problem_key`); a second run against
 the same store resolves every (loop, machine, II) instance from it, which
 ``benchmarks/bench_optsched_headroom.py`` uses to measure the warm-store
-speedup.  Results land in ``results/headroom.txt``.
+speedup.  The canonical run (all 40 loops, default level, width and
+budgets) writes ``results/headroom.txt``; any other run only prints.
 """
 
 from __future__ import annotations
@@ -41,7 +44,12 @@ from ..harness import (
     schedule_kernel,
 )
 from ..machine import MachineConfig
-from ..optsched import DEFAULT_BUDGET, DEFAULT_MODULO_BUDGET, modulo_schedule
+from ..optsched import (
+    DEFAULT_BUDGET,
+    DEFAULT_MODULO_BUDGET,
+    modulo_schedule,
+    schedule_exactly,
+)
 from ..pipeline import Level
 from ..workloads import Workload, all_workloads, get_workload
 
@@ -52,8 +60,8 @@ class LoopHeadroom:
 
     name: str
     n_instrs: int                 #: superblock body size
-    heuristic_makespan: int       #: inner-loop schedule length, list backend
-    optimal_makespan: int         #: inner-loop schedule length, exact backend
+    heuristic_makespan: int       #: inner-loop schedule length, list scheduler
+    optimal_makespan: int         #: inner-loop schedule length, exact solver
     status: str                   #: worst per-block proof status of the loop
     proved_lb: int                #: proven lower bound on the body's length
     solver_nodes: int             #: search nodes spent across blocks
@@ -65,9 +73,9 @@ class LoopHeadroom:
     modulo_status: str
     modulo_seconds: float
     modulo_cached: bool
-    cycles_list: int              #: simulated cycles, heuristic backend
-    cycles_optimal: int           #: simulated cycles, exact backend
-    states_match: bool            #: bit-identical end states across backends
+    cycles_list: int              #: simulated cycles, list schedule
+    cycles_optimal: int           #: simulated cycles, exact schedule
+    states_match: bool            #: bit-identical end states of the two
 
     @property
     def block_headroom(self) -> int:
@@ -110,7 +118,7 @@ class HeadroomData:
         return out
 
 
-def _loop_status(optsched: dict) -> tuple[str, int, int, float, int]:
+def _loop_status(proofs: dict) -> tuple[str, int, int, float, int]:
     """Aggregate per-block proof records into one loop-level verdict.
 
     The loop is ``optimal`` only if *every* scheduled block's length was
@@ -122,19 +130,19 @@ def _loop_status(optsched: dict) -> tuple[str, int, int, float, int]:
     nodes = 0
     seconds = 0.0
     cached = 0
-    for p in optsched.values():
+    for p in proofs.values():
         if rank[p["status"]] > rank[worst]:
             worst = p["status"]
         nodes += p["nodes"]
         seconds += p["seconds"]
         cached += 1 if p["cached"] else 0
-    return worst, nodes, cached, seconds, len(optsched)
+    return worst, nodes, cached, seconds, len(proofs)
 
 
 def _states_match(a, b) -> bool:
-    """Bit-identical end states (arrays and scalars) across backends.
+    """Bit-identical end states (arrays and scalars) of two schedules.
 
-    Both backends schedule the *same* transformed code, so no fp
+    Both schedule the *same* transformed code, so no fp
     reassociation separates them — unlike the cross-level oracle, this
     comparison is always exact.
     """
@@ -155,17 +163,14 @@ def measure_loop(
     modulo_budget: int = DEFAULT_MODULO_BUDGET,
     store=None,
 ) -> LoopHeadroom:
-    """Compile one loop under both backends and line the results up."""
+    """Schedule one loop both ways and line the results up."""
     tk = ilp_transform(lower_conv(w.build()), level, machine)
-    ck_opt = schedule_kernel(tk.clone(), machine, scheduler="optimal",
-                             solver_budget=budget, solver_store=store)
+    ck_opt, proofs = schedule_exactly(tk, machine, budget=budget, store=store)
     ck_list = schedule_kernel(tk, machine)
 
-    status, nodes, cached, seconds, blocks = _loop_status(
-        ck_opt.report.optsched
-    )
+    status, nodes, cached, seconds, blocks = _loop_status(proofs)
     body = ck_opt.sb.body
-    proved_lb = ck_opt.report.optsched[body.label]["proved_lb"]
+    proved_lb = proofs[body.label]["proved_lb"]
 
     ms = modulo_schedule(
         body.instrs, machine,
@@ -306,11 +311,16 @@ def main(argv=None) -> int:
     text = format_report(data)
     print(text)
 
-    from .sweep import default_cache_path
+    if wls is None and all(
+            getattr(args, a) == ap.get_default(a)
+            for a in ("level", "width", "budget", "modulo_budget")):
+        # only the canonical run writes the artifact: a subset or another
+        # configuration would overwrite the 40-loop table with itself
+        from .sweep import default_cache_path
 
-    outdir = default_cache_path().parent
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "headroom.txt").write_text(text + "\n")
+        outdir = default_cache_path().parent
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "headroom.txt").write_text(text + "\n")
 
     bad = [r.name for r in data.rows
            if r.optimal_makespan > r.heuristic_makespan]
@@ -319,7 +329,7 @@ def main(argv=None) -> int:
         print(f"FAIL: exact schedule worse than heuristic: {bad}",
               file=sys.stderr)
     if mismatched:
-        print(f"FAIL: end-state divergence between backends: {mismatched}",
+        print(f"FAIL: end-state divergence between schedules: {mismatched}",
               file=sys.stderr)
     return 1 if bad or mismatched else 0
 

@@ -167,8 +167,6 @@ def run_config(
     w: Workload, level: Level, machine: MachineConfig, seed: int = 0,
     check: bool = True, check_ir: bool = False,
     options: PassOptions | None = None, engine: str = "auto",
-    scheduler: str = "list", solver_budget: int | None = None,
-    solver_store=None,
 ) -> ConfigResult:
     """Compile, simulate, and check a single configuration.
 
@@ -177,14 +175,11 @@ def run_config(
     classical stage is still reused across calls per workload.
     ``check_ir=True`` additionally runs the between-pass invariant
     verifier (the CLI ``--check`` flag); ``options`` carries
-    ``--disable-pass`` / ``--print-after`` pipeline controls;
-    ``scheduler`` selects the schedule backend (``--scheduler``), with
-    ``solver_store`` caching exact-solver results fleet-wide.
+    ``--disable-pass`` / ``--print-after`` pipeline controls.
     """
     (r,) = evaluate_cell(
         w, level, [machine], seed=seed, check=check, check_ir=check_ir,
-        options=options, engine=engine, scheduler=scheduler,
-        solver_budget=solver_budget, solver_store=solver_store,
+        options=options, engine=engine,
     )
     return _pack(w.name, check, r)
 

@@ -56,7 +56,9 @@ def stmt_lines(s: Stmt, indent: int) -> list[str]:
     if isinstance(s, Assign):
         return [f"{pad}{expr_str(s.target)} = {expr_str(s.value)}"]
     if isinstance(s, If):
-        out = [f"{pad}IF ({cond_str(s.cond)}) THEN"]
+        # the branch probability shapes the superblock trace, so it is
+        # part of the source a kernel is identified by
+        out = [f"{pad}IF ({cond_str(s.cond)}) THEN  ! p={s.p_then!r}"]
         for st in s.then:
             out.extend(stmt_lines(st, indent + 1))
         if s.els:

@@ -204,16 +204,13 @@ def ilp_transform(
 
 def schedule_kernel(
     tk: TransformedKernel, machine: MachineConfig, check: bool = False,
-    options: PassOptions | None = None, scheduler: str = "list",
-    solver_budget: int | None = None, solver_store=None,
+    options: PassOptions | None = None,
 ) -> CompiledKernel:
     """Stage 3: schedule a transformed kernel for a concrete machine.
 
     Mutates ``tk``'s function in place (pass ``tk.clone()`` to schedule the
     same transformed code for several widths).  ``check=True`` verifies
     invariants on the scheduled code and the register coloring.
-    ``scheduler`` selects the backend (``"list"`` heuristic or
-    ``"optimal"`` exact, see :mod:`repro.optsched`).
     """
     lk = tk.lowered
     doall = lk.inner_kind == "doall"
@@ -221,8 +218,7 @@ def schedule_kernel(
     schedules = schedule_function(
         lk.func, machine, lk.live_out_exit, sb=tk.sb, doall=doall,
         check=check, options=options, report=report,
-        scheduler=scheduler, solver_budget=solver_budget,
-        solver_store=solver_store, inputs=tk.schedule_inputs,
+        inputs=tk.schedule_inputs,
     )
     usage = (measure_register_usage(lk.func, lk.live_out_exit, check=True)
              if check else None)
@@ -238,24 +234,18 @@ def compile_kernel(
     thr_unit_latency: bool = False,
     check: bool = False,
     options: PassOptions | None = None,
-    scheduler: str = "list",
-    solver_budget: int | None = None,
-    solver_store=None,
 ) -> CompiledKernel:
     """Lower, classically optimize, ILP-transform, and schedule a kernel.
 
     ``check=True`` turns on the between-pass invariant verifier for every
     stage (the CLI ``--check`` flag); ``options`` carries pass disabling
-    and IR printing controls (``--disable-pass``, ``--print-after``);
-    ``scheduler`` selects the schedule backend (``"list"``/``"optimal"``).
+    and IR printing controls (``--disable-pass``, ``--print-after``).
     """
     tk = ilp_transform(
         lower_conv(kernel, options=options), level, machine, unroll_factor,
         thr_unit_latency=thr_unit_latency, check=check, options=options,
     )
-    return schedule_kernel(tk, machine, check=check, options=options,
-                           scheduler=scheduler, solver_budget=solver_budget,
-                           solver_store=solver_store)
+    return schedule_kernel(tk, machine, check=check, options=options)
 
 
 @dataclass
@@ -463,9 +453,6 @@ def evaluate_cell(
     options: PassOptions | None = None,
     engine: str = "auto",
     execute: bool = True,
-    scheduler: str = "list",
-    solver_budget: int | None = None,
-    solver_store=None,
 ) -> list[WidthResult]:
     """Evaluate one (workload, level) cell on every machine of
     ``machines``, which must share one ``latency_key()`` — typically the
@@ -507,10 +494,8 @@ def evaluate_cell(
         t0 = time.perf_counter()
         # the last machine may consume tk itself: nothing reads it afterwards
         clone = tk.clone() if i + 1 < len(machines) else tk
-        cks.append(schedule_kernel(
-            clone, machine, check=check_ir, options=options,
-            scheduler=scheduler, solver_budget=solver_budget,
-            solver_store=solver_store))
+        cks.append(schedule_kernel(clone, machine, check=check_ir,
+                                   options=options))
         t_scheds.append(time.perf_counter() - t0)
 
     arrays = scalars = run_width = None

@@ -1,4 +1,4 @@
-"""Provably optimal acyclic block scheduling (the ``optimal`` backend).
+"""Provably optimal acyclic block scheduling.
 
 Wraps the solver core around one linear region: build the dependence DAG
 exactly as list scheduling does, seed the solver's incumbent with the
@@ -28,8 +28,9 @@ in-order issue can only do better: dynamic cycles <= solver makespan.
 
 When the solver does not strictly beat the heuristic, the heuristic
 :class:`Schedule` object is returned *unchanged* — byte-identical
-instruction order — so flipping ``--scheduler`` perturbs nothing unless
-there is real headroom.
+instruction order — so an exact schedule differs from the list schedule
+only where there is real headroom.  :func:`schedule_exactly` applies it
+to every block of a transformed kernel.
 """
 
 from __future__ import annotations
@@ -38,9 +39,12 @@ import time
 from dataclasses import asdict, dataclass
 
 from ..analysis.depgraph import DepGraph, build_depgraph
+from ..harness import CompiledKernel, TransformedKernel
 from ..ir.instructions import Instr
 from ..ir.operands import Reg
+from ..ir.verify import verify_pipeline
 from ..machine import MachineConfig
+from ..regalloc import measure_register_usage
 from ..schedule.listsched import Schedule, list_schedule
 from ..service.keys import content_key
 from .solver import (
@@ -222,3 +226,45 @@ def optimal_block_schedule(
         ub_cost, schedule.makespan, outcome.nodes,
         time.perf_counter() - t0, cached=cached,
     )
+
+
+def schedule_exactly(
+    tk: TransformedKernel,
+    machine: MachineConfig,
+    *,
+    budget: int = DEFAULT_BUDGET,
+    store=None,
+    check: bool = False,
+) -> tuple[CompiledKernel, dict[str, dict]]:
+    """Exactly schedule a clone of the transformed kernel ``tk``.
+
+    The exact counterpart of :func:`repro.harness.schedule_kernel`: every
+    non-empty block goes through :func:`optimal_block_schedule` over the
+    very dependence DAGs list scheduling uses
+    (``tk.schedule_inputs``), so the two schedules differ only where the
+    solver proves a shorter one.  ``tk`` itself stays unscheduled.
+    ``check=True`` runs the IR verifier on the scheduled function and
+    colours its registers with verification.  Returns the compiled kernel
+    and the per-block proof records (block label ->
+    :meth:`OptResult.as_payload`).
+    """
+    tk = tk.clone()
+    lk = tk.lowered
+    graphs = tk.schedule_inputs.graphs_for(
+        lk.func, machine, lk.live_out_exit, tk.sb, lk.inner_kind == "doall"
+    )
+    schedules, proofs = {}, {}
+    for blk, g in zip([b for b in lk.func.blocks if b.instrs], graphs):
+        res = optimal_block_schedule(blk.instrs, machine, depgraph=g,
+                                     budget=budget, store=store)
+        blk.instrs = res.schedule.order
+        schedules[blk.label] = res.schedule
+        proofs[blk.label] = res.as_payload()
+    usage = None
+    if check:
+        verify_pipeline(lk.func, set(lk.func.pinned_regs),
+                        stage="exact scheduling")
+        usage = measure_register_usage(lk.func, lk.live_out_exit, check=True)
+    ck = CompiledKernel(lk, tk.level, machine, tk.sb, schedules, tk.report,
+                        usage)
+    return ck, proofs

@@ -75,12 +75,6 @@ class PipelineContext:
     #: (:class:`repro.pipeline.ScheduleInputs`)
     schedule_inputs: object | None = None
     schedules: "dict[str, Schedule] | None" = None
-    #: schedule backend: "list" (heuristic) or "optimal" (exact solver)
-    scheduler: str = "list"
-    #: deterministic node budget for the exact solver (None = default)
-    solver_budget: int | None = None
-    #: ArtifactStore for fleet-wide solver-result caching (None = off)
-    solver_store: object | None = None
     # -- scratch published by structural passes -------------------------
     expansions_profitable: bool = True
     protected: "set[Reg] | None" = None

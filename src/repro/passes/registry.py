@@ -254,24 +254,18 @@ CLEANUP_PASSES = (
 # ---------------------------------------------------------------------------
 
 
-def _schedule_inputs(ctx: PipelineContext):
-    """``(block, dependence DAG)`` of every non-empty block, shared by
-    both backends; the DAGs come from ``ctx.schedule_inputs`` (reused
-    across the issue widths of a cell, see
-    :class:`repro.pipeline.ScheduleInputs`)."""
+def _run_listsched(ctx: PipelineContext) -> int:
+    """List-schedule every block of the function in place, over the
+    dependence DAGs of ``ctx.schedule_inputs`` (reused across the issue
+    widths of a cell, see :class:`repro.pipeline.ScheduleInputs`)."""
     if ctx.schedule_inputs is None:  # nobody to share with: this call only
         ctx.schedule_inputs = ScheduleInputs()
     graphs = ctx.schedule_inputs.graphs_for(
         ctx.func, ctx.machine, ctx.live_out_exit, ctx.sb, ctx.doall
     )
-    return zip([b for b in ctx.func.blocks if b.instrs], graphs)
-
-
-def _run_listsched(ctx: PipelineContext) -> int:
-    """List-schedule every block of the function in place."""
     schedules = {}
     scheduled = 0
-    for blk, g in _schedule_inputs(ctx):
+    for blk, g in zip([b for b in ctx.func.blocks if b.instrs], graphs):
         sched = list_schedule(blk.instrs, ctx.machine, depgraph=g)
         blk.instrs = sched.order
         schedules[blk.label] = sched
@@ -280,43 +274,10 @@ def _run_listsched(ctx: PipelineContext) -> int:
     return scheduled
 
 
-def _run_optsched(ctx: PipelineContext) -> int:
-    """Exactly schedule every block (``--scheduler optimal``).
-
-    Same per-block inputs as the heuristic backend; each block's proof
-    record lands in ``ctx.report.optsched`` keyed by block label.  Blocks
-    the solver cannot improve (or cannot close under budget) keep the
-    heuristic order verbatim.
-    """
-    from ..optsched import DEFAULT_BUDGET, optimal_block_schedule
-
-    budget = ctx.solver_budget if ctx.solver_budget else DEFAULT_BUDGET
-    schedules = {}
-    scheduled = 0
-    for blk, g in _schedule_inputs(ctx):
-        res = optimal_block_schedule(
-            blk.instrs, ctx.machine, depgraph=g,
-            budget=budget, store=ctx.solver_store,
-        )
-        blk.instrs = res.schedule.order
-        schedules[blk.label] = res.schedule
-        ctx.report.optsched[blk.label] = res.as_payload()
-        scheduled += len(res.schedule.order)
-    ctx.schedules = schedules
-    return scheduled
-
-
-def _scheduler_is(which: str):
-    return lambda ctx: (ctx.scheduler or "list") == which
-
-
 SCHEDULE_PASSES = (
     Pass("listsched", "schedule", _run_listsched, required=True,
-         stage="list scheduling", profitable=_scheduler_is("list"),
+         stage="list scheduling",
          doc="greedy cycle-by-cycle list scheduling under the machine model"),
-    Pass("optsched", "schedule", _run_optsched, required=True,
-         stage="optimal scheduling", profitable=_scheduler_is("optimal"),
-         doc="exact branch-and-bound scheduling with proof of optimality"),
 )
 
 

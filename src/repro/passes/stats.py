@@ -57,9 +57,6 @@ class PipelineReport:
     #: SLP components that reassociated an fp reduction (serial-chain
     #: packing); nonzero means results are tolerance-, not bit-, exact
     slp_reassoc: int = 0
-    #: per-block exact-scheduling proof records (``--scheduler optimal``):
-    #: block label -> :meth:`repro.optsched.OptResult.as_payload` dict
-    optsched: dict = field(default_factory=dict)
 
     # -- generic accessors ----------------------------------------------
 
@@ -101,7 +98,6 @@ class PipelineReport:
             disabled=self.disabled,
             phase_rounds=dict(self.phase_rounds),
             slp_reassoc=self.slp_reassoc,
-            optsched=dict(self.optsched),
         )
 
     # -- classical (Conv) counters --------------------------------------

@@ -235,24 +235,17 @@ def schedule_function(
     check: bool = False,
     options=None,
     report=None,
-    scheduler: str = "list",
-    solver_budget: int | None = None,
-    solver_store=None,
     inputs: ScheduleInputs | None = None,
 ) -> dict[str, Schedule]:
-    """Schedule every block of ``func`` in place.
+    """List-schedule every block of ``func`` in place.
 
-    Runs the registered ``schedule`` phase of the pass manager, which
-    dispatches on ``scheduler``: ``"list"`` (greedy heuristic, the
-    default) or ``"optimal"`` (exact solver-backed, with
-    ``solver_budget`` deterministic search nodes and optional
-    ``solver_store`` result caching).  Both backends schedule over the
+    Runs the registered ``schedule`` phase of the pass manager over the
     dependence DAGs of ``inputs`` (see :class:`ScheduleInputs`; pass the
     same instance again to share them across issue widths, omit it to
-    build them for this call only).  Returns the
-    per-block schedules (keyed by label).  With ``check=True`` the
-    invariant verifier runs on the scheduled function — a scheduler that
-    reorders a use above its flow-dependent definition is caught here.
+    build them for this call only).  Returns the per-block schedules
+    (keyed by label).  With ``check=True`` the invariant verifier runs
+    on the scheduled function — a scheduler that reorders a use above
+    its flow-dependent definition is caught here.
     """
     from .passes import PassManager, PipelineContext, PipelineReport
 
@@ -263,9 +256,6 @@ def schedule_function(
         live_out_exit=live_out_exit or set(),
         sb=sb,
         doall=doall,
-        scheduler=scheduler,
-        solver_budget=solver_budget,
-        solver_store=solver_store,
         schedule_inputs=inputs,
     )
     PassManager(options, check=check).run_phase("schedule", ctx)

@@ -89,8 +89,23 @@ def load_plan(spec: str, seed: int = 0) -> FaultPlan:
 # ---------------------------------------------------------------------------
 
 
+#: the worker sites that end an attempt, in the order a worker applies
+#: them (``supervisor._apply_worker_faults``)
+_ATTEMPT_ENDING = ("worker.kill", "worker.hang", "worker.error")
+
+
 def _expected(plan: FaultPlan, site: str, keys) -> int:
-    return sum(plan.count_for(site, k) for k in keys)
+    """Injections ``site`` makes over ``keys``.  The attempt-ending
+    worker sites share a task's attempt counter, so on a key selected
+    by several of them a site fires only on the attempts the earlier
+    sites left: a key killed on attempt 0 never meets a one-shot
+    ``worker.error``."""
+    earlier = (_ATTEMPT_ENDING[:_ATTEMPT_ENDING.index(site)]
+               if site in _ATTEMPT_ENDING else ())
+    return sum(
+        max(0, plan.count_for(site, k)
+            - max((plan.count_for(e, k) for e in earlier), default=0))
+        for k in keys)
 
 
 def _expected_quarantines(plan: FaultPlan, keys) -> int:

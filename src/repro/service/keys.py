@@ -100,16 +100,12 @@ def workload_fingerprint(workload: str) -> str:
     return hashlib.sha256(src.encode()).hexdigest()
 
 
-def _checked_machine(kind: str, width: int, machine: MachineConfig | None,
-                     schedule_backend: str) -> MachineConfig:
+def _checked_machine(kind: str, width: int,
+                     machine: MachineConfig | None) -> MachineConfig:
     """The machine a request names (the paper machine at ``width`` by
     default), after the checks identity and key share."""
     if kind not in KINDS:
         raise ValueError(f"unknown request kind {kind!r} (known: {KINDS})")
-    if schedule_backend not in ("list", "optimal"):
-        raise ValueError(
-            f"unknown schedule backend {schedule_backend!r}"
-        )
     if machine is None:
         return MachineConfig(issue_width=int(width))
     if machine.issue_width != int(width):
@@ -130,18 +126,15 @@ def request_identity(
     check_ir: bool = False,
     disable: tuple[str, ...] = (),
     machine: MachineConfig | None = None,
-    schedule_backend: str = "list",
 ) -> dict:
     """The canonical identity dict of one request, defaults filled in.
 
     ``disable`` is deduplicated and sorted (PassOptions semantics: the
     disable *set* is what matters).  ``machine`` defaults to the paper
     machine at ``width``; passing an explicit config must agree with
-    ``width``.  ``schedule_backend`` ("list" or "optimal") is always
-    materialized so heuristic and exact-scheduled artifacts never share
-    a key.
+    ``width``.
     """
-    machine = _checked_machine(kind, width, machine, schedule_backend)
+    machine = _checked_machine(kind, width, machine)
     return {
         "kind": kind,
         "workload": str(workload),
@@ -152,7 +145,6 @@ def request_identity(
         "check_ir": bool(check_ir),
         "disable": sorted(set(disable)),
         "machine": to_description(machine),
-        "schedule_backend": str(schedule_backend),
     }
 
 
@@ -193,7 +185,6 @@ def request_key(
     check_ir: bool = False,
     disable: tuple[str, ...] = (),
     machine: MachineConfig | None = None,
-    schedule_backend: str = "list",
     fingerprint: str | None = None,
 ) -> str:
     """Content address of a request's result: SHA-256 hex digest over the
@@ -206,7 +197,7 @@ def request_key(
     ``fingerprint`` can be supplied to avoid rebuilding the kernel when
     the caller loops over many configurations of one workload.
     """
-    machine = _checked_machine(kind, width, machine, schedule_backend)
+    machine = _checked_machine(kind, width, machine)
     if fingerprint is None:
         fingerprint = workload_fingerprint(workload)
     request = _object({
@@ -219,7 +210,6 @@ def request_key(
         "check_ir": _BOOL[bool(check_ir)],
         "disable": "[%s]" % ",".join(map(json.dumps, sorted(set(disable)))),
         "machine": _machine_json(machine),
-        "schedule_backend": json.dumps(str(schedule_backend)),
     })
     text = _object({"salt": json.dumps(CODE_VERSION),
                     "kernel": json.dumps(fingerprint), "request": request})

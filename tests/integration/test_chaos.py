@@ -71,6 +71,24 @@ class TestSupervisedPool:
                 assert fut.result(timeout=30) == 25
                 assert pool.counters["retries"] == 1
 
+    def test_sites_on_one_key_share_its_attempts(self):
+        """A key killed on attempt 0 meets ``worker.error`` only on the
+        attempts left over: the chaos reconciliation predicts what the
+        pool counts."""
+        from repro.resilience.chaos import _expected
+
+        plan = FaultPlan(seed=0, sites=(
+            FaultSite("worker.kill", rate=1.0),
+            FaultSite("worker.error", rate=1.0, fires=2)))
+        with faults.armed(plan):
+            with SupervisedPool(1) as pool:
+                assert pool.submit(_square, 4, key="ke").result(
+                    timeout=60) == 16
+                assert pool.counters["redispatched"] == 1
+                assert pool.counters["retries"] == 1
+        assert _expected(plan, "worker.kill", ["ke"]) == 1
+        assert _expected(plan, "worker.error", ["ke"]) == 1
+
     def test_fatal_errors_fail_the_task_without_retry(self):
         plan = FaultPlan(seed=0, sites=(
             FaultSite("worker.error", rate=1.0, fires=99, fatal=True),))

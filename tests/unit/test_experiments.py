@@ -206,3 +206,36 @@ class TestAblationArtifactsAgreeWithTheGrid:
         for stem, name, cycles in rows:
             cell = data.results[(name, int(Level.LEV3), 8)]
             assert cycles == cell.cycles, (stem, name)
+
+
+class TestHeadroomArtifactAgreesWithTheBenchmark:
+    """``results/headroom.txt`` is the 40-loop table the benchmark
+    ``BENCH_optsched.json`` records: a subset run that overwrote it, or a
+    solver change that was not re-recorded, shows here."""
+
+    def test_rows_are_the_benchmark_loops(self):
+        import json
+
+        results = default_cache_path().parent
+        bench = json.loads((results / "BENCH_optsched.json").read_text())
+        lines = (results / "headroom.txt").read_text().splitlines()
+        # title, rule, header and rule lines, then one row per loop up to
+        # the closing rule
+        rows = lines[4:lines.index("-" * 78, 4)]
+        assert len(rows) == len(bench["loops"]) == 40
+        for line in rows:
+            (name, n, heur, opt, lb, status, mii, ii, acyc,
+             modulo_status) = line.split()
+            r = bench["loops"][name]
+            assert (int(n), int(heur), int(opt), int(lb), status, int(mii),
+                    int(ii), int(acyc), modulo_status) == (
+                r["n_instrs"], r["heuristic_makespan"],
+                r["optimal_makespan"], r["proved_lb"], r["status"],
+                r["mii"], r["exact_ii"], r["optimal_makespan"],
+                r["modulo_status"]), name
+        proved = [ln for ln in rows if ln.split()[5] == "optimal"]
+        improved = [ln.split()[0] for ln in rows
+                    if int(ln.split()[3]) < int(ln.split()[2])]
+        assert len(proved) == bench["proved_optimal"] == 37
+        assert sorted(improved) == ["merge", "tomcatv-2"]
+        assert bench["improved_blocks"] == 2

@@ -1,9 +1,10 @@
-"""Unit tests for the exact-scheduling backend (repro.optsched).
+"""Unit tests for the exact schedulers (repro.optsched).
 
 Covers the solver core (determinism, incumbent tie-break, edge cases),
 the block scheduler's contract against the heuristic, the exact modulo
-scheduler's bound sandwich, the solver cache, the pass-manager backend
-switch, and end-to-end semantic equality between backends.
+scheduler's bound sandwich, the solver cache, the kernel-level entry
+``schedule_exactly``, and end-to-end semantic equality between the list
+and the exact schedule.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from repro.optsched import (
     minimize_makespan,
     modulo_schedule,
     optimal_block_schedule,
+    schedule_exactly,
     verify_assignment,
 )
 from repro.optsched import problem_key
@@ -148,15 +150,15 @@ class TestBlockScheduler:
     def test_corpus_improvement_is_found_and_proved(self):
         # merge at Lev4/issue-8: greedy list scheduling emits a 12-cycle
         # superblock body; the solver proves 11 is achievable and minimal.
-        # Pinned: this is the regression test that the backend actually
+        # Pinned: this is the regression test that the solver actually
         # finds headroom when it exists.
         tk = ilp_transform(lower_conv(get_workload("merge").build()),
                            Level.LEV4, issue8())
-        ck_h = schedule_kernel(tk.clone(), issue8())
-        ck_o = schedule_kernel(tk, issue8(), scheduler="optimal")
+        ck_o, proofs = schedule_exactly(tk, issue8())
+        ck_h = schedule_kernel(tk, issue8())
         assert ck_h.inner_makespan == 12
         assert ck_o.inner_makespan == 11
-        body = ck_o.report.optsched[ck_o.sb.body.label]
+        body = proofs[ck_o.sb.body.label]
         assert body["status"] == "optimal" and body["proved_lb"] == 11
 
 
@@ -291,9 +293,10 @@ class TestSolverCache:
             """
         ).instrs
         assert optimal_block_schedule(body, issue2(), store=store).cached
-        ck = compile_kernel(get_workload("merge").build(), Level.LEV4,
-                            issue8(), scheduler="optimal", solver_store=store)
-        body_proof = ck.report.optsched[ck.sb.header]
+        tk = ilp_transform(lower_conv(get_workload("merge").build()),
+                           Level.LEV4, issue8())
+        ck, proofs = schedule_exactly(tk, issue8(), store=store)
+        body_proof = proofs[ck.sb.header]
         assert body_proof["cached"] and body_proof["optimal_makespan"] == 11
         w = get_workload("sum")
         ck = compile_kernel(w.build(), Level.LEV4, issue8())
@@ -306,66 +309,53 @@ class TestSolverCache:
         assert store.stats.misses == store.stats.puts == 0
 
 
-class TestBackendSwitch:
-    def test_dispatch_runs_exactly_one_backend(self):
-        ck = compile_kernel(get_workload("add").build(), Level.LEV4,
-                            issue8(), scheduler="optimal")
-        names = [s.name for s in ck.report.stats if s.phase == "schedule"]
-        assert names == ["optsched"]
-        assert ck.report.optsched  # proof records present
+class TestScheduleExactly:
+    def test_schedule_phase_is_listsched_alone(self):
+        from repro.passes.registry import DEFAULT_PHASES
+
+        names = [p.name for p in DEFAULT_PHASES["schedule"].passes]
+        assert names == ["listsched"]
         ck = compile_kernel(get_workload("add").build(), Level.LEV4, issue8())
         names = [s.name for s in ck.report.stats if s.phase == "schedule"]
         assert names == ["listsched"]
-        assert not ck.report.optsched
 
     def test_lev5_vector_kinds(self):
         # Lev5 SLP emits VEC_* instructions; the solver must handle their
         # latencies/kinds and the verifier must accept the result
-        ck = compile_kernel(get_workload("add").build(), Level.LEV5,
-                            issue8(), scheduler="optimal", check=True)
-        assert ck.report.slp > 0
-        assert all(p["status"] in ("optimal", "timeout-incumbent")
-                   for p in ck.report.optsched.values())
+        tk = ilp_transform(lower_conv(get_workload("add").build()),
+                           Level.LEV5, issue8())
+        ck, proofs = schedule_exactly(tk, issue8(), check=True)
+        assert ck.report.slp > 0 and ck.usage is not None
+        assert proofs and all(
+            p["status"] in ("optimal", "timeout-incumbent")
+            for p in proofs.values())
 
-    def test_end_states_bit_identical_across_backends(self):
+    @pytest.mark.parametrize("level", (Level.CONV, Level.LEV4, Level.LEV5),
+                             ids=lambda lv: lv.label)
+    def test_end_states_bit_identical_across_backends(self, level):
+        # the oracle holds the list schedule against the golden state;
+        # the exact schedule must reproduce the list schedule's end state
+        import numpy as np
+
         for name in ("dotprod", "merge", "LWS-1"):
             w = get_workload(name)
-            tk = ilp_transform(lower_conv(w.build()), Level.LEV4, issue8())
-            ck_h = schedule_kernel(tk.clone(), issue8())
-            ck_o = schedule_kernel(tk, issue8(), scheduler="optimal",
-                                   check=True)
+            tk = ilp_transform(lower_conv(w.build()), level, issue8(),
+                               check=True)
+            ck_o, _ = schedule_exactly(tk, issue8(), check=True)
+            ck_h = schedule_kernel(tk, issue8(), check=True)
             arrays, scalars = w.make_inputs(0)
             rh = run_compiled_kernel(ck_h, arrays=arrays, scalars=scalars)
             ro = run_compiled_kernel(ck_o, arrays=arrays, scalars=scalars)
-            import numpy as np
-
+            assert rh.arrays.keys() == ro.arrays.keys(), name
             for k in rh.arrays:
                 assert np.array_equal(rh.arrays[k], ro.arrays[k]), (name, k)
             assert rh.scalars == ro.scalars, name
             assert ro.cycles <= rh.cycles * 1.05, name
 
-    def test_oracle_passes_under_optimal_backend(self):
-        from repro.check.oracle import check_workload
-
-        w = get_workload("dotprod")
-        checked, divs = check_workload(
-            w, levels=(Level.CONV, Level.LEV4), widths=(8,),
-            check_ir=True, scheduler="optimal",
-        )
-        assert checked == 2 and not divs
-
-
-class TestServiceKeys:
-    def test_schedule_backend_in_identity(self):
-        from repro.service.keys import request_identity, request_key
-
-        base = request_key("run", "dotprod", 4, 8)
-        assert request_key("run", "dotprod", 4, 8,
-                           schedule_backend="optimal") != base
-        assert request_key("run", "dotprod", 4, 8,
-                           schedule_backend="list") == base
-        ident = request_identity("run", "dotprod", 4, 8)
-        assert ident["schedule_backend"] == "list"
-        with pytest.raises(ValueError):
-            request_identity("run", "dotprod", 4, 8,
-                             schedule_backend="greedy")
+    def test_the_kernel_it_is_given_stays_unscheduled(self):
+        tk = ilp_transform(lower_conv(get_workload("merge").build()),
+                           Level.LEV4, issue8())
+        before = [list(b.instrs) for b in tk.lowered.func.blocks]
+        ck, _ = schedule_exactly(tk, issue8())
+        assert [b.instrs for b in tk.lowered.func.blocks] == before
+        assert ck.func is not tk.lowered.func

@@ -10,6 +10,7 @@ import pytest
 from repro.harness import ilp_transform, lower_conv, schedule_kernel
 from repro.ir.instructions import Kind
 from repro.machine import MachineConfig
+from repro.optsched import schedule_exactly
 from repro.pipeline import Level, ScheduleInputs
 from repro.workloads import all_workloads, get_workload
 
@@ -60,20 +61,21 @@ def test_shared_inputs_equal_private_inputs(w, level):
 
 
 @pytest.mark.parametrize("name", ("add", "dotprod", "merge"))
-def test_optimal_backend_shares_the_same_inputs(name):
+def test_exact_schedule_shares_the_same_inputs(name):
     tk = transformed(name, Level.LEV4)
     for wd in WIDTHS:
         m = MachineConfig(issue_width=wd)
-        a = schedule_kernel(tk.clone(), m, scheduler="optimal")
-        b = schedule_kernel(cold(tk), m, scheduler="optimal")
+        a, pa = schedule_exactly(tk, m)
+        b, pb = schedule_exactly(cold(tk), m)
         assert_same_schedules(a, b)
-        assert a.report.optsched.keys() == b.report.optsched.keys()
-        for label, pa in a.report.optsched.items():
-            pb = b.report.optsched[label]
-            assert ({k: v for k, v in pa.items() if k != "seconds"}
-                    == {k: v for k, v in pb.items() if k != "seconds"})
-    # one DAG served the heuristic and the exact backend alike
+        assert pa.keys() == pb.keys()
+        for label in pa:
+            assert ({k: v for k, v in pa[label].items() if k != "seconds"}
+                    == {k: v for k, v in pb[label].items()
+                        if k != "seconds"})
+    # one DAG served the exact and the list schedule alike
     graphs = tk.schedule_inputs.graphs
+    assert graphs
     schedule_kernel(tk.clone(), MachineConfig(issue_width=8))
     assert tk.schedule_inputs.graphs is graphs
 

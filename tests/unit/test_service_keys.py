@@ -91,8 +91,7 @@ class TestRequestKeyStability:
         with a default later cannot silently alias old and new keys."""
         ident = request_identity("run", "dotprod", 4, 8)
         assert set(ident) == {"kind", "workload", "level", "width", "seed",
-                              "check", "check_ir", "disable", "machine",
-                              "schedule_backend"}
+                              "check", "check_ir", "disable", "machine"}
         assert set(ident["machine"]) == {
             "issue_width", "branch_slots", "latencies", "slot_limits",
             "speculative_loads", "speculative_fp", "vector_lanes",
@@ -140,8 +139,7 @@ class TestKeyAssembly:
                 seed=rng.choice((0, 1, 2**63, rng.randrange(2**64))),
                 check=rng.random() < 0.5, check_ir=rng.random() < 0.5,
                 disable=tuple(rng.choices(passes, k=rng.randrange(4))),
-                machine=machine,
-                schedule_backend=rng.choice(("list", "optimal")))
+                machine=machine)
             fingerprint = workload_fingerprint(args[1])
             if n % 7 == 0:  # strings that need escaping
                 args = (args[0], 'we"ird\\n\u00e4me\n', *args[2:])
@@ -172,6 +170,46 @@ class TestWorkloadFingerprint:
         assert workload_fingerprint("add") == workload_fingerprint("add")
         assert workload_fingerprint("add") != workload_fingerprint("sum")
         assert len(workload_fingerprint("add")) == 64
+
+    def test_branch_probability_is_part_of_the_identity(self, monkeypatch):
+        """``p_then`` steers superblock formation, so editing it must
+        change the kernel source a store key is made from."""
+        import dataclasses
+
+        from repro.frontend.ast import Do, If
+        from repro.frontend.pretty import kernel_str
+        from repro.service import keys
+        from repro.workloads import get_workload
+
+        def ifs(stmts):
+            for st in stmts:
+                if isinstance(st, If):
+                    yield st
+                    yield from ifs(st.then + st.els)
+                elif isinstance(st, Do):
+                    yield from ifs(st.body)
+
+        w = get_workload("merge")
+
+        def edited():
+            kernel = w.build()
+            (branch,) = ifs(kernel.body)
+            assert branch.p_then != 0.2
+            branch.p_then = 0.2
+            return kernel
+
+        assert kernel_str(edited()) != kernel_str(w.build())
+        before = request_key("run", "merge", 4, 8)
+        monkeypatch.setattr(keys, "get_workload", lambda name: (
+            dataclasses.replace(w, build=edited) if name == "merge"
+            else get_workload(name)))
+        workload_fingerprint.cache_clear()
+        try:
+            assert request_key("run", "merge", 4, 8) != before
+        finally:
+            monkeypatch.undo()
+            workload_fingerprint.cache_clear()
+        assert request_key("run", "merge", 4, 8) == before
 
 
 class TestEngineDerivedSalt:
@@ -214,17 +252,19 @@ class TestEngineDerivedSalt:
 from repro.service.keys import CellRequest, SweepRequest  # noqa: E402
 
 #: digests first pinned from commit 2180118 (before identity became a
-#: type) and re-recorded once, on purpose, for the repro-2026.10-pm6 salt
-#: (global copy propagation was deleted, which changes the compiled code
-#: of some ``disable`` sets): a store written under this salt must be
-#: served as hits
+#: type), re-recorded on purpose for the repro-2026.10-pm6 salt (global
+#: copy propagation was deleted, which changes the compiled code of some
+#: ``disable`` sets) and once more when the always-``"list"``
+#: ``schedule_backend`` field left the identity and the kernel source
+#: began to print branch probabilities: a store written under these
+#: keys must be served as hits
 GOLDEN = [
     (("run", "add", 4, 8), {},
-     "18f69b8f79ac8621a57ed034c05c1dec951bae6e88caca456e5891d817e04a33"),
+     "455a08b3ed6fc2f346f059d5d2a3a74c11dfa0c9b4f5613e5b86fca8208b64a0"),
     (("result", "dotprod", 5, 1), {"seed": 3, "disable": ("cse", "dce")},
-     "2e524f5f70121d93c04b7b1b8d3b014c818c1d1f0510343e3629daacc8e79ed1"),
+     "017a06af872802086d1d376d9bcaf99b45d674530845fc6f4178e530bd97b80a"),
     (("compile", "sum", 0, 2), {"check_ir": True},
-     "7c1f80adcf3b6b64a7c6089faeaf16e0fac5bd914a17e9a113ee885613cda99a"),
+     "60c314fb16e9d1e28e7674a37af2a14af847324f0d92b049d4f0f1562227dfa5"),
 ]
 
 
