@@ -8,8 +8,8 @@ cluster plus a router, then drives the scale-out guarantees end to end:
    spans at least two of the randomly-ported nodes);
 2. the same key submitted through every node compiles exactly once
    (ownership forwarding funnels into one engine's single-flight), and
-   the router's and a ``ClusterClient``'s ring name the owner the
-   serving node reports; 100 hits from one client then ride kept-alive
+   the router's ring and one built here from the node list name the
+   owner the serving node reports; 100 hits from one client then ride kept-alive
    connections (``/metrics`` ``http.requests / http.connections >= 10``
    on the router and the owner node);
 3. one node is SIGKILLed mid-batch — every remaining request is still
@@ -27,8 +27,8 @@ import tempfile
 from pathlib import Path
 
 from hostile_heads import check_hostile_heads
-from repro.cluster.client import ClusterClient
 from repro.cluster.launch import ProcessCluster
+from repro.cluster.ring import HashRing
 from repro.cluster.router import serve_router_background
 from repro.service.client import ServiceClient
 from repro.service.keys import CellRequest
@@ -87,16 +87,19 @@ def main() -> int:
         owners = {r["node"] for r in replies}
         assert len(owners) == 1, f"key served by several owners: {owners}"
 
-        # every hop derives the same identity: the router's and an SDK
-        # client's ring agree with the owner the serving node reports
-        sdk = ClusterClient(cluster.urls, timeout=120.0)
+        # every hop derives the same identity: the router's ring and one
+        # built from the node list agree with the owner the serving node
+        # reports, asked directly
+        ring = HashRing(cluster.urls)
         for wl, lv, wd in grid[:3]:
             key = CellRequest("run", wl, lv, wd).key
-            served = sdk.run(wl, level=lv, width=wd, timeout=60.0)
-            assert (router.ring.node_for(key) == sdk.ring.node_for(key)
+            with ServiceClient(ring.node_for(key), timeout=120.0,
+                               retry=None) as direct:
+                served = direct.run(wl, level=lv, width=wd, timeout=60.0)
+            assert (router.ring.node_for(key) == ring.node_for(key)
                     == served["owner"] == served["node"]), (
-                f"({wl},{lv},{wd}): router/client/node disagree on owner")
-            assert served["cache"] == "hit" and sdk.failovers == 0
+                f"({wl},{lv},{wd}): router/ring/node disagree on owner")
+            assert served["cache"] == "hit" and "forwarded" not in served
 
         # connections are reused on both hops: 100 hits from one client
         # ride its router connection and the router's one to the owner

@@ -12,21 +12,17 @@ owning shard ever after:
   bounded key movement on membership change).
 * :mod:`repro.cluster.peers` — the one ring dispatcher: cached peer
   clients, the owner-first preference walk with ``X-Repro-Hop``
-  headers, fleet health/metrics views (router, client SDK and node
-  forwarding all go through it).
+  headers, fleet health/metrics views (the router and node forwarding
+  both go through it).
 * :mod:`repro.cluster.node` — the cluster node: the service handler
   plus ownership forwarding (a request for a key another node owns is
   proxied there, so every key funnels into exactly one engine's
-  single-flight table), steal-on-overload (a node past its soft-shed
-  threshold hands the computation to its least-loaded peer and lands
-  the artifact back on its own shard), and the ``/cluster/*`` peer
-  protocol.
+  single-flight table).  Overload is the engine's rule on every node:
+  a stored result is a hit, a miss past capacity is a 429.
 * :mod:`repro.cluster.router` — the stateless front-end: forwards
   ``/v1/compile|run`` by key, fans ``/v1/sweep`` grids out cell-wise,
   fails over along the ring when a node dies, and aggregates
   ``/metrics`` across the fleet.
-* :mod:`repro.cluster.client` — ring-aware client SDK (owner-direct
-  dispatch with forwarded-wait failover).
 * :mod:`repro.cluster.launch` — process-per-node cluster launcher
   (the ``repro cluster`` CLI) and in-process thread clusters for tests.
 * :mod:`repro.cluster.chaos` — ``repro chaos --cluster``: SIGKILL a

@@ -1,12 +1,12 @@
 """The one ring dispatcher: peer clients, preference walk, hop headers.
 
-Router, :class:`~repro.cluster.client.ClusterClient` and the nodes'
-ownership forwarding all send a keyed request the same way: to the
-key's owner first, then — only if that node is *unreachable* — along
-the ring's deterministic :meth:`~repro.cluster.ring.HashRing.preference`
-order, every hop past the owner tagged ``X-Repro-Hop: route`` so the
-fallback node computes locally instead of re-forwarding to the corpse,
-and the served reply marked ``"failover": true``.  A node that
+The router and the nodes' ownership forwarding send a keyed request
+the same way: to the key's owner first, then — only if that node is
+*unreachable* — along the ring's deterministic
+:meth:`~repro.cluster.ring.HashRing.preference` order, every hop past
+the owner tagged ``X-Repro-Hop: route`` so the fallback node computes
+locally instead of re-forwarding to the corpse, and the served reply
+marked ``"failover": true``.  A node that
 *answered* is never failed over: its verdict (429 shed, 503 quarantine,
 400, ...) propagates as the client exception it arrived as — shedding
 is end-to-end backpressure, and the caller's retry policy is the right
@@ -30,11 +30,11 @@ from ..service.wire import with_fields
 from .ring import HashRing
 
 #: one node-to-node hop is allowed; a request carrying this header
-#: (``forward`` | ``route`` | ``steal``) is terminal — served locally,
+#: (``forward`` | ``route``) is terminal — served locally,
 #: never re-forwarded, so no routing loop can form even with a stale ring
 HOP_HEADER = "X-Repro-Hop"
 
-#: fleet views (health, metrics, load) are probes: a hung peer must not
+#: fleet views (health, metrics) are probes: a hung peer must not
 #: stall them for a whole forwarded-wait timeout
 PROBE_TIMEOUT = 15.0
 
@@ -92,13 +92,11 @@ class RingDispatcher:
 
     # -- fleet views -----------------------------------------------------
 
-    def fleet(self, path: str, skip: str | None = None) -> dict:
-        """``GET path`` from every node but ``skip``: url -> reply, or
-        None for a node that cannot be asked."""
+    def fleet(self, path: str) -> dict:
+        """``GET path`` from every node: url -> reply, or None for a
+        node that cannot be asked."""
         out = {}
         for url in self.ring.nodes:
-            if url == skip:
-                continue
             try:
                 out[url] = self.client(url, timeout=PROBE_TIMEOUT)._call(
                     "GET", path)

@@ -16,10 +16,10 @@ requests in, cached or freshly computed artifacts out.
   blobs that hold the payload's JSON bytes verbatim behind a checked
   header line.
 * :mod:`repro.service.jobs` — the async job engine: store hits
-  answered on the caller's thread, single-flight deduplication of
-  identical in-flight requests, batching of compatible requests onto
-  one width-sharded compilation, bounded queue with load shedding,
-  per-request timeouts.
+  answered on the caller's thread before admission, single-flight
+  deduplication of identical in-flight requests, batching of compatible
+  requests onto one width-sharded compilation, a bounded queue that
+  sheds a miss past capacity (HTTP 429), per-request timeouts.
 * :mod:`repro.service.wire` — the HTTP/1.1 head reader both sides use,
   and the splice that lets a hop add fields to a reply it relays
   undecoded.

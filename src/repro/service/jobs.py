@@ -8,23 +8,26 @@ via :meth:`JobEngine.submit`; results flow back through
 
 Request lifecycle::
 
-    submit ──admission──▶ store lookup ──hit──▶ done (cache="hit")
-                │ full                │ miss
-                ▼                     ▼  (onto the loop)
-            Overloaded         single-flight table ──in flight──▶ join
-               (shed)                 │ new
-                                      ▼
-                         cell batch (workload, level, ...) ── batch
-                         window ──▶ one width-sharded compilation on
-                         the process pool ──▶ store.put per width ──▶
-                         resolve every joined future
+    submit ──store lookup──hit──▶ done (cache="hit")
+                │ miss
+                ▼
+            admission ──full──▶ Overloaded (shed, HTTP 429)
+                │ admitted (onto the loop)
+                ▼
+         single-flight table ──in flight──▶ join
+                │ new
+                ▼
+         cell batch (workload, level, ...) ── batch window ──▶ one
+         width-sharded compilation on the process pool ──▶ store.put
+         per width ──▶ resolve every joined future
 
-* **Hits never reach the loop** — :meth:`JobEngine.submit_request`
-  reads the store on the calling thread (the store handle is locked):
-  a hit is admitted, filed as a finished job holding the stored
-  payload's bytes (``Job.raw``, which the HTTP server splices into its
-  reply undecoded) and counted there.  Only a miss is handed to the
-  loop.  A sweep's cells are looked up on the loop.
+* **A stored result is answered before admission** —
+  :meth:`JobEngine.submit_request` reads the store on the calling
+  thread (the store handle is locked): a hit is filed as a finished job
+  holding the stored payload's bytes (``Job.raw``, which the HTTP server
+  splices into its reply undecoded) and counted there, whatever the
+  queue depth.  Only a miss is admitted and handed to the loop.  A
+  sweep's cells are looked up on the loop.
 * **Requests are values** — every request is a validated
   :class:`~repro.service.keys.CellRequest` (a sweep a
   :class:`~repro.service.keys.SweepRequest`) built once by the caller;
@@ -39,13 +42,13 @@ Request lifecycle::
   the same width-sharding the sweep engine uses
   (``TransformedKernel.clone``).
 * **Admission control, tiered** — at most ``max_pending`` accepted-but-
-  unfinished configurations; past that, new requests are *shed*
-  (:class:`Overloaded`, surfaced as HTTP 429).  Shedding is tiered:
-  expensive sweep requests are shed earlier, at ``soft_pending``
-  (default 75% of ``max_pending``), keeping headroom so cheap single
-  requests survive a burst.  A sweep request is admitted or shed
-  atomically for all the configurations it expands to, so one oversized
-  sweep cannot wedge the queue.
+  unfinished configurations; past that, a new miss is *shed*
+  (:class:`Overloaded`, surfaced as HTTP 429) and the caller's retry
+  policy decides when to ask again.  Shedding is tiered: expensive
+  sweep requests are shed earlier, at 75% of ``max_pending``, keeping
+  headroom so cheap single requests survive a burst.  A sweep request
+  is admitted or shed atomically for all the configurations it expands
+  to, so one oversized sweep cannot wedge the queue.
 * **Timeouts** — each request carries a deadline
   (``default_timeout`` unless overridden), stamped and enforced on
   ``time.monotonic()`` so an NTP/wall-clock step can neither expire a
@@ -61,9 +64,6 @@ Request lifecycle::
   failing trips its circuit breaker — further requests for it fail
   fast (:class:`~repro.resilience.supervisor.CellQuarantined`, HTTP
   503) until the cooldown's half-open probe heals it.
-* **Degraded reads** — :meth:`JobEngine.degraded_lookup` serves a
-  result straight from the artifact store when admission sheds a
-  request; the server marks such responses ``"degraded": true``.
 """
 
 from __future__ import annotations
@@ -264,13 +264,9 @@ class JobEngine:
         max_pending: int = 64,
         batch_window: float = 0.01,
         default_timeout: float = 120.0,
-        soft_pending: int | None = None,
     ):
         self.store = store
         self.max_pending = max_pending
-        #: sweep admission tier: sweeps shed here, singles at max_pending
-        self.soft_pending = (soft_pending if soft_pending is not None
-                             else max(1, (max_pending * 3) // 4))
         self.batch_window = batch_window
         self.default_timeout = default_timeout
         # the supervised pool forks its workers in its constructor —
@@ -298,15 +294,15 @@ class JobEngine:
             "errors": 0, "sweeps": 0,
         }
         self._latencies: deque[float] = deque(maxlen=2048)
-        self._degraded_serves = 0
         self._closed = False
 
     # -- admission ------------------------------------------------------
 
     def _admit(self, n: int, kind: str = "single") -> None:
         # tiered shedding: a sweep (n configurations at once) is shed at
-        # the soft tier, keeping headroom for cheap single requests
-        limit = self.soft_pending if kind == "sweep" else self.max_pending
+        # 75% of max_pending, keeping headroom for cheap single requests
+        limit = (max(1, (self.max_pending * 3) // 4) if kind == "sweep"
+                 else self.max_pending)
         with self._lock:
             if self._pending + n > limit:
                 self.counters["shed"] += 1
@@ -354,13 +350,15 @@ class JobEngine:
             CellRequest(kind, workload, int(level), int(width), **options))
 
     def submit_request(self, req: CellRequest) -> Job:
-        """Admit one compile/run request.  A store hit returns a finished
-        Job holding the payload bytes (``raw``), answered on this thread;
-        otherwise the Job's ``future`` resolves to the result payload."""
-        self._admit(1)
+        """One compile/run request.  A store hit returns a finished Job
+        holding the payload bytes (``raw``), answered on this thread
+        whatever the queue depth; a miss is admitted (or shed with
+        :class:`Overloaded`) and the Job's ``future`` resolves to the
+        result payload."""
         t0 = time.perf_counter()
         raw = self.store.get_raw(req.key) if self.store is not None else None
         if raw is None:
+            self._admit(1)
             return self._start(
                 req.kind, req,
                 lambda job: self._request(
@@ -371,7 +369,7 @@ class JobEngine:
         job.finish("done")
         self._jobs.finish(job.id)
         with self._lock:
-            self._pending -= 1
+            self.counters["requests"] += 1
             self.counters["hits"] += 1
         self._latencies.append(time.perf_counter() - t0)
         return job
@@ -508,35 +506,6 @@ class JobEngine:
             if not fut.done():
                 fut.set_result(payload)
 
-    # -- graceful degradation ------------------------------------------
-
-    def degraded_lookup(self, req: CellRequest) -> dict | None:
-        """Serve a shed request straight from the artifact store.
-
-        Called by the server when admission control rejects a request:
-        a previously computed (possibly stale-version-adjacent) result
-        beats a 429 for read-mostly clients.  Returns None when nothing
-        is stored — the caller sheds for real.
-        """
-        if self.store is None or self._closed:
-            return None
-        cached = self.store.get(req.key)
-        if cached is not None:
-            with self._lock:
-                self._degraded_serves += 1
-        return cached
-
-    def store_put(self, key: str, payload: dict) -> bool:
-        """Persist a payload computed *elsewhere* into this node's store
-        shard.  The cluster layer uses this to land work-stolen and
-        forwarded results on the key's owning shard."""
-        if self.store is None or self._closed:
-            return False
-        try:
-            return self.store.put(key, payload) is not None
-        except (OSError, ValueError):
-            return False
-
     # -- metrics --------------------------------------------------------
 
     def metrics(self) -> dict:
@@ -563,7 +532,6 @@ class JobEngine:
         m["resilience"] = {
             **self._pool.counters,
             "breaker_trips": self._pool.breaker_trips,
-            "degraded_serves": self._degraded_serves,
         }
         if faults.ARMED is not None:
             m["faults"] = {"injected": dict(faults.ARMED.injected)}

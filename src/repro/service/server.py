@@ -30,12 +30,10 @@ idle timeout.
 engine's single-flight/batching and per-request timeout); a store hit is
 answered on the handler thread, its stored payload bytes spliced into
 the reply undecoded.  ``sweep`` returns a job id immediately — poll
-``/v1/jobs/<id>``.  Saturation is
-surfaced as ``429`` with ``Retry-After`` — unless the artifact store
-already holds the requested result, in which case it is served stale
-with ``"degraded": true`` (a previously computed answer beats a
-rejection for read-mostly clients).  A quarantined cell (open circuit
-breaker) is ``503``; failed compilations ``500`` with the error string.
+``/v1/jobs/<id>``.  A stored result is a hit whatever the queue
+depth; a miss past capacity is ``429`` with ``Retry-After``, left to
+the caller's retry policy.  A quarantined cell (open circuit breaker)
+is ``503``; failed compilations ``500`` with the error string.
 Malformed requests are ``400``, decided in one place: every body is
 parsed by :meth:`CellRequest.from_body
 <repro.service.keys.CellRequest.from_body>` (sweeps:
@@ -44,10 +42,10 @@ and pass names *before* admission — a bad request never reaches the
 fork pool or a cell's circuit breaker.
 
 Routing is one ``{(method, path): handler-name}`` table
-(:attr:`_Handler.routes`); the cluster node and router extend it by
-entry instead of re-implementing the dispatch.  ``/healthz`` reports the
-supervised pool's watchdog view (worker liveness, heartbeat ages,
-breaker states) alongside the liveness bit.
+(:attr:`_Handler.routes`); the cluster node and router override its
+handlers by name instead of re-implementing the dispatch.
+``/healthz`` reports the supervised pool's watchdog view (worker
+liveness, heartbeat ages, breaker states) alongside the liveness bit.
 
 ``--fault-plan FILE`` arms a :mod:`repro.resilience.faults` plan before
 the engine forks its workers — the chaos suite's entry point for
@@ -261,7 +259,7 @@ class _Handler(BaseHTTPRequestHandler):
     #: handler is called with the parsed request — a parser's
     #: ``ValueError`` is the 400 — or, parser None, with the JSON body
     #: (POST), the path's last segment (a ``/*`` entry) or None.
-    #: Subclasses extend the table by entry and override handlers by name.
+    #: Subclasses override handlers by name.
     routes = {
         ("GET", "/healthz"): ("_get_healthz", None),
         ("GET", "/metrics"): ("_get_metrics", None),
@@ -347,14 +345,7 @@ class _Handler(BaseHTTPRequestHandler):
         """One blocking compile/run through the local engine.  A store
         hit is answered on this thread, its stored payload bytes spliced
         into the reply as they are."""
-        try:
-            job = self.engine.submit_request(req)
-        except Overloaded:
-            reply = self._on_overload(req)
-            if reply is None:
-                raise
-            self._send(200, {**reply, **(extra or {})})
-            return
+        job = self.engine.submit_request(req)
         if job.raw is not None:
             self._send_raw(200, with_fields(
                 b'{"job": %s, "cache": "hit", "result": %s}'
@@ -363,17 +354,6 @@ class _Handler(BaseHTTPRequestHandler):
         result = self.engine.wait(job)
         self._send(200, {"job": job.id, "cache": job.cache,
                          "result": result, **(extra or {})})
-
-    def _on_overload(self, req: CellRequest) -> dict | None:
-        """Admission shed a request: a reply dict to serve instead of the
-        429, or None to shed for real.  Base behavior is graceful
-        degradation — a stored result beats a 429; the cluster node
-        handler tries work-stealing to a peer first."""
-        stale = self.engine.degraded_lookup(req)
-        if stale is None:
-            return None
-        return {"job": None, "cache": "degraded", "degraded": True,
-                "result": stale}
 
     def _post_sweep(self, sweep: SweepRequest) -> None:
         job = self.engine.submit_sweep(sweep)

@@ -209,12 +209,13 @@ class TestSweepFailureSemantics:
 
 
 # ---------------------------------------------------------------------------
-# graceful degradation + quarantine over HTTP
+# saturation + quarantine over HTTP
 # ---------------------------------------------------------------------------
 
 
 class TestServiceDegradation:
-    def test_saturated_server_serves_stale_from_store(self, tmp_path):
+    def test_saturated_server_answers_stored_hit_and_sheds_a_miss(
+            self, tmp_path):
         from repro.service.client import ServiceClient, ServiceOverloaded
         from repro.service.server import serve_background
 
@@ -222,25 +223,25 @@ class TestServiceDegradation:
         # 1: populate the store through a healthy server
         httpd, engine, url = serve_background(store_dir=store, jobs=1)
         try:
-            ServiceClient(url).run("add", level=0, width=1)
+            want = ServiceClient(url).run("add", level=0, width=1)
         finally:
             httpd.shutdown()
             engine.close()
-        # 2: a saturated server (zero admission capacity) must degrade to
-        # the stored result rather than shed it...
+        # 2: a saturated server (zero admission capacity) answers the
+        # stored result as a plain hit, before admission...
         httpd, engine, url = serve_background(store_dir=store, jobs=1,
                                               max_pending=0)
         try:
             client = ServiceClient(url, retry=None)
             reply = client.run("add", level=0, width=1)
-            assert reply["degraded"] is True
-            assert reply["cache"] == "degraded"
-            assert reply["result"]["cycles"] > 0
-            # ...while an uncached configuration still sheds honestly
+            assert reply["cache"] == "hit"
+            assert "degraded" not in reply
+            assert reply["result"] == want["result"]
+            # ...while an uncached configuration is shed honestly
             with pytest.raises(ServiceOverloaded):
                 client.run("add", level=4, width=8)
             m = client.metrics()
-            assert m["resilience"]["degraded_serves"] == 1
+            assert m["hits"] == 1
             assert m["shed"] >= 1
         finally:
             httpd.shutdown()

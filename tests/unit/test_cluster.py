@@ -1,5 +1,6 @@
 """Cluster-layer tests: ring placement, ownership forwarding,
-cross-node single-flight, steal-on-overload, and the router front-end.
+cross-node single-flight, the overload rule on a node, and the router
+front-end.
 
 The ring tests are pure; the service tests run small in-process
 clusters (:class:`~repro.cluster.launch.ThreadCluster` or hand-built
@@ -190,12 +191,12 @@ class TestCrossNodeSingleFlight:
 
 
 # ---------------------------------------------------------------------------
-# steal-on-overload
+# overload: a stored result is a hit, a miss past capacity is a 429
 # ---------------------------------------------------------------------------
 
 
 def _two_nodes(tmp_path, overloaded_pending=0):
-    """An overloaded node A (sheds everything) plus a healthy peer B."""
+    """An overloaded node A (sheds every miss) plus a healthy peer B."""
     a = serve_node_background(store_dir=tmp_path / "a", jobs=1,
                               max_pending=overloaded_pending)
     b = serve_node_background(store_dir=tmp_path / "b", jobs=1)
@@ -205,62 +206,65 @@ def _two_nodes(tmp_path, overloaded_pending=0):
     return a, b
 
 
-class TestWorkStealing:
-    def test_shed_work_is_stolen_by_the_peer(self, tmp_path):
-        a, b = _two_nodes(tmp_path)
-        try:
-            # a request whose key node A owns, so no ownership forward
-            # happens before admission control sheds it on A: the rigs
-            # differ, so vary the seed (not the workload) until A owns it
-            wl = PROBES[0]
-            seed = next(s for s in range(1000)
-                        if a[2].ring.node_for(run_key(wl, seed=s)) == a[3])
-            key = run_key(wl, seed=seed)
+def _owned_by(rig, wl, seeds):
+    """Seeds whose ``/v1/run`` key ``rig``'s node owns: the rigs' ports,
+    and so placement, differ from run to run."""
+    return (s for s in seeds if rig[2].ring.node_for(run_key(wl, seed=s))
+            == rig[3])
 
-            r = ServiceClient(a[3], retry=None).run(wl, seed=seed)
-            assert r["cache"] == "stolen"
-            assert r["stolen_by"] == b[3]
-            assert r["result"]["workload"] == wl
-            assert a[2].counters["steals_out"] == 1
-            assert b[2].counters["steals_in"] == 1
-            # the artifact landed on the *owner's* shard, where the
-            # ring says it lives
-            assert a[1].store.contains(key)
+
+class TestOverload:
+    def test_owner_past_capacity_answers_its_stored_key_as_a_hit(
+            self, tmp_path):
+        """An owner with no admission capacity whose shard already holds
+        the key answers it from the shard: nothing is handed to a peer
+        and nothing is compiled again."""
+        a, b = _two_nodes(tmp_path)
+        rigs = [a, b]
+        try:
+            wl = PROBES[0]
+            seed = next(_owned_by(a, wl, range(1000)))
+            key = run_key(wl, seed=seed)
+            # populate A's shard through a healthy node on its directory
+            healthy = serve_node_background(store_dir=tmp_path / "a",
+                                            jobs=1)
+            rigs.append(healthy)
+            with ServiceClient(healthy[3], retry=None) as c:
+                want = c.run(wl, seed=seed)
+            assert want["cache"] == "miss" and a[1].store.contains(key)
+
+            with ServiceClient(a[3], retry=None) as c:
+                r = c.run(wl, seed=seed)
+            assert r["cache"] == "hit"
+            assert r["result"] == want["result"]
+            assert (r["node"], r["owner"]) == (a[3], a[3])
+            assert sum(e.counters["computed"] for e in (a[1], b[1])) == 0
+            assert (a[1].counters["hits"], a[1].counters["shed"]) == (1, 0)
         finally:
-            for rig in (a, b):
+            for rig in rigs:
                 rig[0].shutdown()
+                rig[0].server_close()
                 rig[1].close()
 
-    def test_steal_request_is_terminal_on_the_peer(self, tmp_path):
-        """A stolen computation never cascades: if the thief's peer is
-        itself overloaded it sheds (429) instead of re-stealing."""
-        a = serve_node_background(store_dir=tmp_path / "a", jobs=1,
-                                  max_pending=0)
-        b = serve_node_background(store_dir=tmp_path / "b", jobs=1,
-                                  max_pending=0)
-        urls = [a[3], b[3]]
-        for rig in (a, b):
-            rig[2].join(urls)
-        # the rigs are identical, so name the owner of the probe's key A
-        # (a direct shed, no ownership forward) instead of hunting for a
-        # key A happens to own
-        wl = PROBES[0]
-        if a[2].ring.node_for(run_key(wl)) != a[3]:
-            a, b = b, a
-        try:
-            from repro.service.client import ServiceOverloaded
+    def test_owner_past_capacity_sheds_a_miss_as_429(self, tmp_path):
+        """A miss past capacity is the owner's 429, whatever its peers'
+        load: the caller's retry policy handles it."""
+        from repro.service.client import ServiceOverloaded
 
-            with pytest.raises(ServiceOverloaded):
-                ServiceClient(a[3], retry=None).run(wl)
-            # A offered B the work once; B, saturated, shed it without
-            # offering it back — and nobody computed anything
-            assert a[2].counters["steals_out"] == 0
-            assert b[2].counters["steals_in"] == 1
-            assert a[2].counters["steals_in"] == 0
+        a, b = _two_nodes(tmp_path)
+        try:
+            wl = PROBES[0]
+            seed = next(_owned_by(a, wl, range(1000)))
+            with ServiceClient(a[3], retry=None) as c:
+                with pytest.raises(ServiceOverloaded):
+                    c.run(wl, seed=seed)
+            assert a[1].counters["shed"] == 1
             assert sum(e.counters["computed"] for e in (a[1], b[1])) == 0
+            assert not a[1].store.contains(run_key(wl, seed=seed))
         finally:
             for rig in (a, b):
                 rig[0].shutdown()
+                rig[0].server_close()
                 rig[1].close()
 
 
@@ -405,13 +409,12 @@ class TestRouter:
 
 class TestEveryHopAgreesOnIdentity:
     def test_router_client_node_engine_and_sweep_agree(self, tmp_path):
-        """One body, five consumers: the router, a ClusterClient and a
-        non-owner node pick the same owner, the owner's engine files the
-        blob under the request's key, and ``run_sweep(store=)`` reads
-        the key that differs from it only by kind."""
+        """One body, four consumers: the router and a non-owner node
+        pick the same owner, the owner's engine files the blob under the
+        request's key, and ``run_sweep(store=)`` reads the key that
+        differs from it only by kind."""
         import dataclasses
 
-        from repro.cluster.client import ClusterClient
         from repro.experiments.sweep import run_sweep
         from repro.service.keys import request_identity
         from repro.service.store import ArtifactStore
@@ -425,22 +428,17 @@ class TestEveryHopAgreesOnIdentity:
                 owner = router.ring.node_for(req.key)
                 via_router = ServiceClient(url, retry=None)._call(
                     "POST", "/v1/run", body)
-                sdk = ClusterClient(tc.urls)
-                via_sdk = sdk.run("dotprod")
                 other = next(u for u in tc.urls if u != owner)
                 via_node = ServiceClient(other, retry=None)._call(
                     "POST", "/v1/run", body)
             finally:
                 httpd.shutdown()
                 httpd.server_close()
-            assert sdk.ring.node_for(req.key) == owner
             assert (via_router["routed_by"], via_router["owner"]) == (
                 owner, owner)
-            assert (via_sdk["node"], via_sdk["owner"]) == (owner, owner)
-            assert "forwarded" not in via_sdk and sdk.failovers == 0
             assert (via_node["node"], via_node["forwarded"]) == (owner, True)
-            assert [r["cache"] for r in (via_router, via_sdk, via_node)] == [
-                "miss", "hit", "hit"]
+            assert [r["cache"] for r in (via_router, via_node)] == [
+                "miss", "hit"]
             holds = [e.store.contains(req.key) for e in tc.engines]
             assert holds == [u == owner for u in tc.urls]
 
@@ -560,7 +558,8 @@ class TestRingDispatcher:
 
     def test_fleet_views_mark_the_dead_node(self, rig):
         peers, live, dead, _, _ = rig
-        assert peers.fleet("/healthz", skip=live.url) == {dead: None}
+        views = peers.fleet("/healthz")
+        assert set(views) == {dead, live.url} and views[dead] is None
         assert peers.metrics()[dead] == {"unreachable": True}
         assert peers.health()["nodes"][dead] is False
 
