@@ -4,7 +4,8 @@ Expects ``python -m repro serve --port 8734 --store ... --max-pending 8``
 already running (the workflow starts it in the background).  Drives six
 mixed requests through the client SDK — two fresh runs, a duplicate
 that must be answered from the artifact store, a compile, an async
-sweep job, and an oversized sweep that must be load-shed — then the
+sweep job (whose four configurations must compile as two cells on a
+fresh store), and an oversized sweep that must be load-shed — then the
 bad-request probe (six requests no worker could compute — an unknown
 ``disable`` entry, a negative or oversized ``seed`` — are six 400s and
 leave the cell servable), then 100 store hits from the same client,
@@ -56,10 +57,19 @@ def main() -> int:
     r4 = c.compile("add", level=2, width=8)["result"]
     assert "MEM(" in r4["ir"] and "cycles" not in r4
 
-    # 5: async sweep job, polled to completion
+    # 5: async sweep job, polled to completion; on a fresh store its two
+    # cells compile once each for both widths (a count, not a clock)
+    m0 = c.metrics()
     jid = c.sweep(["add"], levels=[0, 4], widths=[1, 8])
     rec = c.wait_job(jid, timeout=120.0)
     assert rec["result"]["configs"] == 4
+    if rec["result"]["hits"] == 0:
+        m5 = c.metrics()
+        counts = {k: m5[k] - m0[k] for k in ("batched_cells", "computed")}
+        if counts != {"batched_cells": 2, "computed": 4}:
+            print(f"sweep widths were not batched per cell: {counts}",
+                  file=sys.stderr)
+            return 1
 
     # 6: oversized sweep (80 configs > --max-pending 8) — must be shed
     # atomically as HTTP 429, and must not wedge the service

@@ -114,6 +114,9 @@ class CircuitBreaker:
 # ---------------------------------------------------------------------------
 
 HEARTBEAT_INTERVAL_S = 0.25
+#: how often the supervisor thread looks for dead, hung and silent
+#: workers when no message arrives (dispatch never waits for it)
+WATCHDOG_TICK_S = 0.02
 
 
 def _apply_worker_faults(plan: faults.FaultPlan, key: str, attempt: int) -> None:
@@ -208,6 +211,10 @@ class SupervisedPool:
     ``submit(fn, arg, key=..., cell=...)`` returns a
     :class:`concurrent.futures.Future`.  ``fn`` must be a module-level
     callable (same contract as ProcessPoolExecutor under fork).
+
+    ``submit`` wakes the supervisor thread through a self-pipe, so a
+    task is dispatched as soon as a worker is free; the thread's
+    :data:`WATCHDOG_TICK_S` timeout only paces the watchdog.
     """
 
     def __init__(
@@ -220,7 +227,6 @@ class SupervisedPool:
         breaker_cooldown_s: float = 30.0,
         heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: float = 15.0,
-        poll_s: float = 0.02,
     ):
         self.deadline_s = deadline_s
         self.max_retries = max_retries
@@ -228,7 +234,6 @@ class SupervisedPool:
         self.breaker_cooldown_s = breaker_cooldown_s
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.poll_s = poll_s
         self._ctx = multiprocessing.get_context("fork")
         self._ids = itertools.count(1)
         self._wids = itertools.count(1)
@@ -248,6 +253,10 @@ class SupervisedPool:
         self._workers: dict[int, _Worker] = {}
         for _ in range(jobs):
             self._spawn()
+        # the self-pipe: one byte per submit wakes the supervisor thread
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         self._thread = threading.Thread(target=self._supervise, daemon=True,
                                         name="repro-pool-supervisor")
         self._thread.start()
@@ -275,6 +284,7 @@ class SupervisedPool:
                 t.key = f"task-{t.id}"
             self._tasks[t.id] = t
             self._pending.append(t)
+            self._wake()
         return fut
 
     def breaker_states(self) -> dict:
@@ -313,6 +323,7 @@ class SupervisedPool:
             if self._closed:
                 return
             self._closed = True
+            self._wake()
         self._thread.join(timeout=5)
         for t in list(self._tasks.values()):
             if not t.future.done():
@@ -330,6 +341,8 @@ class SupervisedPool:
                 w.proc.join(timeout=1)
             w.sconn.close()
             w.rconn.close()
+        # the Process objects hold their sentinel descriptors until freed
+        self._workers.clear()
 
     def __enter__(self):
         return self
@@ -337,6 +350,14 @@ class SupervisedPool:
     def __exit__(self, *exc):
         self.close()
         return False
+
+    def _wake(self) -> None:
+        """Wake the supervisor thread.  The caller holds ``_lock`` and
+        has found the pool open, so the thread has not closed the pipe."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full: a wake is already pending
 
     # -- worker lifecycle (supervisor thread + __init__ only) ------------
 
@@ -416,13 +437,22 @@ class SupervisedPool:
         while True:
             with self._lock:
                 if self._closed:
+                    # the reader closes the pipe, under the lock that
+                    # every writer holds: a ``close`` that gave up
+                    # waiting for this thread cannot leave it polling
+                    # a closed or reused descriptor
+                    os.close(self._wake_r)
+                    os.close(self._wake_w)
                     return
             self._dispatch()
             conns = {w.rconn: w for w in list(self._workers.values())}
-            ready = _conn_wait(list(conns), timeout=self.poll_s) if conns else ()
+            ready = _conn_wait([self._wake_r, *conns], timeout=WATCHDOG_TICK_S)
             now = time.monotonic()
             for conn in ready:
-                self._drain(conns[conn], now)
+                if conn == self._wake_r:
+                    os.read(self._wake_r, 4096)
+                else:
+                    self._drain(conns[conn], now)
             self._watchdog(now)
 
     def _dispatch(self) -> None:

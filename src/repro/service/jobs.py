@@ -17,7 +17,7 @@ Request lifecycle::
          single-flight table ──in flight──▶ join
                 │ new
                 ▼
-         cell batch (workload, level, ...) ── batch window ──▶ one
+         cell batch (workload, level, ...) ── worker slot free ──▶ one
          width-sharded compilation on the process pool ──▶ store.put
          per width ──▶ resolve every joined future
 
@@ -36,10 +36,17 @@ Request lifecycle::
   submitted while one is in flight await the same future; only one
   computation runs.
 * **Batching** — requests that differ *only in issue width* land in the
-  same *cell* (one (workload, level, seed, flags, disable) unit).  The
-  first request arms a ``batch_window`` timer; everything that joins
-  the cell before it fires is compiled once and scheduled per width —
-  the same width-sharding the sweep engine uses
+  same *cell* (one (workload, level, seed, flags, disable) unit).  There
+  is no timer: the first request starts the cell's fire task, which
+  waits for one of ``jobs`` worker slots and only then closes the cell.
+  With a worker idle a lone miss is dispatched on the next loop turn; a
+  sweep's widths still share the cell (they all join before the task
+  runs); while every worker is busy the cell stays open and a later
+  width joins it.  Widths that reach an idle engine as separate
+  requests (a router fanning a sweep out width by width) do not wait
+  for each other: the first compiles alone, and those arriving while
+  it runs share the next cell.  Everything in the cell is compiled once and
+  scheduled per width — the same width-sharding the sweep engine uses
   (``TransformedKernel.clone``).
 * **Admission control, tiered** — at most ``max_pending`` accepted-but-
   unfinished configurations; past that, a new miss is *shed*
@@ -262,12 +269,10 @@ class JobEngine:
         store: ArtifactStore | None = None,
         jobs: int = 1,
         max_pending: int = 64,
-        batch_window: float = 0.01,
         default_timeout: float = 120.0,
     ):
         self.store = store
         self.max_pending = max_pending
-        self.batch_window = batch_window
         self.default_timeout = default_timeout
         # the supervised pool forks its workers in its constructor —
         # before the loop / HTTP threads exist, since forking a
@@ -275,6 +280,8 @@ class JobEngine:
         # deadline mirrors the request deadline: a cell the request
         # layer has given up on should not pin a worker forever.
         self._pool = SupervisedPool(jobs, deadline_s=default_timeout)
+        #: one per worker: a cell holds one from dispatch to its answer
+        self._slots = asyncio.Semaphore(jobs)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._loop.run_forever,
                                         name="repro-service-loop", daemon=True)
@@ -463,41 +470,39 @@ class JobEngine:
                 del self._inflight[key]
 
     def _join_cell(self, req: CellRequest) -> "asyncio.Future":
-        """Attach a request to its cell batch, arming the timer on first
-        join; returns the future for this request's width."""
+        """Attach a request to its cell batch, starting the cell's fire
+        task on first join; returns the future for this request's width."""
         waiters = self._cells.get(req.cell)
         if waiters is None:
             waiters = self._cells[req.cell] = {}
-            self._loop.call_later(
-                self.batch_window,
-                lambda: asyncio.ensure_future(self._fire_cell(req.cell)),
-            )
+            self._loop.create_task(self._fire_cell(req.cell))
         if req.width not in waiters:
             waiters[req.width] = (req, self._loop.create_future())
         return waiters[req.width][1]
 
     async def _fire_cell(self, cell_id: tuple) -> None:
-        waiters = self._cells.pop(cell_id, None)
-        if waiters is None:
-            return
-        widths = tuple(sorted(waiters))
-        # the cell's canonical identity is its lowest-width request: the
-        # supervisor dedups re-dispatches by its key, and the breaker
-        # quarantines on the (workload, level) coordinate
-        head = waiters[widths[0]][0]
-        task = (head.kind, head.workload, head.level, widths, head.seed,
-                head.check, head.check_ir, head.disable)
-        self.counters["batched_cells"] += 1
-        try:
-            payloads = await asyncio.wrap_future(
-                self._pool.submit(compute_cell, task, key=head.key,
-                                  cell=(head.workload, head.level))
-            )
-        except Exception as e:
-            for _, fut in waiters.values():
-                if not fut.done():
-                    fut.set_exception(e)
-            return
+        # the cell stays open, and later widths join it, until a worker
+        # slot is free; the slot is held until the pool answers
+        async with self._slots:
+            waiters = self._cells.pop(cell_id)
+            widths = tuple(sorted(waiters))
+            # the cell's canonical identity is its lowest-width request:
+            # the supervisor dedups re-dispatches by its key, and the
+            # breaker quarantines on the (workload, level) coordinate
+            head = waiters[widths[0]][0]
+            task = (head.kind, head.workload, head.level, widths, head.seed,
+                    head.check, head.check_ir, head.disable)
+            self.counters["batched_cells"] += 1
+            try:
+                payloads = await asyncio.wrap_future(
+                    self._pool.submit(compute_cell, task, key=head.key,
+                                      cell=(head.workload, head.level))
+                )
+            except Exception as e:
+                for _, fut in waiters.values():
+                    if not fut.done():
+                        fut.set_exception(e)
+                return
         self.counters["computed"] += len(payloads)
         for payload in payloads:
             req, fut = waiters[payload["width"]]

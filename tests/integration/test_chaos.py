@@ -7,11 +7,14 @@ against fault-free baselines), graceful degradation (stale store serve
 when saturated), and breaker quarantine surfacing as HTTP 503.
 """
 
+import gc
 import json
+import os
+import time
 
 import pytest
 
-from repro.resilience import faults
+from repro.resilience import faults, supervisor
 from repro.resilience.chaos import load_plan, run_chaos
 from repro.resilience.faults import FaultPlan, FaultSite
 from repro.resilience.supervisor import (
@@ -121,6 +124,30 @@ class TestSupervisedPool:
                     pool.submit(_square, 3, key="ok-3",
                                 cell=("good", 0)).result(timeout=30)
                 assert pool.counters["quarantined"] == 1
+
+    def test_submit_wakes_the_supervisor(self, monkeypatch):
+        """A task is dispatched when it is submitted, not at the
+        watchdog's next tick or a worker's next heartbeat."""
+        monkeypatch.setattr(supervisor, "WATCHDOG_TICK_S", 5.0)
+        with SupervisedPool(1, heartbeat_interval_s=5.0) as pool:
+            time.sleep(0.5)  # the workers' start-up beats are drained
+            t0 = time.monotonic()
+            assert pool.submit(_square, 3, key="w-3").result(timeout=30) == 9
+            assert time.monotonic() - t0 < 1.0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_closed_pools_leave_no_descriptors_behind(self):
+        def open_fds() -> int:
+            gc.collect()
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        for i in range(20):
+            with SupervisedPool(1) as pool:
+                assert pool.submit(_square, i, key=f"fd-{i}").result(
+                    timeout=30) == i * i
+        assert open_fds() == before
 
 
 # ---------------------------------------------------------------------------

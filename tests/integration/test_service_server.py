@@ -348,6 +348,45 @@ class TestLongLivedServer:
         assert (table.total, len(table)) == (8 * 400, 8)
 
 
+class TestBatchingWhileAWorkerIsBusy:
+    def test_a_width_arriving_before_a_worker_frees_joins_the_cell(
+            self, tmp_path):
+        """A cell stays open while every worker is busy: a width that
+        arrives 50 ms after its sibling still shares its compilation."""
+        import time
+
+        from repro.experiments.sweep import load_sweep
+        from repro.resilience import faults
+        from repro.resilience.faults import FaultPlan, FaultSite
+        from repro.service.jobs import JobEngine
+        from repro.service.store import ArtifactStore
+
+        # the worker inherits the plan: every first attempt sleeps 0.5 s
+        plan = FaultPlan(seed=0, sites=(
+            FaultSite("worker.slow", rate=1.0, delay_s=0.5),))
+        with faults.armed(plan):
+            engine = JobEngine(store=ArtifactStore(tmp_path), jobs=1)
+        try:
+            busy = engine.submit("run", "sum", 4, 1)
+            w1 = engine.submit("run", "add", 4, 1)
+            time.sleep(0.05)
+            w8 = engine.submit("run", "add", 4, 8)
+            engine.wait(busy, timeout=120)
+            got = [engine.wait(j, timeout=120) for j in (w1, w8)]
+            # one cell for "sum", one for both widths of "add"
+            assert engine.counters["batched_cells"] == 2
+            assert engine.counters["computed"] == 3
+        finally:
+            engine.close()
+        grid = load_sweep()
+        for r in got:
+            want = grid.get("add", Level.LEV4, r["width"])
+            assert (r["cycles"], r["instructions"], r["inner_makespan"],
+                    r["int_regs"], r["fp_regs"]) == (
+                want.cycles, want.instructions, want.inner_makespan,
+                want.int_regs, want.fp_regs)
+
+
 class TestServedResultsMatchOracle:
     """Acceptance: served ``/v1/run`` results for the oracle kernels match
     the differential oracle (golden interpretation of the *unoptimized*
