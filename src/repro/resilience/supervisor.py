@@ -136,12 +136,17 @@ def _apply_worker_faults(plan: faults.FaultPlan, key: str, attempt: int) -> None
         raise exc(f"injected worker.error for {key} (attempt {attempt})")
 
 
-def _worker_main(inbox, outbox, hb_interval: float) -> None:
+def _worker_main(inbox, outbox, hb_interval: float, parent: int) -> None:
     """Worker loop: recv (task_id, attempt, key, fn, arg), send results.
 
     The outbox has two in-process writers (main loop + heartbeat
     thread), serialized by a thread lock; cross-process it has exactly
     one writer, so a sibling's death cannot corrupt this channel.
+
+    The heartbeat thread also ends the process once its parent (pid
+    ``parent``) is gone: ``recv`` alone would never see EOF, because the
+    worker inherited its own inbox's write end across ``fork``, and so
+    did every sibling forked after it.
     """
     send_lock = threading.Lock()
 
@@ -154,8 +159,9 @@ def _worker_main(inbox, outbox, hb_interval: float) -> None:
             return False  # parent went away; nothing left to do
 
     def beat():
-        while send(("hb", None, None)):
+        while os.getppid() == parent and send(("hb", None, None)):
             time.sleep(hb_interval)
+        os._exit(0)  # nobody is left to take a result
 
     threading.Thread(target=beat, daemon=True, name="hb").start()
     plan = faults.ARMED  # inherited over fork
@@ -367,7 +373,7 @@ class SupervisedPool:
         p_out_r, c_out_s = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(c_in_r, c_out_s, self.heartbeat_interval_s),
+            args=(c_in_r, c_out_s, self.heartbeat_interval_s, os.getpid()),
             daemon=True, name=f"repro-worker-{wid}",
         )
         proc.start()

@@ -4,20 +4,41 @@ The tuple interpreter in :mod:`repro.sim.simulator` pays a dispatch,
 an operand-descriptor unpack, and a readiness check per dynamic
 instruction.  For *execution* (computing values, following branches,
 mutating memory) none of the timing work is needed, so this module
-compiles every basic block into a specialized straight-line Python
-function over the flat register banks::
+compiles every basic block into a specialized Python function over the
+flat register banks.  A block that branches or jumps to itself — a
+loop body — becomes a ``while`` loop over register locals::
 
-    def _b3(iv, fv, vi, vf, mem):
-        fv[2] = mem[(iv[5] + 4096) >> 2]
-        fv[3] = fv[2] * fv[1]
-        iv[5] = iv[5] + 4
-        if iv[5] < iv[6]:
-            return 7        # segment id: block 3 exited via this branch
-        return 8            # segment id: block 3 fell through
+    def _b3(iv, fv, vi, vf, mem, _app, _n):
+        iv5, iv6 = _g3iv(iv)        # itemgetter(5, 6)
+        fv1, fv2, fv3 = _g3fv(fv)   # itemgetter(1, 2, 3)
+        try:
+            while True:
+                fv2 = mem[(iv5 + 4096) >> 2]
+                fv3 = fv2 * fv1
+                iv5 = iv5 + 4
+                if iv5 < iv6:
+                    if _n:          # segment budget left: iterate here
+                        _n -= 1
+                        _app(7)     # segment id: block 3 took its back edge
+                        continue
+                    _s = 7
+                    break
+                _s = 8              # segment id: block 3 fell through
+                break
+        finally:
+            iv[5] = iv5
+            _p3fv(fv, (fv2, fv3))   # fv[2], fv[3] = fv2, fv3
+        return _s
+
+Every other block is straight-line code on the banks themselves
+(``fv[2] = mem[(iv[5] + 4096) >> 2]`` ... ``return 8``): it runs once
+per call, so loading and writing back locals would cost more than the
+subscripts it saves.
 
 Each function returns a *segment id* identifying how the block exited:
 either a specific taken control instruction or the fall-through.  Running
-the program is then just chaining block calls and recording segment ids —
+the program is then just chaining block calls and recording segment ids
+(a loop block records its own back-edge segments through ``_app``) —
 the resulting segment sequence is the :class:`ExecPlan`'s compact dynamic
 trace, which the timing side (:mod:`repro.sim.replay`) replays per issue
 width.
@@ -30,6 +51,11 @@ codegen artifact like ``NameError``):
   ``TypeError`` naturally, which the driver maps back — via a
   line-number-to-instruction table — to the interpreter's exact
   ``SimulationError``/``SimMemoryError`` message;
+* a loop block loads every register it reads *or writes* at entry (a
+  write-only register still has a local when the block exits before
+  writing it) and writes the written ones back in one ``finally``, so
+  after an exit or an exception the banks hold exactly what the
+  interpreter's would and ``translate_error`` re-reads intact operands;
 * ``==``/``!=`` comparisons and stores would *silently accept* ``None``,
   so the generator emits explicit guards for equality branches and store
   values (calling ``_ur``/``_us``, which raise the interpreter's
@@ -37,14 +63,20 @@ codegen artifact like ``NameError``):
 * division by zero and loads from unbound addresses translate the same
   way (``ZeroDivisionError``/``KeyError`` at a known line).
 
-Every opcode has a generator; :class:`EngineUnsupported` guards only
-an ``Op`` added without one.
+Element-wise vector ops are inline lane tuples (``(a[0] + b[0], a[1] +
+b[1], ...)``) with each lane's operator the scalar one of
+:data:`~repro.sim.executor.ALU_SEMANTICS`; the interpreter's
+:data:`~repro.sim.executor.VEC_SEMANTICS` is their reference.  Every
+opcode has a generator; :class:`EngineUnsupported` guards only an
+``Op`` added without one.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import groupby
+from operator import itemgetter
 
 from ..ir.instructions import Op
 from .errors import SimulationError
@@ -63,7 +95,6 @@ from .executor import (
     CompiledProgram,
     FP_BANK,
     INT_BANK,
-    VEC_SEMANTICS,
     VFP_BANK,
     VINT_BANK,
     _MASK64,
@@ -98,12 +129,14 @@ _CMP_INFIX = {
 #: the generated code needs an explicit uninitialized-read guard
 _EQNE = {Op.BEQ, Op.BNE, Op.FBEQ, Op.FBNE}
 
-#: element-wise vector ops call shared per-lane helpers so both engines
-#: use the identical semantic functions (see executor.VEC_SEMANTICS)
-_VHELPER = {
-    Op.VADD: "_vadd", Op.VSUB: "_vsub", Op.VMUL: "_vmul",
-    Op.VFADD: "_vfadd", Op.VFSUB: "_vfsub", Op.VFMUL: "_vfmul",
-    Op.VFDIV: "_vfdiv",
+#: element-wise vector ops: one inline lane per element, with the
+#: operator of the scalar op each lane applies (executor.VEC_SEMANTICS
+#: lifts the same scalar semantics)
+_VLANE = {
+    Op.VADD: _INFIX[Op.ADD], Op.VSUB: _INFIX[Op.SUB],
+    Op.VMUL: _INFIX[Op.MUL], Op.VFADD: _INFIX[Op.FADD],
+    Op.VFSUB: _INFIX[Op.FSUB], Op.VFMUL: _INFIX[Op.FMUL],
+    Op.VFDIV: _INFIX[Op.FDIV],
 }
 
 
@@ -114,9 +147,13 @@ def _shrl(a, b):
 _BANK_VAR = {INT_BANK: "iv", FP_BANK: "fv", VINT_BANK: "vi", VFP_BANK: "vf"}
 
 
-def _dest(ci: CompiledInstr) -> str:
-    bank, idx = ci.dest
-    return f"{_BANK_VAR[bank]}[{idx}]"
+def _scatter(idxs):
+    """``put(bank, vals)`` stores ``vals`` at ``idxs``: the inverse of
+    ``itemgetter(*idxs)``."""
+    def put(bank, vals):
+        for k, v in zip(idxs, vals):
+            bank[k] = v
+    return put
 
 
 class ExecPlan:
@@ -127,7 +164,9 @@ class ExecPlan:
     branch / jump / halt) or :data:`FALL`.  The block functions return
     segment ids; the driver chains them and records the id sequence —
     that sequence plus end-state values is the complete observable
-    behavior of the run, independent of issue width.
+    behavior of the run, independent of issue width.  ``block_loops[b]``
+    says block ``b`` is a self-loop, whose function also takes the
+    trace's ``append`` and a segment budget (see :func:`execute_plan`).
     """
 
     def __init__(self, prog: CompiledProgram):
@@ -140,9 +179,18 @@ class ExecPlan:
         self._line_gi: list[int] = []
         self.filename = f"<simblocks:{prog.func.name}:{id(prog)}>"
         self._consts: dict[str, float] = {}  # global name -> non-finite
+        self._movers: dict = {}  # global name -> loop-block load/store
+        self._local = False  # registers are locals (loop block being built)
         self._build()
 
     # -- codegen ------------------------------------------------------------
+
+    def _reg(self, bank: int, idx: int) -> str:
+        var = _BANK_VAR[bank]
+        return f"{var}{idx}" if self._local else f"{var}[{idx}]"
+
+    def _dest(self, ci: CompiledInstr) -> str:
+        return self._reg(*ci.dest)
 
     def _expr(self, desc) -> str:
         """Fetch expression for one operand descriptor (bank, key).  A
@@ -150,7 +198,7 @@ class ExecPlan:
         the generated module — the very object the interpreter reads."""
         bank, key = desc
         if bank != CONST:
-            return f"{_BANK_VAR[bank]}[{key}]"
+            return self._reg(bank, key)
         if isinstance(key, float) and not math.isfinite(key):
             name = f"_k{len(self._consts)}"
             self._consts[name] = key
@@ -169,12 +217,66 @@ class ExecPlan:
         self.seg_next.append(next_block)
         return len(self.seg_block) - 1
 
+    def _exit(self, seg: int, b: int) -> list[str]:
+        """Statements that leave block ``b`` through segment ``seg``.  In
+        a loop block a back edge records itself and iterates while the
+        budget ``_n`` lasts; any other exit breaks out to the write-back."""
+        if not self._local:
+            return [f"return {seg}"]
+        if self.seg_next[seg] == b:
+            return ["if _n:", "    _n -= 1", f"    _app({seg})",
+                    "    continue", f"_s = {seg}", "break"]
+        return [f"_s = {seg}", "break"]
+
+    def _moves(self, b: int, regs: list, load: bool) -> list[str]:
+        """Loop block ``b``'s statements that load the sorted ``(bank,
+        idx)`` pairs ``regs`` into locals (``load``) or store them back:
+        one per bank, through an ``itemgetter`` / :func:`_scatter` global
+        when the bank has several — a statement per register would make
+        ``compile`` the larger part of a short cell's set-up."""
+        out = []
+        for bank, grp in groupby(regs, key=itemgetter(0)):
+            idxs = [idx for _, idx in grp]
+            var = _BANK_VAR[bank]
+            if len(idxs) == 1:
+                local, slot = f"{var}{idxs[0]}", f"{var}[{idxs[0]}]"
+                out.append(f"{local} = {slot}" if load else f"{slot} = {local}")
+                continue
+            names = ", ".join(f"{var}{idx}" for idx in idxs)
+            fn = f"_{'g' if load else 'p'}{b}{var}"
+            self._movers[fn] = itemgetter(*idxs) if load else _scatter(idxs)
+            out.append(f"{names} = {fn}({var})" if load
+                       else f"{fn}({var}, ({names}))")
+        return out
+
     def _build(self) -> None:
         prog = self.prog
         lines: list[str] = []
         emit = lines.append
+        self.block_loops = [
+            any(ci.target is not None and prog.index[ci.target] == b
+                for ci in blk.code)
+            for b, blk in enumerate(prog.blocks)
+        ]
         for b, blk in enumerate(prog.blocks):
-            emit(f"def _b{b}(iv, fv, vi, vf, mem):")
+            self._local = self.block_loops[b]
+            if not self._local:
+                emit(f"def _b{b}(iv, fv, vi, vf, mem):")
+                pad = "    "
+            else:
+                emit(f"def _b{b}(iv, fv, vi, vf, mem, _app, _n):")
+                regs, written = set(), set()
+                for ci in blk.code:
+                    regs.update(s for s in ci.srcs if s[0] != CONST)
+                    if ci.dest is not None:
+                        written.add(ci.dest)
+                # write-only registers too: an exit before the write must
+                # still find a local to write back
+                for stmt in self._moves(b, sorted(regs | written), True):
+                    emit("    " + stmt)
+                emit("    try:")
+                emit("        while True:")
+                pad = " " * 12
             for ci in blk.code:
                 gi = len(self.instrs)
                 self.instrs.append(ci)
@@ -183,18 +285,22 @@ class ExecPlan:
                     self._line_starts.append(len(lines) + 1)
                     self._line_gi.append(gi)
                     for s in stmts:
-                        emit("    " + s)
+                        emit(pad + s)
             fall = self._new_seg(b, FALL, blk.next_index)
-            emit(f"    return {fall}")
+            for s in self._exit(fall, b):
+                emit(pad + s)
+            if self._local:
+                emit("    finally:")
+                for stmt in self._moves(b, sorted(written), False) or ["pass"]:
+                    emit("        " + stmt)
+                emit("    return _s")
         code = compile("\n".join(lines), self.filename, "exec")
         g = {
             "_idiv": _idiv, "_irem": _irem, "_shrl": _shrl,
             "_flt": float, "_trunc": math.trunc,
             "_ur": self._raise_uninit_read, "_us": self._raise_uninit_store,
-            **self._consts,
+            **self._consts, **self._movers,
         }
-        for vop, name in _VHELPER.items():
-            g[name] = VEC_SEMANTICS[vop]
         exec(code, g)
         self.block_fns = [g[f"_b{b}"] for b in range(len(prog.blocks))]
         self.source = "\n".join(lines)
@@ -205,10 +311,10 @@ class ExecPlan:
         if cat == C_NOP:
             return []
         if cat == C_HALT:
-            return [f"return {self._new_seg(b, ci, None)}"]
+            return self._exit(self._new_seg(b, ci, None), b)
         if cat == C_JUMP:
             tgt = self.prog.index[ci.target]
-            return [f"return {self._new_seg(b, ci, tgt)}"]
+            return self._exit(self._new_seg(b, ci, tgt), b)
         if cat == C_BRANCH:
             tgt = self.prog.index[ci.target]
             seg = self._new_seg(b, ci, tgt)
@@ -220,11 +326,11 @@ class ExecPlan:
                 if checks:
                     out.append(f"if {' or '.join(checks)}: _ur({gi})")
             out.append(f"if {a} {_CMP_INFIX[op]} {bx}:")
-            out.append(f"    return {seg}")
+            out.extend("    " + s for s in self._exit(seg, b))
             return out
         if cat == C_LOAD:
             addr = self._addr_expr(ci.srcs[0], ci.srcs[1])
-            return [f"{_dest(ci)} = mem[{addr}]"]
+            return [f"{self._dest(ci)} = mem[{addr}]"]
         if cat == C_STORE:
             s0, s1, sv = ci.srcs
             addr = self._addr_expr(s0, s1)
@@ -248,7 +354,7 @@ class ExecPlan:
             )
             return [
                 f"_w = {self._addr_expr(ci.srcs[0], ci.srcs[1])}",
-                f"{_dest(ci)} = ({words})",
+                f"{self._dest(ci)} = ({words})",
             ]
         if cat == C_VSTORE:
             s0, s1, sv = ci.srcs
@@ -273,28 +379,34 @@ class ExecPlan:
             if checks:
                 out.append(f"if {' or '.join(checks)}: _ur({gi})")
             out.append(
-                f"{_dest(ci)} = ({', '.join(self._expr(s) for s in ci.srcs)},)"
+                f"{self._dest(ci)} = "
+                f"({', '.join(self._expr(s) for s in ci.srcs)},)"
             )
             return out
         # ALU (generic C_ALU: two- or one-operand)
-        if op in _VHELPER:
+        if op in _VLANE:
+            # a None operand fails its first subscript (TypeError), a zero
+            # divisor lane divides by zero: the interpreter's two errors
             a, bx = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
-            return [f"{_dest(ci)} = {_VHELPER[op]}({a}, {bx})"]
+            sym = _VLANE[op]
+            lanes = ", ".join(f"{a}[{j}] {sym} {bx}[{j}]"
+                              for j in range(ci.instr.lanes))
+            return [f"{self._dest(ci)} = ({lanes})"]
         if op in (Op.VEXT, Op.VEXTF):
             v, lane = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
-            return [f"{_dest(ci)} = {v}[{lane}]"]
+            return [f"{self._dest(ci)} = {v}[{lane}]"]
         if op in _INFIX:
             a, bx = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
-            return [f"{_dest(ci)} = {a} {_INFIX[op]} {bx}"]
+            return [f"{self._dest(ci)} = {a} {_INFIX[op]} {bx}"]
         if op in _HELPER:
             a, bx = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
-            return [f"{_dest(ci)} = {_HELPER[op]}({a}, {bx})"]
+            return [f"{self._dest(ci)} = {_HELPER[op]}({a}, {bx})"]
         if op in (Op.MOV, Op.FMOV):
-            return [f"{_dest(ci)} = {self._expr(ci.srcs[0])}"]
+            return [f"{self._dest(ci)} = {self._expr(ci.srcs[0])}"]
         if op is Op.ITOF:
-            return [f"{_dest(ci)} = _flt({self._expr(ci.srcs[0])})"]
+            return [f"{self._dest(ci)} = _flt({self._expr(ci.srcs[0])})"]
         if op is Op.FTOI:
-            return [f"{_dest(ci)} = _trunc({self._expr(ci.srcs[0])})"]
+            return [f"{self._dest(ci)} = _trunc({self._expr(ci.srcs[0])})"]
         raise EngineUnsupported(f"cannot compile {ci.instr!r}")
 
     # -- interpreter-identical error raising --------------------------------
@@ -370,6 +482,10 @@ def execute_plan(
     control exits are bounded by the block count, so a run that exceeds
     ``(max_cycles + 2) * (n_blocks + 1)`` segments cannot be within the
     cycle budget on any width and raises the interpreter's runaway error.
+    A self-loop block iterates inside its own call, appending each back
+    edge while the budget ``limit - len(segs)`` lasts; past it the block
+    returns the back edge and the check raises at the same segment count
+    as one call per iteration would.
     """
     prog = plan.prog
     ni, nf = prog.n_iregs, prog.n_fregs
@@ -391,6 +507,7 @@ def execute_plan(
 
     mem = memory._words
     fns = plan.block_fns
+    loops = plan.block_loops
     seg_next = plan.seg_next
     segs: list[int] = []
     append = segs.append
@@ -398,7 +515,12 @@ def execute_plan(
     bi: int | None = 0 if fns else None
     try:
         while bi is not None:
-            s = fns[bi](iv, fv, vi, vf, mem)
+            if loops[bi]:
+                # the block appends its back edges itself, at most up to
+                # the limit; the one it returns past that trips the check
+                s = fns[bi](iv, fv, vi, vf, mem, append, limit - len(segs))
+            else:
+                s = fns[bi](iv, fv, vi, vf, mem)
             append(s)
             bi = seg_next[s]
             if len(segs) > limit:

@@ -73,8 +73,8 @@ class Memory:
         if want > n:
             raise SimMemoryError(f"array {name} has {n} words, asked for {want}")
         w = base // WORD
-        words = self._words
-        flat = np.array([words[w + i] for i in range(want)], dtype=dtype)
+        flat = np.fromiter(map(self._words.__getitem__, range(w, w + want)),
+                           dtype, count=want)
         return flat.reshape(shape, order="F")
 
     def array_base(self, name: str) -> int:

@@ -27,9 +27,10 @@ interpreter's packet loop exactly:
 * transitions are memoized per (segment, entry state): steady-state
   loop iterations hit the memo instead of re-walking instructions;
 * when the (segment, state) pair recurs — a periodic steady state —
-  the replay matches the whole repeating segment pattern against the
-  remaining trace with one vectorized NumPy comparison and skips every
-  full period at once (cycle and last-issue advance by exact multiples).
+  the replay matches the repeating segment pattern against the trace
+  ahead in galloping NumPy chunks (16, 32, 64 ... periods, up to the
+  first mismatch) and skips every full period at once (cycle and
+  last-issue advance by exact multiples).
 
 Dropping in-flight writes that completed at or before the segment
 boundary is exact *because every latency is at least 1*: a completed
@@ -217,6 +218,30 @@ def _transition(rows: tuple, state: tuple, width: int, limits):
     return cycle, dli, (issued, tuple(pruned), counts)
 
 
+def _periods(arr: np.ndarray, j: int, i: int) -> int:
+    """How many whole repeats of the period ``arr[j:i]`` start at ``i``.
+
+    Gallops: compares chunks of 16, 32, 64 ... periods and stops at the
+    first mismatching period, so the cost is O(periods matched) rather
+    than O(remaining trace) — in a nest the inner period recurs once per
+    outer iteration."""
+    p = i - j
+    pattern = arr[j:i]
+    total = (arr.size - i) // p
+    m = 0
+    chunk = 16
+    while m < total:
+        c = min(chunk, total - m)
+        start = i + m * p
+        tile = arr[start : start + c * p].reshape(c, p)
+        bad = np.flatnonzero((tile != pattern).any(axis=1))
+        if bad.size:
+            return m + int(bad[0])
+        m += c
+        chunk *= 2
+    return m
+
+
 def replay(
     segs: list[int] | np.ndarray,
     spec: ReplaySpec,
@@ -225,6 +250,7 @@ def replay(
     """Replay a segment trace under ``spec``'s machine; returns
     ``(cycles, instructions)`` — identical to full simulation."""
     arr = np.asarray(segs, dtype=np.int64)
+    sl = segs if isinstance(segs, list) else arr.tolist()
     n = int(arr.size)
     n_instr = 0
     if n:
@@ -240,7 +266,6 @@ def replay(
     seg_block = plan.seg_block
     memo: dict = {}
     seen: dict = {}
-    sl = arr.tolist()
     state = spec.start
     cycle = 0
     last_issue = -1
@@ -259,18 +284,13 @@ def replay(
                 seen.clear()
         else:
             # periodic steady state: the trace from the first occurrence
-            # repeats — match whole periods against the remaining trace in
-            # one vectorized comparison and skip them all
+            # repeats — match whole periods against the rest of the trace
+            # and skip them all
             j, cj = prev
             p = i - j
             dcyc = cycle - cj
             if p > 0 and dcyc > 0:
-                m = (n - i) // p
-                if m > 0:
-                    tile = arr[i : i + m * p].reshape(m, p)
-                    bad = np.flatnonzero(~(tile == arr[j:i]).all(axis=1))
-                    if bad.size:
-                        m = int(bad[0])
+                m = _periods(arr, j, i)
                 if m > 0:
                     # each period issues (dcyc > 0 implies a control exit),
                     # so last_issue advances by exactly dcyc per period

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..ir.function import Function
 from ..machine import MachineConfig
 from .blockgen import exec_plan, execute_plan
@@ -116,8 +118,10 @@ class TracedRun:
         self._plan = exec_plan(prog)
         self._rows = timing_rows(prog)
         spec = ReplaySpec(self._plan, prog.machine, prog.func, self._rows)
-        self._segs, ivals, fvals = execute_plan(
+        segs, ivals, fvals = execute_plan(
             self._plan, memory, iregs, fregs, max_cycles)
+        # converted once per cell, not once per replayed width
+        self._segs = np.asarray(segs, dtype=np.int64)
         self._max_cycles = max_cycles
         self.iregs, self.fregs = _bank_dict(ivals), _bank_dict(fvals)
         self.cycles, self.instructions = replay(self._segs, spec, max_cycles)

@@ -10,10 +10,13 @@ when saturated), and breaker quarantine surfacing as HTTP 503.
 import gc
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.resilience import faults, supervisor
 from repro.resilience.chaos import load_plan, run_chaos
 from repro.resilience.faults import FaultPlan, FaultSite
@@ -148,6 +151,43 @@ class TestSupervisedPool:
                 assert pool.submit(_square, i, key=f"fd-{i}").result(
                     timeout=30) == i * i
         assert open_fds() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="needs /proc")
+    def test_workers_die_with_a_killed_owner(self):
+        """A SIGKILLed process that owns a pool never closes it; its fork
+        workers must still exit rather than wait on their inboxes."""
+        owner = subprocess.Popen(
+            [sys.executable, "-c",
+             "import time\n"
+             "from repro.resilience.supervisor import SupervisedPool\n"
+             "pool = SupervisedPool(3)\n"
+             "print(*sorted(w['pid'] for w in pool.status()['workers']),"
+             " flush=True)\n"
+             "time.sleep(600)\n"],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(
+                os.path.dirname(repro.__file__))})
+        try:
+            pids = [int(p) for p in owner.stdout.readline().split()]
+            assert len(pids) == 3
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+
+        def gone(pid: int) -> bool:
+            # a container's pid 1 may never reap an orphan: a zombie is dead
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+            except FileNotFoundError:
+                return True
+
+        deadline = time.monotonic() + 5.0
+        while not all(map(gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [p for p in pids if not gone(p)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,175 @@ L:
         assert interp.instructions == compiled.instructions
         assert interp.iregs == compiled.iregs
 
+    # -- faults inside a self-loop block: registers live in locals there,
+    # and one write-back must leave the banks as the interpreter's are
+
+    def test_loop_division_by_zero_on_the_third_iteration(self):
+        text = """
+function t:
+A:
+  r1i = 0
+L:
+  r1i = r1i + 1
+  r3i = r2i - r1i
+  r4i = r5i / r3i
+  blt (r1i 10) L
+  halt
+"""
+        assert _loops(text) == ["L"]
+        msg = _error_both(text, SimulationError, iregs={2: 3, 5: 10})
+        assert msg.startswith("division by zero: <div r4i r5i r3i")
+
+    def test_loop_side_exit_target_reads_an_uninitialized_register(self):
+        text = """
+function t:
+A:
+  r1i = 0
+L:
+  r1i = r1i + 1
+  beq (r1i 5) X
+  blt (r1i 10) L
+  halt
+X:
+  r3i = r1i + r9i
+  halt
+"""
+        assert _loops(text) == ["L"]
+        msg = _error_both(text, SimulationError)
+        assert msg.startswith(
+            "read of uninitialized register: <add r3i r1i r9i")
+
+    def test_loop_load_walks_off_an_eight_word_array(self):
+        text = """
+function t:
+A:
+  r1i = 0
+L:
+  r2f = MEM(A+r1i)
+  r1i = r1i + 4
+  blt (r1i 100) L
+  halt
+"""
+        assert _loops(text, _eight_word_memory) == ["L"]
+        msg = _error_both(text, SimMemoryError, mem_fn=_eight_word_memory)
+        assert msg.startswith(
+            f"load from uninitialized address {0x1000 + 8 * 4:#x}")
+
+    @pytest.mark.parametrize("back_edge", ["jmp L", "blt (r1i 1000000) L"])
+    def test_loop_with_a_body_runs_away(self, back_edge):
+        text = f"""
+function t:
+A:
+  r1i = 0
+L:
+  r1i = r1i + 1
+  r2i = r1i * 2
+  {back_edge}
+  halt
+"""
+        assert _loops(text) == ["L"]
+        msg = _error_both(text, SimulationError, max_cycles=300)
+        assert msg == "exceeded 300 cycles in t (at block L)"
+
+    def test_loop_exits_before_writing_a_write_only_register(self):
+        text = """
+function t:
+A:
+  r1i = 0
+L:
+  r1i = r1i + 1
+  bge (r1i 1) X
+  r5i = r1i * 2
+  jmp L
+X:
+  halt
+"""
+        assert _loops(text) == ["L"]
+        interp, compiled = _run_both(text)
+        assert 5 not in compiled.iregs
+        assert (interp.iregs, interp.cycles, interp.instructions) == (
+            compiled.iregs, compiled.cycles, compiled.instructions)
+        msg = _error_both(text.replace("X:\n  halt", "X:\n  r6i = r5i + 1"),
+                          SimulationError)
+        assert msg.startswith(
+            "read of uninitialized register: <add r6i r5i 1")
+
+    def test_loop_uninitialized_vector_operand(self):
+        text = """
+function t:
+A:
+  r1i = 0
+L:
+  r1vf = vpackf.2(r1f, r2f)
+  r2vf = vfadd.2(r1vf, r3vf)
+  r1i = r1i + 1
+  blt (r1i 4) L
+  halt
+"""
+        assert _loops(text) == ["L"]
+        msg = _error_both(text, SimulationError, fregs={1: 1.0, 2: 2.0})
+        assert msg.startswith(
+            "read of uninitialized register: <vfadd r2vf r1vf r3vf")
+
+    def test_loop_vector_divide_by_a_zero_lane(self):
+        text = """
+function t:
+A:
+  r1i = 0
+L:
+  r2f = r2f - 0.5
+  r1vf = vpackf.2(r1f, r2f)
+  r2vf = vfdiv.2(r1vf, r1vf)
+  r1i = r1i + 1
+  blt (r1i 10) L
+  halt
+"""
+        assert _loops(text) == ["L"]
+        msg = _error_both(text, SimulationError, fregs={1: 4.0, 2: 1.0})
+        assert msg.startswith("division by zero: <vfdiv r2vf r1vf r1vf")
+
+    def test_loop_side_exit_writes_back_the_end_state(self):
+        interp, compiled = _run_both(
+            """
+function t:
+A:
+  r1i = 0
+L:
+  r1i = r1i + 1
+  r1f = r1f + 1.5
+  r7i = r1i * 3
+  r3vf = vpackf.2(r1f, r1f)
+  r4vf = vfmul.2(r3vf, r3vf)
+  r2f = vextf.2(r4vf, 1)
+  beq (r1i 7) X
+  blt (r1i 100) L
+  halt
+X:
+  r2i = r1i + r7i
+  halt
+""",
+            fregs={1: 0.0},
+        )
+        assert (interp.cycles, interp.instructions) == (
+            compiled.cycles, compiled.instructions)
+        assert interp.iregs == compiled.iregs
+        assert repr(interp.fregs) == repr(compiled.fregs)
+        assert compiled.iregs[2] == 28 and compiled.fregs[2] == 10.5 ** 2
+
+
+def _loops(text, mem_fn=None) -> list[str]:
+    """Labels of the blocks the compiled engine runs as self-loops."""
+    f = parse_function(text)
+    mem = mem_fn() if mem_fn else Memory()
+    plan = exec_plan(compiled_program(f, unlimited(), mem.symbols))
+    return [b.label for b, loop in zip(f.blocks, plan.block_loops) if loop]
+
+
+def _eight_word_memory():
+    m = Memory()
+    m.bind_array("A", np.arange(8.0))
+    return m
+
 
 def _one_slot_memory():
     m = Memory()
