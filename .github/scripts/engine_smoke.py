@@ -24,10 +24,18 @@ stencil nest — at Conv/Lev4/Lev5 x widths 1/2/4/8: the compiled engine
 (``BatchedRunner``: execute once, replay per width) must match the
 interpreter exactly there too, again without calling it.
 
+The off-the-end step runs a daxpy whose loop reads one element past
+``n`` at Conv/Lev4/Lev5: the block code, the interpreter and the
+reference evaluator must each fault with the same ``load from
+uninitialized address`` message, naming that element's address or the
+base of a vector load that reaches it (the memory rule of
+``repro.sim.memory``).
+
 Run:  python .github/scripts/engine_smoke.py
 """
 
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -38,6 +46,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np                                     # noqa: E402
 
 import repro.sim.simulator as simulator                # noqa: E402
+from repro.check.refeval import RefEvalError, ref_eval  # noqa: E402
 from repro.experiments.sweep import (                  # noqa: E402
     run_config, run_sweep, strip_timings,
 )
@@ -45,12 +54,13 @@ from repro.frontend.ast import (                       # noqa: E402
     ArrayDecl, Kernel, Ty, aref, assign, do, if_, var,
 )
 from repro.harness import (                            # noqa: E402
-    BatchedRunner, ilp_transform, lower_conv, run_compiled_kernel,
-    schedule_kernel,
+    BatchedRunner, bind_inputs, ilp_transform, lower_conv,
+    run_compiled_kernel, schedule_kernel,
 )
 from repro.ir.instructions import Kind                 # noqa: E402
 from repro.machine import MachineConfig                # noqa: E402
 from repro.pipeline import Level                       # noqa: E402
+from repro.sim import SimMemoryError                   # noqa: E402
 from repro.workloads import get_workload, ints         # noqa: E402
 
 #: reduced but shape-diverse: FP DOALL, serial reductions, a search
@@ -149,6 +159,62 @@ def _long_traces(interp_calls: list) -> tuple[int, int]:
     return n_cfg, bad
 
 
+#: the off-the-end step: trip count
+OFF_END_N = 256
+
+
+def _fault(run) -> str:
+    """The message of the memory fault ``run()`` raises, or "no error"."""
+    try:
+        run()
+    except (SimMemoryError, RefEvalError) as e:
+        return str(e)
+    return "no error"
+
+
+def _off_the_end() -> tuple[int, int]:
+    """(levels, failing levels) of the off-the-end step: ``Y(i) = Y(i) +
+    a * X(i + 1)`` for i = 1..n reads X's first pad word on the last
+    iteration, and all three executors must fault there alike."""
+    n = OFF_END_N
+    fp = Ty.FP
+    i = var("i")
+    kernel = Kernel(
+        "daxpy_off_end",
+        arrays={"X": ArrayDecl(fp, (n,)), "Y": ArrayDecl(fp, (n,))},
+        scalars={"a": fp},
+        body=[do("i", 1, n, [
+            assign(aref("Y", i), aref("Y", i) + var("a") * aref("X", i + 1)),
+        ], kind="doall")])
+    rng = np.random.default_rng(0)
+    arrays, scalars = {"X": ints(rng, n), "Y": ints(rng, n)}, {"a": 3.0}
+    conv = lower_conv(kernel)
+    machine = MachineConfig(issue_width=4)
+    bad = 0
+    for level in LONG_LEVELS:
+        ck = schedule_kernel(ilp_transform(conv.clone(), level, machine),
+                             machine)
+        mem, iregs, fregs = bind_inputs(ck.lowered, arrays, scalars)
+        past = mem.symbols["X"] + 4 * n
+        msgs = {
+            "compiled": _fault(lambda: run_compiled_kernel(
+                ck, arrays, scalars, engine="compiled")),
+            "interp": _fault(lambda: run_compiled_kernel(
+                ck, arrays, scalars, engine="interp")),
+            "ref_eval": _fault(lambda: ref_eval(ck.func, mem, iregs, fregs)),
+        }
+        m = re.match(r"load from uninitialized address (0x[0-9a-f]+): ",
+                     msgs["compiled"])
+        # the faulting load is X(n + 1)'s, or (Lev5) a vector load whose
+        # lanes (eight at most) reach it; the message names its base
+        if (not m or not 0 <= past - int(m.group(1), 16) < 4 * 8
+                or len(set(msgs.values())) != 1):
+            print(f"FAIL: off-the-end {level.label}: {msgs!r}, expected "
+                  f"one load fault reaching {past:#x}")
+            bad += 1
+    return len(LONG_LEVELS), bad
+
+
 @contextmanager
 def _counting(calls: list):
     """Record every call into the interpreter while the block runs."""
@@ -228,13 +294,20 @@ def main() -> int:
               f"{len(long_calls)} times, first {long_calls[:5]}")
         return 1
 
+    n_off, off_bad = _off_the_end()
+    if off_bad:
+        print(f"FAIL: {off_bad}/{n_off} off-the-end levels do not fault "
+              f"alike at the element past n")
+        return 1
+
     print(f"OK: {len(interp.results)} configurations byte-identical across "
           f"engines, 0 interpreter calls in the compiled sweep (interp "
           f"{t_interp:.2f}s, compiled {t_compiled:.2f}s, "
           f"{t_interp / t_compiled:.2f}x end-to-end); "
           f"{len(wls) * len(LEVELS)} fp-limited configurations identical; "
           f"{n_long} long-trace (n={LONG_N}) configurations identical, "
-          f"0 interpreter calls")
+          f"0 interpreter calls; {n_off} off-the-end levels fault alike "
+          f"at the element past n in all three executors")
     return 0
 
 

@@ -78,7 +78,8 @@ def ref_eval(
     through to the next block in layout order unless a taken branch/jump
     redirects it, exactly like the simulator's control model.  Reads of
     never-written registers or uninitialized memory raise
-    :class:`RefEvalError` rather than inventing zeros.
+    :class:`RefEvalError` rather than inventing zeros, and so does a
+    store outside memory (the rule of :mod:`repro.sim.memory`).
     """
     memory = memory if memory is not None else Memory()
     ivals: dict[int, int] = dict(iregs or {})
@@ -148,17 +149,22 @@ def ref_eval(
                 ivals[ins.dest.id] = math.trunc(fetch(ins.srcs[0], ins))
             elif ins.kind is Kind.LOAD:
                 addr = fetch(ins.srcs[0], ins) + fetch(ins.srcs[1], ins)
-                try:
-                    v = words[addr >> 2]
-                except KeyError:
+                w = addr >> 2
+                v = words[w] if 0 <= w < len(words) else None
+                if v is None:
                     raise RefEvalError(
                         f"load from uninitialized address {addr:#x}: {ins!r}"
-                    ) from None
+                    )
                 banks[ins.dest.cls][ins.dest.id] = v
             elif ins.kind is Kind.STORE:
                 addr = fetch(ins.srcs[0], ins) + fetch(ins.srcs[1], ins)
                 v = fetch(ins.srcs[2], ins)
-                words[addr >> 2] = v
+                w = addr >> 2
+                if not 0 <= w < len(words):
+                    raise RefEvalError(
+                        f"store to unmapped address {addr:#x}: {ins!r}"
+                    )
+                words[w] = v
                 if log_stores:
                     stores.append(StoreEvent(steps, addr, v, ins))
             elif vfn2 is not None:
@@ -179,18 +185,23 @@ def ref_eval(
             elif ins.kind is Kind.VEC_LOAD:
                 addr = fetch(ins.srcs[0], ins) + fetch(ins.srcs[1], ins)
                 w = addr >> 2
-                try:
-                    v = tuple(words[w + j] for j in range(ins.lanes))
-                except KeyError:
+                # a slice stops at the top: a short one crossed it
+                v = tuple(words[w:w + ins.lanes]) if w >= 0 else ()
+                if len(v) < ins.lanes or None in v:
                     raise RefEvalError(
                         f"load from uninitialized address {addr:#x}: {ins!r}"
-                    ) from None
+                    )
                 banks[ins.dest.cls][ins.dest.id] = v
             elif ins.kind is Kind.VEC_STORE:
                 addr = fetch(ins.srcs[0], ins) + fetch(ins.srcs[1], ins)
                 v = fetch(ins.srcs[2], ins)
                 w = addr >> 2
                 for j in range(ins.lanes):
+                    # lane by lane, as the simulator writes them
+                    if not 0 <= w + j < len(words):
+                        raise RefEvalError(
+                            f"store to unmapped address {addr:#x}: {ins!r}"
+                        )
                     words[w + j] = v[j]
                     if log_stores:
                         stores.append(

@@ -13,7 +13,9 @@ loop body — becomes a ``while`` loop over register locals::
         fv1, fv2, fv3 = _g3fv(fv)   # itemgetter(1, 2, 3)
         try:
             while True:
-                fv2 = mem[(iv5 + 4096) >> 2]
+                _w = (iv5 + 4096) >> 2
+                if _w < 0 or (_v := mem[_w]) is None: raise IndexError
+                fv2 = _v
                 fv3 = fv2 * fv1
                 iv5 = iv5 + 4
                 if iv5 < iv6:
@@ -31,9 +33,8 @@ loop body — becomes a ``while`` loop over register locals::
         return _s
 
 Every other block is straight-line code on the banks themselves
-(``fv[2] = mem[(iv[5] + 4096) >> 2]`` ... ``return 8``): it runs once
-per call, so loading and writing back locals would cost more than the
-subscripts it saves.
+(``fv[2] = _v`` ... ``return 8``): it runs once per call, so loading
+and writing back locals would cost more than the subscripts it saves.
 
 Each function returns a *segment id* identifying how the block exited:
 either a specific taken control instruction or the fall-through.  Running
@@ -60,8 +61,15 @@ codegen artifact like ``NameError``):
   so the generator emits explicit guards for equality branches and store
   values (calling ``_ur``/``_us``, which raise the interpreter's
   messages directly);
-* division by zero and loads from unbound addresses translate the same
-  way (``ZeroDivisionError``/``KeyError`` at a known line).
+* division by zero translates the same way (``ZeroDivisionError`` at a
+  known line);
+* memory is the :class:`~repro.sim.memory.Memory` word list: a load
+  that reads ``None`` (an unbound word) or a negative index (which a
+  list would wrap) raises ``IndexError`` explicitly, as indexing past
+  the top does by itself; a store checks the negative index, and past
+  the top raises by itself.  ``IndexError`` at a load or store line
+  becomes the interpreter's ``load from uninitialized address`` /
+  ``store to unmapped address``.
 
 Element-wise vector ops are inline lane tuples (``(a[0] + b[0], a[1] +
 b[1], ...)``) with each lane's operator the scalar one of
@@ -329,41 +337,50 @@ class ExecPlan:
             out.extend("    " + s for s in self._exit(seg, b))
             return out
         if cat == C_LOAD:
-            addr = self._addr_expr(ci.srcs[0], ci.srcs[1])
-            return [f"{self._dest(ci)} = mem[{addr}]"]
+            # an unbound word reads None, one past the top raises
+            # IndexError, a negative index would wrap: all three raise
+            # IndexError, which translate_error reports; the value goes
+            # through _v so the address operands stay intact for it
+            return [
+                f"_w = {self._addr_expr(ci.srcs[0], ci.srcs[1])}",
+                "if _w < 0 or (_v := mem[_w]) is None: raise IndexError",
+                f"{self._dest(ci)} = _v",
+            ]
         if cat == C_STORE:
             s0, s1, sv = ci.srcs
-            addr = self._addr_expr(s0, s1)
+            out = [f"_a = {self._addr_expr(s0, s1)}"]
             if sv[0] == CONST:
-                return [f"mem[{addr}] = {self._expr(sv)}"]
-            # interpreter order: fetch value, compute address (TypeError ->
-            # uninitialized *read*), THEN reject a None value as an
-            # uninitialized *store* — keep the address first here so the
-            # read error wins when both apply
-            return [
-                f"_a = {addr}",
-                f"_v = {self._expr(sv)}",
-                f"if _v is None: _us({gi})",
-                "mem[_a] = _v",
-            ]
+                val = self._expr(sv)
+            else:
+                # interpreter order: fetch value, compute address
+                # (TypeError -> uninitialized *read*), THEN reject a None
+                # value as an uninitialized *store* — keep the address
+                # first here so the read error wins when both apply
+                out += [f"_v = {self._expr(sv)}", f"if _v is None: _us({gi})"]
+                val = "_v"
+            # past the top raises IndexError itself
+            return out + ["if _a < 0: raise IndexError", f"mem[_a] = {val}"]
         if cat == C_VLOAD:
-            # fn holds the lane count; lanes occupy consecutive words
-            lanes = ci.fn
+            # fn holds the lane count; lanes occupy consecutive words, and
+            # every lane follows the scalar load's rule
             words = ", ".join(
-                f"mem[_w + {j}]" if j else "mem[_w]" for j in range(lanes)
+                f"mem[_w + {j}]" if j else "mem[_w]" for j in range(ci.fn)
             )
             return [
                 f"_w = {self._addr_expr(ci.srcs[0], ci.srcs[1])}",
-                f"{self._dest(ci)} = ({words})",
+                f"if _w < 0 or None in (_v := ({words})): raise IndexError",
+                f"{self._dest(ci)} = _v",
             ]
         if cat == C_VSTORE:
             s0, s1, sv = ci.srcs
             # same commit order as the scalar store: address first (read
             # error wins), then the uninitialized-value guard, then writes
+            # lane by lane, up to the top
             out = [
                 f"_a = {self._addr_expr(s0, s1)}",
                 f"_v = {self._expr(sv)}",
                 f"if _v is None: _us({gi})",
+                "if _a < 0: raise IndexError",
             ]
             out.extend(
                 f"mem[_a + {j}] = _v[{j}]" if j else "mem[_a] = _v[0]"
@@ -447,10 +464,15 @@ class ExecPlan:
         banks = (iv, fv, None, vi, vf)
         vals = [k2 if b2 == CONST else banks[b2][k2] for b2, k2 in ci.srcs]
         ins = ci.instr
-        if isinstance(exc, KeyError) and ci.cat in (C_LOAD, C_VLOAD):
+        if isinstance(exc, IndexError) and ci.cat in (C_LOAD, C_VLOAD):
             addr = vals[0] + vals[1]
             raise SimMemoryError(
                 f"load from uninitialized address {addr:#x}: {ins!r}"
+            ) from None
+        if isinstance(exc, IndexError) and ci.cat in (C_STORE, C_VSTORE):
+            addr = vals[0] + vals[1]
+            raise SimMemoryError(
+                f"store to unmapped address {addr:#x}: {ins!r}"
             ) from None
         if isinstance(exc, ZeroDivisionError):
             raise SimulationError(f"division by zero: {ins!r}") from None
@@ -530,7 +552,7 @@ def execute_plan(
                 )
     except (SimulationError, SimMemoryError):
         raise
-    except (TypeError, KeyError, ZeroDivisionError) as e:
+    except (TypeError, IndexError, ZeroDivisionError) as e:
         plan.translate_error(e, iv, fv, vi, vf)
         raise
     return segs, iv, fv

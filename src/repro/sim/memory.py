@@ -9,16 +9,32 @@ memory is a flat store.
 Arrays are bound FORTRAN-style: column-major, 1-based subscripts by
 convention of the frontend (the lowering handles index arithmetic; memory
 itself is flat).
+
+The store is one Python list of words, indexed by ``address >> 2``: 1024
+unbound (``None``) words below ``0x1000``, then each bound array's words
+followed by 8 unbound pad words.  Its length is the *top*.  Every executor
+(the block code, the interpreter, the reference evaluator) applies one
+rule:
+
+* a load from a word that is not bound — padding, below the first array,
+  at or past the top, or a negative address — raises ``load from
+  uninitialized address``, on every lane of a vector load;
+* a store inside ``[0, top)`` is accepted (padding and the low region
+  included); a store at a negative address or at or past the top raises
+  ``store to unmapped address``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 #: bytes per element / addressing granularity
 WORD = 4
+
+#: unbound words below the first array (addresses ``[0, 0x1000)``)
+_LOW_WORDS = 0x1000 // WORD
+#: unbound words after each array
+_PAD_WORDS = 8
 
 
 class SimMemoryError(RuntimeError):
@@ -29,8 +45,7 @@ class Memory:
     """Flat word-granular memory with array binding helpers."""
 
     def __init__(self) -> None:
-        self._words: dict[int, float | int] = {}
-        self._next_base = 0x1000  # leave low addresses unused
+        self._words: list = [None] * _LOW_WORDS
         self._arrays: dict[str, tuple[int, int]] = {}  # name -> (base, n_words)
         self.symbols: dict[str, int] = {}
 
@@ -39,30 +54,33 @@ class Memory:
     def load(self, addr: int) -> float | int:
         if addr % WORD:
             raise SimMemoryError(f"unaligned load at {addr:#x}")
-        try:
-            return self._words[addr // WORD]
-        except KeyError:
-            raise SimMemoryError(f"load from uninitialized address {addr:#x}") from None
+        w = addr // WORD
+        v = self._words[w] if 0 <= w < len(self._words) else None
+        if v is None:
+            raise SimMemoryError(f"load from uninitialized address {addr:#x}")
+        return v
 
     def store(self, addr: int, value: float | int) -> None:
         if addr % WORD:
             raise SimMemoryError(f"unaligned store at {addr:#x}")
-        self._words[addr // WORD] = value
+        w = addr // WORD
+        if not 0 <= w < len(self._words):
+            raise SimMemoryError(f"store to unmapped address {addr:#x}")
+        self._words[w] = value
 
     # -- array binding --------------------------------------------------------
 
     def bind_array(self, name: str, data: np.ndarray) -> int:
         """Copy ``data`` into memory (column-major order) and create a symbol
         for its base address.  Returns the base address."""
-        flat = np.asarray(data).flatten(order="F")
-        n = flat.size
-        base = self._next_base
-        self._next_base += (n + 8) * WORD  # pad between arrays
-        w = base // WORD
+        flat = np.asarray(data).ravel(order="F")
+        words = self._words
+        base = len(words) * WORD
         # tolist() converts to native int/float in one pass (the simulator
         # computes in exact Python semantics, never numpy scalars)
-        self._words.update(zip(range(w, w + n), flat.tolist()))
-        self._arrays[name] = (base, n)
+        words.extend(flat.tolist())
+        words.extend([None] * _PAD_WORDS)
+        self._arrays[name] = (base, flat.size)
         self.symbols[name] = base
         return base
 
@@ -73,12 +91,8 @@ class Memory:
         if want > n:
             raise SimMemoryError(f"array {name} has {n} words, asked for {want}")
         w = base // WORD
-        flat = np.fromiter(map(self._words.__getitem__, range(w, w + want)),
-                           dtype, count=want)
+        flat = np.fromiter(self._words[w:w + want], dtype, count=want)
         return flat.reshape(shape, order="F")
 
     def array_base(self, name: str) -> int:
         return self._arrays[name][0]
-
-    def __len__(self) -> int:
-        return len(self._words)

@@ -298,20 +298,21 @@ def run_compiled(
                 banks_ready[db][di] = cycle + lat
             elif cat == LOAD:
                 b0, k0, b1, k1 = srcs
-                addr = -1
                 try:
                     addr = (k0 if b0 == KONST else ivals[k0]) + (
                         k1 if b1 == KONST else ivals[k1]
                     )
-                    banks_vals[db][di] = mem[addr >> 2]
-                except KeyError:
-                    raise SimMemoryError(
-                        f"load from uninitialized address {addr:#x}: {meta[2]!r}"
-                    ) from None
                 except TypeError:
                     raise SimulationError(
                         f"read of uninitialized register: {meta[2]!r}"
                     ) from None
+                w = addr >> 2
+                v = mem[w] if 0 <= w < len(mem) else None
+                if v is None:
+                    raise SimMemoryError(
+                        f"load from uninitialized address {addr:#x}: {meta[2]!r}"
+                    )
+                banks_vals[db][di] = v
                 banks_ready[db][di] = cycle + lat
             elif cat == STORE:
                 b0, k0, b1, k1, bv, kv = srcs
@@ -328,7 +329,12 @@ def run_compiled(
                     raise SimulationError(
                         f"store of uninitialized register: {meta[2]!r}"
                     )
-                mem[addr >> 2] = v
+                w = addr >> 2
+                if not 0 <= w < len(mem):
+                    raise SimMemoryError(
+                        f"store to unmapped address {addr:#x}: {meta[2]!r}"
+                    )
+                mem[w] = v
             elif cat == BRANCH:
                 b0, k0, b1, k1 = srcs
                 v0 = k0 if b0 == KONST else banks_vals[b0][k0]
@@ -366,21 +372,22 @@ def run_compiled(
             elif cat == VLOAD:
                 # fn holds the lane count; lanes occupy consecutive words
                 b0, k0, b1, k1 = srcs
-                addr = -1
                 try:
                     addr = (k0 if b0 == KONST else ivals[k0]) + (
                         k1 if b1 == KONST else ivals[k1]
                     )
-                    w = addr >> 2
-                    banks_vals[db][di] = tuple(mem[w + j] for j in range(fn))
-                except KeyError:
-                    raise SimMemoryError(
-                        f"load from uninitialized address {addr:#x}: {meta[2]!r}"
-                    ) from None
                 except TypeError:
                     raise SimulationError(
                         f"read of uninitialized register: {meta[2]!r}"
                     ) from None
+                w = addr >> 2
+                # a slice stops at the top: a short one crossed it
+                v = tuple(mem[w:w + fn]) if w >= 0 else ()
+                if len(v) < fn or None in v:
+                    raise SimMemoryError(
+                        f"load from uninitialized address {addr:#x}: {meta[2]!r}"
+                    )
+                banks_vals[db][di] = v
                 banks_ready[db][di] = cycle + lat
             elif cat == VSTORE:
                 b0, k0, b1, k1, bv, kv = srcs
@@ -399,6 +406,11 @@ def run_compiled(
                     )
                 w = addr >> 2
                 for j in range(fn):
+                    # lane by lane, as the block code writes them
+                    if not 0 <= w + j < len(mem):
+                        raise SimMemoryError(
+                            f"store to unmapped address {addr:#x}: {meta[2]!r}"
+                        )
                     mem[w + j] = v[j]
             elif cat == ALUN:
                 # variadic pack: gather one lane per source into a tuple

@@ -37,9 +37,13 @@ from repro.check.oracle import (
 )
 from repro.check.refeval import RefEvalError, ref_eval, reference_run
 from repro.ir import parse_function
+from repro.machine import unlimited
 from repro.pipeline import ALL_LEVELS, Level
+from repro.sim import SimMemoryError, simulate
 from repro.sim.executor import _idiv, _irem
 from repro.workloads import get_workload
+
+from . import _memory_rule as rule
 
 
 class TestRefEval:
@@ -104,6 +108,28 @@ class TestRefEval:
             (100, 1.5), (100, 2.5)
         ]
         assert res.memory._words[100 >> 2] == 2.5
+
+    # the memory rule (repro.sim.memory), as the simulator applies it
+
+    @pytest.mark.parametrize("case", sorted(rule.FAULTS))
+    def test_memory_fault_matches_the_simulator(self, case):
+        ops, addr, prefix = rule.FAULTS[case]
+        f = parse_function(rule.function_text(ops, "straight"))
+        with pytest.raises(RefEvalError) as ref:
+            ref_eval(f, rule.memory(), iregs={3: addr}, fregs={4: 2.5})
+        with pytest.raises(SimMemoryError) as sim:
+            simulate(f, unlimited(), rule.memory(), {3: addr}, {4: 2.5},
+                     engine="interp")
+        assert str(ref.value).startswith(f"{prefix} {addr:#x}: <")
+        assert str(ref.value) == str(sim.value)
+
+    @pytest.mark.parametrize("case", sorted(rule.ACCEPTED))
+    def test_store_below_the_top_is_accepted(self, case):
+        addr = rule.ACCEPTED[case]
+        f = parse_function(rule.function_text(rule.STORE_THEN_LOAD,
+                                              "straight"))
+        res = ref_eval(f, rule.memory(), iregs={3: addr}, fregs={4: 2.5})
+        assert res.fregs[5] == 2.5 and res.memory.load(addr) == 2.5
 
     def test_golden_run_matches_workload_reference(self):
         # the naive-lowered golden state agrees with the NumPy reference

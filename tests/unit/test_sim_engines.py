@@ -14,9 +14,10 @@ Three layers of evidence:
   :class:`repro.harness.BatchedRunner`) against independent full
   simulations of every width, slot-limited machines included;
 * error-semantics parity: reads of never-written registers, division
-  by zero, and unmapped memory must raise the same exception type with
-  the same message from generated block code as from the interpreter —
-  never a ``NameError``/``IndexError`` leaking codegen internals.
+  by zero, loads from unbound words and stores outside memory must
+  raise the same exception type with the same message from generated
+  block code as from the interpreter — never a ``NameError`` or
+  ``IndexError`` leaking codegen internals.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ from repro.sim import (
     simulate,
 )
 from repro.workloads import get_workload
+
+from . import _memory_rule as rule
 
 ORACLE_KERNELS = (
     "add", "sum", "dotprod", "maxval", "merge",
@@ -381,6 +384,34 @@ class TestErrorParity:
             "function t:\nA:\n  r1f = MEM(r2i+0)\n  halt\n",
             SimMemoryError, iregs={2: 0x4000},
         )
+
+    # -- the memory rule (repro.sim.memory): a load from an unbound word
+    # and a store outside [0, top) fault alike in block code of both
+    # forms and in the interpreter, negative addresses included
+
+    @pytest.mark.parametrize("form", ["straight", "loop"])
+    @pytest.mark.parametrize("case", sorted(rule.FAULTS))
+    def test_memory_fault(self, case, form):
+        ops, addr, prefix = rule.FAULTS[case]
+        text = rule.function_text(ops, form)
+        assert _loops(text, rule.memory) == ([] if form == "straight"
+                                             else ["L"])
+        msg = _error_both(text, SimMemoryError, mem_fn=rule.memory,
+                          iregs={3: addr}, fregs={4: 2.5})
+        assert msg.startswith(f"{prefix} {addr:#x}: <"), msg
+
+    @pytest.mark.parametrize("form", ["straight", "loop"])
+    @pytest.mark.parametrize("case", sorted(rule.ACCEPTED))
+    def test_store_below_the_top_is_accepted(self, case, form):
+        addr = rule.ACCEPTED[case]
+        interp, compiled = _run_both(
+            rule.function_text(rule.STORE_THEN_LOAD, form),
+            mem_fn=rule.memory, iregs={3: addr}, fregs={4: 2.5})
+        for res in (interp, compiled):
+            assert res.fregs[5] == 2.5
+            assert res.memory.load(addr) == 2.5
+        assert (interp.cycles, interp.instructions) == (
+            compiled.cycles, compiled.instructions)
 
     def test_runaway_loop(self):
         msg = _error_both(
