@@ -1,19 +1,20 @@
 """CI engine smoke: run a reduced sweep grid under the compiled engine
-and the reference interpreter and require byte-identical results.
+and the reference and require byte-identical results.
 
 The trace-once / time-many engine (DESIGN.md §13) times every cell;
-the interpreter (``engine="interp"``) is the reference it must match:
-the same cycles, instruction counts, final memory/register state, and
-derived metrics for every configuration.  This script is the
+the reference (``engine="interp"``: the sequential reference evaluator
+timed by ``repro.check.timing``) is what it must match: the same
+cycles, instruction counts, final memory/register state, and derived
+metrics for every configuration.  This script is the
 cross-engine identity gate — it diffs the two sweeps field-by-field
 (ignoring only the ``t_*`` wall-clock phase timings, which differ
 between engines by definition) and reports the wall-clock ratio as a
 perf smoke signal without gating on it (CI runners are too noisy for a
 hard threshold; the gated numbers live in benchmarks/bench_sim_perf.py).
 
-It also requires that the compiled sweep never called the interpreter:
+It also requires that the compiled sweep never called the reference:
 identical numbers prove nothing about the replay path if the
-interpreter produced both.  The same identity is then required on the
+reference produced both.  The same identity is then required on the
 slot-limited machine of ``benchmarks/bench_ablation_slots.py``, every
 workload at every level, through ``run_config``.
 
@@ -22,12 +23,11 @@ four corpus-shaped kernels at n = 4096 — a DOALL loop with stores, a
 serial FP reduction, a search loop with a side exit and a 2-deep
 stencil nest — at Conv/Lev4/Lev5 x widths 1/2/4/8: the compiled engine
 (``BatchedRunner``: execute once, replay per width) must match the
-interpreter exactly there too, again without calling it.
+reference exactly there too, again without calling it.
 
 The off-the-end step runs a daxpy whose loop reads one element past
-``n`` at Conv/Lev4/Lev5: the block code, the interpreter and the
-reference evaluator must each fault with the same ``load from
-uninitialized address`` message, naming that element's address or the
+``n`` at Conv/Lev4/Lev5: the block code and the reference must each
+fault with the same ``load from uninitialized address`` message, naming that element's address or the
 base of a vector load that reaches it (the memory rule of
 ``repro.sim.memory``).
 
@@ -45,8 +45,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np                                     # noqa: E402
 
-import repro.sim.simulator as simulator                # noqa: E402
-from repro.check.refeval import RefEvalError, ref_eval  # noqa: E402
+import repro.check.timing as timing                   # noqa: E402
 from repro.experiments.sweep import (                  # noqa: E402
     run_config, run_sweep, strip_timings,
 )
@@ -132,13 +131,13 @@ def _run_diff(key, a, b) -> bool:
     bad += [f"array {name}" for name in sorted(set(a.arrays) | set(b.arrays))
             if not np.array_equal(a.arrays.get(name), b.arrays.get(name))]
     for f in bad:
-        print(f"FAIL: {key}: {f} differs between interp and compiled")
+        print(f"FAIL: {key}: {f} differs between reference and compiled")
     return bool(bad)
 
 
 def _long_traces(interp_calls: list) -> tuple[int, int]:
     """(configurations, diverging configurations) of the long-trace step;
-    the compiled side's interpreter calls land in ``interp_calls``."""
+    the compiled side's reference calls land in ``interp_calls``."""
     n_cfg = bad = 0
     for kernel, arrays, scalars in _long_kernels(LONG_N):
         conv = lower_conv(kernel)
@@ -167,7 +166,7 @@ def _fault(run) -> str:
     """The message of the memory fault ``run()`` raises, or "no error"."""
     try:
         run()
-    except (SimMemoryError, RefEvalError) as e:
+    except SimMemoryError as e:
         return str(e)
     return "no error"
 
@@ -175,7 +174,7 @@ def _fault(run) -> str:
 def _off_the_end() -> tuple[int, int]:
     """(levels, failing levels) of the off-the-end step: ``Y(i) = Y(i) +
     a * X(i + 1)`` for i = 1..n reads X's first pad word on the last
-    iteration, and all three executors must fault there alike."""
+    iteration, and both executors must fault there alike."""
     n = OFF_END_N
     fp = Ty.FP
     i = var("i")
@@ -194,15 +193,11 @@ def _off_the_end() -> tuple[int, int]:
     for level in LONG_LEVELS:
         ck = schedule_kernel(ilp_transform(conv.clone(), level, machine),
                              machine)
-        mem, iregs, fregs = bind_inputs(ck.lowered, arrays, scalars)
+        mem, _, _ = bind_inputs(ck.lowered, arrays, scalars)
         past = mem.symbols["X"] + 4 * n
-        msgs = {
-            "compiled": _fault(lambda: run_compiled_kernel(
-                ck, arrays, scalars, engine="compiled")),
-            "interp": _fault(lambda: run_compiled_kernel(
-                ck, arrays, scalars, engine="interp")),
-            "ref_eval": _fault(lambda: ref_eval(ck.func, mem, iregs, fregs)),
-        }
+        msgs = {engine: _fault(lambda: run_compiled_kernel(
+                    ck, arrays, scalars, engine=engine))
+                for engine in ("compiled", "interp")}
         m = re.match(r"load from uninitialized address (0x[0-9a-f]+): ",
                      msgs["compiled"])
         # the faulting load is X(n + 1)'s, or (Lev5) a vector load whose
@@ -217,18 +212,18 @@ def _off_the_end() -> tuple[int, int]:
 
 @contextmanager
 def _counting(calls: list):
-    """Record every call into the interpreter while the block runs."""
-    real = simulator.run_compiled
+    """Record every call into the reference while the block runs."""
+    real = timing.run_reference
 
-    def counted(prog, *args, **kwargs):
-        calls.append(prog.func.name)
-        return real(prog, *args, **kwargs)
+    def counted(func, *args, **kwargs):
+        calls.append(func.name)
+        return real(func, *args, **kwargs)
 
-    simulator.run_compiled = counted
+    timing.run_reference = counted
     try:
         yield
     finally:
-        simulator.run_compiled = real
+        timing.run_reference = real
 
 
 def _diff(key, a, b) -> bool:
@@ -247,7 +242,7 @@ def main() -> int:
     interp = run_sweep(wls, LEVELS, WIDTHS, engine="interp")
     t_interp = time.perf_counter() - t0
 
-    # count the compiled sweep's calls into the interpreter
+    # count the compiled sweep's calls into the reference
     interp_calls = []
     with _counting(interp_calls):
         t0 = time.perf_counter()
@@ -267,7 +262,7 @@ def main() -> int:
         return 1
 
     if interp_calls:
-        print(f"FAIL: the compiled sweep called the interpreter "
+        print(f"FAIL: the compiled sweep called the reference "
               f"{len(interp_calls)} times, first {interp_calls[:5]}")
         return 1
 
@@ -290,7 +285,7 @@ def main() -> int:
               f"between engines")
         return 1
     if long_calls:
-        print(f"FAIL: the compiled long-trace runs called the interpreter "
+        print(f"FAIL: the compiled long-trace runs called the reference "
               f"{len(long_calls)} times, first {long_calls[:5]}")
         return 1
 
@@ -301,13 +296,13 @@ def main() -> int:
         return 1
 
     print(f"OK: {len(interp.results)} configurations byte-identical across "
-          f"engines, 0 interpreter calls in the compiled sweep (interp "
+          f"engines, 0 reference calls in the compiled sweep (reference "
           f"{t_interp:.2f}s, compiled {t_compiled:.2f}s, "
           f"{t_interp / t_compiled:.2f}x end-to-end); "
           f"{len(wls) * len(LEVELS)} fp-limited configurations identical; "
           f"{n_long} long-trace (n={LONG_N}) configurations identical, "
-          f"0 interpreter calls; {n_off} off-the-end levels fault alike "
-          f"at the element past n in all three executors")
+          f"0 reference calls; {n_off} off-the-end levels fault alike "
+          f"at the element past n in both executors")
     return 0
 
 

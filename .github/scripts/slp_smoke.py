@@ -3,15 +3,16 @@
 Two gates:
 
 1. **Cross-engine byte-identity at Lev5** — every corpus workload is
-   swept at Lev5 under both simulator engines (the tuple interpreter
-   and the block-compiled trace/replay core); cycles, instruction
+   swept at Lev5 under the reference (the timed reference evaluator)
+   and the block-compiled trace/replay core; cycles, instruction
    counts, and end states must match field-for-field (wall-clock
    phase timings excluded, as in engine_smoke.py).
 2. **Fixed-seed vector fuzz** — the fuzzer's vector-shaped templates
    (elementwise pairs, same-array smoothing, integer reduction) are
-   pushed through the full differential oracle at Lev4 and Lev5 with
-   cross-engine checking on, over a deterministic trip-count ladder
-   that straddles the unroll and pack widths.
+   pushed through the full differential oracle at Lev4 and Lev5, which
+   also compares every configuration's timing with the reference's,
+   over a deterministic trip-count ladder that straddles the unroll and
+   pack widths.
 """
 
 import os
@@ -61,7 +62,7 @@ def vector_fuzz() -> int:
                             consts=(1, 2, 3, 5, 2))
             checked, divs = check_workload(
                 build_workload(spec), levels=(Level.LEV4, Level.LEV5),
-                widths=(1, 8), check_ir=True, cross_engine=True,
+                widths=(1, 8), check_ir=True,
             )
             n_checked += checked
             n_div += len(divs)

@@ -1,11 +1,12 @@
 """Wall-clock benchmark: block-compiled trace/replay engine vs. the
-reference interpreter.
+reference (``engine="interp"``: the sequential reference evaluator
+timed by ``repro.check.timing``).
 
 Two measurements, both gated on byte-identical results, recorded in
 ``results/BENCH_sim.json``:
 
 * **corpus cells** — every (workload, level) cell of a representative
-  grid simulated at four issue widths, interpreter (four full
+  grid simulated at four issue widths, reference (four full
   simulations) vs. the batched engine (execute once through generated
   block code, replay timing per width).  Corpus inputs are small
   (hundred-ish iterations), so set-up — lowering the program (once per
@@ -69,56 +70,56 @@ def _assert_identical(a, b, ctx):
 
 
 def _time_cell(tk, arrays, scalars, repeat=3):
-    """One cell, four widths: best-of-``repeat`` (interp s, batched s)
+    """One cell, four widths: best-of-``repeat`` (reference s, batched s)
     with results asserted identical.  Both sides start from the
     scheduled kernels and pay all of their own set-up every time."""
     cks = [schedule_kernel(tk.clone(), MachineConfig(issue_width=w))
            for w in WIDTHS]
-    t_interp = t_cold = float("inf")
+    t_ref = t_cold = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         base = [run_compiled_kernel(ck, arrays=arrays, scalars=scalars,
                                     engine="interp") for ck in cks]
-        t_interp = min(t_interp, time.perf_counter() - t0)
+        t_ref = min(t_ref, time.perf_counter() - t0)
         t0 = time.perf_counter()
         runner = BatchedRunner(cks[0], arrays, scalars)
         got = [runner.run(ck) for ck in cks]
         t_cold = min(t_cold, time.perf_counter() - t0)
     for ck, b, g in zip(cks, base, got):
         _assert_identical(b, g, f"{ck.lowered.func.name}/w{ck.machine.issue_width}")
-    return t_interp, t_cold
+    return t_ref, t_cold
 
 
 def test_engine_speedup_corpus_cells():
     cells = {}
-    tot_interp = tot_cold = 0.0
+    tot_ref = tot_cold = 0.0
     for name in CELL_WORKLOADS:
         w = get_workload(name)
         arrays, scalars = w.make_inputs(0)
         conv = lower_conv(w.build())
         for level in CELL_LEVELS:
             tk = ilp_transform(conv.clone(), level, MachineConfig(issue_width=1))
-            t_interp, t_cold = _time_cell(tk, arrays, scalars)
-            tot_interp += t_interp
+            t_ref, t_cold = _time_cell(tk, arrays, scalars)
+            tot_ref += t_ref
             tot_cold += t_cold
             cells[f"{name}/{level.label}"] = {
-                "interp_ms": round(t_interp * 1e3, 3),
+                "reference_ms": round(t_ref * 1e3, 3),
                 "batched_cold_ms": round(t_cold * 1e3, 3),
-                "cold_speedup": round(t_interp / t_cold, 2),
+                "cold_speedup": round(t_ref / t_cold, 2),
             }
-    cold_speedup = tot_interp / tot_cold
+    cold_speedup = tot_ref / tot_cold
     out = _update_bench({
         "corpus_cells": {
             "widths": list(WIDTHS),
             "levels": [lv.label for lv in CELL_LEVELS],
-            "interp_s": round(tot_interp, 3),
+            "reference_s": round(tot_ref, 3),
             "batched_cold_s": round(tot_cold, 3),
             "cold_speedup": round(cold_speedup, 2),
             "identical_results": True,
             "cells": cells,
         },
     })
-    print(f"\ncorpus cells: interp {tot_interp*1e3:.1f}ms  "
+    print(f"\ncorpus cells: reference {tot_ref*1e3:.1f}ms  "
           f"batched cold {tot_cold*1e3:.1f}ms  "
           f"speedup {cold_speedup:.2f}x -> {out}")
     assert cold_speedup >= 1.5, (
@@ -165,31 +166,31 @@ def _scaled_kernels(n: int):
 def test_engine_speedup_large_traces():
     n = 16384
     kernels = {}
-    tot_interp = tot_batch = 0.0
+    tot_ref = tot_batch = 0.0
     for kernel, arrays, scalars in _scaled_kernels(n):
         conv = lower_conv(kernel)
         tk = ilp_transform(conv.clone(), Level.LEV4, MachineConfig(issue_width=1))
-        t_interp, t_cold = _time_cell(tk, arrays, scalars, repeat=2)
-        tot_interp += t_interp
+        t_ref, t_cold = _time_cell(tk, arrays, scalars, repeat=2)
+        tot_ref += t_ref
         tot_batch += t_cold
         kernels[kernel.name] = {
-            "interp_ms": round(t_interp * 1e3, 2),
+            "reference_ms": round(t_ref * 1e3, 2),
             "batched_cold_ms": round(t_cold * 1e3, 2),
-            "speedup": round(t_interp / t_cold, 2),
+            "speedup": round(t_ref / t_cold, 2),
         }
-    speedup = tot_interp / tot_batch
+    speedup = tot_ref / tot_batch
     out = _update_bench({
         "large_traces": {
             "n": n,
             "widths": list(WIDTHS),
             "level": "Lev4",
-            "interp_s": round(tot_interp, 3),
+            "reference_s": round(tot_ref, 3),
             "batched_cold_s": round(tot_batch, 3),
             "speedup": round(speedup, 2),
             "identical_results": True,
             "kernels": kernels,
         },
     })
-    print(f"\nlarge traces (n={n}): interp {tot_interp*1e3:.1f}ms  "
+    print(f"\nlarge traces (n={n}): reference {tot_ref*1e3:.1f}ms  "
           f"batched cold {tot_batch*1e3:.1f}ms  speedup {speedup:.2f}x -> {out}")
     assert speedup >= 10.0, f"asymptotic engine speedup too low: {speedup:.2f}x"

@@ -1,5 +1,5 @@
 """Wall-clock benchmarks of the sweep: per-pass compile cost, cold vs.
-warm artifact store, and interpreter vs. compiled engine over a fixed
+warm artifact store, and reference vs. compiled engine over a fixed
 small grid, recorded in ``results/BENCH_sweep.json``.
 
 All runs are serial single-process, independent of ``--jobs``
@@ -126,7 +126,7 @@ def test_warm_store_speedup():
 
 
 def test_engine_sweep_comparison():
-    """Cold sweep under the reference interpreter vs. the block-compiled
+    """Cold sweep under the reference vs. the block-compiled
     trace/replay engine: identical grids, byte-identical results, and
     the wall-clock ratio recorded (simulation is one phase of a sweep —
     compilation and scheduling are shared — so this end-to-end ratio is
@@ -145,15 +145,15 @@ def test_engine_sweep_comparison():
 
     # a single ~1.7s sweep has enough wall-clock jitter to swamp the
     # simulation-phase delta; time best-of-3 per engine, alternating
-    t_interp = t_compiled = float("inf")
-    t_sim_interp = t_sim_compiled = float("inf")
-    interp = compiled = None
+    t_ref = t_compiled = float("inf")
+    t_sim_ref = t_sim_compiled = float("inf")
+    ref = compiled = None
     for _ in range(3):
         t0 = time.perf_counter()
-        interp = run_sweep(wls, GRID_LEVELS, GRID_WIDTHS, engine="interp")
-        t_interp = min(t_interp, time.perf_counter() - t0)
-        t_sim_interp = min(t_sim_interp, sum(
-            r.t_simulate for r in interp.results.values()))
+        ref = run_sweep(wls, GRID_LEVELS, GRID_WIDTHS, engine="interp")
+        t_ref = min(t_ref, time.perf_counter() - t0)
+        t_sim_ref = min(t_sim_ref, sum(
+            r.t_simulate for r in ref.results.values()))
 
         t0 = time.perf_counter()
         compiled = run_sweep(wls, GRID_LEVELS, GRID_WIDTHS, engine="compiled")
@@ -161,27 +161,27 @@ def test_engine_sweep_comparison():
         t_sim_compiled = min(t_sim_compiled, sum(
             r.t_simulate for r in compiled.results.values()))
 
-    identical = dump(interp) == dump(compiled)
+    identical = dump(ref) == dump(compiled)
     assert identical, "engines disagree on sweep results"
-    speedup = t_interp / t_compiled
+    speedup = t_ref / t_compiled
     out = _update_bench({
         "engine": {
-            "configs": len(interp.results),
-            "interp_s": round(t_interp, 3),
+            "configs": len(ref.results),
+            "reference_s": round(t_ref, 3),
             "compiled_s": round(t_compiled, 3),
             "speedup": round(speedup, 2),
-            "t_simulate_interp_s": round(t_sim_interp, 3),
+            "t_simulate_reference_s": round(t_sim_ref, 3),
             "t_simulate_compiled_s": round(t_sim_compiled, 3),
-            "t_simulate_speedup": round(t_sim_interp / t_sim_compiled, 2),
+            "t_simulate_speedup": round(t_sim_ref / t_sim_compiled, 2),
             "byte_identical": True,
         },
     })
-    print(f"\nsweep engines: interp {t_interp:.2f}s  compiled {t_compiled:.2f}s "
+    print(f"\nsweep engines: reference {t_ref:.2f}s  compiled {t_compiled:.2f}s "
           f"({speedup:.2f}x end-to-end, "
-          f"{t_sim_interp / t_sim_compiled:.2f}x on simulation) -> {out}")
+          f"{t_sim_ref / t_sim_compiled:.2f}x on simulation) -> {out}")
     # the end-to-end ratio is mostly compile+schedule noise on this small
     # grid; the phase the engine owns must actually get faster
-    assert t_sim_interp / t_sim_compiled >= 1.1, (
+    assert t_sim_ref / t_sim_compiled >= 1.1, (
         f"compiled engine did not speed up simulation: "
-        f"{t_sim_interp / t_sim_compiled:.2f}x"
+        f"{t_sim_ref / t_sim_compiled:.2f}x"
     )

@@ -1,6 +1,6 @@
 """repro.check — the differential correctness oracle.
 
-Three layers of defense against miscompiles (see DESIGN.md, "Correctness
+Layers of defense against miscompiles (see DESIGN.md, "Correctness
 architecture"):
 
 * :mod:`repro.check.refeval` — a reference evaluator: direct sequential
@@ -8,6 +8,9 @@ architecture"):
   packet/interlock machinery.  Running it on the *naive lowered* IR of a
   kernel yields the golden final state every optimization level must
   reproduce.
+* :mod:`repro.check.timing` — the cycle reference: an in-order issue
+  timer fed the evaluator's executed instructions, which the compiled
+  engine's cycle and instruction counts must equal.
 * :mod:`repro.check.oracle` — the differential oracle: compiles every
   corpus kernel at Conv..Lev5 across machine configs and asserts the
   simulated final memory/scalar state matches the golden state, with
@@ -20,10 +23,12 @@ Entry point: ``python -m repro check``.
 
 from .fuzz import FuzzFailure, fuzz, random_workload, shrink_kernel
 from .oracle import Divergence, OracleReport, check_workload, run_oracle
-from .refeval import RefEvalError, RefResult, ref_eval, reference_run
+from .refeval import RefResult, ref_eval, reference_run
+from .timing import IssueTimer, run_reference
 
 __all__ = [
     "Divergence", "OracleReport", "check_workload", "run_oracle",
-    "RefEvalError", "RefResult", "ref_eval", "reference_run",
+    "RefResult", "ref_eval", "reference_run",
+    "IssueTimer", "run_reference",
     "FuzzFailure", "fuzz", "random_workload", "shrink_kernel",
 ]

@@ -358,12 +358,11 @@ def _reductions(spec: CaseSpec):
 
 def _check_spec(spec: CaseSpec, levels, widths, check_ir) -> list[Divergence]:
     try:
-        # cross_engine routes every generated program through both
-        # simulator engines, so the fuzzer also hunts for interpreter /
-        # block-compiled-replay divergence on adversarial kernels
+        # the oracle times every generated program on both the engine
+        # and the reference, so the fuzzer also hunts for block-code /
+        # replay divergence on adversarial kernels
         _, divs = check_workload(build_workload(spec), levels, widths,
-                                 seed=0, check_ir=check_ir,
-                                 cross_engine=True)
+                                 seed=0, check_ir=check_ir)
     except Exception as e:  # noqa: BLE001 - crashes are findings too
         divs = [Divergence(f"fuzz{spec.seed}", "-", 0, "compile-error",
                            repr(e))]

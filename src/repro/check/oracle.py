@@ -17,9 +17,11 @@ checkable:
    reduction packing — they reorder fp reductions by design) are
    compared under the workload's documented
    tolerance instead, and the report says so;
-4. the simulator's end state is additionally cross-checked bit-identically
-   against a reference evaluation of the *same* final scheduled IR:
-   in-order issue with correct interlocks has sequential semantics, so any
+4. the simulator is additionally cross-checked against a reference
+   evaluation of the *same* final scheduled IR, timed by
+   :class:`~repro.check.timing.IssueTimer`: in-order issue with correct
+   interlocks has sequential semantics, so the end states must be
+   bit-identical and the cycle and instruction counts equal — any
    difference is a simulator-machinery bug, not a compiler bug.
 
 On a mismatch the report carries first-divergent-store provenance: the
@@ -38,13 +40,13 @@ from ..harness import (
     BatchedRunner,
     ilp_transform,
     lower_conv,
-    run_compiled_kernel,
     schedule_kernel,
 )
 from ..machine import MachineConfig
 from ..pipeline import ALL_LEVELS, Level
 from ..workloads import Workload, all_workloads
 from .refeval import RefResult, StoreEvent, reference_run
+from .timing import IssueTimer
 
 DEFAULT_WIDTHS = (1, 8)
 
@@ -56,7 +58,7 @@ class Divergence:
     workload: str
     level: str            # level label ("Conv".."Lev5"), or "-" pre-compile
     width: int
-    kind: str  # array | scalar | sim-vs-ref | engine-vs-engine | compile-error | golden
+    kind: str  # array | scalar | engine-vs-engine | compile-error | golden
     detail: str
 
     def __str__(self) -> str:
@@ -145,17 +147,16 @@ def check_workload(
     widths: tuple[int, ...] = DEFAULT_WIDTHS,
     seed: int = 0,
     check_ir: bool = True,
-    cross_engine: bool = False,
 ) -> tuple[int, list[Divergence]]:
     """Differentially check one workload; returns (configs checked, divergences).
 
     The widths of a level are timed the way the sweep times them: one
     :class:`~repro.harness.BatchedRunner` executes the first schedule
     and replays its trace for every width, which shares its end state.
-    ``cross_engine=True`` additionally simulates every configuration on
-    the reference interpreter and requires bit-identical cycles,
-    instruction counts, and end states (kind ``engine-vs-engine`` on
-    mismatch).
+    Every configuration is also run on the reference (the evaluator,
+    timed by an :class:`~repro.check.timing.IssueTimer`), which must give
+    a bit-identical end state and the same cycle and instruction counts
+    (kind ``engine-vs-engine`` on mismatch).
     """
     divs: list[Divergence] = []
     arrays, scalars = w.make_inputs(seed)
@@ -221,12 +222,15 @@ def check_workload(
                 continue
             checked += 1
 
-            # reference evaluation of the same final scheduled IR: the
-            # sequential end state, used both for the sim cross-check and
-            # for store provenance on divergence
+            # reference evaluation of the same final scheduled IR, timed:
+            # the sequential end state and cycle count, used both for the
+            # engine cross-check and for store provenance on divergence
+            timer = IssueTimer(ck.func, ck.machine)
             ref_arrays, ref_scalars, ref_res = reference_run(
-                kernel, arrays, scalars, lowered=ck.lowered, log_stores=True
+                kernel, arrays, scalars, lowered=ck.lowered, log_stores=True,
+                on_instr=timer.issue,
             )
+            ref_cycles, ref_instructions = timer.result()
 
             diff = _diff_states(
                 w, run.arrays, run.scalars, golden_arrays, golden_scalars,
@@ -237,40 +241,22 @@ def check_workload(
                                        if diff.startswith("array") else "scalar",
                                        diff))
 
-            # simulator vs reference on identical code: always bit-identical
-            sim_diff = _diff_states(
+            # the engine vs the reference on identical code: end state,
+            # cycles and instruction counts must match bit for bit
+            eng_diff = _diff_states(
                 w, run.arrays, run.scalars, ref_arrays, ref_scalars, True
             )
-            if sim_diff is not None:
-                divs.append(
-                    Divergence(w.name, level.label, width, "sim-vs-ref", sim_diff)
-                )
-
-            if cross_engine:
-                # the reference interpreter on identical code and inputs:
-                # timing and end state must match the replay bit for bit
-                interp = run_compiled_kernel(
-                    ck, arrays=arrays, scalars=scalars, engine="interp"
-                )
-                eng_diff = _diff_states(
-                    w, run.arrays, run.scalars,
-                    interp.arrays, interp.scalars, True,
-                )
-                if eng_diff is None:
-                    if run.cycles != interp.cycles:
-                        eng_diff = (f"cycles diverge: compiled "
-                                    f"{run.cycles} interp {interp.cycles}")
-                    elif run.instructions != interp.instructions:
-                        eng_diff = (
-                            f"instruction counts diverge: compiled "
-                            f"{run.instructions} interp "
-                            f"{interp.instructions}"
-                        )
-                if eng_diff is not None:
-                    divs.append(
-                        Divergence(w.name, level.label, width,
-                                   "engine-vs-engine", eng_diff)
-                    )
+            if eng_diff is None:
+                if run.cycles != ref_cycles:
+                    eng_diff = (f"cycles diverge: compiled {run.cycles} "
+                                f"reference {ref_cycles}")
+                elif run.instructions != ref_instructions:
+                    eng_diff = (f"instruction counts diverge: compiled "
+                                f"{run.instructions} reference "
+                                f"{ref_instructions}")
+            if eng_diff is not None:
+                divs.append(Divergence(w.name, level.label, width,
+                                       "engine-vs-engine", eng_diff))
     return checked, divs
 
 
@@ -281,16 +267,13 @@ def run_oracle(
     seed: int = 0,
     check_ir: bool = True,
     verbose: bool = False,
-    cross_engine: bool = False,
 ) -> OracleReport:
     """Run the differential oracle over the corpus (default: all 40)."""
     workloads = workloads or all_workloads()
     report = OracleReport()
     t0 = time.time()
     for w in workloads:
-        checked, divs = check_workload(
-            w, levels, widths, seed, check_ir, cross_engine=cross_engine,
-        )
+        checked, divs = check_workload(w, levels, widths, seed, check_ir)
         report.kernels_checked += 1
         report.configs_checked += checked
         report.divergences.extend(divs)

@@ -227,8 +227,7 @@ def cmd_check(args) -> int:
               f"x widths {list(widths)} "
               f"({'with' if not args.no_ir_check else 'without'} IR checks)")
         report = run_oracle(wls, widths=widths, seed=args.seed,
-                            check_ir=not args.no_ir_check, verbose=args.verbose,
-                            cross_engine=args.cross_engine)
+                            check_ir=not args.no_ir_check, verbose=args.verbose)
         print(report.summary())
         for d in report.divergences:
             print(f"  {d}")
@@ -487,10 +486,6 @@ def main(argv=None) -> int:
                    help="skip the corpus oracle, only fuzz")
     p.add_argument("--no-ir-check", action="store_true",
                    help="skip the between-pass invariant verifier")
-    p.add_argument("--cross-engine", action="store_true",
-                   help="additionally simulate every configuration on the "
-                        "reference interpreter and require results "
-                        "bit-identical to the block-compiled replay")
     p.add_argument("--verbose", action="store_true")
 
     args, extra = ap.parse_known_args(argv)

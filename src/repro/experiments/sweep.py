@@ -207,8 +207,8 @@ def run_sweep(
     """Run the evaluation grid.
 
     Each (workload, level) cell executes once and its trace is replayed
-    per width; ``engine="interp"`` names the reference interpreter
-    instead (see :func:`repro.sim.simulate`).  Both produce identical
+    per width; ``engine="interp"`` names the reference instead (see
+    :func:`repro.sim.simulate`).  Both produce identical
     results, so the engine is *not* part of the store identity.
     ``check_ir=True`` runs the invariant verifier between every compiler
     pass of every configuration (the CLI ``--check`` flag); ``options``

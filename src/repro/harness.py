@@ -341,8 +341,8 @@ def run_compiled_kernel(
 
     Every declared array must be provided with matching total size; input
     scalars default to 0.  Returns final array contents and the kernel's
-    declared output scalars.  ``engine="interp"`` names the reference
-    interpreter instead of the compiled engine (see
+    declared output scalars.  ``engine="interp"`` names the timed
+    reference evaluator instead of the compiled engine (see
     :func:`repro.sim.simulate`).
     """
     mem, iregs, fregs = bind_inputs(ck.lowered, arrays, scalars)
@@ -467,11 +467,11 @@ def evaluate_cell(
     :class:`BatchedRunner` that owns the execution, and every machine's
     cycle/instruction counts come from replaying that trace against its
     own schedule, bit-identical to simulating each in full.
-    ``engine="interp"`` names the reference interpreter instead, which
-    simulates every machine in full.  ``check`` holds the first
-    machine's outputs against the workload's NumPy reference: replayed
-    machines share them (the cross-engine oracle compares each width's
-    own outputs under the reference).  ``check_ir`` runs the
+    ``engine="interp"`` names the reference instead, which runs every
+    machine in full.  ``check`` holds the first machine's outputs
+    against the workload's NumPy reference: replayed machines share
+    them (the oracle compares each width's own outputs under the
+    reference).  ``check_ir`` runs the
     between-pass invariant verifier; ``execute=False`` stops after
     compilation.
     """

@@ -5,9 +5,8 @@ from .executor import (
     ENGINE_VERSION, CompiledInstr, CompiledProgram, compile_instr,
     compiled_program,
 )
-from .simulator import (
-    RunResult, SimulationError, TracedRun, run_compiled, simulate,
-)
+from .errors import SimulationError
+from .simulator import RunResult, TracedRun, simulate
 from .blockgen import EngineUnsupported, ExecPlan, exec_plan, execute_plan
 from .replay import (
     ReplaySpec, ReplayUnmapped, ReplayUnsupported, replay, replay_spec,
@@ -18,7 +17,7 @@ __all__ = [
     "Memory", "SimMemoryError", "WORD",
     "ENGINE_VERSION", "CompiledInstr", "CompiledProgram", "compile_instr",
     "compiled_program",
-    "RunResult", "SimulationError", "TracedRun", "run_compiled", "simulate",
+    "RunResult", "SimulationError", "TracedRun", "simulate",
     "EngineUnsupported", "ExecPlan", "exec_plan", "execute_plan",
     "ReplaySpec", "ReplayUnmapped", "ReplayUnsupported", "replay",
     "replay_spec",

@@ -1,11 +1,10 @@
 """Closure-compiled block execution: the value half of the fast engine.
 
-The tuple interpreter in :mod:`repro.sim.simulator` pays a dispatch,
-an operand-descriptor unpack, and a readiness check per dynamic
-instruction.  For *execution* (computing values, following branches,
-mutating memory) none of the timing work is needed, so this module
-compiles every basic block into a specialized Python function over the
-flat register banks.  A block that branches or jumps to itself — a
+An interpreter pays a dispatch, an operand-descriptor unpack, and a
+readiness check per dynamic instruction.  For *execution* (computing
+values, following branches, mutating memory) none of the timing work is
+needed, so this module compiles every basic block into a specialized
+Python function over the flat register banks.  A block that branches or jumps to itself — a
 loop body — becomes a ``while`` loop over register locals::
 
     def _b3(iv, fv, vi, vf, mem, _app, _n):
@@ -44,22 +43,22 @@ the resulting segment sequence is the :class:`ExecPlan`'s compact dynamic
 trace, which the timing side (:mod:`repro.sim.replay`) replays per issue
 width.
 
-Error semantics are preserved exactly (the interpreter's contract is that
+Error semantics are the reference's exactly (its contract is that
 reads of never-written registers raise :class:`SimulationError`, never a
 codegen artifact like ``NameError``):
 
 * never-written registers hold ``None``; arithmetic on ``None`` raises
   ``TypeError`` naturally, which the driver maps back — via a
-  line-number-to-instruction table — to the interpreter's exact
+  line-number-to-instruction table — to the reference's exact
   ``SimulationError``/``SimMemoryError`` message;
 * a loop block loads every register it reads *or writes* at entry (a
   write-only register still has a local when the block exits before
   writing it) and writes the written ones back in one ``finally``, so
-  after an exit or an exception the banks hold exactly what the
-  interpreter's would and ``translate_error`` re-reads intact operands;
+  after an exit or an exception the banks hold the reference's register
+  state and ``translate_error`` re-reads intact operands;
 * ``==``/``!=`` comparisons and stores would *silently accept* ``None``,
   so the generator emits explicit guards for equality branches and store
-  values (calling ``_ur``/``_us``, which raise the interpreter's
+  values (calling ``_ur``/``_us``, which raise the reference's
   messages directly);
 * division by zero translates the same way (``ZeroDivisionError`` at a
   known line);
@@ -68,12 +67,12 @@ codegen artifact like ``NameError``):
   list would wrap) raises ``IndexError`` explicitly, as indexing past
   the top does by itself; a store checks the negative index, and past
   the top raises by itself.  ``IndexError`` at a load or store line
-  becomes the interpreter's ``load from uninitialized address`` /
+  becomes the reference's ``load from uninitialized address`` /
   ``store to unmapped address``.
 
 Element-wise vector ops are inline lane tuples (``(a[0] + b[0], a[1] +
 b[1], ...)``) with each lane's operator the scalar one of
-:data:`~repro.sim.executor.ALU_SEMANTICS`; the interpreter's
+:data:`~repro.sim.executor.ALU_SEMANTICS`; the reference evaluator's
 :data:`~repro.sim.executor.VEC_SEMANTICS` is their reference.  Every
 opcode has a generator; :class:`EngineUnsupported` guards only an
 ``Op`` added without one.
@@ -203,7 +202,7 @@ class ExecPlan:
     def _expr(self, desc) -> str:
         """Fetch expression for one operand descriptor (bank, key).  A
         non-finite float has no literal, so it is bound as a global of
-        the generated module — the very object the interpreter reads."""
+        the generated module — the very object the reference reads."""
         bank, key = desc
         if bank != CONST:
             return self._reg(bank, key)
@@ -352,19 +351,19 @@ class ExecPlan:
             if sv[0] == CONST:
                 val = self._expr(sv)
             else:
-                # interpreter order: fetch value, compute address
-                # (TypeError -> uninitialized *read*), THEN reject a None
-                # value as an uninitialized *store* — keep the address
-                # first here so the read error wins when both apply
+                # reference order: compute the address (TypeError ->
+                # uninitialized *read*), THEN reject a None value as an
+                # uninitialized *store*, so the read error wins when
+                # both apply
                 out += [f"_v = {self._expr(sv)}", f"if _v is None: _us({gi})"]
                 val = "_v"
             # past the top raises IndexError itself
             return out + ["if _a < 0: raise IndexError", f"mem[_a] = {val}"]
         if cat == C_VLOAD:
-            # fn holds the lane count; lanes occupy consecutive words, and
-            # every lane follows the scalar load's rule
+            # lanes occupy consecutive words, and every lane follows the
+            # scalar load's rule
             words = ", ".join(
-                f"mem[_w + {j}]" if j else "mem[_w]" for j in range(ci.fn)
+                f"mem[_w + {j}]" if j else "mem[_w]" for j in range(ci.instr.lanes)
             )
             return [
                 f"_w = {self._addr_expr(ci.srcs[0], ci.srcs[1])}",
@@ -384,7 +383,7 @@ class ExecPlan:
             ]
             out.extend(
                 f"mem[_a + {j}] = _v[{j}]" if j else "mem[_a] = _v[0]"
-                for j in range(ci.fn)
+                for j in range(ci.instr.lanes)
             )
             return out
         if cat == C_ALUN:
@@ -403,7 +402,7 @@ class ExecPlan:
         # ALU (generic C_ALU: two- or one-operand)
         if op in _VLANE:
             # a None operand fails its first subscript (TypeError), a zero
-            # divisor lane divides by zero: the interpreter's two errors
+            # divisor lane divides by zero: the reference's two errors
             a, bx = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
             sym = _VLANE[op]
             lanes = ", ".join(f"{a}[{j}] {sym} {bx}[{j}]"
@@ -426,7 +425,7 @@ class ExecPlan:
             return [f"{self._dest(ci)} = _trunc({self._expr(ci.srcs[0])})"]
         raise EngineUnsupported(f"cannot compile {ci.instr!r}")
 
-    # -- interpreter-identical error raising --------------------------------
+    # -- reference-identical error raising ----------------------------------
 
     def _raise_uninit_read(self, gi: int):
         raise SimulationError(
@@ -441,13 +440,13 @@ class ExecPlan:
     def translate_error(self, exc: BaseException, iv: list, fv: list,
                         vi: list = (), vf: list = ()):
         """Re-raise ``exc`` (raised inside generated code) exactly as the
-        interpreter would have.
+        reference would have.
 
         The traceback's deepest frame in the generated module names the
         failing line; the line table maps it to the instruction.  The
         instruction had not committed its destination, so its source
         operands are intact in the banks and can be re-read to build the
-        interpreter's message (e.g. the faulting load address).
+        reference's message (e.g. the faulting load address).
         """
         lineno = None
         tb = exc.__traceback__
@@ -498,12 +497,12 @@ def execute_plan(
 ) -> tuple[list[int], list, list]:
     """Run the program valuewise; returns (segment trace, ivals, fvals).
 
-    Mutates ``memory`` exactly as the interpreter would.  The segment
+    Mutates ``memory`` exactly as the reference would.  The segment
     count is bounded via ``max_cycles``: every control-exit segment costs
     at least one cycle on any machine, and fall-through chains between
     control exits are bounded by the block count, so a run that exceeds
     ``(max_cycles + 2) * (n_blocks + 1)`` segments cannot be within the
-    cycle budget on any width and raises the interpreter's runaway error.
+    cycle budget on any width and raises the reference's runaway error.
     A self-loop block iterates inside its own call, appending each back
     edge while the budget ``limit - len(segs)`` lasts; past it the block
     returns the back edge and the check raises at the same segment count

@@ -1,13 +1,19 @@
-"""Compilation of IR instructions into a fast internal form for simulation.
+"""Compilation of IR instructions into the simulator's internal form.
 
-The simulator executes millions of dynamic instructions, so each IR
-instruction is pre-lowered once into a :class:`CompiledInstr` with:
+Each IR instruction is pre-lowered once into a :class:`CompiledInstr`
+with:
 
 * resolved source fetch descriptors (register bank + id, or literal value,
   with symbols resolved against the memory's symbol table);
 * a destination slot;
 * the machine latency;
-* a small semantic function.
+* a category the block-code generator (:mod:`repro.sim.blockgen`)
+  dispatches on.
+
+The semantic tables here (:data:`ALU_SEMANTICS`, :data:`CMP_SEMANTICS`,
+:data:`VEC_SEMANTICS`) are what the reference evaluator
+(:mod:`repro.check.refeval`) computes; the block code spells the same
+operations inline.
 
 Integer semantics are paper-era FORTRAN/C: division and remainder truncate
 toward zero; shifts are arithmetic (``shra``) or 64-bit logical (``shrl``).
@@ -16,7 +22,6 @@ Floating point is IEEE double.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..ir.block import Block
@@ -125,11 +130,7 @@ _VEC2 = {
 VEC_SEMANTICS = _VEC2
 
 
-def _vext(v, i):
-    return v[i]
-
-
-# instruction categories for the simulator's dispatch
+# instruction categories for block-code generation
 C_ALU = 0
 C_LOAD = 1
 C_STORE = 2
@@ -137,31 +138,38 @@ C_BRANCH = 3
 C_JUMP = 4
 C_NOP = 5
 C_HALT = 6
-# arity-specialized ALU categories used only by the pre-flattened form
-# (CompiledInstr.cat keeps the generic C_ALU)
-C_ALU2 = 7
-C_ALU1 = 8
 # vector categories: variadic pack (gather lanes into a tuple), and
-# multi-word memory ops (``fn`` carries the lane count)
+# multi-word memory ops (``instr.lanes`` words)
 C_ALUN = 9
 C_VLOAD = 10
 C_VSTORE = 11
 
+#: ops computed by one expression over their operands
+_EXPR_OPS = (set(_ALU2) | set(_VEC2)
+             | {Op.VEXT, Op.VEXTF, Op.MOV, Op.FMOV, Op.ITOF, Op.FTOI})
+_CAT_OF_KIND = {
+    Kind.LOAD: C_LOAD, Kind.STORE: C_STORE, Kind.BRANCH: C_BRANCH,
+    Kind.VEC_LOAD: C_VLOAD, Kind.VEC_STORE: C_VSTORE,
+}
+_CAT_OF_OP = {
+    Op.VPACK: C_ALUN, Op.VPACKF: C_ALUN,
+    Op.JMP: C_JUMP, Op.HALT: C_HALT, Op.NOP: C_NOP,
+}
+
 
 @dataclass(eq=False)
 class CompiledInstr:
-    """One instruction pre-lowered for the cycle loop."""
+    """One instruction pre-lowered for block-code generation and timing."""
 
-    __slots__ = ("cat", "fn", "srcs", "dest", "lat", "kind", "target", "instr")
+    __slots__ = ("cat", "srcs", "dest", "lat", "kind", "target", "instr")
 
     cat: int
-    fn: object  # semantic callable, or None
     srcs: tuple  # ((bank, key_or_value), ...)
     dest: tuple | None  # (bank, id)
     lat: int
     kind: Kind
     target: str | None
-    instr: Instr  # original, for tracing / errors
+    instr: Instr  # original, for errors and the replay's identity map
 
 
 def _fetch_desc(operand, symbols: dict[str, int]):
@@ -181,46 +189,18 @@ def _fetch_desc(operand, symbols: dict[str, int]):
 
 def compile_instr(ins: Instr, machine: MachineConfig, symbols: dict[str, int]) -> CompiledInstr:
     op = ins.op
-    kind = ins.kind
-    lat = machine.latency(op)
-    srcs = tuple(_fetch_desc(s, symbols) for s in ins.srcs)
-    dest = None
-    if ins.dest is not None:
-        dest = (_BANK_OF_CLASS[ins.dest.cls], ins.dest.id)
-
-    if op in _ALU2:
-        return CompiledInstr(C_ALU, _ALU2[op], srcs, dest, lat, kind, None, ins)
-    if op in _VEC2:
-        return CompiledInstr(C_ALU, _VEC2[op], srcs, dest, lat, kind, None, ins)
-    if op in (Op.VEXT, Op.VEXTF):
-        return CompiledInstr(C_ALU, _vext, srcs, dest, lat, kind, None, ins)
-    if op in (Op.VPACK, Op.VPACKF):
-        return CompiledInstr(C_ALUN, None, srcs, dest, lat, kind, None, ins)
-    if op in (Op.MOV, Op.FMOV):
-        return CompiledInstr(C_ALU, lambda a: a, srcs, dest, lat, kind, None, ins)
-    if op is Op.ITOF:
-        return CompiledInstr(C_ALU, float, srcs, dest, lat, kind, None, ins)
-    if op is Op.FTOI:
-        return CompiledInstr(C_ALU, lambda a: math.trunc(a), srcs, dest, lat, kind, None, ins)
-    if kind is Kind.VEC_LOAD:
-        return CompiledInstr(C_VLOAD, ins.lanes, srcs, dest, lat, kind, None, ins)
-    if kind is Kind.VEC_STORE:
-        return CompiledInstr(C_VSTORE, ins.lanes, srcs, None, lat, kind, None, ins)
-    if kind is Kind.LOAD:
-        return CompiledInstr(C_LOAD, None, srcs, dest, lat, kind, None, ins)
-    if kind is Kind.STORE:
-        return CompiledInstr(C_STORE, None, srcs, None, lat, kind, None, ins)
-    if kind is Kind.BRANCH:
-        assert ins.target is not None
-        return CompiledInstr(C_BRANCH, _CMP[op], srcs, None, lat, kind, ins.target.name, ins)
-    if op is Op.JMP:
-        assert ins.target is not None
-        return CompiledInstr(C_JUMP, None, (), None, lat, kind, ins.target.name, ins)
-    if op is Op.HALT:
-        return CompiledInstr(C_HALT, None, (), None, lat, kind, None, ins)
-    if op is Op.NOP:
-        return CompiledInstr(C_NOP, None, (), None, lat, kind, None, ins)
-    raise AssertionError(f"unhandled opcode {op}")
+    cat = C_ALU if op in _EXPR_OPS else _CAT_OF_OP.get(
+        op, _CAT_OF_KIND.get(ins.kind))
+    if cat is None:
+        raise AssertionError(f"unhandled opcode {op}")
+    assert ins.target is not None or cat not in (C_BRANCH, C_JUMP), ins
+    return CompiledInstr(
+        cat,
+        tuple(_fetch_desc(s, symbols) for s in ins.srcs),
+        None if ins.dest is None else (_BANK_OF_CLASS[ins.dest.cls],
+                                       ins.dest.id),
+        machine.latency(op), ins.kind,
+        ins.target.name if ins.target is not None else None, ins)
 
 
 @dataclass(eq=False)
@@ -234,73 +214,35 @@ class CompiledBlock:
 class CompiledProgram:
     """A function lowered for simulation against a given machine + symtab.
 
-    Besides the structured :class:`CompiledBlock` view, every instruction is
-    pre-flattened into a plain tuple so the interpreter's inner loop pays a
-    single ``UNPACK_SEQUENCE`` instead of repeated attribute chasing::
-
-        (cat, fn, srcs, rsrcs, dest_bank, dest_id, lat, (kind, target, instr))
-
-    ``cat`` is arity-specialized (``C_ALU2``/``C_ALU1`` instead of the
-    generic ``C_ALU``) so the hot ALU path calls ``fn(a, b)`` directly with
-    no argument list built.  ``srcs`` is the fetch descriptor *flattened* to
-    ``(bank0, key0, bank1, key1, ...)`` — one unpack fetches every operand.
-    ``rsrcs`` keeps only the register sources, likewise flattened, for the
-    readiness/interlock check (constants are skipped entirely; at most 3
-    register sources exist outside variadic packs, so the check is unrolled
-    with a generic tail for wider packs).  ``dest_bank`` is -1 when there
-    is no destination.  The cold fields ride in a nested tuple the hot
-    path never unpacks: the slot-limit kind, the branch target resolved to
-    a *block index* (-1 if none), and the original instruction
-    (tracing/errors).  ``n_iregs`` / ``n_fregs`` / ``n_viregs`` /
-    ``n_vfregs`` bound the register ids referenced, so the simulator can
-    use flat list register banks instead of dicts (registers are densely
-    reindexed by ``Function.reindex_regs``).
+    Every instruction becomes a :class:`CompiledInstr` in its
+    :class:`CompiledBlock`: operand fetch descriptors with symbols
+    resolved, the destination slot and the machine latency.  ``index``
+    maps a label to its block index, ``labels`` the reverse.
+    ``n_iregs`` / ``n_fregs`` / ``n_viregs`` / ``n_vfregs`` bound the
+    register ids referenced, so the block code can use flat list
+    register banks instead of dicts (registers are densely reindexed by
+    ``Function.reindex_regs``).
     """
 
     def __init__(self, func: Function, machine: MachineConfig, symbols: dict[str, int]):
         self.func = func
         self.machine = machine
+        self.labels: list[str] = [blk.label for blk in func.blocks]
+        self.index: dict[str, int] = {
+            label: i for i, label in enumerate(self.labels)}
         self.blocks: list[CompiledBlock] = []
-        self.index: dict[str, int] = {}
-        for i, blk in enumerate(func.blocks):
-            self.index[blk.label] = i
+        nregs = [0, 0, 0, 0, 0]  # indexed by bank tag (CONST slot unused)
         for i, blk in enumerate(func.blocks):
             code = [compile_instr(ins, machine, symbols) for ins in blk.instrs]
             nxt = i + 1 if i + 1 < len(func.blocks) else None
             self.blocks.append(CompiledBlock(blk.label, code, nxt))
-        # resolve branch targets to block indices up front
-        self.target_index: dict[str, int] = dict(self.index)
-
-        self.labels: list[str] = [b.label for b in self.blocks]
-        self.next_index: list[int | None] = [b.next_index for b in self.blocks]
-        nregs = [0, 0, 0, 0, 0]  # indexed by bank tag (CONST slot unused)
-        self.flat: list[list[tuple]] = []
-        for b in self.blocks:
-            row = []
-            for ci in b.code:
-                reg_srcs = [s for s in ci.srcs if s[0] != CONST]
-                # variadic packs read one register per lane; everything
-                # else reads at most 3 (the readiness check fast path)
-                assert len(reg_srcs) <= 3 or ci.cat == C_ALUN, ci.instr
-                rsrcs = tuple(x for s in reg_srcs for x in s)
-                for bank, key in reg_srcs:
+            for ci in code:
+                regs = [s for s in ci.srcs if s[0] != CONST]
+                if ci.dest is not None:
+                    regs.append(ci.dest)
+                for bank, key in regs:
                     if key + 1 > nregs[bank]:
                         nregs[bank] = key + 1
-                if ci.dest is None:
-                    db = di = -1
-                else:
-                    db, di = ci.dest
-                    if di + 1 > nregs[db]:
-                        nregs[db] = di + 1
-                tgt = self.index[ci.target] if ci.target is not None else -1
-                cat = ci.cat
-                if cat == C_ALU:
-                    cat = C_ALU2 if len(ci.srcs) == 2 else C_ALU1
-                    assert len(ci.srcs) in (1, 2), ci.instr
-                srcs = tuple(x for s in ci.srcs for x in s)
-                row.append((cat, ci.fn, srcs, rsrcs, db, di,
-                            ci.lat, (ci.kind, tgt, ci.instr)))
-            self.flat.append(row)
         self.n_iregs = nregs[INT_BANK]
         self.n_fregs = nregs[FP_BANK]
         self.n_viregs = nregs[VINT_BANK]

@@ -12,9 +12,8 @@ itself is flat).
 
 The store is one Python list of words, indexed by ``address >> 2``: 1024
 unbound (``None``) words below ``0x1000``, then each bound array's words
-followed by 8 unbound pad words.  Its length is the *top*.  Every executor
-(the block code, the interpreter, the reference evaluator) applies one
-rule:
+followed by 8 unbound pad words.  Its length is the *top*.  Both
+executors (the block code and the reference evaluator) apply one rule:
 
 * a load from a word that is not bound — padding, below the first array,
   at or past the top, or a negative address — raises ``load from
@@ -22,6 +21,14 @@ rule:
 * a store inside ``[0, top)`` is accepted (padding and the low region
   included); a store at a negative address or at or past the top raises
   ``store to unmapped address``.
+
+Alignment is checked by the reference alone.  The reference evaluator,
+like :meth:`Memory.load` / :meth:`Memory.store`, raises ``unaligned
+load at`` / ``unaligned store at`` for an address that is not a multiple
+of :data:`WORD` (a vector op's base address included).  Block code keeps
+plain word indexing on its hot path and would read or write the word
+below such an address, so an unaligned miscompile is caught by the
+oracle, which runs every configuration through the reference.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ each block's exit in that width's schedule.
 
 So each cell executes once and replays N times.  A replay walks the
 segment trace through a tiny timing state machine that mirrors the
-interpreter's packet loop exactly:
+reference's packet model exactly:
 
 * state between segments is ``(instructions already issued into the
   open packet, in-flight writes as (register, cycles-until-ready))``;
@@ -20,7 +20,7 @@ interpreter's packet loop exactly:
   fall-through into the next block keeps filling the same packet;
 * a segment transition issues the target schedule's instruction prefix
   for that segment (everything up to and including its exit in *that
-  width's* block order), mirroring the interpreter's check order:
+  width's* block order), mirroring the reference timer's check order:
   packet-full first, then flow/WAW readiness with the idle-packet
   fast-forward, then the per-kind slot check (a kind at its limit
   closes the packet), branches closing their packet;
@@ -53,11 +53,9 @@ from ..ir.function import Function
 from ..machine import MachineConfig
 from .blockgen import FALL, ExecPlan
 from .errors import SimulationError
-from .executor import CompiledProgram
+from .executor import C_BRANCH, C_HALT, C_JUMP, CONST, CompiledProgram
 
 #: categories that close an issue packet (branch/jump/halt)
-from .executor import C_BRANCH, C_HALT, C_JUMP
-
 _CTRL = (C_BRANCH, C_JUMP, C_HALT)
 
 
@@ -83,18 +81,14 @@ def timing_rows(prog: CompiledProgram) -> list[dict[int, tuple]]:
     on a machine with the same latencies, for as long as ``prog`` keeps
     the instructions alive.
     """
-    table = []
-    for code in prog.flat:
-        rows = {}
-        for cat, fn, srcs, rsrcs, db, di, lat, meta in code:
-            rk = tuple(
-                (rsrcs[x] << 24) | rsrcs[x + 1]
-                for x in range(0, len(rsrcs), 2)
-            )
-            dk = (db << 24) | di if db >= 0 else -1
-            rows[id(meta[2])] = (rk, dk, lat, cat in _CTRL, meta[0])
-        table.append(rows)
-    return table
+    return [
+        {id(ci.instr): (
+            tuple(bank << 24 | key for bank, key in ci.srcs if bank != CONST),
+            ci.dest[0] << 24 | ci.dest[1] if ci.dest is not None else -1,
+            ci.lat, ci.cat in _CTRL, ci.kind)
+         for ci in blk.code}
+        for blk in prog.blocks
+    ]
 
 
 class ReplaySpec:
@@ -155,13 +149,13 @@ def _transition(rows: tuple, state: tuple, width: int, limits):
     """Issue one segment's instructions from ``state``; returns
     ``(cycle_delta, last_issue_delta, exit_state)``.
 
-    Mirrors the interpreter's packet loop: packet-full check first, then
-    operand/WAW readiness (fast-forwarding an idle packet to the stall
-    end, closing a non-empty one), then — with ``limits`` — the per-kind
-    slot check, which closes a packet whose slots of that kind are
-    used up; control instructions close their packet.  Cycles are
-    relative to segment entry; ``last_issue_delta`` is -1 when nothing
-    issued (empty fall-through blocks).
+    Mirrors the reference timer (:mod:`repro.check.timing`): packet-full
+    check first, then operand/WAW readiness (fast-forwarding an idle
+    packet to the stall end, closing a non-empty one), then — with
+    ``limits`` — the per-kind slot check, which closes a packet whose
+    slots of that kind are used up; control instructions close their
+    packet.  Cycles are relative to segment entry; ``last_issue_delta``
+    is -1 when nothing issued (empty fall-through blocks).
     """
     issued, inflight = state[0], state[1]
     ready = dict(inflight)

@@ -1,8 +1,9 @@
 """Execution traces and ASCII pipeline diagrams.
 
-:func:`trace_run` simulates a function on the reference interpreter and
-collects its ``(cycle, instruction)`` issue events (the compiled engine
-times whole segments and never sees a single issue); render them with:
+:func:`trace_run` runs a function on the cycle reference
+(:mod:`repro.check.timing`) and collects its ``(cycle, instruction)``
+issue events (the compiled engine times whole segments and never sees a
+single issue); render them with:
 
 * :func:`render_packets` — one line per cycle showing the issue packet
   (what actually went down the pipe together);
@@ -21,9 +22,8 @@ from ..ir.function import Function
 from ..ir.instructions import Instr
 from ..ir.printer import format_instr
 from ..machine import MachineConfig
-from .executor import compiled_program
 from .memory import Memory
-from .simulator import RunResult, run_compiled
+from .simulator import RunResult
 
 
 def trace_run(
@@ -36,10 +36,11 @@ def trace_run(
 ) -> tuple[RunResult, list[tuple[int, Instr]]]:
     """Run ``func`` like :func:`repro.sim.simulate` and return its result
     with the issue events ``(cycle, instruction)`` in issue order."""
-    memory = memory if memory is not None else Memory()
+    from ..check.timing import run_reference  # it imports this package
+
     trace: list[tuple[int, Instr]] = []
-    res = run_compiled(compiled_program(func, machine, memory.symbols),
-                       memory, iregs or {}, fregs or {}, max_cycles, trace)
+    res = run_reference(func, machine, memory, iregs, fregs, max_cycles,
+                        events=trace)
     return res, trace
 
 

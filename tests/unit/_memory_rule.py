@@ -1,7 +1,7 @@
 """Test-only cases for the simulated-memory rule (``repro.sim.memory``),
 shared by the executor tests: ``test_sim_engines.py`` runs them through
-the block code (straight-line and loop-form) and the interpreter,
-``test_check.py`` through the reference evaluator.
+the block code (straight-line and loop-form) and the reference,
+``test_check.py`` through the reference evaluator alone.
 
 :func:`memory` binds one eight-word array ``A`` at ``BASE``; its eight
 pad words follow and the top is ``TOP``.  Every case is one memory
@@ -38,6 +38,15 @@ FAULTS = {
     "vload-negative": ("r1vf = vldf.4(r3i, 0)", NEGATIVE, LOAD),
     "vstore-crosses-top": (_VPACK + "vstf.4(r3i, 0, r1vf)", TOP - 8, STORE),
     "vstore-negative": (_VPACK + "vstf.4(r3i, 0, r1vf)", NEGATIVE, STORE),
+}
+
+#: case -> (instruction at the unaligned address ``BASE + 2`` in r3i,
+#: "load" or "store"); the reference alone rejects them
+UNALIGNED = {
+    "load": ("r2f = MEM(r3i+0)", "load"),
+    "store": ("MEM(r3i+0) = r4f", "store"),
+    "vload": ("r1vf = vldf.4(r3i, 0)", "load"),
+    "vstore": (_VPACK + "vstf.4(r3i, 0, r1vf)", "store"),
 }
 
 #: case -> r3i of a store inside [0, TOP) that is accepted

@@ -3,9 +3,10 @@
 Three layers, mirroring the module structure:
 
 * ``refeval`` — the boring sequential IR interpreter (control flow, strict
-  uninitialized-read errors, store logging);
-* ``oracle`` — golden-state comparison, tolerance policy, and
-  first-divergent-store provenance;
+  uninitialized-read and unaligned-address errors, store logging);
+* ``oracle`` — golden-state comparison, tolerance policy,
+  first-divergent-store provenance, and the engine-vs-reference timing
+  check (a timing fault planted on either side is reported);
 * ``fuzz`` — the AST interpreter, spec determinism, and greedy shrinking.
 """
 
@@ -15,8 +16,13 @@ import numpy as np
 import pytest
 
 import importlib
+import inspect
+import textwrap
 
 fuzz_mod = importlib.import_module("repro.check.fuzz")
+replay_mod = importlib.import_module("repro.sim.replay")
+simulator_mod = importlib.import_module("repro.sim.simulator")
+timing_mod = importlib.import_module("repro.check.timing")
 
 from repro.check.fuzz import (
     CaseSpec,
@@ -35,11 +41,12 @@ from repro.check.oracle import (
     check_workload,
     run_oracle,
 )
-from repro.check.refeval import RefEvalError, ref_eval, reference_run
+from repro.check.refeval import ref_eval, reference_run
 from repro.ir import parse_function
+from repro.ir.instructions import Kind
 from repro.machine import unlimited
 from repro.pipeline import ALL_LEVELS, Level
-from repro.sim import SimMemoryError, simulate
+from repro.sim import SimMemoryError, SimulationError, simulate
 from repro.sim.executor import _idiv, _irem
 from repro.workloads import get_workload
 
@@ -80,17 +87,18 @@ class TestRefEval:
 
     def test_uninitialized_register_read_raises(self):
         f = parse_function("entry:\n  r1i = r9i + 1\n  halt\n")
-        with pytest.raises(RefEvalError, match="uninitialized register"):
+        with pytest.raises(SimulationError,
+                           match="^read of uninitialized register: <add"):
             ref_eval(f)
 
     def test_uninitialized_load_raises(self):
         f = parse_function("entry:\n  r1f = MEM(r2i+0)\n  halt\n")
-        with pytest.raises(RefEvalError, match="uninitialized address"):
+        with pytest.raises(SimMemoryError, match="uninitialized address"):
             ref_eval(f, iregs={2: 64})
 
     def test_division_by_zero_raises(self):
         f = parse_function("entry:\n  r1i = r2i / r3i\n  halt\n")
-        with pytest.raises(RefEvalError, match="division by zero"):
+        with pytest.raises(SimulationError, match="division by zero"):
             ref_eval(f, iregs={2: 4, 3: 0})
 
     def test_store_log_records_address_and_value(self):
@@ -109,19 +117,42 @@ class TestRefEval:
         ]
         assert res.memory._words[100 >> 2] == 2.5
 
-    # the memory rule (repro.sim.memory), as the simulator applies it
+    # the memory rule (repro.sim.memory), as the block code applies it
 
     @pytest.mark.parametrize("case", sorted(rule.FAULTS))
     def test_memory_fault_matches_the_simulator(self, case):
         ops, addr, prefix = rule.FAULTS[case]
         f = parse_function(rule.function_text(ops, "straight"))
-        with pytest.raises(RefEvalError) as ref:
+        with pytest.raises(SimMemoryError) as ref:
             ref_eval(f, rule.memory(), iregs={3: addr}, fregs={4: 2.5})
         with pytest.raises(SimMemoryError) as sim:
             simulate(f, unlimited(), rule.memory(), {3: addr}, {4: 2.5},
-                     engine="interp")
+                     engine="compiled")
         assert str(ref.value).startswith(f"{prefix} {addr:#x}: <")
         assert str(ref.value) == str(sim.value)
+
+    # an unaligned address is the reference's error alone: block code
+    # indexes ``addr >> 2`` and reads the word below (repro.sim.memory)
+
+    @pytest.mark.parametrize("case", sorted(rule.UNALIGNED))
+    def test_unaligned_address_raises(self, case):
+        ops, what = rule.UNALIGNED[case]
+        f = parse_function(rule.function_text(ops, "straight"))
+        addr = rule.BASE + 2
+        want = f"unaligned {what} at {addr:#x}: <"
+        with pytest.raises(SimMemoryError, match=f"^{want}"):
+            ref_eval(f, rule.memory(), iregs={3: addr}, fregs={4: 2.5})
+        with pytest.raises(SimMemoryError, match=f"^{want}"):
+            simulate(f, unlimited(), rule.memory(), {3: addr}, {4: 2.5},
+                     engine="interp")
+
+    def test_block_code_reads_the_word_below_an_unaligned_address(self):
+        # the split the oracle covers: unchecked on the hot path
+        f = parse_function(rule.function_text("r2f = MEM(r3i+0)",
+                                              "straight"))
+        res = simulate(f, unlimited(), rule.memory(),
+                       {3: rule.BASE + 2}, {}, engine="compiled")
+        assert res.fregs[2] == 0.0  # A[0]
 
     @pytest.mark.parametrize("case", sorted(rule.ACCEPTED))
     def test_store_below_the_top_is_accepted(self, case):
@@ -207,6 +238,73 @@ SPECS = [
     CaseSpec(seed=3, trip=9, outer=0, stmts=("guard", "amax"),
              symbolic_bound=False, consts=(0, 1, 2, 3, 0)),
 ]
+
+
+class TestIssueTimer:
+    # a two-block loop: the add issues at even cycles, the branch waits
+    # for it and issues at odd ones; an odd packet opens on that stall
+    # (the branch's block B), an even one after the taken back edge (H)
+    LOOP = ("function t:\nH:\n  r1i = r1i + 1\nB:\n"
+            "  blt (r1i 1000000) H\n  halt\n")
+
+    @pytest.mark.parametrize("max_cycles, block", [(100, "B"), (101, "H")])
+    def test_runaway_names_the_block_control_is_in(self, max_cycles, block):
+        with pytest.raises(SimulationError) as e:
+            simulate(parse_function(self.LOOP), unlimited(), iregs={1: 0},
+                     max_cycles=max_cycles, engine="interp")
+        assert str(e.value) == (
+            f"exceeded {max_cycles} cycles in t (at block {block})")
+
+
+def _mutated(fn, old: str, new: str):
+    """``fn`` recompiled with ``old`` replaced by ``new`` in its source."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert old in src, f"{old!r} not in {fn.__qualname__}"
+    ns: dict = {}
+    exec(compile(src.replace(old, new), f"<mutated {fn.__qualname__}>",
+                 "exec"), fn.__globals__, ns)
+    return ns[fn.__name__]
+
+
+class TestTimingGuard:
+    """Timing is compared on every configuration: a timing fault planted
+    in the replay or in the reference timer is reported as an
+    ``engine-vs-engine`` divergence, and as nothing else."""
+
+    @staticmethod
+    def _kinds() -> set[str]:
+        checked, divs = check_workload(
+            get_workload("dotprod"), levels=(Level.CONV, Level.LEV4),
+            widths=(1, 8), check_ir=False)
+        assert checked == 4
+        return {d.kind for d in divs}
+
+    # the WAW interlock: a write completes strictly after the pending one
+    WAW, WAW_OFF_BY_ONE = "- lat + 1", "- lat + 2"
+
+    def test_unpatched_both_sides_agree(self):
+        assert self._kinds() == set()
+
+    def test_waw_off_by_one_in_replay(self, monkeypatch):
+        monkeypatch.setattr(replay_mod, "_transition", _mutated(
+            replay_mod._transition, self.WAW, self.WAW_OFF_BY_ONE))
+        assert self._kinds() == {"engine-vs-engine"}
+
+    def test_waw_off_by_one_in_the_timer(self, monkeypatch):
+        monkeypatch.setattr(timing_mod.IssueTimer, "_packets", _mutated(
+            timing_mod.IssueTimer._packets, self.WAW, self.WAW_OFF_BY_ONE))
+        assert self._kinds() == {"engine-vs-engine"}
+
+    def test_load_latency_off_by_one_in_the_replay_rows(self, monkeypatch):
+        rows = simulator_mod.timing_rows
+
+        def late_loads(prog):
+            return [{k: (srcs, dest, lat + (kind is Kind.LOAD), closes, kind)
+                     for k, (srcs, dest, lat, closes, kind) in table.items()}
+                    for table in rows(prog)]
+
+        monkeypatch.setattr(simulator_mod, "timing_rows", late_loads)
+        assert self._kinds() == {"engine-vs-engine"}
 
 
 class TestFuzz:

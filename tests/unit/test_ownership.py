@@ -155,7 +155,7 @@ class TestOneExecutionPerCell:
 
     def test_slot_limited_cell_executes_once(self, monkeypatch):
         """Slot-limited machines are replayed like any other: one
-        execution, whose outputs are checked once, and the interpreter's
+        execution, whose outputs are checked once, and the reference's
         counts for every width."""
         plans: list = []
         _record_instances(monkeypatch, ExecPlan, plans)

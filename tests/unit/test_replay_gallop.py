@@ -5,7 +5,7 @@ ends inside a period.
 
 Two layers: the matcher against a brute-force count on synthetic
 traces, and loop nests whose inner steady state breaks after a chosen
-number of periods, timed by the compiled engine and by the interpreter
+number of periods, timed by the compiled engine and by the reference
 at widths 1/2/4/8 and on a slot-limited machine.
 """
 

@@ -197,6 +197,16 @@ A:
         # div at 0 completes at 10; mov must issue at >= 10
         assert res.cycles >= 11
 
+    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    def test_waw_interlock_is_exact(self, engine):
+        # the mov's write must complete strictly after the div's (ready
+        # at 10): it issues at 10 - 1 + 1 = 10, not 9, with the halt
+        res = run(
+            "function t:\nA:\n  r1i = r2i / r3i\n  r1i = 5\n  halt\n",
+            machine=unlimited(), iregs={2: 10, 3: 2}, engine=engine,
+        )
+        assert res.cycles == 11
+
     def test_war_same_cycle_is_free(self):
         # reader and writer of the same register can share a cycle in order
         res = run(

@@ -1,10 +1,11 @@
 """Differential tests between the two simulator engines.
 
 The block-compiled trace/replay core (``engine="compiled"``) must be
-observationally identical to the reference interpreter
-(``engine="interp"``): same cycles, same instruction counts, same end
-state, and the same ``SimulationError`` diagnostics — the fast engine
-is only admissible because no caller can tell it ran.
+observationally identical to the reference (``engine="interp"``: the
+sequential reference evaluator timed by ``repro.check.timing``): same
+cycles, same instruction counts, same end state, and the same
+``SimulationError`` diagnostics — the fast engine is only admissible
+because no caller can tell it ran.
 
 Three layers of evidence:
 
@@ -16,7 +17,7 @@ Three layers of evidence:
 * error-semantics parity: reads of never-written registers, division
   by zero, loads from unbound words and stores outside memory must
   raise the same exception type with the same message from generated
-  block code as from the interpreter — never a ``NameError`` or
+  block code as from the reference — never a ``NameError`` or
   ``IndexError`` leaking codegen internals.
 """
 
@@ -73,7 +74,7 @@ def _assert_runs_equal(a, b, ctx=""):
 
 
 class TestEngineMatrix:
-    """interpreter vs compiled-block engine across the oracle corpus."""
+    """reference vs compiled-block engine across the oracle corpus."""
 
     @pytest.mark.parametrize("name", ORACLE_KERNELS)
     def test_engines_identical(self, name):
@@ -160,7 +161,7 @@ SLOT_LIMITS = {
 
 
 class TestSlotLimitedReplay:
-    """Replay on slot-limited machines equals the interpreter: cycles,
+    """Replay on slot-limited machines equals the reference: cycles,
     instructions and end state, every level, widths 1/2/4/8."""
 
     @pytest.mark.parametrize("limits", SLOT_LIMITS)
@@ -318,7 +319,7 @@ def _error_both(text, exc_type, machine=None, mem_fn=None, iregs=None,
 
 
 class TestErrorParity:
-    """The compiled engine must surface interpreter-identical errors.
+    """The compiled engine must surface reference-identical errors.
 
     Regression for the uninitialized-register class of bugs: generated
     block code binds registers to local variables, so a never-written
@@ -387,7 +388,7 @@ class TestErrorParity:
 
     # -- the memory rule (repro.sim.memory): a load from an unbound word
     # and a store outside [0, top) fault alike in block code of both
-    # forms and in the interpreter, negative addresses included
+    # forms and in the reference, negative addresses included
 
     @pytest.mark.parametrize("form", ["straight", "loop"])
     @pytest.mark.parametrize("case", sorted(rule.FAULTS))
@@ -435,7 +436,7 @@ L:
         assert interp.iregs == compiled.iregs
 
     # -- faults inside a self-loop block: registers live in locals there,
-    # and one write-back must leave the banks as the interpreter's are
+    # and one write-back must leave the banks as the reference's are
 
     def test_loop_division_by_zero_on_the_third_iteration(self):
         text = """

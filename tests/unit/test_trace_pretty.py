@@ -7,11 +7,13 @@ from repro.frontend import ArrayDecl, Kernel, Ty, aref, assign, do, flt, if_, va
 from repro.frontend.pretty import expr_str, kernel_str
 from repro.ir import parse_function
 from repro.machine import issue2, unlimited
-from repro.sim import Memory, render_packets, render_pipeline, trace_run
+from repro.sim import (
+    Memory, render_packets, render_pipeline, simulate, trace_run,
+)
 
 
 class TestTrace:
-    def run_traced(self, machine):
+    def run_traced(self, machine, run=trace_run):
         f = parse_function(
             """
 function t:
@@ -30,11 +32,18 @@ exit:
         mem = Memory()
         mem.bind_array("A", np.arange(1.0, 5.0))
         mem.bind_array("B", np.zeros(4))
-        return trace_run(f, machine, mem, fregs={4: 2.0})
+        return run(f, machine, mem, fregs={4: 2.0})
 
     def test_trace_covers_all_instructions(self):
         res, trace = self.run_traced(unlimited())
         assert len(trace) == res.instructions
+
+    def test_trace_times_like_the_compiled_engine(self):
+        for machine in (unlimited(), issue2()):
+            res, trace = self.run_traced(machine)
+            compiled = self.run_traced(machine, simulate)
+            assert trace[-1][0] + 1 == res.cycles == compiled.cycles
+            assert len(trace) == compiled.instructions
 
     def test_trace_cycles_nondecreasing(self):
         _, trace = self.run_traced(issue2())

@@ -3,7 +3,7 @@
 ``TracedRun`` lowers the cell once and times every other width from the
 timing rows of that lowering (``TracedRun.time(func, machine)``); the
 public per-width path (``compiled_program`` + ``replay_spec``) and the
-interpreter are the references.  What is not a reschedule of the traced
+timed reference evaluator (``engine="interp"``) are the references.  What is not a reschedule of the traced
 program is ``ReplayUnmapped``, from ``time`` and from the runner alike.
 
 The colourer's bucket queue must pop in the order of the lazy heap it
@@ -65,7 +65,7 @@ def _interp(ck, arrays, scalars) -> tuple[int, int]:
 
 def assert_widths_agree(w) -> None:
     """Widths 2/4/8 of every level: shared rows == per-width lowering ==
-    interpreter, from a trace of the width-1 schedule."""
+    reference, from a trace of the width-1 schedule."""
     arrays, scalars = w.make_inputs(0)
     conv = lower_conv(w.build())
     for level in LEVELS:
