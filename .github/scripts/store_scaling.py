@@ -6,7 +6,9 @@ Usage: ``store_scaling.py DIR A,B,...`` after the smoke sweep filled
 stores of 100 and 1000 synthetic keys and checks that
 
 * every put appends the same number of bytes to ``index.log``,
-* opening either store makes the same, small number of ``stat`` calls,
+* opening either store makes the same, small number of ``stat`` calls
+  and lists the same, small number of directories (the tmp directory:
+  never the fan-out directories or the blobs),
 * a store directory holds one ``index.log`` and no ``index.json``,
 * a reopened handle indexes all 1000 keys,
 
@@ -40,19 +42,25 @@ def populate(root: str, n: int) -> set[int]:
     return growth
 
 
-def stats_per_open(root: str) -> tuple[int, int]:
-    """(``stat``/``lstat`` calls made by one open, entries it indexed)."""
-    calls = []
-    real = {name: getattr(os, name) for name in ("stat", "lstat")}
+def calls_per_open(root: str) -> tuple[int, int, int]:
+    """(``stat``/``lstat`` calls made by one open, directories it
+    listed, entries it indexed)."""
+    stats, listings = [], []
+    real = {name: getattr(os, name)
+            for name in ("stat", "lstat", "scandir", "listdir")}
+
+    def counted(calls, fn):
+        return lambda *a, **kw: calls.append(a) or fn(*a, **kw)
+
     for name, fn in real.items():
-        setattr(os, name,
-                lambda *a, _fn=fn, **kw: calls.append(a) or _fn(*a, **kw))
+        setattr(os, name, counted(
+            stats if name.endswith("stat") else listings, fn))
     try:
         entries = len(ArtifactStore(root))
     finally:
         for name, fn in real.items():
             setattr(os, name, fn)
-    return len(calls), entries
+    return len(stats), len(listings), entries
 
 
 def main(smoke_dir: str, names: str) -> int:
@@ -64,17 +72,22 @@ def main(smoke_dir: str, names: str) -> int:
             growth = populate(root, n)
             if len(growth) != 1:
                 bad.append(f"{n} puts grew index.log by {sorted(growth)} bytes")
-            opens[n] = stats_per_open(root)
+            opens[n] = calls_per_open(root)
             if sorted(os.listdir(root)) != ["index.log", "objects"]:
                 bad.append(f"store of {n} holds {sorted(os.listdir(root))}")
-        (small, _), (big, indexed) = opens[100], opens[1000]
+        (small, dirs_small, _), (big, dirs_big, indexed) = \
+            opens[100], opens[1000]
         if not small == big <= 4:
             bad.append(f"stat calls per open: {small} at 100 keys, "
                        f"{big} at 1000")
+        if not dirs_small == dirs_big <= 1:
+            bad.append(f"directories listed per open: {dirs_small} at 100 "
+                       f"keys, {dirs_big} at 1000")
         if indexed != 1000:
             bad.append(f"reopened handle indexes {indexed} of 1000 keys")
         print(f"index.log bytes per put {sorted(growth)}, stat calls per "
-              f"open {small} / {big}, reopened handle indexes {indexed}")
+              f"open {small} / {big}, directories listed per open "
+              f"{dirs_small} / {dirs_big}, reopened handle indexes {indexed}")
     cells = len(names.split(",")) * len(LEVELS) * len(WIDTHS)
     smoke = len(ArtifactStore(smoke_dir))
     print(f"{smoke_dir}: {smoke} indexed of {cells} cells")

@@ -91,52 +91,35 @@ def ref_eval(
     memory = memory if memory is not None else Memory()
     ivals: dict[int, int] = dict(iregs or {})
     fvals: dict[int, float] = dict(fregs or {})
-    vivals: dict[int, tuple] = {}
-    vfvals: dict[int, tuple] = {}
     banks = {RegClass.INT: ivals, RegClass.FP: fvals,
-             RegClass.VINT: vivals, RegClass.VFP: vfvals}
-    symbols = memory.symbols
+             RegClass.VINT: {}, RegClass.VFP: {}}
     words = memory._words
     stores: list[StoreEvent] = []
-
     index = {b.label: i for i, b in enumerate(func.blocks)}
-    blocks = [b.instrs for b in func.blocks]
-    binary = {**ALU_SEMANTICS, **VEC_SEMANTICS}
-    cmp = CMP_SEMANTICS
+    code = _decode(func, banks, memory.symbols)
 
-    def fetch(s, ins: Instr, what: str = "read"):
-        if isinstance(s, Reg):
-            try:
-                return banks[s.cls][s.id]
-            except KeyError:
-                raise SimulationError(
-                    f"{what} of uninitialized register: {ins!r}"
-                ) from None
-        if isinstance(s, (Imm, FImm)):
-            return s.value
-        if isinstance(s, Sym):
-            try:
-                return symbols[s.name]
-            except KeyError:
-                raise SimulationError(
-                    f"unresolved symbol {s.name!r}") from None
-        raise SimulationError(f"bad operand {s!r} at {ins!r}")
+    def fetch(src, ins: Instr, what: str = "read"):
+        bank, key = src
+        if bank is None:
+            return key
+        try:
+            return bank[key]
+        except KeyError:
+            raise SimulationError(
+                f"{what} of uninitialized register: {ins!r}") from None
 
-    def word(ins: Instr, what: str) -> int:
-        addr = fetch(ins.srcs[0], ins) + fetch(ins.srcs[1], ins)
+    def word(ins: Instr, srcs, what: str) -> int:
+        addr = fetch(srcs[0], ins) + fetch(srcs[1], ins)
         if addr % WORD:
             raise SimMemoryError(f"unaligned {what} at {addr:#x}: {ins!r}")
         return addr
 
     steps = 0
     bi = 0
-    n_blocks = len(blocks)
+    n_blocks = len(code)
     while bi < n_blocks:
-        instrs = blocks[bi]
-        ii = 0
-        redirected = False
-        while ii < len(instrs):
-            ins = instrs[ii]
+        nxt = bi + 1
+        for what, ins, fn, dest, key, srcs in code[bi]:
             steps += 1
             if steps > max_steps:
                 raise SimulationError(
@@ -145,34 +128,33 @@ def ref_eval(
                 )
             if on_instr is not None:
                 on_instr(ins)
-            op = ins.op
-            fn = binary.get(op)
-            if fn is not None:
-                a = fetch(ins.srcs[0], ins)
-                b = fetch(ins.srcs[1], ins)
+            if what is _BINARY:
+                a = fetch(srcs[0], ins)
+                b = fetch(srcs[1], ins)
                 try:
-                    res = fn(a, b)
+                    dest[key] = fn(a, b)
                 except ZeroDivisionError:
                     raise SimulationError(f"division by zero: {ins!r}") from None
-                banks[ins.dest.cls][ins.dest.id] = res
-            elif op is Op.MOV or op is Op.FMOV:
-                banks[ins.dest.cls][ins.dest.id] = fetch(ins.srcs[0], ins)
-            elif op is Op.ITOF:
-                fvals[ins.dest.id] = float(fetch(ins.srcs[0], ins))
-            elif op is Op.FTOI:
-                ivals[ins.dest.id] = math.trunc(fetch(ins.srcs[0], ins))
-            elif ins.kind is Kind.LOAD:
-                addr = word(ins, "load")
+            elif what is _BRANCH:
+                if fn(fetch(srcs[0], ins), fetch(srcs[1], ins)):
+                    nxt = index[ins.target.name]
+                    break
+            elif what is _MOVE:
+                dest[key] = fetch(srcs[0], ins)
+            elif what is _CONVERT:
+                dest[key] = fn(fetch(srcs[0], ins))
+            elif what is _LOAD:
+                addr = word(ins, srcs, "load")
                 w = addr >> 2
                 v = words[w] if 0 <= w < len(words) else None
                 if v is None:
                     raise SimMemoryError(
                         f"load from uninitialized address {addr:#x}: {ins!r}"
                     )
-                banks[ins.dest.cls][ins.dest.id] = v
-            elif ins.kind is Kind.STORE:
-                addr = word(ins, "store")
-                v = fetch(ins.srcs[2], ins, "store")
+                dest[key] = v
+            elif what is _STORE:
+                addr = word(ins, srcs, "store")
+                v = fetch(srcs[2], ins, "store")
                 w = addr >> 2
                 if not 0 <= w < len(words):
                     raise SimMemoryError(
@@ -181,15 +163,15 @@ def ref_eval(
                 words[w] = v
                 if log_stores:
                     stores.append(StoreEvent(steps, addr, v, ins))
-            elif op is Op.VEXT or op is Op.VEXTF:
-                v = fetch(ins.srcs[0], ins)
-                banks[ins.dest.cls][ins.dest.id] = v[ins.srcs[1].value]
-            elif op is Op.VPACK or op is Op.VPACKF:
-                banks[ins.dest.cls][ins.dest.id] = tuple(
-                    fetch(s, ins) for s in ins.srcs
-                )
-            elif ins.kind is Kind.VEC_LOAD:
-                addr = word(ins, "load")
+            elif what is _JUMP:
+                nxt = index[ins.target.name]
+                break
+            elif what is _VEXT:
+                dest[key] = fetch(srcs[0], ins)[ins.srcs[1].value]
+            elif what is _VPACK:
+                dest[key] = tuple(fetch(s, ins) for s in srcs)
+            elif what is _VLOAD:
+                addr = word(ins, srcs, "load")
                 w = addr >> 2
                 # a slice stops at the top: a short one crossed it
                 v = tuple(words[w:w + ins.lanes]) if w >= 0 else ()
@@ -197,10 +179,10 @@ def ref_eval(
                     raise SimMemoryError(
                         f"load from uninitialized address {addr:#x}: {ins!r}"
                     )
-                banks[ins.dest.cls][ins.dest.id] = v
-            elif ins.kind is Kind.VEC_STORE:
-                addr = word(ins, "store")
-                v = fetch(ins.srcs[2], ins, "store")
+                dest[key] = v
+            elif what is _VSTORE:
+                addr = word(ins, srcs, "store")
+                v = fetch(srcs[2], ins, "store")
                 w = addr >> 2
                 for j in range(ins.lanes):
                     # lane by lane, as the block code writes them
@@ -213,26 +195,93 @@ def ref_eval(
                         stores.append(
                             StoreEvent(steps, addr + 4 * j, v[j], ins)
                         )
-            elif ins.is_branch:
-                taken = cmp[op](fetch(ins.srcs[0], ins), fetch(ins.srcs[1], ins))
-                if taken:
-                    bi = index[ins.target.name]
-                    redirected = True
-                    break
-            elif op is Op.JMP:
-                bi = index[ins.target.name]
-                redirected = True
-                break
-            elif op is Op.HALT:
+            elif what is _HALT:
                 return RefResult(steps, ivals, fvals, memory, stores)
-            elif op is Op.NOP:
-                pass
-            else:
-                raise SimulationError(f"unhandled opcode {op} at {ins!r}")
-            ii += 1
-        if not redirected:
-            bi += 1
+            elif what is _UNHANDLED:
+                raise SimulationError(f"unhandled opcode {ins.op} at {ins!r}")
+        bi = nxt
     return RefResult(steps, ivals, fvals, memory, stores)
+
+
+# what a decoded instruction does (compared by identity)
+_BINARY, _BRANCH, _MOVE, _CONVERT = "bin", "br", "mov", "cvt"
+_LOAD, _STORE, _JUMP, _HALT, _NOP = "ld", "st", "jmp", "halt", "nop"
+_VEXT, _VPACK, _VLOAD, _VSTORE = "vx", "vp", "vld", "vst"
+_UNHANDLED = "?"
+_BINARY_FNS = {**ALU_SEMANTICS, **VEC_SEMANTICS}
+
+
+class _Fault:
+    """An operand that cannot be read: reading it raises ``message``
+    (where the instruction executes, never where it is decoded)."""
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def __getitem__(self, key):
+        raise SimulationError(self.message)
+
+
+def _decode(func: Function, banks: dict, symbols: dict) -> list[list[tuple]]:
+    """Per block, one row per instruction: ``(what, ins, fn, dest, key,
+    srcs)`` — what it executes as, its semantics function, the bank
+    dict and id it writes, and each operand as ``(bank dict, id)`` or,
+    for a value known here, ``(None, value)``.  Decoding once per run
+    keeps ``Op`` and ``RegClass`` lookups (hashed in Python) out of
+    the per-instruction loop; the rows hold this run's banks."""
+    def operand(s, ins):
+        if isinstance(s, Reg):
+            return banks[s.cls], s.id
+        if isinstance(s, (Imm, FImm)):
+            return None, s.value
+        if isinstance(s, Sym):
+            if s.name in symbols:
+                return None, symbols[s.name]
+            return _Fault(f"unresolved symbol {s.name!r}"), None
+        return _Fault(f"bad operand {s!r} at {ins!r}"), None
+
+    def row(ins: Instr) -> tuple:
+        op = ins.op
+        fn = _BINARY_FNS.get(op)
+        dest = ins.dest
+        if fn is not None:
+            what = _BINARY
+        elif op is Op.MOV or op is Op.FMOV:
+            what = _MOVE
+        elif op is Op.ITOF:
+            what, fn, dest = _CONVERT, float, (banks[RegClass.FP], dest.id)
+        elif op is Op.FTOI:
+            what, fn, dest = _CONVERT, math.trunc, (banks[RegClass.INT],
+                                                    dest.id)
+        elif ins.kind is Kind.LOAD:
+            what = _LOAD
+        elif ins.kind is Kind.STORE:
+            what = _STORE
+        elif op is Op.VEXT or op is Op.VEXTF:
+            what = _VEXT
+        elif op is Op.VPACK or op is Op.VPACKF:
+            what = _VPACK
+        elif ins.kind is Kind.VEC_LOAD:
+            what = _VLOAD
+        elif ins.kind is Kind.VEC_STORE:
+            what = _VSTORE
+        elif ins.is_branch:
+            what, fn = _BRANCH, CMP_SEMANTICS[op]
+        elif op is Op.JMP:
+            what = _JUMP
+        elif op is Op.HALT:
+            what = _HALT
+        elif op is Op.NOP:
+            what = _NOP
+        else:
+            what = _UNHANDLED
+        if isinstance(dest, Reg):
+            dest = (banks[dest.cls], dest.id)
+        bank, key = dest if dest is not None else (None, None)
+        return (what, ins, fn, bank, key,
+                tuple(operand(s, ins) for s in ins.srcs))
+
+    return [[row(ins) for ins in b.instrs] for b in func.blocks]
 
 
 def reference_run(

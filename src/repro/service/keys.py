@@ -75,13 +75,17 @@ def canonical_json(obj) -> str:
                       allow_nan=False)
 
 
+def _content_text(fields: dict) -> str:
+    """The canonical text :func:`content_key` hashes."""
+    return canonical_json({"salt": CODE_VERSION, **fields})
+
+
 def content_key(**fields) -> str:
     """SHA-256 content address of a computation's identity ``fields``
     under the :data:`CODE_VERSION` salt — the one digest every key of
     the artifact store is made with (request keys here, exact-solver
     keys in :mod:`repro.optsched`)."""
-    payload = {"salt": CODE_VERSION, **fields}
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return hashlib.sha256(_content_text(fields).encode()).hexdigest()
 
 
 @functools.lru_cache(maxsize=256)
@@ -148,18 +152,10 @@ def request_identity(
     }
 
 
-def _object(pieces: dict[str, str]) -> str:
-    """Canonical JSON of a dict, from the canonical JSON of its values:
-    the sorted join of its items.  (The names are this module's own
-    identifiers, so they need no escaping.)"""
-    return "{%s}" % ",".join([f'"{k}":{pieces[k]}' for k in sorted(pieces)])
-
-
-_BOOL = ("false", "true")
-
 #: canonical JSON of a machine description by ``cache_key()`` — a
-#: bounded, value-keyed process memo (oldest entry goes first): a sweep
-#: names four machines in 960 keys
+#: bounded, value-keyed process memo (oldest entry goes first) for the
+#: explicit machines a caller names; the paper machine of a width is
+#: :func:`_paper_machine_json`'s
 _MACHINE_JSON: dict[tuple, str] = {}
 _MACHINE_JSON_LIMIT = 64
 
@@ -172,6 +168,75 @@ def _machine_json(machine: MachineConfig) -> str:
             del _MACHINE_JSON[next(iter(_MACHINE_JSON))]
         text = _MACHINE_JSON[key] = canonical_json(to_description(machine))
     return text
+
+
+@functools.lru_cache(maxsize=64)
+def _paper_machine_json(width: int) -> str:
+    """Canonical JSON of the paper machine at ``width``: one
+    ``MachineConfig`` per width and process, not one per key."""
+    return canonical_json(to_description(MachineConfig(issue_width=width)))
+
+
+#: the identity fields that differ between the keys of one template, in
+#: the order :meth:`_KeyTemplate.digest` takes their canonical JSON
+_HOLES = ("kernel", "workload", "level", "width", "machine")
+
+
+class _KeyTemplate:
+    """The canonical text of every request key that shares one set of
+    options (kind, seed, check, check_ir, disable), cut at a hole for
+    each field that varies per cell.
+
+    The text is ``content_key``'s own, of ``request_identity``'s dict,
+    made once with a marker string in each hole, so a key filled in here
+    is byte-identical to ``content_key(kernel=..., request=
+    request_identity(...))``; filling one in is a join and a SHA-256.
+    Options whose JSON contains a marker (only a ``disable`` entry that
+    names no pass could, and every request validates its ``disable``)
+    are a ``ValueError``."""
+
+    def __init__(self, kind: str, seed: int, check: bool, check_ir: bool,
+                 disable: tuple[str, ...]):
+        marks = {name: f"\0{name}" for name in _HOLES}
+        ident = request_identity(kind, marks["workload"], 0, 0, seed=seed,
+                                 check=check, check_ir=check_ir,
+                                 disable=disable)
+        ident.update(level=marks["level"], width=marks["width"],
+                     machine=marks["machine"])
+        text = _content_text({"kernel": marks["kernel"], "request": ident})
+        holes = []  # (where, which, length) of each marker's JSON
+        for i, name in enumerate(_HOLES):
+            hole = json.dumps(marks[name])
+            if text.count(hole) != 1:
+                raise ValueError(f"request options contain {hole}")
+            holes.append((text.index(hole), i, len(hole)))
+        holes.sort()
+        #: the text between the holes, and which hole follows each piece
+        self._pieces, start = [], 0
+        for at, _, length in holes:
+            self._pieces.append(text[start:at])
+            start = at + length
+        self._pieces.append(text[start:])
+        self._order = [i for _, i, _ in holes]
+
+    def digest(self, *values: str) -> str:
+        """The key of one cell from the canonical JSON of its
+        :data:`_HOLES`: the kernel fingerprint, workload name, level,
+        width and machine description."""
+        p = self._pieces
+        a, b, c, d, e = self._order
+        return hashlib.sha256("".join((
+            p[0], values[a], p[1], values[b], p[2], values[c], p[3],
+            values[d], p[4], values[e], p[5])).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=64)
+def _template(salt: str, kind: str, seed: int, check: bool, check_ir: bool,
+              disable: tuple[str, ...]) -> _KeyTemplate:
+    """The key template of one set of canonical options — a bounded,
+    value-keyed process memo.  ``salt`` is :data:`CODE_VERSION` as the
+    caller reads it, so a changed salt never meets an old template."""
+    return _KeyTemplate(kind, seed, check, check_ir, disable)
 
 
 def request_key(
@@ -190,30 +255,23 @@ def request_key(
     """Content address of a request's result: SHA-256 hex digest over the
     canonical identity, the kernel-source fingerprint, and the
     code-version salt — ``content_key(kernel=fingerprint,
-    request=request_identity(...))``, with the canonical text assembled
-    from canonical pieces instead of re-encoding the identity dict (the
-    machine description is most of it and a grid names four).
+    request=request_identity(...))``, filled into the memoized template
+    of its options (:class:`_KeyTemplate`) instead of re-encoding the
+    identity dict.
 
     ``fingerprint`` can be supplied to avoid rebuilding the kernel when
     the caller loops over many configurations of one workload.
     """
-    machine = _checked_machine(kind, width, machine)
+    template = _template(CODE_VERSION, kind, int(seed), bool(check),
+                         bool(check_ir), tuple(sorted(set(disable))))
+    if machine is None:
+        machine_json = _paper_machine_json(int(width))
+    else:
+        machine_json = _machine_json(_checked_machine(kind, width, machine))
     if fingerprint is None:
         fingerprint = workload_fingerprint(workload)
-    request = _object({
-        "kind": json.dumps(kind),
-        "workload": json.dumps(str(workload)),
-        "level": str(int(level)),
-        "width": str(int(width)),
-        "seed": str(int(seed)),
-        "check": _BOOL[bool(check)],
-        "check_ir": _BOOL[bool(check_ir)],
-        "disable": "[%s]" % ",".join(map(json.dumps, sorted(set(disable)))),
-        "machine": _machine_json(machine),
-    })
-    text = _object({"salt": json.dumps(CODE_VERSION),
-                    "kernel": json.dumps(fingerprint), "request": request})
-    return hashlib.sha256(text.encode()).hexdigest()
+    return template.digest(json.dumps(fingerprint), json.dumps(str(workload)),
+                           str(int(level)), str(int(width)), machine_json)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +405,16 @@ class CellRequest(_Options):
             **cls._options(body),
         )
 
+    @classmethod
+    def _of_grid(cls, shared: dict, **own) -> "CellRequest":
+        """A cell of a :class:`SweepRequest`, which validated the grid
+        as a whole: built without re-running the checks per cell.
+        ``shared`` is the grid's :class:`_Options` fields, ``own`` this
+        class's (kind, workload, level, width)."""
+        cell = object.__new__(cls)
+        cell.__dict__.update(shared, **own)
+        return cell
+
     @functools.cached_property
     def key(self) -> str:
         return request_key(
@@ -401,10 +469,14 @@ class SweepRequest(_Options):
         return len(self.workloads) * len(self.levels) * len(self.widths)
 
     def cells(self, kind: str = "run") -> list[CellRequest]:
-        """The grid's configurations in (workload, level, width) order."""
-        options = {"seed": self.seed, "check": self.check,
-                   "check_ir": self.check_ir, "disable": self.disable,
-                   "timeout": self.timeout}
-        return [CellRequest(kind, w, lv, wd, **options)
+        """The grid's configurations in (workload, level, width) order.
+
+        The grid was validated as a whole, so no cell is validated
+        again; a cell derives its ``.key`` when it is asked for it."""
+        if kind not in KINDS:
+            raise ValueError(f"unknown request kind {kind!r} (known: {KINDS})")
+        shared = {f.name: getattr(self, f.name) for f in fields(_Options)}
+        return [CellRequest._of_grid(shared, kind=kind, workload=w,
+                                     level=lv, width=wd)
                 for w in self.workloads for lv in self.levels
                 for wd in self.widths]

@@ -5,6 +5,7 @@ Blobs are addressed by the SHA-256 request key of
 
     root/
       objects/ab/abcdef....json     # header line, then the payload's JSON
+      objects/tmp/                  # every write in progress (tmp files)
       quarantine/                   # corrupt blobs, moved aside
       index.log                     # recency log (advisory)
 
@@ -44,10 +45,11 @@ cap until the log is next rebuilt.
 
 Guarantees:
 
-* **Atomic writes** — a blob is written to a tmp file in the same
-  directory and ``os.replace``d into place, so readers (and concurrent
-  writers of the same key: last rename wins, both contents identical by
-  construction) never observe a torn blob at its final path.
+* **Atomic writes** — a blob is written to a tmp file in
+  ``objects/tmp/`` and ``os.replace``d into place, so readers (and
+  concurrent writers of the same key: last rename wins, both contents
+  identical by construction) never observe a torn blob at its final
+  path.  A compacted ``index.log`` is written there too.
 * **Corruption tolerance** — a blob whose header does not parse, names
   another key, or whose payload has the wrong length or digest (torn,
   bit-flipped, copied to the wrong path) is treated as a *miss* and
@@ -82,7 +84,13 @@ Guarantees:
   result is served, just not persisted) instead of failing the caller;
   only fatal ones (permissions, read-only fs) raise.  Orphaned
   ``*.tmp`` files from writers that died between write and rename are
-  cleaned on open after a grace period.
+  cleaned on open after a grace period: they are all in
+  ``objects/tmp/``, so an open lists that one directory, never the
+  fan-out directories or the blobs.  (A store written before the tmp
+  directory keeps its orphans beside the blobs, where no read sees
+  them; a rebuild of the index, which scans ``objects/`` anyway,
+  removes them.  An open that cannot make ``objects/tmp/``, as on a
+  read-only mount, still serves every hit.)
 
 Fault sites (active only under an armed
 :class:`~repro.resilience.faults.FaultPlan`): ``store.torn_write``
@@ -199,9 +207,15 @@ class ArtifactStore:
     def __post_init__(self):
         self.root = Path(self.root)
         self._objects = os.path.join(self.root, "objects")
+        self._tmp = os.path.join(self._objects, "tmp")
         self._log_path = os.path.join(self.root, "index.log")
         os.makedirs(self._objects, exist_ok=True)
-        self.stats.tmp_cleaned += clean_orphan_tmps(self.root, self.tmp_grace_s)
+        try:
+            os.makedirs(self._tmp, exist_ok=True)
+        except OSError:
+            pass  # a store this process cannot write still serves reads
+        self.stats.tmp_cleaned += clean_orphan_tmps(
+            self._tmp, self.tmp_grace_s, recursive=False)
         #: guards everything below, and ``stats``
         self._lock = threading.Lock()
         #: per-key write-attempt sequence, so injected write faults fire
@@ -291,10 +305,14 @@ class ArtifactStore:
         self._total = sum(self._index.values())
         self._write_log()
         legacy.unlink(missing_ok=True)
+        # the orphans of writers from before ``objects/tmp/``, which
+        # wrote beside the blobs
+        self.stats.tmp_cleaned += clean_orphan_tmps(self.root,
+                                                    self.tmp_grace_s)
 
     def _write_log(self) -> None:
         """Replace the log by one line per live key, in recency order."""
-        tmp = f"{self._log_path}.{os.getpid()}.tmp"
+        tmp = f"{self._tmp}/index.log.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="ascii") as f:
                 f.writelines(f"{k} {size}\n"
@@ -429,10 +447,16 @@ class ArtifactStore:
                 # a torn write is *silent*: the writer thinks it
                 # succeeded, and only a later read detects + quarantines
                 data = data[: max(1, len(data) // 2)]
-        tmp = (f"{os.path.dirname(path)}/.{key[:16]}-{os.getpid()}"
+        tmp = (f"{self._tmp}/{key[:16]}-{os.getpid()}"
                f"-{threading.get_ident()}.tmp")
         try:
-            with open(tmp, "wb") as f:
+            try:
+                f = open(tmp, "wb")
+            except FileNotFoundError:
+                # the directory went away under this handle
+                os.makedirs(self._tmp, exist_ok=True)
+                f = open(tmp, "wb")
+            with f:
                 if plan is not None and plan.fire("store.enospc", key, attempt):
                     raise OSError(errno.ENOSPC, "injected: no space left")
                 f.write(data)

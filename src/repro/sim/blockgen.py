@@ -56,10 +56,10 @@ codegen artifact like ``NameError``):
   writing it) and writes the written ones back in one ``finally``, so
   after an exit or an exception the banks hold the reference's register
   state and ``translate_error`` re-reads intact operands;
-* ``==``/``!=`` comparisons and stores would *silently accept* ``None``,
-  so the generator emits explicit guards for equality branches and store
-  values (calling ``_ur``/``_us``, which raise the reference's
-  messages directly);
+* ``==``/``!=`` comparisons, moves and stores would *silently accept*
+  ``None``, so the generator emits explicit guards for equality
+  branches, move sources and store values (calling ``_ur``/``_us``,
+  which raise the reference's messages directly);
 * division by zero translates the same way (``ZeroDivisionError`` at a
   known line);
 * memory is the :class:`~repro.sim.memory.Memory` word list: a load
@@ -418,7 +418,11 @@ class ExecPlan:
             a, bx = self._expr(ci.srcs[0]), self._expr(ci.srcs[1])
             return [f"{self._dest(ci)} = {_HELPER[op]}({a}, {bx})"]
         if op in (Op.MOV, Op.FMOV):
-            return [f"{self._dest(ci)} = {self._expr(ci.srcs[0])}"]
+            # an assignment copies None silently: guard a register source
+            src = self._expr(ci.srcs[0])
+            guard = ([f"if {src} is None: _ur({gi})"]
+                     if ci.srcs[0][0] != CONST else [])
+            return guard + [f"{self._dest(ci)} = {src}"]
         if op is Op.ITOF:
             return [f"{self._dest(ci)} = _flt({self._expr(ci.srcs[0])})"]
         if op is Op.FTOI:
@@ -502,7 +506,9 @@ def execute_plan(
     at least one cycle on any machine, and fall-through chains between
     control exits are bounded by the block count, so a run that exceeds
     ``(max_cycles + 2) * (n_blocks + 1)`` segments cannot be within the
-    cycle budget on any width and raises the reference's runaway error.
+    cycle budget on any width and raises the reference's runaway error,
+    whose block the trace so far, timed on ``plan.prog``'s machine,
+    names (:func:`repro.sim.replay.replay`).
     A self-loop block iterates inside its own call, appending each back
     edge while the budget ``limit - len(segs)`` lasts; past it the block
     returns the back edge and the check raises at the same segment count
@@ -545,10 +551,14 @@ def execute_plan(
             append(s)
             bi = seg_next[s]
             if len(segs) > limit:
+                # past the budget on any machine: timing the trace on
+                # the program's own machine raises the reference's
+                # error, naming the block control is in
+                from .replay import replay, replay_spec  # imports this
+
+                replay(segs, replay_spec(plan, prog), max_cycles)
                 raise SimulationError(
-                    f"exceeded {max_cycles} cycles in {prog.func.name} "
-                    f"(at block {prog.labels[plan.seg_block[s]]})"
-                )
+                    f"exceeded {max_cycles} cycles in {prog.func.name}")
     except (SimulationError, SimMemoryError):
         raise
     except (TypeError, IndexError, ZeroDivisionError) as e:

@@ -50,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ir.function import Function
+from ..ir.instructions import Op
 from ..machine import MachineConfig
 from .blockgen import FALL, ExecPlan
 from .errors import SimulationError
@@ -110,6 +111,7 @@ class ReplaySpec:
         if [b.label for b in func.blocks] != plan.prog.labels:
             raise ReplayUnmapped("block structure differs")
         self.plan = plan
+        self.func = func
         self.width = machine.issue_width if machine.issue_width > 0 else 1 << 30
         self.limits = dict(machine.slot_limits) or None
         self.start = (0, ()) if self.limits is None else (
@@ -147,7 +149,7 @@ def replay_spec(plan: ExecPlan, prog: CompiledProgram) -> ReplaySpec:
 
 def _transition(rows: tuple, state: tuple, width: int, limits):
     """Issue one segment's instructions from ``state``; returns
-    ``(cycle_delta, last_issue_delta, exit_state)``.
+    ``(cycle_delta, last_issue_delta, exit_state, wait_delta)``.
 
     Mirrors the reference timer (:mod:`repro.check.timing`): packet-full
     check first, then operand/WAW readiness (fast-forwarding an idle
@@ -155,19 +157,28 @@ def _transition(rows: tuple, state: tuple, width: int, limits):
     ``limits`` — the per-kind slot check, which closes a packet whose
     slots of that kind are used up; control instructions close their
     packet.  Cycles are relative to segment entry; ``last_issue_delta``
-    is -1 when nothing issued (empty fall-through blocks).
+    is -1 when nothing issued (empty fall-through blocks), and
+    ``wait_delta`` is the cycle of the last budget check the reference
+    makes inside the segment — a packet closed on a waiting
+    instruction, or by a branch the segment goes on past — -1 when it
+    makes none.
     """
     issued, inflight = state[0], state[1]
     ready = dict(inflight)
     get = ready.get
     used = dict(zip(limits, state[2])) if limits else None
     cycle = 0
-    dli = -1
+    dli = dw = -1
+    closed = False
     for rk, dk, lat, closes, kind in rows:
+        if closed:
+            # a branch closed the packet: the reference checks it here
+            dw = cycle
         while True:
             if issued >= width:
                 issued = 0
                 cycle += 1
+                dw = cycle
                 continue
             need = cycle
             for k in rk:
@@ -184,6 +195,7 @@ def _transition(rows: tuple, state: tuple, width: int, limits):
                 else:
                     issued = 0
                     cycle += 1
+                    dw = cycle
                     continue
             if limits:
                 if issued == 0:  # a new packet: no slot of it used yet
@@ -193,6 +205,7 @@ def _transition(rows: tuple, state: tuple, width: int, limits):
                     if used[kind] >= lim:
                         issued = 0
                         cycle += 1
+                        dw = cycle
                         continue
                     used[kind] += 1
             break
@@ -200,6 +213,7 @@ def _transition(rows: tuple, state: tuple, width: int, limits):
         dli = cycle
         if dk >= 0:
             ready[dk] = cycle + lat
+        closed = closes
         if closes:
             # a branch (taken or not), jump, or halt closes the packet
             issued = 0
@@ -207,9 +221,9 @@ def _transition(rows: tuple, state: tuple, width: int, limits):
     pruned = [(k, v - cycle) for k, v in ready.items() if v > cycle]
     pruned.sort()
     if not limits:
-        return cycle, dli, (issued, tuple(pruned))
+        return cycle, dli, (issued, tuple(pruned)), dw
     counts = tuple(used.values()) if issued else (0,) * len(limits)
-    return cycle, dli, (issued, tuple(pruned), counts)
+    return cycle, dli, (issued, tuple(pruned), counts), dw
 
 
 def _periods(arr: np.ndarray, j: int, i: int) -> int:
@@ -236,13 +250,47 @@ def _periods(arr: np.ndarray, j: int, i: int) -> int:
     return m
 
 
+def _close_label(spec: ReplaySpec, s: int) -> str | None:
+    """The block the reference names when the packet that segment ``s``
+    closes starts past the budget: the target of a jump or a taken
+    branch; for a branch not taken, its own block — or its target, when
+    that resumes where falling through does (the reference judges
+    "taken" by where execution resumes).  None when ``s`` does not end
+    on a branch or jump: nothing else closes a packet the reference
+    checks (a halt ends the run)."""
+    plan = spec.plan
+    exit_ci = plan.seg_exit[s]
+    if exit_ci is not FALL:
+        ins = exit_ci.instr
+        return None if ins.op is Op.HALT else ins.target.name
+    blocks = spec.func.blocks
+    b = plan.seg_block[s]
+    last = blocks[b].instrs[-1] if blocks[b].instrs else None
+    if last is None or not last.is_branch:
+        return None
+    labels = plan.prog.labels
+
+    def resume(i: int) -> int | None:
+        return next((j for j in range(i, len(blocks)) if blocks[j].instrs),
+                    None)
+
+    target = last.target.name
+    taken = resume(labels.index(target)) == resume(b + 1)
+    return target if taken else labels[b]
+
+
 def replay(
     segs: list[int] | np.ndarray,
     spec: ReplaySpec,
     max_cycles: int = 200_000_000,
 ) -> tuple[int, int]:
     """Replay a segment trace under ``spec``'s machine; returns
-    ``(cycles, instructions)`` — identical to full simulation."""
+    ``(cycles, instructions)`` — identical to full simulation.
+
+    The budget is checked where the reference checks it: a packet that
+    closes on a waiting instruction past ``max_cycles`` names that
+    instruction's block, and one closed by a branch or jump names
+    :func:`_close_label`'s."""
     arr = np.asarray(segs, dtype=np.int64)
     sl = segs if isinstance(segs, list) else arr.tolist()
     n = int(arr.size)
@@ -270,7 +318,7 @@ def replay(
         hit = memo.get(key)
         if hit is None:
             hit = memo[key] = _transition(rows[s], state, width, limits)
-        dc, dli, nstate = hit
+        dc, dli, nstate, dw = hit
         prev = seen.get(key)
         if prev is None:
             seen.setdefault(key, (i, cycle))
@@ -279,12 +327,13 @@ def replay(
         else:
             # periodic steady state: the trace from the first occurrence
             # repeats — match whole periods against the rest of the trace
-            # and skip them all
+            # and skip them all, short of the budget (past it the budget
+            # check needs the segment it trips at)
             j, cj = prev
             p = i - j
             dcyc = cycle - cj
             if p > 0 and dcyc > 0:
-                m = _periods(arr, j, i)
+                m = min(_periods(arr, j, i), (max_cycles - cycle) // dcyc)
                 if m > 0:
                     # each period issues (dcyc > 0 implies a control exit),
                     # so last_issue advances by exactly dcyc per period
@@ -292,21 +341,21 @@ def replay(
                     last_issue += m * dcyc
                     i += m * p
                     seen.clear()
-                    if cycle > max_cycles:
-                        raise SimulationError(
-                            f"exceeded {max_cycles} cycles in {name} "
-                            f"(at block {labels[seg_block[s]]})"
-                        )
                     continue
             seen[key] = (i, cycle)
         if dli >= 0:
             last_issue = cycle + dli
+        entry = cycle
         cycle += dc
         state = nstate
         i += 1
         if cycle > max_cycles:
-            raise SimulationError(
-                f"exceeded {max_cycles} cycles in {name} "
-                f"(at block {labels[seg_block[s]]})"
-            )
+            if dw >= 0 and entry + dw > max_cycles:
+                block = labels[seg_block[s]]
+            else:
+                block = _close_label(spec, s)
+            if block is not None:
+                raise SimulationError(
+                    f"exceeded {max_cycles} cycles in {name} "
+                    f"(at block {block})")
     return last_issue + 1, n_instr

@@ -7,6 +7,8 @@ dict ordering and default-valued fields, and sensitivity to everything
 that changes compiled output.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro.machine import MachineConfig
@@ -392,6 +394,128 @@ class TestSweepRequest:
         (run,), (result,) = sweep.cells("run"), sweep.cells("result")
         assert run.key == GOLDEN[0][2] != result.key
         assert run.cell[1:] == result.cell[1:]
+
+
+def _canonical_key(kind, workload, level, width, machine=None, **options):
+    """The definition every key meets: the digest of the canonical JSON
+    of the whole identity."""
+    import hashlib
+
+    return hashlib.sha256(canonical_json({
+        "salt": CODE_VERSION, "kernel": workload_fingerprint(workload),
+        "request": request_identity(kind, workload, level, width,
+                                    machine=machine, **options),
+    }).encode()).hexdigest()
+
+
+class TestKeyTemplates:
+    """A grid's cells and single requests fill their keys into one
+    memoized template per set of options; every key they make must be
+    the canonical digest."""
+
+    OPTIONS = [
+        {},
+        {"seed": 0, "check": False},
+        {"seed": (1 << 64) - 1, "check_ir": True},
+        {"seed": 5, "check": False, "disable": ("licm", "cse")},
+        {"seed": 2, "check": False, "check_ir": True,
+         "disable": ("dce", "combine", "dce")},
+    ]
+
+    @pytest.mark.parametrize("options", OPTIONS)
+    @pytest.mark.parametrize("kind", ["compile", "run", "result"])
+    def test_grid_cells_and_single_requests_are_canonical(self, kind,
+                                                          options):
+        grid = SweepRequest(("add", "dotprod", "NAS-5"), **options)
+        cells = grid.cells(kind)
+        assert len(cells) == grid.configs
+        for cell in cells:
+            args = (kind, cell.workload, cell.level, cell.width)
+            want = _canonical_key(*args, **options)
+            assert cell.key == want, args
+            assert CellRequest(*args, **options).key == want
+            assert request_key(*args, **options) == want
+
+    def test_grid_cells_have_every_field_of_a_request(self):
+        grid = SweepRequest(("sum", "merge"), seed=3, disable=("cse",),
+                            timeout=2.5)
+        names = {f.name for f in fields(CellRequest)}
+        for cell in grid.cells("result"):
+            assert set(vars(cell)) == names
+            assert cell == CellRequest(
+                "result", cell.workload, cell.level, cell.width, seed=3,
+                disable=("cse",), timeout=2.5)
+            assert cell.timeout == 2.5
+
+    def test_a_grid_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown request kind"):
+            SweepRequest(("add",)).cells("bogus")
+
+    def test_explicit_slot_limited_machines_are_canonical(self):
+        from repro.ir.instructions import Kind
+
+        for width in (1, 2, 4, 8, 3):
+            args = ("run", "dotprod", 4, width)
+            for limits in ({Kind.LOAD: 1}, {Kind.FP_ALU: 1, Kind.STORE: 2}):
+                machine = MachineConfig(issue_width=width, slot_limits=limits)
+                for options in self.OPTIONS:
+                    assert request_key(*args, machine=machine, **options) \
+                        == _canonical_key(*args, machine=machine, **options)
+                # ... and not the paper machine's key at that width
+                assert request_key(*args, machine=machine) \
+                    != request_key(*args)
+
+    def test_a_marker_in_an_option_is_refused(self):
+        # only a disable entry that names no pass could contain one, and
+        # a request refuses those before it derives a key
+        disable = ("\0level",)
+        with pytest.raises(ValueError, match="contain"):
+            request_key("run", "add", 3, 4, disable=disable)
+        with pytest.raises(ValueError, match="cannot disable"):
+            CellRequest("run", "add", 3, 4, disable=disable)
+
+    def test_grid_cells_are_not_validated_one_by_one(self, monkeypatch):
+        from repro.service import keys
+
+        calls = []
+        real = keys._validated
+        monkeypatch.setattr(keys, "_validated",
+                            lambda *a: calls.append(a) or real(*a))
+        grid = SweepRequest(("add", "sum"))
+        grid.cells("result")
+        assert len(calls) == 1  # the grid's own, at construction
+
+    def test_templates_are_memoized_per_options_and_salt(self, monkeypatch):
+        from repro.service import keys
+
+        keys._template.cache_clear()
+        SweepRequest(("add",)).cells("run")
+        request_key("run", "add", 4, 8)
+        CellRequest("run", "sum", 2, 1).key
+        assert keys._template.cache_info().currsize == 1
+        monkeypatch.setattr(keys, "CODE_VERSION", "another-salt")
+        assert request_key("run", "add", 4, 8) != GOLDEN[0][2]
+        assert keys._template.cache_info().currsize == 2
+
+    def test_default_machines_are_not_built_per_key(self, monkeypatch):
+        from repro.service import keys
+
+        def keys_of_a_grid():
+            for cell in SweepRequest(("add", "sum", "dotprod")).cells("result"):
+                cell.key
+            for width in (1, 2, 4, 8):
+                request_key("run", "add", 4, width)
+                CellRequest("run", "add", 4, width).key
+
+        keys_of_a_grid()
+        built = []
+        real = keys.MachineConfig
+        monkeypatch.setattr(
+            keys, "MachineConfig",
+            lambda *a, **kw: built.append(kw) or real(*a, **kw))
+        for _ in range(3):
+            keys_of_a_grid()
+        assert built == []
 
 
 class TestOneKeyBuilder:

@@ -587,23 +587,98 @@ class TestStoreResilience:
         store.put(key_of(96), {"v": "b" * 64})   # evicts -> EBUSY absorbed
         assert store.stats.evict_errors >= 1
 
-    def test_orphaned_tmps_cleaned_on_open(self, tmp_path):
-        import os as _os
-
+    def test_orphaned_tmps_cleaned_on_open(self, tmp_path, monkeypatch):
         root = tmp_path / "store"
-        objects = root / "objects" / "ab"
-        objects.mkdir(parents=True)
-        dead = objects / ".abcd-999.tmp"
+        ArtifactStore(root).put(key_of(1), {"v": 1})
+        tmp = root / "objects" / "tmp"
+        dead = tmp / "abcd-999-1.tmp"
         dead.write_text("torn half-write")
-        old = 1.0
-        _os.utime(dead, (old, old))
-        fresh = objects / ".ef01-998.tmp"
+        os.utime(dead, (1.0, 1.0))
+        fresh = tmp / "ef01-998-1.tmp"
         fresh.write_text("maybe live")
+        listed = []
+        real = os.scandir
+        monkeypatch.setattr(os, "scandir", lambda path=".": (
+            listed.append(str(path)) or real(path)))
         s = ArtifactStore(root)
+        monkeypatch.undo()
         assert s.stats.tmp_cleaned == 1
         assert not dead.exists()
         assert fresh.exists()
+        # an open lists the tmp directory and nothing else
+        assert listed == [str(tmp)]
+        assert s.get(key_of(1)) == {"v": 1}
 
+    def test_writes_go_through_the_tmp_directory(self, store, monkeypatch):
+        renamed = []
+        real = os.replace
+        monkeypatch.setattr(os, "replace",
+                            lambda a, b: renamed.append((a, b)) or real(a, b))
+        store.put(key_of(3), {"v": 3})
+        store._write_log()
+        tmp = store.root / "objects" / "tmp"
+        assert [os.path.dirname(a) for a, _ in renamed] == [str(tmp)] * 2
+        assert os.listdir(tmp) == []
+
+    def test_a_put_recreates_a_removed_tmp_directory(self, store):
+        os.rmdir(store.root / "objects" / "tmp")
+        assert store.put(key_of(4), {"v": 4}) is not None
+        assert store.get(key_of(4)) == {"v": 4}
+
+    def test_a_store_written_before_the_tmp_directory(self, tmp_path):
+        """The earlier layout: no ``objects/tmp/``, and a dead writer's
+        tmp file beside the blobs of its fan-out directory and beside
+        the log.  It opens, serves every blob, and a normal open leaves
+        those orphans alone (it lists no fan-out directory); a rebuild
+        of the index, which scans ``objects/``, removes them."""
+        root = tmp_path / "old"
+        writer = ArtifactStore(root)
+        keys = [key_of(n) for n in range(40)]
+        for n, k in enumerate(keys):
+            writer.put(k, {"n": n})
+        os.rmdir(root / "objects" / "tmp")
+        orphans = [root / "objects" / keys[0][:2] / f".{keys[0][:16]}-9-9.tmp",
+                   root / "index.log.9.tmp"]
+        for orphan in orphans:
+            orphan.write_text("half")
+            os.utime(orphan, (1.0, 1.0))
+        reader = ArtifactStore(root)
+        assert len(reader) == 40
+        assert [reader.get(k) for k in keys] == [{"n": n} for n in range(40)]
+        assert reader.stats.hits == 40 and reader.stats.misses == 0
+        assert all(orphan.exists() for orphan in orphans)
+        (root / "index.log").unlink()
+        rebuilt = ArtifactStore(root)
+        assert rebuilt.stats.tmp_cleaned == 2
+        assert not any(orphan.exists() for orphan in orphans)
+        assert [rebuilt.get(k) for k in keys] == [{"n": n} for n in range(40)]
+
+
+    def test_a_store_that_cannot_make_its_tmp_directory_still_serves(
+            self, tmp_path, monkeypatch):
+        """A store in the earlier layout (no ``objects/tmp/``) that this
+        process cannot write, as on a read-only mount: it opens and
+        serves every hit."""
+        import errno
+
+        root = tmp_path / "ro"
+        writer = ArtifactStore(root)
+        keys = [key_of(n) for n in range(10)]
+        for n, k in enumerate(keys):
+            writer.put(k, {"n": n})
+        os.rmdir(root / "objects" / "tmp")
+        tmp = str(root / "objects" / "tmp")
+        real = os.makedirs
+
+        def read_only(path, *args, **kwargs):
+            if os.fspath(path) == tmp:
+                raise OSError(errno.EROFS, "Read-only file system", tmp)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", read_only)
+        reader = ArtifactStore(root)
+        assert [reader.get(k) for k in keys] == [{"n": n} for n in range(10)]
+        assert reader.stats.hits == 10 and reader.stats.misses == 0
 
 class TestClockCorrectness:
     """LRU recency is a logical-use counter, never a wall-clock stamp.

@@ -414,11 +414,49 @@ class TestErrorParity:
         assert (interp.cycles, interp.instructions) == (
             compiled.cycles, compiled.instructions)
 
+    @pytest.mark.parametrize("op, src", [("", "r1i"), ("f", "r1f")])
+    def test_uninit_move_source(self, op, src):
+        # an assignment copies None silently, so block code guards moves
+        dest = src.replace("1", "2")
+        msg = _error_both(f"function t:\nA:\n  {dest} = {src}\n  halt\n",
+                          SimulationError)
+        assert msg.startswith(
+            f"read of uninitialized register: <{op}mov {dest} {src}")
+
     def test_runaway_loop(self):
         msg = _error_both(
             "function t:\nA:\n  jmp A\n", SimulationError, max_cycles=500,
         )
         assert "exceeded 500 cycles" in msg
+
+    # a two-block loop: the add issues at even cycles, the branch waits
+    # for it at odd ones, so the budget runs out on the branch's stall
+    # (its block B) or after the taken back edge (its target H)
+    TWO_BLOCK_LOOP = ("function t:\nH:\n  r1i = r1i + 1\nB:\n"
+                      "  blt (r1i 1000000) H\n  halt\n")
+
+    @pytest.mark.parametrize("max_cycles, block", [(100, "B"), (101, "H")])
+    @pytest.mark.parametrize("trip", [1000000, 120])
+    def test_runaway_names_the_block_control_is_in(self, max_cycles, block,
+                                                   trip):
+        # 10**6 trips outrun block code's segment budget, 120 only the
+        # replay's cycle budget
+        text = self.TWO_BLOCK_LOOP.replace("1000000", str(trip))
+        assert _loops(text) == []
+        msg = _error_both(text, SimulationError, iregs={1: 0},
+                          max_cycles=max_cycles)
+        assert msg == f"exceeded {max_cycles} cycles in t (at block {block})"
+
+    def test_a_halt_at_the_budget_is_not_a_runaway(self):
+        # the second add waits for the first, and the halt joins its
+        # packet at cycle 1, the last the budget allows: the run takes
+        # 2 cycles and ends, on both engines (a halt closes no packet
+        # the reference checks)
+        interp, compiled = _run_both(
+            "function t:\nA:\n  r1i = r1i + 1\n  r2i = r1i + 1\n  halt\n",
+            iregs={1: 0}, max_cycles=1)
+        assert (interp.cycles, interp.instructions) == (
+            compiled.cycles, compiled.instructions) == (2, 3)
 
     def test_healthy_program_identical(self):
         interp, compiled = _run_both(

@@ -204,12 +204,19 @@ class TestStoreResume:
         other_salt = run_sweep(wls, LEVELS, WIDTHS, seed=0, store=stale)
         assert (other_salt.store_hits, other_salt.computed) == (0, n)
 
-    def test_without_a_store_every_sweep_restarts(self):
+    def test_without_a_store_every_sweep_restarts(self, monkeypatch):
+        from repro.service.keys import _KeyTemplate
+
+        digests = []
+        real = _KeyTemplate.digest
+        monkeypatch.setattr(_KeyTemplate, "digest",
+                            lambda *a: digests.append(a) or real(*a))
         wls = [get_workload("add")]
         run_sweep(wls, LEVELS, WIDTHS)
         again = run_sweep(wls, LEVELS, WIDTHS)
         assert again.store_hits == 0
         assert again.computed == len(LEVELS) * len(WIDTHS)
+        assert digests == []  # a serial sweep without a store reads no key
 
 
 class TestPartialCache:
