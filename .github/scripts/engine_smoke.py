@@ -197,9 +197,9 @@ def _off_the_end() -> tuple[int, int]:
         past = mem.symbols["X"] + 4 * n
         msgs = {engine: _fault(lambda: run_compiled_kernel(
                     ck, arrays, scalars, engine=engine))
-                for engine in ("compiled", "interp")}
+                for engine in ("auto", "interp")}
         m = re.match(r"load from uninitialized address (0x[0-9a-f]+): ",
-                     msgs["compiled"])
+                     msgs["auto"])
         # the faulting load is X(n + 1)'s, or (Lev5) a vector load whose
         # lanes (eight at most) reach it; the message names its base
         if (not m or not 0 <= past - int(m.group(1), 16) < 4 * 8
@@ -246,7 +246,7 @@ def main() -> int:
     interp_calls = []
     with _counting(interp_calls):
         t0 = time.perf_counter()
-        compiled = run_sweep(wls, LEVELS, WIDTHS, engine="compiled")
+        compiled = run_sweep(wls, LEVELS, WIDTHS)
         t_compiled = time.perf_counter() - t0
 
     if set(interp.results) != set(compiled.results):
@@ -271,7 +271,7 @@ def main() -> int:
         for level in LEVELS:
             a, b = (strip_timings(run_config(w, level, FP_LIMITED,
                                              engine=engine))
-                    for engine in ("interp", "compiled"))
+                    for engine in ("interp", "auto"))
             limited_bad += _diff((w.name, int(level), "fp-limited"), a, b)
     if limited_bad:
         print(f"FAIL: {limited_bad} slot-limited configurations diverge "

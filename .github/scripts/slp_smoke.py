@@ -35,7 +35,7 @@ TRIPS = (3, 8, 17, 24)
 def engine_identity() -> int:
     wls = all_workloads()
     interp = run_sweep(wls, (Level.LEV5,), WIDTHS, engine="interp")
-    compiled = run_sweep(wls, (Level.LEV5,), WIDTHS, engine="compiled")
+    compiled = run_sweep(wls, (Level.LEV5,), WIDTHS)
     if set(interp.results) != set(compiled.results):
         print("FAIL: engines produced different Lev5 grids")
         return 1

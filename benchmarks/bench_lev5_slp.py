@@ -40,7 +40,7 @@ def test_lev5_speedup_over_lev4(benchmark, sweep_data):
         for w in all_workloads():
             ck = compile_kernel(w.build(), Level.LEV5,
                                 MachineConfig(issue_width=WIDTH))
-            counts[w.name] = ck.report.slp
+            counts[w.name] = ck.report.rewrites("slp")
         return counts
 
     vectorized = benchmark(compile_all)

@@ -156,7 +156,7 @@ def test_engine_sweep_comparison():
             r.t_simulate for r in ref.results.values()))
 
         t0 = time.perf_counter()
-        compiled = run_sweep(wls, GRID_LEVELS, GRID_WIDTHS, engine="compiled")
+        compiled = run_sweep(wls, GRID_LEVELS, GRID_WIDTHS)
         t_compiled = min(t_compiled, time.perf_counter() - t0)
         t_sim_compiled = min(t_sim_compiled, sum(
             r.t_simulate for r in compiled.results.values()))

@@ -48,8 +48,8 @@ def main() -> None:
 
     # 2. the classical (Conv) optimizer
     rep = run_conv(lk.func, lk.counted, lk.live_out_exit)
-    print(f"\n=== after Conv ({rep.derived_ivs} derived IVs, "
-          f"{rep.dead} dead instrs removed) ===")
+    print(f"\n=== after Conv ({rep.rewrites('ivsr')} derived IVs, "
+          f"{rep.rewrites('dce')} dead instrs removed) ===")
     print(format_block(lk.func.get_block(lk.inner_header)))
 
     # 3. ILP transformation at Lev4
@@ -59,7 +59,8 @@ def main() -> None:
         lk.func, counted, Level.LEV4, machine, lk.live_out_exit
     )
     print(f"\n=== after Lev4 (unroll x{ilp.unroll_factor}, "
-          f"{ilp.renamed} renamed, {ilp.inductions} induction chains) ===")
+          f"{ilp.rewrites('rename')} renamed, "
+          f"{ilp.rewrites('induction')} induction chains) ===")
 
     # 4. scheduling: issue times for the superblock
     schedules = schedule_function(

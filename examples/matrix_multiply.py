@@ -65,8 +65,9 @@ def main() -> None:
         )
         assert np.allclose(out.arrays["C"], A @ B)
         extra = ""
-        if ck.report.accumulators:
-            extra = f"  <- {ck.report.accumulators} accumulator(s) expanded"
+        if ck.report.rewrites("accumulate"):
+            extra = (f"  <- {ck.report.rewrites('accumulate')} "
+                     "accumulator(s) expanded")
         print(f"{level.label}: {out.cycles:6d} cycles on issue-8 "
               f"(speedup {base.cycles / out.cycles:.2f}){extra}")
 

@@ -57,12 +57,13 @@ def main() -> None:
         notes = []
         if rep.unroll_factor > 1:
             notes.append(f"unroll x{rep.unroll_factor}")
-        if rep.renamed:
-            notes.append(f"{rep.renamed} regs renamed")
-        if rep.inductions:
-            notes.append(f"{rep.inductions} induction chains expanded")
-        if rep.combined:
-            notes.append(f"{rep.combined} ops combined")
+        if rep.rewrites("rename"):
+            notes.append(f"{rep.rewrites('rename')} regs renamed")
+        if rep.rewrites("induction"):
+            notes.append(
+                f"{rep.rewrites('induction')} induction chains expanded")
+        if rep.rewrites("combine"):
+            notes.append(f"{rep.rewrites('combine')} ops combined")
         print(f"{level.label:<6}{out.cycles:>8}{out.cycles / N:>10.2f}"
               f"{base.cycles / out.cycles:>9.2f}  {', '.join(notes)}")
 

@@ -1,11 +1,10 @@
-"""Def-use helpers over linear instruction sequences and whole functions."""
+"""Def and use sites of the registers of a linear instruction sequence."""
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..ir.function import Function
 from ..ir.instructions import Instr
 from ..ir.operands import Reg
 
@@ -44,34 +43,3 @@ class DefUse:
     def single_def(self, reg: Reg) -> int | None:
         d = self.defs.get(reg, [])
         return d[0] if len(d) == 1 else None
-
-
-def regs_defined(instrs) -> set[Reg]:
-    out: set[Reg] = set()
-    for ins in instrs:
-        out.update(ins.reg_defs())
-    return out
-
-
-def regs_used(instrs) -> set[Reg]:
-    out: set[Reg] = set()
-    for ins in instrs:
-        out.update(ins.reg_uses())
-    return out
-
-
-def func_def_counts(func: Function) -> dict[Reg, int]:
-    counts: dict[Reg, int] = defaultdict(int)
-    for ins in func.iter_instrs():
-        for r in ins.reg_defs():
-            counts[r] += 1
-    return dict(counts)
-
-
-def reaching_def_before(instrs: list[Instr], idx: int, reg: Reg) -> int | None:
-    """Index of the nearest def of ``reg`` strictly before position ``idx``
-    in a linear sequence, or None (value is live-in to the sequence)."""
-    for j in range(idx - 1, -1, -1):
-        if instrs[j].dest == reg:
-            return j
-    return None

@@ -79,15 +79,6 @@ class DepGraph:
             self._pred_counts = [len({i for i, _ in ps}) for ps in self.preds]
         return self._pred_counts
 
-    def transitive_ok(self, order: list[int]) -> bool:
-        """Check a proposed order respects all edges (used by tests)."""
-        pos = {node: k for k, node in enumerate(order)}
-        return all(
-            pos[i] < pos[j]
-            for i in range(self.n())
-            for j, _ in self.succs[i]
-        )
-
 
 def speculable(
     ins: Instr,

@@ -251,12 +251,3 @@ def may_alias(a: AddrExpr, b: AddrExpr, size_a: int = 1, size_b: int = 1) -> boo
         # byte-range overlap: [const, const + 4*size) half-open intervals
         return a.const < b.const + 4 * size_b and b.const < a.const + 4 * size_a
     return True
-
-
-def memory_independent(analysis: AddressAnalysis, i: int, j: int) -> bool:
-    """True when memory instructions at positions i and j provably do not
-    access the same word."""
-    return not may_alias(
-        analysis.address_expr(i), analysis.address_expr(j),
-        analysis.instrs[i].mem_words, analysis.instrs[j].mem_words,
-    )

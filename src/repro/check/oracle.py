@@ -178,7 +178,7 @@ def check_workload(
 
     checked = 0
     try:
-        conv = lower_conv(w.build())
+        conv = lower_conv(w.build(), check=check_ir)
     except Exception as e:  # noqa: BLE001 - any compile failure is a finding
         divs.append(Divergence(w.name, "-", 0, "compile-error", repr(e)))
         return 0, divs
@@ -196,7 +196,7 @@ def check_workload(
         # SLP reduction packing reassociate fp reductions by design; only
         # they may relax bit-identity (exact-variant SLP packs keep every
         # per-lane chain intact and stay bit-identical)
-        exact = (tk.report.accumulators == 0 and tk.report.trees == 0
+        exact = (tk.report.rewrites("accumulate", "treeheight") == 0
                  and tk.report.slp_reassoc == 0)
         cks = []
         for i, width in enumerate(widths):

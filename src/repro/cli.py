@@ -89,7 +89,8 @@ def cmd_compile(args) -> int:
     if args.stage in ("naive", "all"):
         print("=== naive lowering ===")
         print(format_function(lk.func))
-    rep = run_conv(lk.func, lk.counted, lk.live_out_exit, options=options)
+    rep = run_conv(lk.func, lk.counted, lk.live_out_exit, options=options,
+                   check=args.check)
     if args.stage in ("conv", "all"):
         print("\n=== after Conv ===")
         print(format_function(lk.func))
@@ -103,10 +104,12 @@ def cmd_compile(args) -> int:
                       doall=lk.inner_kind == "doall", check=args.check,
                       options=options, report=rep)
     print(f"\n=== {level.label} on issue-{args.width or 'inf'}: "
-          f"unroll x{rep.unroll_factor}, {rep.renamed} renamed, "
-          f"{rep.inductions} ind, {rep.accumulators} acc, "
-          f"{rep.searches} search, {rep.combined} combined, "
-          f"{rep.trees} trees ===")
+          f"unroll x{rep.unroll_factor}, {rep.rewrites('rename')} renamed, "
+          f"{rep.rewrites('induction')} ind, "
+          f"{rep.rewrites('accumulate')} acc, "
+          f"{rep.rewrites('search')} search, "
+          f"{rep.rewrites('combine')} combined, "
+          f"{rep.rewrites('treeheight')} trees ===")
     print(format_block(sb.body))
     usage = measure_register_usage(lk.func, lk.live_out_exit)
     print(f"\nregisters: {usage.int_regs} int + {usage.fp_regs} fp = {usage.total}")
@@ -130,7 +133,7 @@ def cmd_passes(args) -> int:
         print(f"-- {phase_name} ({rounds}) " + "-" * 40)
         for p in phase.passes:
             ablatable = "no" if p.required else "yes"
-            print(f"{p.name:<24}{p.phase:<10}{p.gate_label:<8}"
+            print(f"{p.name:<24}{phase_name:<10}{p.gate_label:<8}"
                   f"{ablatable:<11}{p.doc}")
     return 0
 

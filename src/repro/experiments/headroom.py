@@ -81,11 +81,6 @@ class LoopHeadroom:
     def block_headroom(self) -> int:
         return self.heuristic_makespan - self.optimal_makespan
 
-    @property
-    def pipelining_headroom(self) -> int:
-        """Cycles/iteration-group software pipelining would still win."""
-        return self.optimal_makespan - self.exact_ii
-
     def as_payload(self) -> dict:
         return {k: getattr(self, k) for k in (
             "name", "n_instrs", "heuristic_makespan", "optimal_makespan",

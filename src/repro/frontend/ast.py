@@ -78,9 +78,6 @@ class Expr:
     def eq(self, other):
         return Cmp("==", self, wrap(other))
 
-    def ne(self, other):
-        return Cmp("!=", self, wrap(other))
-
 
 @dataclass(eq=False)
 class Const(Expr):

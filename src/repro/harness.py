@@ -64,7 +64,7 @@ from .pipeline import (
 from .regalloc import RegisterUsage, measure_register_usage
 from .schedule.listsched import Schedule
 from .schedule.superblock import SuperblockLoop
-from .sim import Memory, TracedRun, compiled_program, simulate
+from .sim import Memory, TracedRun, check_engine, compiled_program, simulate
 from .workloads import Workload, check_run, get_workload
 
 
@@ -162,11 +162,16 @@ class TransformedKernel:
                                  self.schedule_inputs)
 
 
-def lower_conv(kernel: Kernel, options: PassOptions | None = None) -> ConvKernel:
+def lower_conv(
+    kernel: Kernel, options: PassOptions | None = None, check: bool = False,
+) -> ConvKernel:
     """Stage 1: lower a kernel and run the classical (conventional)
-    optimizations.  Depends only on the kernel itself."""
+    optimizations.  Depends only on the kernel itself.  ``check=True``
+    runs the invariant verifier on the lowered code and after every
+    pass."""
     lk = lower_kernel(kernel)
-    report = run_conv(lk.func, lk.counted, lk.live_out_exit, options=options)
+    report = run_conv(lk.func, lk.counted, lk.live_out_exit, options=options,
+                      check=check)
     return ConvKernel(lk, report)
 
 
@@ -183,7 +188,8 @@ def ilp_transform(
 
     Mutates ``conv``'s function in place (pass ``conv.clone()`` to keep the
     stage-1 result reusable).  Observes only ``machine.latency_key()``.
-    ``check=True`` runs the invariant verifier between every pass.
+    ``check=True`` runs the invariant verifier on entry and after every
+    pass.
     """
     lk = conv.lowered
     counted = lk.counted[lk.inner_header]
@@ -237,13 +243,17 @@ def compile_kernel(
 ) -> CompiledKernel:
     """Lower, classically optimize, ILP-transform, and schedule a kernel.
 
-    ``check=True`` turns on the between-pass invariant verifier for every
-    stage (the CLI ``--check`` flag); ``options`` carries pass disabling
-    and IR printing controls (``--disable-pass``, ``--print-after``).
+    ``check=True`` (the CLI ``--check`` flag) runs the invariant
+    verifier at every phase's entry, after every pass and after every
+    phase's finalizer, in all four phases, and verifies the register
+    colouring; a failure names the pass it follows.  ``options`` carries
+    pass disabling and IR printing controls (``--disable-pass``,
+    ``--print-after``).
     """
     tk = ilp_transform(
-        lower_conv(kernel, options=options), level, machine, unroll_factor,
-        thr_unit_latency=thr_unit_latency, check=check, options=options,
+        lower_conv(kernel, options=options, check=check), level, machine,
+        unroll_factor, thr_unit_latency=thr_unit_latency, check=check,
+        options=options,
     )
     return schedule_kernel(tk, machine, check=check, options=options)
 
@@ -408,12 +418,16 @@ class BatchedRunner:
 
 
 @functools.lru_cache(maxsize=64)
-def _conv_kernel(name: str, options: PassOptions | None) -> ConvKernel:
+def _conv_kernel(
+    name: str, options: PassOptions | None, check: bool,
+) -> ConvKernel:
     """Classical optimization is level- and machine-independent, so one
-    ``ConvKernel`` per (workload, pass options) serves every cell a
-    process evaluates (an ablation that switches classical passes off
-    must not get the fully-optimized one).  Transform a ``.clone()``."""
-    return lower_conv(get_workload(name).build(), options=options)
+    ``ConvKernel`` per (workload, pass options, ``check``) serves every
+    cell a process evaluates (an ablation that switches classical passes
+    off must not get the fully-optimized one, and a checked cell must
+    get a checked classical phase).  Transform a ``.clone()``."""
+    return lower_conv(get_workload(name).build(), options=options,
+                      check=check)
 
 
 @functools.lru_cache(maxsize=64)
@@ -468,7 +482,8 @@ def evaluate_cell(
     cycle/instruction counts come from replaying that trace against its
     own schedule, bit-identical to simulating each in full.
     ``engine="interp"`` names the reference instead, which runs every
-    machine in full.  ``check`` holds the first machine's outputs
+    machine in full; any engine name but ``"auto"`` and ``"interp"`` is
+    a ``ValueError``.  ``check`` holds the first machine's outputs
     against the workload's NumPy reference: replayed machines share
     them (the oracle compares each width's own outputs under the
     reference).  ``check_ir`` runs the
@@ -479,9 +494,10 @@ def evaluate_cell(
         raise ValueError(
             "the machines of a cell must differ in issue width only "
             "(one latency_key())")
+    check_engine(engine)
     built = _conv_kernel.cache_info().misses
     t0 = time.perf_counter()
-    conv = _conv_kernel(w.name, options)
+    conv = _conv_kernel(w.name, options, check_ir)
     t_conv = (time.perf_counter() - t0
               if _conv_kernel.cache_info().misses > built else 0.0)
     t0 = time.perf_counter()

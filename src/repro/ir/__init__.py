@@ -15,7 +15,6 @@ from .operands import (
     Sym,
     fp_reg,
     int_reg,
-    is_constant,
 )
 from .instructions import (
     Instr,
@@ -37,7 +36,7 @@ from .verify import VerifyError, verify_function, verify_instr
 
 __all__ = [
     "FImm", "Imm", "Label", "Operand", "Reg", "RegClass", "Sym",
-    "fp_reg", "int_reg", "is_constant",
+    "fp_reg", "int_reg",
     "Instr", "Kind", "NEGATED_BRANCH", "Op", "OpInfo", "OP_INFO",
     "SWAPPED_BRANCH", "make",
     "Block",

@@ -48,12 +48,6 @@ class Block:
         t = self.terminator
         return t is None or t.op not in (Op.JMP, Op.HALT)
 
-    def branch_targets(self) -> Iterator[str]:
-        """Labels this block may branch/jump to (in instruction order)."""
-        for ins in self.instrs:
-            if ins.is_control and ins.target is not None:
-                yield ins.target.name
-
     def branches(self) -> Iterator[Instr]:
         for ins in self.instrs:
             if ins.is_control:
@@ -64,11 +58,6 @@ class Block:
         for ins in self.instrs[:-1]:
             if ins.is_control:
                 yield ins
-
-    @property
-    def is_superblock(self) -> bool:
-        """Has at least one mid-block side exit."""
-        return any(True for _ in self.side_exits())
 
     def __iter__(self) -> Iterator[Instr]:
         return iter(self.instrs)

@@ -60,12 +60,6 @@ class FunctionBuilder:
 
     # -- registers --------------------------------------------------------
 
-    def ireg(self) -> Reg:
-        return self.func.new_int_reg()
-
-    def freg(self) -> Reg:
-        return self.func.new_fp_reg()
-
     def _dest(self, dest: Reg | None, cls: RegClass) -> Reg:
         if dest is None:
             return self.func.new_reg(cls)
@@ -94,12 +88,6 @@ class FunctionBuilder:
 
     def rem(self, a, b, dest: Reg | None = None) -> Reg:
         return self._int2(Op.REM, a, b, dest)
-
-    def and_(self, a, b, dest: Reg | None = None) -> Reg:
-        return self._int2(Op.AND, a, b, dest)
-
-    def or_(self, a, b, dest: Reg | None = None) -> Reg:
-        return self._int2(Op.OR, a, b, dest)
 
     def xor(self, a, b, dest: Reg | None = None) -> Reg:
         return self._int2(Op.XOR, a, b, dest)

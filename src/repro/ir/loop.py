@@ -108,13 +108,6 @@ class Loop:
                     edges.append((lab, s))
         return edges
 
-    def exit_targets(self, func: Function) -> list[str]:
-        seen: list[str] = []
-        for _, t in self.exit_edges(func):
-            if t not in seen:
-                seen.append(t)
-        return seen
-
     def body_instrs(self, func: Function):
         bm = func.block_map()
         for b in func.blocks:  # layout order for determinism

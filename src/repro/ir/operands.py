@@ -173,22 +173,3 @@ def int_reg(i: int) -> Reg:
 def fp_reg(i: int) -> Reg:
     """Shorthand for ``Reg(i, RegClass.FP)``."""
     return Reg(i, RegClass.FP)
-
-
-def vint_reg(i: int) -> Reg:
-    """Shorthand for ``Reg(i, RegClass.VINT)``."""
-    return Reg(i, RegClass.VINT)
-
-
-def vfp_reg(i: int) -> Reg:
-    """Shorthand for ``Reg(i, RegClass.VFP)``."""
-    return Reg(i, RegClass.VFP)
-
-
-def is_constant(op: Operand) -> bool:
-    """True if the operand has a compile-time-known value (Imm/FImm).
-
-    ``Sym`` is a link-time constant but its numeric value is unknown to the
-    compiler, so it does not count for operation combining or folding.
-    """
-    return isinstance(op, (Imm, FImm))

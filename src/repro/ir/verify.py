@@ -188,12 +188,13 @@ def verify_pipeline(
 ) -> None:
     """Full between-pass invariant check: structure + def-before-use.
 
-    ``stage`` names the pass that just ran, for error provenance.
+    ``stage`` says where in the pipeline the check runs (``"after
+    rename"``), for error provenance.
     """
     try:
         verify_function(func)
         verify_def_before_use(func, defined_on_entry)
     except VerifyError as e:
         if stage:
-            raise VerifyError(f"[after {stage}] {e}") from None
+            raise VerifyError(f"[{stage}] {e}") from None
         raise

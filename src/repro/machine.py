@@ -81,7 +81,10 @@ class MachineConfig:
 
     issue_width: int = 8
     latencies: dict[Kind, int] = field(default_factory=lambda: dict(PAPER_LATENCIES))
-    #: at most this many branches may issue per cycle (paper: 1)
+    #: branches per issue packet; only the paper's 1 is modelled (the list
+    #: scheduler and both cycle models close a packet at any branch), so
+    #: any other value is refused.  Kept as a field: it is part of every
+    #: request key
     branch_slots: int = 1
     #: per-kind issue slot limits beyond the global width; empty means the
     #: paper's "no limitation on the combination of instructions" model.
@@ -104,6 +107,9 @@ class MachineConfig:
         if self.slot_limits and min(self.slot_limits.values()) < 1:
             raise ValueError("slot limit below 1: " + ", ".join(
                 k.name for k, v in self.slot_limits.items() if v < 1))
+        if self.branch_slots != 1:
+            raise ValueError(
+                f"branch_slots={self.branch_slots}: only 1 is modelled")
 
     def latency(self, op: Op) -> int:
         try:
@@ -175,7 +181,8 @@ def to_description(config: MachineConfig) -> dict:
 def from_description(desc: dict) -> MachineConfig:
     """Build a configuration from a machine-description dictionary.
 
-    Unspecified latencies default to Table 1; unknown kind names raise."""
+    Unspecified latencies default to Table 1; unknown kind names raise,
+    and so does a ``branch_slots`` other than 1 (``ValueError``)."""
     latencies = dict(PAPER_LATENCIES)
     for name, v in desc.get("latencies", {}).items():
         latencies[Kind[name]] = int(v)

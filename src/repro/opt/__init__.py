@@ -3,7 +3,7 @@
 from .constprop import propagate_constants
 from .copyprop import propagate_copies_local
 from .cse import eliminate_common_subexpressions
-from .dce import eliminate_dead_code, remove_nops
+from .dce import eliminate_dead_code
 from .driver import run_conv
 from .ivsr import strength_reduce_ivs
 from .licm import hoist_loop_invariants
@@ -13,7 +13,7 @@ __all__ = [
     "propagate_constants",
     "propagate_copies_local",
     "eliminate_common_subexpressions",
-    "eliminate_dead_code", "remove_nops",
+    "eliminate_dead_code",
     "run_conv",
     "strength_reduce_ivs",
     "hoist_loop_invariants",

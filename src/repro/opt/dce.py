@@ -45,12 +45,3 @@ def eliminate_dead_code(func: Function, live_out_exit: set[Reg] | None = None) -
         removed += len(blk.instrs) - len(keep)
         blk.instrs = keep
     return removed
-
-
-def remove_nops(func: Function) -> int:
-    removed = 0
-    for blk in func.blocks:
-        keep = [ins for ins in blk.instrs if ins.op is not Op.NOP]
-        removed += len(blk.instrs) - len(keep)
-        blk.instrs = keep
-    return removed

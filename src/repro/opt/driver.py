@@ -31,12 +31,11 @@ def run_conv(
     func: Function,
     counted: dict[str, CountedLoop] | None = None,
     live_out_exit: set[Reg] | None = None,
-    max_rounds: int = 10,
-    verify: bool = True,
     options=None,
     report=None,
+    check: bool = False,
 ):
-    """Apply the classical pipeline to fixpoint (bounded rounds).
+    """Apply the classical pipeline to fixpoint (at most 10 rounds).
 
     ``counted`` maps inner-loop headers to their metadata; induction
     variable elimination updates entries in place when it retargets a loop
@@ -44,7 +43,8 @@ def run_conv(
     run (workload outputs) so DCE keeps them.  ``options`` takes a
     :class:`~repro.passes.manager.PassOptions` (pass disabling / IR
     printing); ``report`` an existing
-    :class:`~repro.passes.stats.PipelineReport` to extend.
+    :class:`~repro.passes.stats.PipelineReport` to extend.  ``check=True``
+    runs the invariant verifier on entry and after every pass.
 
     Returns the :class:`~repro.passes.stats.PipelineReport` with one
     :class:`~repro.passes.stats.PassStats` row per pass execution.
@@ -56,7 +56,6 @@ def run_conv(
         report=report if report is not None else PipelineReport(),
         live_out_exit=live_out_exit or set(),
         counted_map=counted,
-        verify_final=verify,
     )
-    PassManager(options).run_phase("conv", ctx, max_rounds=max_rounds)
+    PassManager(options, check=check).run_phase("conv", ctx)
     return ctx.report

@@ -263,7 +263,7 @@ def schedule_exactly(
     usage = None
     if check:
         verify_pipeline(lk.func, set(lk.func.pinned_regs),
-                        stage="exact scheduling")
+                        stage="after exact scheduling")
         usage = measure_register_usage(lk.func, lk.live_out_exit, check=True)
     ck = CompiledKernel(lk, tk.level, machine, tk.sb, schedules, tk.report,
                         usage)

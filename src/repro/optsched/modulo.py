@@ -104,11 +104,6 @@ class ModuloSchedule:
         """Fill cycles before the kernel reaches steady state."""
         return (self.stages - 1) * self.ii
 
-    @property
-    def epilogue_cycles(self) -> int:
-        """Drain cycles after the last kernel pass."""
-        return (self.stages - 1) * self.ii
-
     def as_payload(self) -> dict:
         return {
             "ii": self.ii,

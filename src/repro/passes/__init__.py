@@ -3,12 +3,13 @@
 One declarative pipeline replaces the three hand-rolled driver loops
 (classical fixpoint, level-gated ILP sequence + cleanup loop, scheduling):
 
-* :class:`~repro.passes.manager.Pass` — descriptor: name, phase, level
-  gate, profitability predicate, run callable returning a rewrite count;
+* :class:`~repro.passes.manager.Pass` — descriptor: name, level gate,
+  profitability predicate, run callable returning a rewrite count;
 * :class:`~repro.passes.manager.Phase` /
   :class:`~repro.passes.manager.PassManager` — ordering, fixpoint
   iteration, gating, ``--disable-pass`` skipping, ``--print-after`` IR
-  dumps, and between-pass invariant-verifier checkpointing;
+  dumps, and the ``--check`` invariant verifier (at each phase's entry,
+  after every pass, after the finalizer);
 * :class:`~repro.passes.stats.PassStats` /
   :class:`~repro.passes.stats.PipelineReport` — per-execution
   observability (rewrites, wall time, instruction-count delta, fixpoint

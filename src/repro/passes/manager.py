@@ -5,22 +5,25 @@ hardwired as three ad-hoc driver loops (the Conv fixpoint, the
 level-gated ILP transform sequence plus its cleanup loop, and the
 scheduling step).  This module replaces them with data:
 
-* a :class:`Pass` names one transformation — its phase, its level gate,
-  an optional profitability predicate, and a run callable that mutates
-  the shared :class:`PipelineContext` and returns a rewrite count;
-* a :class:`Phase` groups passes into an ordered (optionally fixpoint)
-  unit with round hooks and a finalizer;
+* a :class:`Pass` names one transformation — its level gate, an
+  optional profitability predicate, and a run callable that mutates the
+  shared :class:`PipelineContext` and returns a rewrite count;
+* a :class:`Phase` groups passes into an ordered unit, iterated until a
+  round makes no rewrite (at most ``max_rounds`` rounds), with a round
+  hook and a finalizer;
 * the :class:`PassManager` executes phases: it owns ordering, fixpoint
   iteration, level gating, ``--disable-pass`` skipping, per-pass
   :class:`~repro.passes.stats.PassStats` recording, ``--print-after``
-  IR dumps, and the between-pass invariant-verifier checkpointing that
-  the drivers previously hand-threaded.
+  IR dumps, and the ``--check`` invariant verifier, which runs by one
+  rule in every phase: at the phase's entry, after every pass, and
+  after the finalizer.
 
 The default pipeline (phases ``conv`` → ``ilp`` → ``cleanup`` →
-``schedule``) is declared in :mod:`repro.passes.registry`; its ordering
-and fixpoint semantics reproduce the pre-refactor drivers exactly, so
-compiled output is bit-identical (asserted by the golden oracle-set
-test and the differential oracle).
+``schedule``) is declared in :mod:`repro.passes.registry`, the one place
+a pass's phase and name are stated; its ordering and fixpoint semantics
+reproduce the pre-refactor drivers exactly, so compiled output is
+bit-identical (asserted by the golden oracle-set test and the
+differential oracle).
 """
 
 from __future__ import annotations
@@ -69,8 +72,6 @@ class PipelineContext:
     unroll_factor: int | None = None
     thr_unit_latency: bool = False
     doall: bool = False
-    #: run ``verify_function`` in the Conv finalizer (run_conv's flag)
-    verify_final: bool = True
     #: width-independent dependence DAGs the schedule phase runs over
     #: (:class:`repro.pipeline.ScheduleInputs`)
     schedule_inputs: object | None = None
@@ -84,10 +85,11 @@ class PipelineContext:
 
 @dataclass(frozen=True)
 class Pass:
-    """Descriptor of one registered transformation."""
+    """Descriptor of one registered transformation.  Its phase is the
+    :class:`Phase` that holds it; ``name`` is the one identifier
+    ``--disable-pass``, ``--print-after`` and ``--check`` failures use."""
 
     name: str
-    phase: str
     run: Callable[[PipelineContext], int]
     doc: str = ""
     #: minimum transformation level; None = runs at every level
@@ -97,12 +99,6 @@ class Pass:
     #: structural passes the pipeline cannot function without; they are
     #: exempt from --disable-pass and leave-one-out ablation
     required: bool = False
-    #: stage label for invariant-verifier provenance (defaults to name)
-    stage: str | None = None
-
-    @property
-    def stage_label(self) -> str:
-        return self.stage if self.stage is not None else self.name
 
     @property
     def gate_label(self) -> str:
@@ -113,25 +109,17 @@ class Pass:
 
 @dataclass(frozen=True)
 class Phase:
-    """An ordered group of passes, optionally iterated to fixpoint."""
+    """An ordered group of passes, run round after round until a round
+    makes no rewrite or ``max_rounds`` rounds have run."""
 
     name: str
     passes: tuple[Pass, ...]
-    #: upper bound on fixpoint rounds (1 = straight-line sequence)
+    #: upper bound on rounds (1 = straight-line sequence)
     max_rounds: int = 1
-    #: stop early once a full round reports zero rewrites
-    fixpoint: bool = False
-    #: where --check runs the invariant verifier: after every pass
-    #: ("pass"), once per fixpoint round ("round"), or never ("none")
-    checkpoint: str = "pass"
-    #: verifier stage label checked on phase entry (ILP's "input")
-    entry_stage: str | None = None
-    #: per-round verifier stage label; "{round}" is substituted
-    round_stage: str = "{phase} round {round}"
     #: invoked before each round (recompute per-round analysis state)
     on_round_start: Callable[[PipelineContext], None] | None = None
-    #: invoked once after the last round (cleanup, reindex, final verify)
-    finalize: Callable[[PipelineContext, "PassManager"], None] | None = None
+    #: invoked once after the last round (reindexing, structural verify)
+    finalize: Callable[[PipelineContext], None] | None = None
 
 
 @dataclass(frozen=True)
@@ -149,20 +137,22 @@ class PassOptions:
 
 
 class PassManager:
-    """Executes registered phases over a :class:`PipelineContext`."""
+    """Executes the registered phases over a :class:`PipelineContext`.
+
+    With ``check``, :func:`~repro.ir.verify.verify_pipeline` runs at each
+    phase's entry, after every pass and after the phase's finalizer; a
+    failure names the pass (or phase boundary) it follows.
+    """
 
     def __init__(
         self,
         options: PassOptions | None = None,
         check: bool = False,
-        phases: dict[str, Phase] | None = None,
         stream=None,
     ):
-        if phases is None:
-            from .registry import DEFAULT_PHASES
+        from .registry import DEFAULT_PHASES
 
-            phases = DEFAULT_PHASES
-        self.phases = phases
+        self.phases = DEFAULT_PHASES
         self.options = options or PassOptions()
         self.check = check
         self.stream = stream if stream is not None else sys.stdout
@@ -182,17 +172,19 @@ class PassManager:
 
     # ------------------------------------------------------------------
 
-    def _checkpoint(self, ctx: PipelineContext, stage: str) -> None:
+    def _checkpoint(self, ctx: PipelineContext, where: str) -> None:
         if self.check:
-            verify_pipeline(ctx.func, set(ctx.func.pinned_regs), stage=stage)
+            verify_pipeline(ctx.func, set(ctx.func.pinned_regs), stage=where)
 
-    def _print_after(self, ctx: PipelineContext, p: Pass, rewrites: int) -> None:
+    def _print_after(
+        self, ctx: PipelineContext, phase: Phase, p: Pass, rewrites: int
+    ) -> None:
         wanted = p.name in self.options.print_after or (
             self.options.print_changed and rewrites > 0
         )
         if not wanted:
             return
-        print(f"; IR after {p.name} [{p.phase}] ({rewrites} rewrites)",
+        print(f"; IR after {p.name} [{phase.name}] ({rewrites} rewrites)",
               file=self.stream)
         print(format_function(ctx.func), file=self.stream)
 
@@ -207,19 +199,15 @@ class PassManager:
             return False
         return True
 
-    def run_phase(
-        self, name: str, ctx: PipelineContext, max_rounds: int | None = None
-    ) -> int:
+    def run_phase(self, name: str, ctx: PipelineContext) -> int:
         """Run one phase to completion; returns the total rewrite count."""
         phase = self.phases[name]
-        rounds_cap = max_rounds if max_rounds is not None else phase.max_rounds
         ctx.report.disabled = self.options.key
-        if phase.entry_stage is not None:
-            self._checkpoint(ctx, phase.entry_stage)
+        self._checkpoint(ctx, f"before {name}")
 
         total = 0
         rounds_run = 0
-        for rnd in range(rounds_cap):
+        for rnd in range(phase.max_rounds):
             if phase.on_round_start is not None:
                 phase.on_round_start(ctx)
             changed = 0
@@ -231,21 +219,17 @@ class PassManager:
                 n = p.run(ctx)
                 dt = time.perf_counter() - t0
                 ctx.report.stats.append(PassStats(
-                    p.name, phase.name, rnd, n, dt, before, ctx.func.n_instrs()
+                    p.name, name, rnd, n, dt, before, ctx.func.n_instrs()
                 ))
                 changed += n
-                if phase.checkpoint == "pass":
-                    self._checkpoint(ctx, p.stage_label)
-                self._print_after(ctx, p, n)
+                self._checkpoint(ctx, f"after {p.name}")
+                self._print_after(ctx, phase, p, n)
             total += changed
             rounds_run = rnd + 1
-            if phase.checkpoint == "round":
-                self._checkpoint(
-                    ctx, phase.round_stage.format(phase=phase.name, round=rnd)
-                )
-            if phase.fixpoint and changed == 0:
+            if changed == 0:
                 break
-        ctx.report.phase_rounds[phase.name] = rounds_run
+        ctx.report.phase_rounds[name] = rounds_run
         if phase.finalize is not None:
-            phase.finalize(ctx, self)
+            phase.finalize(ctx)
+            self._checkpoint(ctx, f"after {name} finalizer")
         return total

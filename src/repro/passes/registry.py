@@ -21,10 +21,13 @@ Four phases reproduce the pre-refactor drivers pass-for-pass:
 ``schedule``
     List scheduling of every block under the machine model.
 
-Pass names are the stable identifiers used by ``--disable-pass``,
-``--print-after``, the ``passes`` CLI listing, and the leave-one-out
+This table is the one place the pipeline is declared: a pass belongs
+to the phase whose tuple holds it.  Pass names are the stable
+identifiers used by ``--disable-pass``, ``--print-after``, ``--check``
+failure messages, the ``passes`` CLI listing, and the leave-one-out
 ablation experiment.  Structural passes (superblock formation, the
-scheduler itself) are ``required`` and exempt from all of those.
+scheduler itself) are ``required`` and exempt from disabling and
+ablation.
 """
 
 from __future__ import annotations
@@ -70,39 +73,36 @@ def _conv_round_start(ctx: PipelineContext) -> None:
     }
 
 
-def _conv_finalize(ctx: PipelineContext, mgr) -> None:
+def _conv_finalize(ctx: PipelineContext) -> None:
     ctx.func.reindex_regs()
-    if ctx.verify_final:
-        verify_function(ctx.func)
+    verify_function(ctx.func)
 
 
 CONV_PASSES = (
-    Pass("constprop", "conv", lambda ctx: propagate_constants(ctx.func),
+    Pass("constprop", lambda ctx: propagate_constants(ctx.func),
          doc="constant propagation and folding"),
     # coalescing must precede copy propagation: a multi-update reduction
     # lowers as `t = s + x; s = t` chains that copy propagation would
     # rewire through the temps, hiding the self-update shape from
     # accumulator expansion
-    Pass("coalesce", "conv", lambda ctx: coalesce_moves(ctx.func),
+    Pass("coalesce", lambda ctx: coalesce_moves(ctx.func),
          doc="move coalescing (keeps reduction self-update shapes)"),
-    Pass("copyprop-local", "conv",
-         lambda ctx: propagate_copies_local(ctx.func),
+    Pass("copyprop-local", lambda ctx: propagate_copies_local(ctx.func),
          doc="block-local copy propagation"),
-    Pass("cse", "conv",
+    Pass("cse",
          lambda ctx: eliminate_common_subexpressions(
              ctx.func, ctx.conv_protected),
          doc="common subexpression elimination"),
-    Pass("redundant-mem", "conv",
-         lambda ctx: eliminate_redundant_memory(ctx.func),
+    Pass("redundant-mem", lambda ctx: eliminate_redundant_memory(ctx.func),
          doc="redundant load/store elimination"),
-    Pass("licm", "conv",
+    Pass("licm",
          lambda ctx: hoist_loop_invariants(ctx.func, ctx.live_out_exit),
          doc="loop-invariant code motion"),
-    Pass("ivsr", "conv",
+    Pass("ivsr",
          lambda ctx: strength_reduce_ivs(
              ctx.func, ctx.counted_map, ctx.live_out_exit),
          doc="induction-variable strength reduction and elimination"),
-    Pass("dce", "conv",
+    Pass("dce",
          lambda ctx: eliminate_dead_code(ctx.func, ctx.live_out_exit),
          doc="dead code elimination"),
 )
@@ -169,44 +169,34 @@ def _run_treeheight(ctx: PipelineContext) -> int:
 
 
 ILP_PASSES = (
-    Pass("unroll", "ilp", _run_unroll, min_level=Level.LEV1,
+    Pass("unroll", _run_unroll, min_level=Level.LEV1,
          doc="preconditioned loop unrolling (max 8x / body-size cap)"),
-    Pass("superblock", "ilp", _run_superblock, required=True,
-         stage="superblock formation",
+    Pass("superblock", _run_superblock, required=True,
          doc="superblock formation over the inner loop (structural)"),
-    Pass("search", "ilp",
-         lambda ctx: expand_search_variables(ctx.sb),
+    Pass("search", lambda ctx: expand_search_variables(ctx.sb),
          min_level=Level.LEV4, profitable=_expansions_profitable,
-         stage="search expansion",
          doc="search variable expansion (matches pre-rename names)"),
-    Pass("rename", "ilp",
+    Pass("rename",
          lambda ctx: rename_superblock(ctx.sb, ctx.live_out_exit),
-         min_level=Level.LEV2, stage="renaming",
+         min_level=Level.LEV2,
          doc="register renaming across unrolled iterations"),
-    Pass("induction", "ilp",
-         lambda ctx: expand_inductions(ctx.sb),
+    Pass("induction", lambda ctx: expand_inductions(ctx.sb),
          min_level=Level.LEV4, profitable=_expansions_profitable,
-         stage="induction expansion",
          doc="induction variable expansion"),
-    Pass("accumulate", "ilp",
-         lambda ctx: expand_accumulators(ctx.sb),
+    Pass("accumulate", lambda ctx: expand_accumulators(ctx.sb),
          min_level=Level.LEV4, profitable=_expansions_profitable,
-         stage="accumulator expansion",
          doc="accumulator expansion (reassociates fp reductions)"),
-    Pass("combine", "ilp", _run_combine, min_level=Level.LEV3,
-         stage="combining",
+    Pass("combine", _run_combine, min_level=Level.LEV3,
          doc="operation combining of dependent immediate arithmetic"),
-    Pass("strength", "ilp",
+    Pass("strength",
          lambda ctx: reduce_strength(ctx.func, ctx.sb.body.instrs),
-         min_level=Level.LEV3, stage="strength reduction",
+         min_level=Level.LEV3,
          doc="strength reduction of expensive scalar operations"),
-    Pass("treeheight", "ilp", _run_treeheight, min_level=Level.LEV3,
-         stage="tree height reduction",
+    Pass("treeheight", _run_treeheight, min_level=Level.LEV3,
          doc="tree height reduction (reassociates fp expressions)"),
     # last: packs the (unrolled, renamed, expanded) scalar statements the
     # earlier transformations exposed; the cost model may decline
-    Pass("slp", "ilp", _run_slp, min_level=Level.LEV5,
-         stage="slp vectorization",
+    Pass("slp", _run_slp, min_level=Level.LEV5,
          doc="superword-level parallelism (packs isomorphic unrolled "
              "statements into vector instructions)"),
 )
@@ -224,26 +214,23 @@ def _cleanup_round_start(ctx: PipelineContext) -> None:
     ctx.prologues = {ctx.sb.body.label: prologue_regions(ctx.func, ctx.sb)}
 
 
-def _cleanup_finalize(ctx: PipelineContext, mgr) -> None:
+def _cleanup_finalize(ctx: PipelineContext) -> None:
     ctx.func.reindex_regs()
     verify_function(ctx.func)
-    mgr._checkpoint(ctx, "ILP transform output")
 
 
 CLEANUP_PASSES = (
-    Pass("cleanup-constprop", "cleanup",
-         lambda ctx: propagate_constants(ctx.func),
+    Pass("cleanup-constprop", lambda ctx: propagate_constants(ctx.func),
          doc="fold the preconditioning span/div/rem arithmetic"),
-    Pass("cleanup-copyprop", "cleanup",
-         lambda ctx: propagate_copies_local(ctx.func),
+    Pass("cleanup-copyprop", lambda ctx: propagate_copies_local(ctx.func),
          doc="block-local copy propagation after folding"),
     # classical redundant-memory elimination re-applied to the unrolled
     # superblock: a store forwarded to the next iteration's load turns a
     # memory recurrence into a register recurrence
-    Pass("cleanup-redundant-mem", "cleanup",
+    Pass("cleanup-redundant-mem",
          lambda ctx: eliminate_redundant_memory(ctx.func, ctx.prologues),
          doc="cross-iteration store-to-load forwarding in the superblock"),
-    Pass("cleanup-dce", "cleanup",
+    Pass("cleanup-dce",
          lambda ctx: eliminate_dead_code(ctx.func, ctx.live_out_exit),
          doc="dead code elimination after folding"),
 )
@@ -275,8 +262,7 @@ def _run_listsched(ctx: PipelineContext) -> int:
 
 
 SCHEDULE_PASSES = (
-    Pass("listsched", "schedule", _run_listsched, required=True,
-         stage="list scheduling",
+    Pass("listsched", _run_listsched, required=True,
          doc="greedy cycle-by-cycle list scheduling under the machine model"),
 )
 
@@ -287,20 +273,15 @@ SCHEDULE_PASSES = (
 
 DEFAULT_PHASES: dict[str, Phase] = {
     "conv": Phase(
-        "conv", CONV_PASSES, max_rounds=10, fixpoint=True,
-        checkpoint="none", on_round_start=_conv_round_start,
-        finalize=_conv_finalize,
+        "conv", CONV_PASSES, max_rounds=10,
+        on_round_start=_conv_round_start, finalize=_conv_finalize,
     ),
-    "ilp": Phase(
-        "ilp", ILP_PASSES, max_rounds=1, checkpoint="pass",
-        entry_stage="input",
-    ),
+    "ilp": Phase("ilp", ILP_PASSES),
     "cleanup": Phase(
-        "cleanup", CLEANUP_PASSES, max_rounds=4, fixpoint=True,
-        checkpoint="round", round_stage="cleanup iteration {round}",
+        "cleanup", CLEANUP_PASSES, max_rounds=4,
         on_round_start=_cleanup_round_start, finalize=_cleanup_finalize,
     ),
-    "schedule": Phase("schedule", SCHEDULE_PASSES, checkpoint="pass"),
+    "schedule": Phase("schedule", SCHEDULE_PASSES),
 }
 
 #: phase execution order of a full compilation

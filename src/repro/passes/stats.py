@@ -9,9 +9,8 @@ compilation stage (classical optimization, ILP transformation, cleanup,
 scheduling), replacing the per-stage report types the drivers used to
 hand-thread.
 
-The report exposes the historical per-transformation counters
-(``renamed``, ``accumulators``, ``derived_ivs``, ...) as properties
-computed from the stats rows, so consumers read one object no matter
+A transformation's counter is read by its registered pass name
+(``report.rewrites("rename")``), so consumers read one object no matter
 which phase produced the number.
 """
 
@@ -43,8 +42,8 @@ class PipelineReport:
     """Unified record of everything the pipeline did to one kernel.
 
     Replaces the historical ``ConvReport``/``TransformReport`` pair: all
-    phases append to the same stats list, and the old field names are
-    derived properties (``report.renamed``, ``report.derived_ivs``, ...).
+    phases append to the same stats list, read by pass name through
+    :meth:`rewrites` and :meth:`seconds`.
     """
 
     stats: list[PassStats] = field(default_factory=list)
@@ -82,9 +81,6 @@ class PipelineReport:
             out[s.name] = out.get(s.name, 0.0) + s.seconds
         return out
 
-    def phase_stats(self, phase: str) -> list[PassStats]:
-        return [s for s in self.stats if s.phase == phase]
-
     def fork(self) -> "PipelineReport":
         """Independent continuation of this report.
 
@@ -99,73 +95,3 @@ class PipelineReport:
             phase_rounds=dict(self.phase_rounds),
             slp_reassoc=self.slp_reassoc,
         )
-
-    # -- classical (Conv) counters --------------------------------------
-
-    @property
-    def rounds(self) -> int:
-        """Fixpoint rounds of the classical (Conv) phase."""
-        return self.phase_rounds.get("conv", 0)
-
-    @property
-    def constants(self) -> int:
-        return self.rewrites("constprop")
-
-    @property
-    def copies(self) -> int:
-        return self.rewrites("coalesce", "copyprop-local")
-
-    @property
-    def cse(self) -> int:
-        return self.rewrites("cse")
-
-    @property
-    def dead(self) -> int:
-        return self.rewrites("dce")
-
-    @property
-    def hoisted(self) -> int:
-        return self.rewrites("licm")
-
-    @property
-    def derived_ivs(self) -> int:
-        return self.rewrites("ivsr")
-
-    @property
-    def redundant_mem(self) -> int:
-        return self.rewrites("redundant-mem")
-
-    # -- ILP transformation counters ------------------------------------
-
-    @property
-    def renamed(self) -> int:
-        return self.rewrites("rename")
-
-    @property
-    def inductions(self) -> int:
-        return self.rewrites("induction")
-
-    @property
-    def accumulators(self) -> int:
-        return self.rewrites("accumulate")
-
-    @property
-    def searches(self) -> int:
-        return self.rewrites("search")
-
-    @property
-    def combined(self) -> int:
-        return self.rewrites("combine")
-
-    @property
-    def reduced(self) -> int:
-        return self.rewrites("strength")
-
-    @property
-    def trees(self) -> int:
-        return self.rewrites("treeheight")
-
-    @property
-    def slp(self) -> int:
-        """SLP components vectorized (accepted by the cost model)."""
-        return self.rewrites("slp")

@@ -103,8 +103,8 @@ def apply_ilp_transforms(
     existing ``report`` to extend it across stages).  The function is
     verified after transformation; with ``check=True`` the full invariant
     verifier (:func:`repro.ir.verify.verify_pipeline`) additionally runs
-    *between every pass*, so the first pass to break an invariant is
-    named in the failure.  ``options`` takes a
+    on entry and *after every pass*, so the first pass to break an
+    invariant is named in the failure.  ``options`` takes a
     :class:`~repro.passes.manager.PassOptions` for pass disabling and
     ``--print-after`` IR dumps.
     """
@@ -244,7 +244,7 @@ def schedule_function(
     same instance again to share them across issue widths, omit it to
     build them for this call only).  Returns the per-block schedules
     (keyed by label).  With ``check=True`` the invariant verifier runs
-    on the scheduled function — a scheduler that reorders a use above
+    before and after scheduling — a scheduler that reorders a use above
     its flow-dependent definition is caught here.
     """
     from .passes import PassManager, PipelineContext, PipelineReport

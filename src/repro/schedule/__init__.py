@@ -5,7 +5,6 @@ from .pipelining import PipelineBounds, compute_bounds
 from .superblock import (
     FormationError,
     SuperblockLoop,
-    find_inner_superblock_loop,
     form_superblock,
     merge_trace,
     select_trace,
@@ -15,6 +14,6 @@ from .superblock import (
 __all__ = [
     "Schedule", "list_schedule",
     "PipelineBounds", "compute_bounds",
-    "FormationError", "SuperblockLoop", "find_inner_superblock_loop",
+    "FormationError", "SuperblockLoop",
     "form_superblock", "merge_trace", "select_trace", "tail_duplicate",
 ]

@@ -46,12 +46,6 @@ class Schedule:
     def last_issue(self) -> int:
         return self.issue[-1] if self.issue else 0
 
-    def issue_time_of(self, ins: Instr) -> int:
-        for k, other in enumerate(self.order):
-            if other is ins:
-                return self.issue[k]
-        raise KeyError(ins)
-
     def pairs(self) -> list[tuple[Instr, int]]:
         return list(zip(self.order, self.issue))
 

@@ -33,7 +33,7 @@ from ..analysis.loopvars import CountedLoop
 from ..ir.block import Block
 from ..ir.function import Function
 from ..ir.instructions import Instr, NEGATED_BRANCH, Op
-from ..ir.loop import Loop, ensure_preheader, find_loops
+from ..ir.loop import Loop, ensure_preheader
 from ..ir.operands import Label, Reg
 
 
@@ -307,18 +307,3 @@ def form_superblock(
         exit_block.append(Instr(Op.JMP, target=Label(exit_label)))
 
     return SuperblockLoop(func, body, preheader, counted, offtrace, exit_block)
-
-
-def find_inner_superblock_loop(
-    func: Function, counted: CountedLoop | None = None, header: str | None = None
-) -> SuperblockLoop:
-    """Locate the innermost loop (optionally by header label) and form its
-    superblock."""
-    loops = [l for l in find_loops(func) if l.is_innermost]
-    if header is not None:
-        loops = [l for l in loops if l.header == header]
-    if len(loops) != 1:
-        raise FormationError(
-            f"expected exactly one innermost loop, found {[l.header for l in loops]}"
-        )
-    return form_superblock(func, loops[0], counted)

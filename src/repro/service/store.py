@@ -364,6 +364,14 @@ class ArtifactStore:
         """The stored payload for ``key`` as the JSON bytes that were
         put, checked against the blob's header; None on any kind of
         miss."""
+        return self._get(key, None)
+
+    def get(self, key: str):
+        """The stored payload for ``key``, or None on any kind of miss
+        (a payload that is not JSON is corrupt: quarantined)."""
+        return self._get(key, json.loads)
+
+    def _get(self, key: str, decode):
         path = self._path(key)
         try:
             blob = _read_file(path)
@@ -374,10 +382,15 @@ class ArtifactStore:
             return None
         payload = _payload(blob, key, self.salt)
         if isinstance(payload, bytes):
-            with self._lock:
-                self.stats.hits += 1
-                self._used(key, len(blob))
-            return payload
+            try:
+                value = payload if decode is None else decode(payload)
+            except ValueError:  # undecodable bytes or not JSON
+                payload = "corrupt"
+            else:
+                with self._lock:
+                    self.stats.hits += 1
+                    self._used(key, len(blob))
+                return value
         if payload == "stale":
             # written by a different code version: stale, not corrupt
             _unlink_missing_ok(path)
@@ -391,11 +404,6 @@ class ArtifactStore:
             else:
                 self.stats.quarantined += 1
         return None
-
-    def get(self, key: str):
-        """The stored payload for ``key``, or None on any kind of miss."""
-        raw = self.get_raw(key)
-        return None if raw is None else json.loads(raw)
 
     def put(self, key: str, payload) -> Path | None:
         """Store a JSON-serializable payload under ``key`` atomically.

@@ -6,7 +6,7 @@ from .executor import (
     compiled_program,
 )
 from .errors import SimulationError
-from .simulator import RunResult, TracedRun, simulate
+from .simulator import RunResult, TracedRun, check_engine, simulate
 from .blockgen import EngineUnsupported, ExecPlan, exec_plan, execute_plan
 from .replay import (
     ReplaySpec, ReplayUnmapped, ReplayUnsupported, replay, replay_spec,
@@ -17,7 +17,7 @@ __all__ = [
     "Memory", "SimMemoryError", "WORD",
     "ENGINE_VERSION", "CompiledInstr", "CompiledProgram", "compile_instr",
     "compiled_program",
-    "RunResult", "SimulationError", "TracedRun", "simulate",
+    "RunResult", "SimulationError", "TracedRun", "check_engine", "simulate",
     "EngineUnsupported", "ExecPlan", "exec_plan", "execute_plan",
     "ReplaySpec", "ReplayUnmapped", "ReplayUnsupported", "replay",
     "replay_spec",

@@ -33,6 +33,14 @@ from .memory import Memory
 from .replay import ReplaySpec, ReplayUnmapped, replay, timing_rows
 
 
+def check_engine(engine: str) -> None:
+    """Refuse an engine name other than ``"auto"`` (the compiled engine)
+    and ``"interp"`` (the timed reference): a typo must not run the
+    compiled engine silently."""
+    if engine not in ("auto", "interp"):
+        raise ValueError(f"unknown engine {engine!r} (known: auto, interp)")
+
+
 @dataclass
 class RunResult:
     """Outcome of simulating one function to completion."""
@@ -63,11 +71,12 @@ def simulate(
     supplies bound arrays and the symbol table.  Execution starts at the
     entry block and ends when control falls off the end of the last block.
 
-    The compiled engine (:class:`TracedRun`) runs it; ``engine="interp"``
-    names the reference instead (:func:`repro.check.timing.run_reference`),
-    whose results are bit-identical (``"auto"``, the default, and
-    ``"compiled"`` are the compiled engine's names).
+    The compiled engine (:class:`TracedRun`, ``engine="auto"``, the
+    default) runs it; ``engine="interp"`` names the reference instead
+    (:func:`repro.check.timing.run_reference`), whose results are
+    bit-identical.  Any other name is a ``ValueError``.
     """
+    check_engine(engine)
     memory = memory if memory is not None else Memory()
     if engine == "interp":
         from ..check import timing  # the reference imports this module

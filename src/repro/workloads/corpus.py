@@ -94,16 +94,6 @@ def near_one(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.choice(np.array([0.8, 0.9, 1.0, 1.1, 1.25]), shape)
 
 
-def iarr(rng: np.random.Generator, shape, lo: int = 1, hi: int = 9) -> np.ndarray:
-    return rng.integers(lo, hi + 1, shape).astype(np.int64)
-
-
-def fcol(a: np.ndarray) -> np.ndarray:
-    """Force column-major layout view semantics (we only care about values;
-    the memory binder flattens order='F' itself)."""
-    return np.asarray(a, dtype=np.float64)
-
-
 def check_run(w: Workload, out_arrays: dict, out_scalars: dict,
               arrays_in: dict, scalars_in: dict) -> None:
     """Assert a run's outputs match the workload's reference."""

@@ -180,8 +180,8 @@ class TestFigure3:
         assert scheds[sb.header].makespan == expected
         run_fig3(f)
         if level == Level.LEV4:
-            assert rep.accumulators == 1
-            assert rep.inductions == 2
+            assert rep.rewrites("accumulate") == 1
+            assert rep.rewrites("induction") == 2
 
     def test_accumulator_expansion_alone_10_cycles(self):
         """Figure 3(d) exactly: unroll + rename + accumulator expansion."""
@@ -232,7 +232,7 @@ class TestFigure5:
         scheds = schedule_function(f, unlimited(), sb=sb, doall=True)
         assert scheds[sb.header].makespan == expected
         if level == Level.LEV4:
-            assert rep.inductions == 2  # both the counter and the j chain
+            assert rep.rewrites("induction") == 2  # both the counter and the j chain
 
         n = 30
         mem = Memory()

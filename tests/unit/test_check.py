@@ -127,7 +127,7 @@ class TestRefEval:
             ref_eval(f, rule.memory(), iregs={3: addr}, fregs={4: 2.5})
         with pytest.raises(SimMemoryError) as sim:
             simulate(f, unlimited(), rule.memory(), {3: addr}, {4: 2.5},
-                     engine="compiled")
+                     engine="auto")
         assert str(ref.value).startswith(f"{prefix} {addr:#x}: <")
         assert str(ref.value) == str(sim.value)
 
@@ -151,7 +151,7 @@ class TestRefEval:
         f = parse_function(rule.function_text("r2f = MEM(r3i+0)",
                                               "straight"))
         res = simulate(f, unlimited(), rule.memory(),
-                       {3: rule.BASE + 2}, {}, engine="compiled")
+                       {3: rule.BASE + 2}, {}, engine="auto")
         assert res.fregs[2] == 0.0  # A[0]
 
     @pytest.mark.parametrize("case", sorted(rule.ACCEPTED))

@@ -117,7 +117,7 @@ class TestSearchCompensation:
     def test_min_descending_data_expansion_fires(self):
         A = np.arange(float(N), 0.0, -1.0)
         ck, out = run(self.make(), {"A": A}, {"m": 1e9}, Level.LEV4)
-        assert ck.report.searches == 1
+        assert ck.report.rewrites("search") == 1
         assert out.scalars["m"] == 1.0
 
     def test_min_alternating(self):

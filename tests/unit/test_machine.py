@@ -65,12 +65,11 @@ class TestLatencies:
 
 class TestDescriptions:
     def test_round_trip(self):
-        m = MachineConfig(issue_width=4, branch_slots=2,
-                          slot_limits={Kind.FP_MUL: 1},
+        m = MachineConfig(issue_width=4, slot_limits={Kind.FP_MUL: 1},
                           speculative_loads=False)
         back = from_description(to_description(m))
         assert back.issue_width == 4
-        assert back.branch_slots == 2
+        assert back.branch_slots == 1
         assert back.slot_limits == {Kind.FP_MUL: 1}
         assert not back.speculative_loads
         assert back.latencies == m.latencies
@@ -83,6 +82,15 @@ class TestDescriptions:
     def test_unknown_kind_rejected(self):
         with pytest.raises(KeyError):
             from_description({"latencies": {"WARP_DRIVE": 1}})
+
+    @pytest.mark.parametrize("slots", [0, 2])
+    def test_branch_slots_other_than_one_rejected(self, slots):
+        """The scheduler and both cycle models close a packet at any
+        branch: a second branch slot would be ignored, so it is refused."""
+        with pytest.raises(ValueError, match="branch_slots"):
+            MachineConfig(branch_slots=slots)
+        with pytest.raises(ValueError, match="branch_slots"):
+            from_description({"branch_slots": slots})
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "slow_divide.json"

@@ -298,4 +298,4 @@ class TestDriver:
         before = format_function(lk.func)
         rep = run_conv(lk.func, lk.counted, lk.live_out_exit)
         assert format_function(lk.func) == before
-        assert rep.rounds == 1
+        assert rep.phase_rounds["conv"] == 1

@@ -325,7 +325,7 @@ class TestScheduleExactly:
         tk = ilp_transform(lower_conv(get_workload("add").build()),
                            Level.LEV5, issue8())
         ck, proofs = schedule_exactly(tk, issue8(), check=True)
-        assert ck.report.slp > 0 and ck.usage is not None
+        assert ck.report.rewrites("slp") > 0 and ck.usage is not None
         assert proofs and all(
             p["status"] in ("optimal", "timeout-incumbent")
             for p in proofs.values())

@@ -2,9 +2,11 @@
 
 Covers the registry invariants, level gating, ``--disable-pass``
 validation and semantics, fixpoint accounting, PassStats recording,
-the PipelineReport compatibility properties, and --print-after dumps.
+reading the PipelineReport by pass name, the --check provenance rule,
+and --print-after dumps.
 """
 
+import dataclasses
 import io
 
 import numpy as np
@@ -13,6 +15,9 @@ import pytest
 from repro.frontend import ArrayDecl, Kernel, Ty, aref, assign, do, var
 from repro.frontend.lower import lower_kernel
 from repro.harness import compile_kernel, run_compiled_kernel
+from repro.ir.instructions import Op, make
+from repro.ir.operands import Imm
+from repro.ir.verify import VerifyError
 from repro.machine import MachineConfig, issue8
 from repro.opt.driver import run_conv
 from repro.passes import (
@@ -53,13 +58,8 @@ class TestRegistry:
         names = [p.name for p in all_passes()]
         assert len(names) == len(set(names))
 
-    def test_pass_phase_matches_owner(self):
-        for phase_name, phase in DEFAULT_PHASES.items():
-            for p in phase.passes:
-                assert p.phase == phase_name
-
     def test_get_pass(self):
-        assert get_pass("rename").phase == "ilp"
+        assert get_pass("rename") in DEFAULT_PHASES["ilp"].passes
         with pytest.raises(KeyError):
             get_pass("nope")
 
@@ -76,11 +76,10 @@ class TestRegistry:
         assert "unroll" in lev1
 
     def test_conv_phase_is_fixpoint(self):
-        conv = DEFAULT_PHASES["conv"]
-        assert conv.fixpoint and conv.max_rounds == 10
-        cleanup = DEFAULT_PHASES["cleanup"]
-        assert cleanup.fixpoint and cleanup.max_rounds == 4
+        assert DEFAULT_PHASES["conv"].max_rounds == 10
+        assert DEFAULT_PHASES["cleanup"].max_rounds == 4
         assert DEFAULT_PHASES["ilp"].max_rounds == 1
+        assert DEFAULT_PHASES["schedule"].max_rounds == 1
 
 
 class TestOptionsValidation:
@@ -141,24 +140,26 @@ class TestGatingAndStats:
         lk = lower_kernel(vadd())
         rep = run_conv(lk.func, lk.counted, lk.live_out_exit)
         # ran to fixpoint: >= 2 rounds, last round made zero rewrites
-        assert rep.rounds >= 2
-        last = max(s.round for s in rep.phase_stats("conv"))
-        assert sum(s.rewrites for s in rep.phase_stats("conv")
-                   if s.round == last) == 0
+        assert rep.phase_rounds["conv"] >= 2
+        last = max(s.round for s in rep.stats)
+        assert sum(s.rewrites for s in rep.stats if s.round == last) == 0
         # a second run over the already-optimized code is a single
         # zero-change round (idempotence)
         rep2 = run_conv(lk.func, lk.counted, lk.live_out_exit)
-        assert rep2.rounds == 1
+        assert rep2.phase_rounds["conv"] == 1
 
-    def test_report_properties_map_to_pass_names(self):
+    def test_rewrites_are_read_by_pass_name(self):
         ck = compile_kernel(get_workload("dotprod").build(), Level.LEV4, issue8())
         rep = ck.report
-        assert rep.renamed == rep.rewrites("rename") > 0
-        assert rep.accumulators == rep.rewrites("accumulate") == 1
-        assert rep.dead == rep.rewrites("dce")
-        assert rep.copies == rep.rewrites("coalesce", "copyprop-local")
+        assert rep.rewrites("rename") > 0
+        assert rep.rewrites("accumulate") == 1
+        assert rep.rewrites("coalesce", "copyprop-local") == (
+            rep.rewrites("coalesce") + rep.rewrites("copyprop-local"))
+        assert rep.rewrites("dce") == sum(
+            s.rewrites for s in rep.stats if s.name == "dce")
         assert rep.unroll_factor > 1
-        assert rep.rounds == rep.phase_rounds["conv"]
+        assert rep.phase_rounds["conv"] == 1 + max(
+            s.round for s in rep.stats if s.phase == "conv")
 
     def test_pass_seconds_aggregation(self):
         ck = compile_kernel(vadd(), Level.LEV4, issue8())
@@ -173,7 +174,7 @@ class TestGatingAndStats:
         fork = rep.fork()
         fork.stats.append(PassStats("listsched", "schedule", 0, 5, 0.0, 7, 7))
         assert len(rep.stats) == 1 and len(fork.stats) == 2
-        assert fork.dead == rep.dead == 3
+        assert fork.rewrites("dce") == rep.rewrites("dce") == 3
 
 
 class TestDisableSemantics:
@@ -206,10 +207,42 @@ class TestDisableSemantics:
         ablated = compile_kernel(
             w.build(), Level.LEV4, machine,
             options=PassOptions(disable=("accumulate",)))
-        assert full.report.accumulators == 1
-        assert ablated.report.accumulators == 0
+        assert full.report.rewrites("accumulate") == 1
+        assert ablated.report.rewrites("accumulate") == 0
         # without expansion the fp reduction serializes the unrolled body
         assert ablated.inner_makespan > full.inner_makespan
+
+
+def _use_before_def(run):
+    """``run`` followed by a fault: the entry block starts reading a
+    register nothing defines."""
+    def planted(ctx):
+        n = run(ctx)
+        f = ctx.func
+        f.entry.instrs.insert(
+            0, make(Op.ADD, f.new_int_reg(), (f.new_int_reg(), Imm(1))))
+        return n
+    return planted
+
+
+class TestCheckProvenance:
+    """Under ``check=True`` the verifier runs after every pass of every
+    phase, so a pass that breaks an invariant is named in the error."""
+
+    @pytest.mark.parametrize("phase, name", [
+        ("conv", "licm"), ("ilp", "rename"), ("cleanup", "cleanup-dce"),
+        ("schedule", "listsched")])
+    def test_check_names_the_faulty_pass(self, monkeypatch, phase, name):
+        ph = DEFAULT_PHASES[phase]
+        passes = tuple(
+            dataclasses.replace(p, run=_use_before_def(p.run))
+            if p.name == name else p
+            for p in ph.passes)
+        monkeypatch.setitem(DEFAULT_PHASES, phase,
+                            dataclasses.replace(ph, passes=passes))
+        kernel = get_workload("dotprod").build()
+        with pytest.raises(VerifyError, match=rf"^\[after {name}\] "):
+            compile_kernel(kernel, Level.LEV4, issue8(), check=True)
 
 
 class TestPrintAfter:

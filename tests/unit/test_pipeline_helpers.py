@@ -43,9 +43,9 @@ class TestLevels:
             reports[level] = ck.report
         assert reports[Level.CONV].unroll_factor == 1
         assert reports[Level.LEV1].unroll_factor > 1
-        assert reports[Level.LEV1].renamed == 0
-        assert reports[Level.LEV2].renamed > 0
-        assert reports[Level.LEV4].inductions >= 1
+        assert reports[Level.LEV1].rewrites("rename") == 0
+        assert reports[Level.LEV2].rewrites("rename") > 0
+        assert reports[Level.LEV4].rewrites("induction") >= 1
 
 
 class TestPrologueRegions:

@@ -118,7 +118,7 @@ def _assert_engines_agree(text: str, machine: MachineConfig) -> None:
     f = parse_function(text)
     interp, compiled = (
         simulate(f, machine, Memory(), fregs={4: 0.0, 5: 1.0}, engine=e)
-        for e in ("interp", "compiled"))
+        for e in ("interp", "auto"))
     assert (compiled.cycles, compiled.instructions) == (
         interp.cycles, interp.instructions), (f.name, machine)
     assert repr(compiled.fregs) == repr(interp.fregs)

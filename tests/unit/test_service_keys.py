@@ -128,7 +128,6 @@ class TestKeyAssembly:
                     latencies[kind] = rng.randrange(1, 20)
                 machine = MachineConfig(
                     issue_width=width, latencies=latencies,
-                    branch_slots=rng.choice((1, 2)),
                     slot_limits={k: rng.randrange(1, 4) for k in
                                  rng.sample(list(Kind), rng.randrange(3))},
                     speculative_loads=rng.random() < 0.5,

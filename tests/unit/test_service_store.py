@@ -94,6 +94,22 @@ class TestCorruptionTolerance:
         assert store.get(k) is None
         assert store.stats.quarantined == 1
 
+    def test_a_checked_blob_that_is_not_json_is_quarantined(self, store):
+        """The header's digest holds but the payload does not parse:
+        ``get`` counts a quarantined miss, not a hit, and does not raise."""
+        from repro.service.store import _blob
+
+        k = key_of(11)
+        p = self._blob_path(store, k)
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_bytes(_blob(store.salt, k, b"[3"))
+        assert store.get(k) is None
+        assert (store.stats.hits, store.stats.misses,
+                store.stats.quarantined) == (0, 1, 1)
+        assert not p.exists()
+        store.put(k, [3])
+        assert store.get(k) == [3]
+
     def test_wrong_key_blob_is_miss(self, store):
         """A blob whose header names a different key (e.g. a file
         copied to the wrong path) must not be served."""

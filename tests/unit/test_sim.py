@@ -197,7 +197,7 @@ A:
         # div at 0 completes at 10; mov must issue at >= 10
         assert res.cycles >= 11
 
-    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    @pytest.mark.parametrize("engine", ["auto", "interp"])
     def test_waw_interlock_is_exact(self, engine):
         # the mov's write must complete strictly after the div's (ready
         # at 10): it issues at 10 - 1 + 1 = 10, not 9, with the halt

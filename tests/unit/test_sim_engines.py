@@ -1,6 +1,6 @@
 """Differential tests between the two simulator engines.
 
-The block-compiled trace/replay core (``engine="compiled"``) must be
+The block-compiled trace/replay core (``engine="auto"``) must be
 observationally identical to the reference (``engine="interp"``: the
 sequential reference evaluator timed by ``repro.check.timing``): same
 cycles, same instruction counts, same end state, and the same
@@ -89,7 +89,7 @@ class TestEngineMatrix:
                     ck, arrays=arrays, scalars=scalars, engine="interp"
                 )
                 compiled = run_compiled_kernel(
-                    ck, arrays=arrays, scalars=scalars, engine="compiled"
+                    ck, arrays=arrays, scalars=scalars, engine="auto"
                 )
                 _assert_runs_equal(
                     interp, compiled, f"{name}/{level.label}/w{width}"
@@ -281,10 +281,24 @@ def test_non_finite_constants_run_on_the_compiled_engine(value):
     assert "_k0" in plan.source  # bound, not spelled as a literal
     interp, compiled = (
         simulate(f, machine, Memory(), fregs={1: 1.0}, engine=e)
-        for e in ("interp", "compiled"))
+        for e in ("interp", "auto"))
     assert (interp.cycles, interp.instructions) == (
         compiled.cycles, compiled.instructions)
     assert repr(interp.fregs) == repr(compiled.fregs)
+
+
+@pytest.mark.parametrize("engine", ["compiled", "Interp", ""])
+def test_an_unknown_engine_name_is_refused(engine):
+    """Only ``"auto"`` and ``"interp"`` name an engine: a typo raises
+    instead of running the compiled engine."""
+    from repro.harness import evaluate_cell
+
+    f = parse_function("function t:\nA:\n  r1i = 5\n  halt\n")
+    with pytest.raises(ValueError, match="unknown engine"):
+        simulate(f, unlimited(), engine=engine)
+    with pytest.raises(ValueError, match="unknown engine"):
+        evaluate_cell(get_workload("add"), Level.CONV,
+                      [MachineConfig(issue_width=1)], engine=engine)
 
 
 def _run_both(text, machine=None, mem_fn=None, iregs=None, fregs=None, **kw):
@@ -298,7 +312,7 @@ def _run_both(text, machine=None, mem_fn=None, iregs=None, fregs=None, **kw):
         return simulate(f, machine, mem, dict(iregs or {}), dict(fregs or {}),
                         engine=engine, **kw)
 
-    return one("interp"), one("compiled")
+    return one("interp"), one("auto")
 
 
 def _error_both(text, exc_type, machine=None, mem_fn=None, iregs=None,
@@ -308,7 +322,7 @@ def _error_both(text, exc_type, machine=None, mem_fn=None, iregs=None,
     f = parse_function(text)
     machine = machine or unlimited()
     msgs = []
-    for engine in ("interp", "compiled"):
+    for engine in ("interp", "auto"):
         mem = mem_fn() if mem_fn else Memory()
         with pytest.raises(exc_type) as ei:
             simulate(f, machine, mem, dict(iregs or {}), dict(fregs or {}),
