@@ -10,16 +10,20 @@ conventional (Conv) optimization; register usage is the colored
 int+fp total of the compiled loop nest.
 
 This module is a driver: every cell is evaluated by
-:func:`repro.harness.evaluate_cell` and every resumable byte lives in
+:func:`repro.harness.evaluate_levels` and every resumable byte lives in
 the artifact store.
 
 * **Width sharding.**  The unit of work is a *task* — one (workload,
   level) cell covering every requested issue width, so the cell
   evaluator transforms once, schedules a clone per width, executes once
   and replays the trace per width.
+* **Level sharing.**  A serial sweep hands a workload's missing levels
+  to one call, which gives a level that compiles to an earlier level's
+  code that level's results and yields each level as it finishes.
 * **Process parallelism.**  ``jobs > 1`` fans tasks out over the
-  supervised ``fork`` pool.  Results are merged deterministically
-  (sorted by grid key), so serial and parallel sweeps are bit-identical.
+  supervised ``fork`` pool, one level per task.  Results are merged
+  deterministically (sorted by grid key), so serial and parallel sweeps
+  are bit-identical.
 * **Persistence = resumability.**  With ``store=`` (CLI ``--store
   DIR``), every finished configuration is written to the
   content-addressed artifact store (:mod:`repro.service.store`) under
@@ -45,8 +49,9 @@ import time
 from concurrent.futures import as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
-from ..harness import WidthResult, evaluate_cell
+from ..harness import WidthResult, evaluate_cell, evaluate_levels
 from ..machine import MachineConfig
 from ..passes import PassOptions
 from ..pipeline import Level
@@ -150,17 +155,27 @@ def _pack(name: str, check: bool, r: WidthResult) -> ConfigResult:
     )
 
 
-def _run_task(task: tuple) -> list[ConfigResult]:
-    """Run one (workload, level) cell over the requested widths
-    (module-level: the fork pool pickles it)."""
-    name, level_int, widths, seed, check, check_ir, options, engine = task
-    cell = evaluate_cell(
-        get_workload(name), Level(level_int),
+def _run_levels(task: tuple) -> Iterator[list[ConfigResult]]:
+    """Run a workload's (workload, level) cells over the requested
+    widths in one :func:`~repro.harness.evaluate_levels` call, so the
+    levels share what they compute alike; yields each level's results
+    as it finishes."""
+    name, levels, widths, seed, check, check_ir, options, engine = task
+    for _, cell in evaluate_levels(
+        get_workload(name), [Level(lv) for lv in levels],
         [MachineConfig(issue_width=wd) for wd in widths],
         seed=seed, check=check, check_ir=check_ir, options=options,
         engine=engine,
-    )
-    return [_pack(name, check, r) for r in cell]
+    ):
+        yield [_pack(name, check, r) for r in cell]
+
+
+def _run_task(task: tuple) -> list[ConfigResult]:
+    """Run one (workload, level) cell over the requested widths
+    (module-level: the fork pool pickles it)."""
+    name, level_int, *rest = task
+    (out,) = _run_levels((name, (level_int,), *rest))
+    return out
 
 
 def run_config(
@@ -297,8 +312,14 @@ def run_sweep(
                     data.failed.append((futures[fut], repr(e)))
             data.resilience = dict(pool.counters)
     else:
-        for task in tasks:
-            record(_run_task(task))
+        # a workload's levels that miss the same widths go to one call
+        loops: dict[tuple, list[int]] = {}
+        for name, level, missing, *_ in tasks:
+            loops.setdefault((name, missing), []).append(level)
+        for (name, missing), lvs in loops.items():
+            for rs in _run_levels((name, tuple(lvs), missing, seed, check,
+                                   check_ir, options, engine)):
+                record(rs)
 
     if data.failed:
         print(f"  sweep: {len(data.failed)} cell(s) failed permanently: "

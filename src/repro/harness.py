@@ -31,37 +31,41 @@ time, instruction-count deltas); ``options`` takes a
 :class:`~repro.passes.manager.PassOptions` to disable registered passes
 or dump IR after them.
 
-:func:`evaluate_cell` is the paper's evaluation loop (Section 3.1) over
-those stages — compile a corpus loop at a level, simulate it on each
+:func:`evaluate_levels` is the paper's evaluation loop (Section 3.1) over
+those stages — compile a corpus loop at each level, simulate it on each
 machine, measure registers — and the only place the repo composes them
-for measurement: the sweep, ``run_config`` and the service all pack its
-output.
+for measurement; the levels of one call share what they compute alike.
+:func:`evaluate_cell` is its one-level case.  The sweep, ``run_config``
+and the service all pack their output.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .analysis.loopvars import CountedLoop
 from .frontend.ast import Kernel, Ty
 from .frontend.lower import LoweredKernel, lower_kernel
 from .ir.block import Block
 from .ir.function import Function
+from .ir.instructions import Instr
 from .machine import MachineConfig
 from .opt.driver import run_conv
-from .passes import PassOptions, PipelineReport
+from .passes import PassOptions, PipelineContext, PipelineReport
 from .pipeline import (
     Level,
     ScheduleInputs,
-    apply_ilp_transforms,
+    run_cleanup_phase,
+    run_ilp_phase,
     schedule_function,
 )
-from .regalloc import RegisterUsage, measure_register_usage
+from .regalloc import RegisterNumbering, RegisterUsage, measure_register_usage
 from .schedule.listsched import Schedule
 from .schedule.superblock import SuperblockLoop
 from .sim import Memory, TracedRun, check_engine, compiled_program, simulate
@@ -89,15 +93,30 @@ class CompiledKernel:
         return self.schedules[self.sb.header].makespan
 
 
-def _clone_stage(obj):
-    """Deep-copy a stage result, sharing the immutable kernel AST.
+def _copy_lowered(lk: LoweredKernel) -> LoweredKernel:
+    """A copy of ``lk``'s function — fresh blocks and instructions with
+    the same fields (``uid`` included) — with the counted-loop records
+    remapped onto it.  An instruction a record holds that the function
+    no longer does is copied once too, as a deep copy would."""
+    copies: dict[int, Instr] = {}
 
-    The cloned ``Function``/``SuperblockLoop``/``scalar_regs`` stay mutually
-    consistent (one deepcopy memo), so the clone can be mutated by later
-    stages without disturbing the original.
-    """
-    memo = {id(obj.lowered.kernel): obj.lowered.kernel}
-    return copy.deepcopy(obj, memo)
+    def instr(ins: Instr) -> Instr:
+        new = copies.get(id(ins))
+        if new is None:
+            new = copies[id(ins)] = object.__new__(Instr)
+            new.__dict__.update(ins.__dict__)
+        return new
+
+    f = lk.func
+    func = Function(
+        f.name, [Block(b.label, [instr(i) for i in b.instrs])
+                 for b in f.blocks],
+        set(f.pinned_regs), dict(f._next_reg), f._next_label)
+    counted = {h: dataclasses.replace(c, branch=instr(c.branch),
+                                      increment=instr(c.increment))
+               for h, c in lk.counted.items()}
+    return LoweredKernel(lk.kernel, func, dict(lk.scalar_regs), counted,
+                         lk.inner_header, lk.inner_kind)
 
 
 @dataclass
@@ -106,9 +125,15 @@ class ConvKernel:
 
     lowered: LoweredKernel
     report: PipelineReport
+    #: a checked classical phase verified this code
+    checked: bool = False
 
     def clone(self) -> "ConvKernel":
-        return _clone_stage(self)
+        """An independent copy: fresh function, blocks and instructions,
+        the counted-loop records remapped onto them, the report forked
+        (the kernel AST is immutable and shared)."""
+        return ConvKernel(_copy_lowered(self.lowered), self.report.fork(),
+                          self.checked)
 
 
 @dataclass
@@ -127,6 +152,8 @@ class TransformedKernel:
     sb: SuperblockLoop
     report: PipelineReport
     schedule_inputs: ScheduleInputs = field(default_factory=ScheduleInputs)
+    #: a checked transformation verified this code
+    checked: bool = False
 
     def clone(self) -> "TransformedKernel":
         """Clone for scheduling: fresh function/blocks/instruction lists,
@@ -159,7 +186,7 @@ class TransformedKernel:
             else bmap.get(id(sb.exit_block), sb.exit_block),
         )
         return TransformedKernel(nlk, self.level, nsb, self.report.fork(),
-                                 self.schedule_inputs)
+                                 self.schedule_inputs, self.checked)
 
 
 def lower_conv(
@@ -172,7 +199,7 @@ def lower_conv(
     lk = lower_kernel(kernel)
     report = run_conv(lk.func, lk.counted, lk.live_out_exit, options=options,
                       check=check)
-    return ConvKernel(lk, report)
+    return ConvKernel(lk, report, check)
 
 
 def ilp_transform(
@@ -188,24 +215,39 @@ def ilp_transform(
 
     Mutates ``conv``'s function in place (pass ``conv.clone()`` to keep the
     stage-1 result reusable).  Observes only ``machine.latency_key()``.
-    ``check=True`` runs the invariant verifier on entry and after every
-    pass.
+    ``check=True`` runs the invariant verifier on entry (unless a checked
+    classical phase verified ``conv``) and after every pass.
     """
+    ctx = _ilp_phase(conv, level, machine, unroll_factor, thr_unit_latency,
+                     check, options)
+    return _cleanup(conv.lowered, ctx, check, options)
+
+
+def _ilp_phase(
+    conv: ConvKernel,
+    level: Level,
+    machine: MachineConfig,
+    unroll_factor: int | None = None,
+    thr_unit_latency: bool = False,
+    check: bool = False,
+    options: PassOptions | None = None,
+) -> PipelineContext:
+    """The first half of :func:`ilp_transform`: the ``ilp`` phase over
+    ``conv``'s function, whose context :func:`_cleanup` finishes."""
     lk = conv.lowered
-    counted = lk.counted[lk.inner_header]
-    sb, report = apply_ilp_transforms(
-        lk.func,
-        counted,
-        level,
-        machine,
-        lk.live_out_exit,
-        unroll_factor,
-        thr_unit_latency=thr_unit_latency,
-        check=check,
-        options=options,
-        report=conv.report,
-    )
-    return TransformedKernel(lk, level, sb, report)
+    return run_ilp_phase(
+        lk.func, lk.counted[lk.inner_header], level, machine,
+        lk.live_out_exit, unroll_factor, thr_unit_latency, check=check,
+        options=options, report=conv.report, verified=conv.checked)
+
+
+def _cleanup(
+    lk: LoweredKernel, ctx: PipelineContext, check: bool,
+    options: PassOptions | None,
+) -> TransformedKernel:
+    """The second half of :func:`ilp_transform`: the ``cleanup`` phase."""
+    sb, report = run_cleanup_phase(ctx, check, options)
+    return TransformedKernel(lk, ctx.level, sb, report, checked=check)
 
 
 def schedule_kernel(
@@ -224,7 +266,7 @@ def schedule_kernel(
     schedules = schedule_function(
         lk.func, machine, lk.live_out_exit, sb=tk.sb, doall=doall,
         check=check, options=options, report=report,
-        inputs=tk.schedule_inputs,
+        inputs=tk.schedule_inputs, verified=tk.checked,
     )
     usage = (measure_register_usage(lk.func, lk.live_out_exit, check=True)
              if check else None)
@@ -469,26 +511,55 @@ def evaluate_cell(
     execute: bool = True,
 ) -> list[WidthResult]:
     """Evaluate one (workload, level) cell on every machine of
-    ``machines``, which must share one ``latency_key()`` — typically the
-    issue widths of the grid — else ``ValueError``: the cell is
-    transformed once, for ``machines[0]``.
+    ``machines``: the one-level case of :func:`evaluate_levels`, which
+    documents the arguments."""
+    ((_, out),) = evaluate_levels(
+        w, (level,), machines, seed=seed, check=check, check_ir=check_ir,
+        options=options, engine=engine, execute=execute)
+    return out
+
+
+def evaluate_levels(
+    w: Workload,
+    levels: Sequence[Level],
+    machines: Sequence[MachineConfig],
+    *,
+    seed: int = 0,
+    check: bool = True,
+    check_ir: bool = False,
+    options: PassOptions | None = None,
+    engine: str = "auto",
+    execute: bool = True,
+) -> Iterator[tuple[Level, list[WidthResult]]]:
+    """Evaluate the (workload, level) cells of ``levels`` on every
+    machine of ``machines``, which must share one ``latency_key()`` —
+    typically the issue widths of the grid — else ``ValueError``: each
+    level is transformed once, for ``machines[0]``.  Yields ``(level,
+    results)`` as each level finishes, in the order of ``levels``.
 
     ``w`` is a corpus workload: the classical stage comes from the
-    per-process memo (and is charged to the call that filled it), the
-    ILP transformation runs once, each machine schedules a structural
-    clone and has its registers measured.  The cell *executes* once —
-    the dynamic trace is width-independent — through the
-    :class:`BatchedRunner` that owns the execution, and every machine's
-    cycle/instruction counts come from replaying that trace against its
-    own schedule, bit-identical to simulating each in full.
-    ``engine="interp"`` names the reference instead, which runs every
-    machine in full; any engine name but ``"auto"`` and ``"interp"`` is
-    a ``ValueError``.  ``check`` holds the first machine's outputs
-    against the workload's NumPy reference: replayed machines share
-    them (the oracle compares each width's own outputs under the
-    reference).  ``check_ir`` runs the
-    between-pass invariant verifier; ``execute=False`` stops after
-    compilation.
+    per-process memo (and is charged to the call that filled it).  Each
+    level runs its own ILP phase (:func:`ilp_transform`'s two halves) on
+    a clone of it; a level whose code after that phase equals an earlier
+    level's takes that level's cleanup output, schedules, colourings and
+    runs, relabelled with its own level — the result a call of its own
+    would give (DESIGN.md §8.5).  The shared pass rows carry 0 s in the
+    later level's report, so shared time is charged once.  When
+    ``options`` print IR, every level computes everything itself.
+
+    Within a level, each machine schedules a structural clone and has
+    its registers counted over one numbering of the level's registers.
+    The level *executes* once — the dynamic trace is width-independent —
+    through the :class:`BatchedRunner` that owns the execution, and
+    every machine's cycle/instruction counts come from replaying that
+    trace against its own schedule, bit-identical to simulating each in
+    full.  ``engine="interp"`` names the reference instead, which runs
+    every machine in full; any engine name but ``"auto"`` and
+    ``"interp"`` is a ``ValueError``.  ``check`` holds the first
+    machine's outputs against the workload's NumPy reference: replayed
+    machines share them (the oracle compares each width's own outputs
+    under the reference).  ``check_ir`` runs the between-pass invariant
+    verifier; ``execute=False`` stops after compilation.
     """
     if len({m.latency_key() for m in machines}) > 1:
         raise ValueError(
@@ -500,11 +571,126 @@ def evaluate_cell(
     conv = _conv_kernel(w.name, options, check_ir)
     t_conv = (time.perf_counter() - t0
               if _conv_kernel.cache_info().misses > built else 0.0)
-    t0 = time.perf_counter()
-    tk = ilp_transform(conv.clone(), level, machines[0], check=check_ir,
-                       options=options)
-    t_transform = t_conv + (time.perf_counter() - t0)
+    share = options is None or not (options.print_after
+                                    or options.print_changed)
+    by_code: dict[tuple, list[WidthResult]] = {}
+    for level in levels:
+        t0 = time.perf_counter()
+        c = conv.clone()
+        ctx = _ilp_phase(c, level, machines[0], check=check_ir,
+                         options=options)
+        key = _code_key(c.lowered, ctx) if share else None
+        t_ilp = time.perf_counter() - t0 + t_conv
+        prior = by_code.get(key)
+        if prior is not None:
+            yield level, _relabel(prior, level, ctx.report, t_ilp, t_conv)
+        else:
+            t0 = time.perf_counter()
+            tk = _cleanup(c.lowered, ctx, check_ir, options)
+            out = _evaluate_widths(
+                w, tk, machines, t_ilp + time.perf_counter() - t0, t_conv,
+                seed=seed, check=check, check_ir=check_ir, options=options,
+                engine=engine, execute=execute)
+            if share:
+                by_code[key] = out
+            yield level, out
+        t_conv = 0.0  # charged to the first level
 
+
+def _code_key(lk: LoweredKernel, ctx: PipelineContext) -> tuple:
+    """Everything the cleanup phase and the stages after it read of an
+    ILP phase's end state: every block with every field of every
+    instruction, the superblock, and the counted-loop records (their
+    instructions by position)."""
+    def fields(ins: Instr) -> tuple:
+        return (ins.op, ins.dest, ins.srcs, ins.target, ins.prob, ins.tag,
+                ins.lanes)
+
+    where: dict[int, tuple[int, int]] = {}
+    blocks = []
+    for b, blk in enumerate(ctx.func.blocks):
+        for k, ins in enumerate(blk.instrs):
+            where[id(ins)] = (b, k)
+        blocks.append((blk.label, tuple(map(fields, blk.instrs))))
+
+    def instr(ins: Instr):
+        return where.get(id(ins)) or fields(ins)
+
+    def counted(c: CountedLoop | None):
+        return None if c is None else (
+            c.header, c.iv, c.step, c.limit, instr(c.branch),
+            instr(c.increment), c.trip_multiple)
+
+    sb = ctx.sb
+    return (
+        tuple(blocks), frozenset(ctx.func.pinned_regs),
+        counted(ctx.counted),
+        tuple(sorted((h, counted(c)) for h, c in lk.counted.items())),
+        sb.body.label, sb.preheader.label,
+        None if sb.exit_block is None else sb.exit_block.label,
+        tuple(sorted(sb.offtrace)), counted(sb.counted),
+    )
+
+
+def _relabel(
+    prior: list[WidthResult], level: Level, report: PipelineReport,
+    t_ilp: float, t_conv: float,
+) -> list[WidthResult]:
+    """An earlier level's results for ``level``, whose ILP phase (its
+    ``report``) ended in the same code: each width's report continues
+    ``report`` with the earlier level's cleanup and schedule rows at 0 s,
+    and only the ILP phase is charged."""
+    out = []
+    for i, r in enumerate(prior):
+        rep = report.fork()
+        done = r.ck.report
+        rep.stats += [dataclasses.replace(s, seconds=0.0) for s in done.stats
+                      if s.phase in ("cleanup", "schedule")]
+        for phase in ("cleanup", "schedule"):
+            if phase in done.phase_rounds:
+                rep.phase_rounds[phase] = done.phase_rounds[phase]
+        first = i == 0
+        t_passes = rep.pass_seconds(_charged_phases(first, t_conv))
+        if "regalloc" in r.timings["t_passes"]:
+            t_passes["regalloc"] = 0.0
+        out.append(WidthResult(
+            dataclasses.replace(r.ck, level=level, report=rep),
+            r.usage, r.run, {
+                "t_compile": t_ilp if first else 0.0,
+                "t_schedule": 0.0,
+                "t_simulate": 0.0,
+                "t_passes": t_passes,
+            }))
+    return out
+
+
+def _charged_phases(first: bool, t_conv: float) -> tuple[str, ...] | None:
+    """The phases whose pass seconds a width's ``t_passes`` holds: the
+    schedule only, except on the first width, which also paid the
+    level's transformation — and the classical phase, when this call
+    ran it (None: every phase)."""
+    if not first:
+        return ("schedule",)
+    return None if t_conv > 0 else ("ilp", "cleanup", "schedule")
+
+
+def _evaluate_widths(
+    w: Workload,
+    tk: TransformedKernel,
+    machines: Sequence[MachineConfig],
+    t_transform: float,
+    t_conv: float,
+    *,
+    seed: int,
+    check: bool,
+    check_ir: bool,
+    options: PassOptions | None,
+    engine: str,
+    execute: bool,
+) -> list[WidthResult]:
+    """Schedule, colour and run one transformed level on every machine
+    (see :func:`evaluate_levels`); ``t_transform`` is charged to the
+    first machine."""
     cks, t_scheds = [], []
     for i, machine in enumerate(machines):
         t0 = time.perf_counter()
@@ -526,14 +712,19 @@ def evaluate_cell(
             else BatchedRunner(cks[0], arrays, scalars).run)
         t_exec = time.perf_counter() - t0
 
+    numbering = None
     out = []
     for i, ck in enumerate(cks):
         # a check_ir compile already coloured (and verified) this kernel
-        # inside its t_schedule; otherwise colour now, on this width's bill
+        # inside its t_schedule; otherwise colour now, on this width's
+        # bill, over the one numbering of the level's registers
         usage, t_regalloc = ck.usage, None
         if usage is None:
             t0 = time.perf_counter()
-            usage = measure_register_usage(ck.func, ck.lowered.live_out_exit)
+            if numbering is None:
+                numbering = RegisterNumbering(ck.func,
+                                              ck.lowered.live_out_exit)
+            usage = numbering.usage(ck.func)
             t_regalloc = time.perf_counter() - t0
         run, t_sim = None, 0.0
         if execute:
@@ -543,13 +734,7 @@ def evaluate_cell(
                 check_run(w, run.arrays, run.scalars, arrays, scalars)
             t_sim = time.perf_counter() - t0
         first = i == 0
-        if not first:
-            phases = ("schedule",)
-        elif t_conv > 0:
-            phases = None  # every phase, the classical one included
-        else:
-            phases = ("ilp", "cleanup", "schedule")
-        t_passes = ck.report.pass_seconds(phases=phases)
+        t_passes = ck.report.pass_seconds(_charged_phases(first, t_conv))
         if t_regalloc is not None:
             t_passes["regalloc"] = t_regalloc
         out.append(WidthResult(ck, usage, run, {

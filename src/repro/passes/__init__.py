@@ -8,8 +8,9 @@ One declarative pipeline replaces the three hand-rolled driver loops
 * :class:`~repro.passes.manager.Phase` /
   :class:`~repro.passes.manager.PassManager` — ordering, fixpoint
   iteration, gating, ``--disable-pass`` skipping, ``--print-after`` IR
-  dumps, and the ``--check`` invariant verifier (at each phase's entry,
-  after every pass, after the finalizer);
+  dumps, and the ``--check`` invariant verifier (at each phase's entry
+  unless a checked phase already verified it, after every pass, after
+  the finalizer);
 * :class:`~repro.passes.stats.PassStats` /
   :class:`~repro.passes.stats.PipelineReport` — per-execution
   observability (rewrites, wall time, instruction-count delta, fixpoint

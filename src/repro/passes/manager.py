@@ -15,8 +15,9 @@ scheduling step).  This module replaces them with data:
   iteration, level gating, ``--disable-pass`` skipping, per-pass
   :class:`~repro.passes.stats.PassStats` recording, ``--print-after``
   IR dumps, and the ``--check`` invariant verifier, which runs by one
-  rule in every phase: at the phase's entry, after every pass, and
-  after the finalizer.
+  rule in every phase and verifies every state once: at the phase's
+  entry (unless a checked phase already verified that code), after
+  every pass, and after the finalizer.
 
 The default pipeline (phases ``conv`` → ``ilp`` → ``cleanup`` →
 ``schedule``) is declared in :mod:`repro.passes.registry`, the one place
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..ir.printer import format_function
-from ..ir.verify import verify_pipeline
+from ..ir.verify import verify_function, verify_pipeline
 from .stats import PassStats, PipelineReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -118,7 +119,8 @@ class Phase:
     max_rounds: int = 1
     #: invoked before each round (recompute per-round analysis state)
     on_round_start: Callable[[PipelineContext], None] | None = None
-    #: invoked once after the last round (reindexing, structural verify)
+    #: invoked once after the last round (reindexing); the structure is
+    #: verified after it, checked or not
     finalize: Callable[[PipelineContext], None] | None = None
 
 
@@ -140,8 +142,11 @@ class PassManager:
     """Executes the registered phases over a :class:`PipelineContext`.
 
     With ``check``, :func:`~repro.ir.verify.verify_pipeline` runs at each
-    phase's entry, after every pass and after the phase's finalizer; a
-    failure names the pass (or phase boundary) it follows.
+    phase's entry (unless ``run_phase(verified=True)`` says a checked
+    phase already verified the code), after every pass and after the
+    phase's finalizer; a failure names the pass (or phase boundary) it
+    follows.  Unchecked, the structure is still verified after a
+    phase's finalizer.
     """
 
     def __init__(
@@ -199,11 +204,18 @@ class PassManager:
             return False
         return True
 
-    def run_phase(self, name: str, ctx: PipelineContext) -> int:
-        """Run one phase to completion; returns the total rewrite count."""
+    def run_phase(self, name: str, ctx: PipelineContext, *,
+                  verified: bool = False) -> int:
+        """Run one phase to completion; returns the total rewrite count.
+
+        ``verified`` says a checked run already verified the entry state
+        (the end of the previous phase), so its entry checkpoint is not
+        repeated.
+        """
         phase = self.phases[name]
         ctx.report.disabled = self.options.key
-        self._checkpoint(ctx, f"before {name}")
+        if not verified:
+            self._checkpoint(ctx, f"before {name}")
 
         total = 0
         rounds_run = 0
@@ -231,5 +243,8 @@ class PassManager:
         ctx.report.phase_rounds[name] = rounds_run
         if phase.finalize is not None:
             phase.finalize(ctx)
-            self._checkpoint(ctx, f"after {name} finalizer")
+            if self.check:
+                self._checkpoint(ctx, f"after {name} finalizer")
+            else:
+                verify_function(ctx.func)
         return total

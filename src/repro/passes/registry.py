@@ -32,7 +32,6 @@ ablation.
 
 from __future__ import annotations
 
-from ..ir.verify import verify_function
 from ..opt.constprop import propagate_constants
 from ..opt.copyprop import coalesce_moves, propagate_copies_local
 from ..opt.cse import eliminate_common_subexpressions
@@ -73,9 +72,8 @@ def _conv_round_start(ctx: PipelineContext) -> None:
     }
 
 
-def _conv_finalize(ctx: PipelineContext) -> None:
+def _reindex(ctx: PipelineContext) -> None:
     ctx.func.reindex_regs()
-    verify_function(ctx.func)
 
 
 CONV_PASSES = (
@@ -214,11 +212,6 @@ def _cleanup_round_start(ctx: PipelineContext) -> None:
     ctx.prologues = {ctx.sb.body.label: prologue_regions(ctx.func, ctx.sb)}
 
 
-def _cleanup_finalize(ctx: PipelineContext) -> None:
-    ctx.func.reindex_regs()
-    verify_function(ctx.func)
-
-
 CLEANUP_PASSES = (
     Pass("cleanup-constprop", lambda ctx: propagate_constants(ctx.func),
          doc="fold the preconditioning span/div/rem arithmetic"),
@@ -274,12 +267,12 @@ SCHEDULE_PASSES = (
 DEFAULT_PHASES: dict[str, Phase] = {
     "conv": Phase(
         "conv", CONV_PASSES, max_rounds=10,
-        on_round_start=_conv_round_start, finalize=_conv_finalize,
+        on_round_start=_conv_round_start, finalize=_reindex,
     ),
     "ilp": Phase("ilp", ILP_PASSES),
     "cleanup": Phase(
         "cleanup", CLEANUP_PASSES, max_rounds=4,
-        on_round_start=_cleanup_round_start, finalize=_cleanup_finalize,
+        on_round_start=_cleanup_round_start, finalize=_reindex,
     ),
     "schedule": Phase("schedule", SCHEDULE_PASSES),
 }

@@ -82,6 +82,49 @@ def protected_registers(sb: SuperblockLoop, live_out_exit: set[Reg]) -> set[Reg]
     return prot
 
 
+def run_ilp_phase(
+    func: Function,
+    counted: CountedLoop,
+    level: Level,
+    machine: MachineConfig,
+    live_out_exit: set[Reg] | None = None,
+    unroll_factor: int | None = None,
+    thr_unit_latency: bool = False,
+    check: bool = False,
+    options=None,
+    report=None,
+    verified: bool = False,
+):
+    """The first half of :func:`apply_ilp_transforms`: run the ``ilp``
+    phase and return its :class:`~repro.passes.manager.PipelineContext`,
+    which :func:`run_cleanup_phase` finishes."""
+    from .passes import PassManager, PipelineContext, PipelineReport
+
+    ctx = PipelineContext(
+        func=func,
+        report=report if report is not None else PipelineReport(),
+        level=level,
+        machine=machine,
+        live_out_exit=live_out_exit or set(),
+        counted=counted,
+        unroll_factor=unroll_factor,
+        thr_unit_latency=thr_unit_latency,
+    )
+    PassManager(options, check=check).run_phase("ilp", ctx, verified=verified)
+    return ctx
+
+
+def run_cleanup_phase(ctx, check: bool = False, options=None):
+    """The second half of :func:`apply_ilp_transforms`: run the
+    ``cleanup`` phase over the context :func:`run_ilp_phase` returned;
+    returns ``(superblock, report)``."""
+    from .passes import PassManager
+
+    # the ilp phase's last checkpoint verified the cleanup's entry state
+    PassManager(options, check=check).run_phase("cleanup", ctx, verified=True)
+    return ctx.sb, ctx.report
+
+
 def apply_ilp_transforms(
     func: Function,
     counted: CountedLoop,
@@ -108,22 +151,10 @@ def apply_ilp_transforms(
     :class:`~repro.passes.manager.PassOptions` for pass disabling and
     ``--print-after`` IR dumps.
     """
-    from .passes import PassManager, PipelineContext, PipelineReport
-
-    ctx = PipelineContext(
-        func=func,
-        report=report if report is not None else PipelineReport(),
-        level=level,
-        machine=machine,
-        live_out_exit=live_out_exit or set(),
-        counted=counted,
-        unroll_factor=unroll_factor,
-        thr_unit_latency=thr_unit_latency,
-    )
-    mgr = PassManager(options, check=check)
-    mgr.run_phase("ilp", ctx)
-    mgr.run_phase("cleanup", ctx)
-    return ctx.sb, ctx.report
+    ctx = run_ilp_phase(func, counted, level, machine, live_out_exit,
+                        unroll_factor, thr_unit_latency, check, options,
+                        report)
+    return run_cleanup_phase(ctx, check, options)
 
 
 def prologue_regions(func: Function, sb: SuperblockLoop):
@@ -236,6 +267,7 @@ def schedule_function(
     options=None,
     report=None,
     inputs: ScheduleInputs | None = None,
+    verified: bool = False,
 ) -> dict[str, Schedule]:
     """List-schedule every block of ``func`` in place.
 
@@ -245,7 +277,8 @@ def schedule_function(
     build them for this call only).  Returns the per-block schedules
     (keyed by label).  With ``check=True`` the invariant verifier runs
     before and after scheduling — a scheduler that reorders a use above
-    its flow-dependent definition is caught here.
+    its flow-dependent definition is caught here; ``verified`` skips the
+    "before" check when a checked phase already verified the code.
     """
     from .passes import PassManager, PipelineContext, PipelineReport
 
@@ -258,5 +291,6 @@ def schedule_function(
         doall=doall,
         schedule_inputs=inputs,
     )
-    PassManager(options, check=check).run_phase("schedule", ctx)
+    PassManager(options, check=check).run_phase("schedule", ctx,
+                                                verified=verified)
     return ctx.schedules

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..ir.function import Function
 from ..ir.operands import Reg, RegClass
-from .interference import InterferenceGraph, bits, build_interference
+from .interference import InterferenceGraph, RegisterNumbering, bits
 
 
 def color_class(g: InterferenceGraph, cls: RegClass) -> dict[Reg, int]:
@@ -21,39 +21,43 @@ def color_class(g: InterferenceGraph, cls: RegClass) -> dict[Reg, int]:
         return {}
     adj = g.adj
     # Simplification stack: repeatedly remove the (degree, id)-minimal
-    # node, from a bucket queue: ``bucket[d]`` is the mask of unremoved
-    # nodes whose current degree is ``d``.  Indices ascend with the id
-    # inside a class, so the lowest set bit of the lowest non-empty
-    # bucket is the (degree, id) minimum; adjacency rows only ever hold
-    # same-class registers, so no class filtering is needed inside.
-    degree = [0] * members.bit_length()
-    bucket = [0] * members.bit_count()  # a degree is below the node count
+    # node.  Degrees are kept bit-sliced: ``planes[k]`` is the mask of
+    # the nodes whose current degree has bit ``k`` set, so removing a
+    # node decrements all its live neighbours at once (one ripple-borrow
+    # across the planes) and the minimum is found plane by plane, from
+    # the top, among the live nodes.  Indices ascend with the id inside
+    # a class, so the lowest set bit of the minimal set is the (degree,
+    # id) minimum; adjacency rows only ever hold same-class registers,
+    # so no class filtering is needed inside.
+    planes: list[int] = []
     for i in bits(members):
-        d = degree[i] = adj[i].bit_count()
-        bucket[d] |= 1 << i
+        d = adj[i].bit_count()
+        k = 0
+        while d:
+            if d & 1:
+                while len(planes) <= k:
+                    planes.append(0)
+                planes[k] |= 1 << i
+            d >>= 1
+            k += 1
+    top = range(len(planes) - 1, -1, -1)
     alive = members
     stack: list[int] = []
-    d = 0
     while alive:
-        while not bucket[d]:
-            d += 1
-        low = bucket[d] & -bucket[d]
-        bucket[d] ^= low
+        cand = alive
+        for k in top:
+            low = cand & ~planes[k]
+            if low:
+                cand = low
+        low = cand & -cand
         alive ^= low
-        i = low.bit_length() - 1
-        stack.append(i)
-        row = adj[i] & alive
-        while row:  # bits(row), inlined: the hot loop of the colourer
-            low = row & -row
-            row ^= low
-            n = low.bit_length() - 1
-            dn = degree[n] = degree[n] - 1
-            bucket[dn + 1] ^= low
-            bucket[dn] |= low
-        # the removed node's degree was minimal and its neighbours fell
-        # by exactly one, so no bucket below d - 1 can have filled
-        if d:
-            d -= 1
+        stack.append(low.bit_length() - 1)
+        borrow = adj[stack[-1]] & alive
+        for k, plane in enumerate(planes):
+            if not borrow:
+                break
+            planes[k] = plane ^ borrow
+            borrow &= ~plane
     # first-fit: the lowest color none of whose members is a neighbor
     colored: list[int] = []  # color -> mask of the registers holding it
     colors: dict[Reg, int] = {}
@@ -121,10 +125,9 @@ def verify_coloring(g: InterferenceGraph, colors: dict[Reg, int]) -> None:
             )
 
 
-def measure_register_usage(
-    func: Function, live_out_exit: set[Reg] | None = None, check: bool = False
-) -> RegisterUsage:
-    g = build_interference(func, live_out_exit)
+def count_registers(g: InterferenceGraph, check: bool = False) -> RegisterUsage:
+    """Colour every class of ``g``; ``check=True`` verifies each
+    colouring."""
     counts = {}
     for cls in RegClass:
         colors = color_class(g, cls)
@@ -133,3 +136,11 @@ def measure_register_usage(
         counts[cls] = (max(colors.values()) + 1) if colors else 0
     return RegisterUsage(counts[RegClass.INT], counts[RegClass.FP],
                          counts[RegClass.VINT], counts[RegClass.VFP])
+
+
+def measure_register_usage(
+    func: Function, live_out_exit: set[Reg] | None = None, check: bool = False
+) -> RegisterUsage:
+    """The registers ``func`` utilizes: the one-function case of a
+    :class:`~repro.regalloc.interference.RegisterNumbering`."""
+    return RegisterNumbering(func, live_out_exit).usage(func, check)

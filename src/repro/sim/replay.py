@@ -28,9 +28,11 @@ reference's packet model exactly:
   loop iterations hit the memo instead of re-walking instructions;
 * when the (segment, state) pair recurs — a periodic steady state —
   the replay matches the repeating segment pattern against the trace
-  ahead in galloping NumPy chunks (16, 32, 64 ... periods, up to the
-  first mismatch) and skips every full period at once (cycle and
-  last-issue advance by exact multiples).
+  ahead (one period, then galloping NumPy chunks of 16, 32, 64 ...
+  periods, up to the first mismatch) and skips every full period at
+  once (cycle and last-issue advance by exact multiples).  The pairs
+  recorded before a skip stay recorded, so in a nest the outer loop's
+  period is found too, and skipped, once the inner one has been.
 
 Dropping in-flight writes that completed at or before the segment
 boundary is exact *because every latency is at least 1*: a completed
@@ -229,14 +231,17 @@ def _transition(rows: tuple, state: tuple, width: int, limits):
 def _periods(arr: np.ndarray, j: int, i: int) -> int:
     """How many whole repeats of the period ``arr[j:i]`` start at ``i``.
 
-    Gallops: compares chunks of 16, 32, 64 ... periods and stops at the
-    first mismatching period, so the cost is O(periods matched) rather
-    than O(remaining trace) — in a nest the inner period recurs once per
-    outer iteration."""
+    Compares one period first, so a candidate that does not repeat
+    costs one period; then gallops: compares chunks of 16, 32, 64 ...
+    periods and stops at the first mismatching period, so the cost is
+    O(periods matched) rather than O(remaining trace) — in a nest the
+    inner period recurs once per outer iteration."""
     p = i - j
     pattern = arr[j:i]
     total = (arr.size - i) // p
-    m = 0
+    if not total or not np.array_equal(arr[i:i + p], pattern):
+        return 0
+    m = 1
     chunk = 16
     while m < total:
         c = min(chunk, total - m)
@@ -336,11 +341,14 @@ def replay(
                 m = min(_periods(arr, j, i), (max_cycles - cycle) // dcyc)
                 if m > 0:
                     # each period issues (dcyc > 0 implies a control exit),
-                    # so last_issue advances by exactly dcyc per period
+                    # so last_issue advances by exactly dcyc per period;
+                    # the key last occurred where the last skipped period
+                    # began, and every other entry stays true, so an
+                    # enclosing loop's period is found across the skip
+                    seen[key] = (i + (m - 1) * p, cycle + (m - 1) * dcyc)
                     cycle += m * dcyc
                     last_issue += m * dcyc
                     i += m * p
-                    seen.clear()
                     continue
             seen[key] = (i, cycle)
         if dli >= 0:

@@ -22,6 +22,7 @@ from repro.experiments.sweep import run_sweep, strip_timings
 from repro.harness import (
     BatchedRunner,
     evaluate_cell,
+    evaluate_levels,
     ilp_transform,
     lower_conv,
     schedule_kernel,
@@ -64,6 +65,26 @@ class TestNothingOutlivesACell:
         gc.collect()
         alive = [r() for r in refs + funcs if r() is not None]
         assert not alive, f"outlived their cell: {alive}"
+
+    def test_a_loops_products_die_with_its_results(self, monkeypatch):
+        """The same through a whole-loop call, whose levels share
+        repeated code: nothing it built for one level outlives the
+        results."""
+        refs: list = []
+        for cls in (CompiledProgram, ExecPlan, ReplaySpec):
+            _record_instances(monkeypatch, cls, refs)
+        loop = list(evaluate_levels(
+            get_workload("CSS-1"), tuple(Level),
+            [MachineConfig(issue_width=w) for w in WIDTHS]))
+        funcs = [weakref.ref(r.ck.func) for _, cell in loop for r in cell]
+        # Lev4 and Lev5 repeat Lev3's code: four levels execute
+        executed = {id(cell[0].ck.func) for _, cell in loop}
+        assert len(executed) == 4
+        assert len(refs) == len(executed) * (len(WIDTHS) + 2)
+        del loop
+        gc.collect()
+        alive = [r() for r in refs + funcs if r() is not None]
+        assert not alive, f"outlived their loop: {alive}"
 
     def test_resweeping_a_loop_does_not_grow_the_process(self):
         wls = [get_workload("sum")]

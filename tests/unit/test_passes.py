@@ -14,7 +14,13 @@ import pytest
 
 from repro.frontend import ArrayDecl, Kernel, Ty, aref, assign, do, var
 from repro.frontend.lower import lower_kernel
-from repro.harness import compile_kernel, run_compiled_kernel
+from repro.harness import (
+    compile_kernel,
+    ilp_transform,
+    lower_conv,
+    run_compiled_kernel,
+    schedule_kernel,
+)
 from repro.ir.instructions import Op, make
 from repro.ir.operands import Imm
 from repro.ir.verify import VerifyError
@@ -243,6 +249,36 @@ class TestCheckProvenance:
         kernel = get_workload("dotprod").build()
         with pytest.raises(VerifyError, match=rf"^\[after {name}\] "):
             compile_kernel(kernel, Level.LEV4, issue8(), check=True)
+
+
+    def test_every_state_is_verified_once(self, monkeypatch):
+        """A phase's entry state is the previous checked phase's last
+        verified state (width clones share its instructions), and the
+        finalizer checkpoint covers the finalizer's structural check."""
+        import repro.passes.manager as manager
+
+        stages, structural = [], []
+        real = manager.verify_pipeline
+
+        def spy(func, defined_on_entry=None, stage=""):
+            stages.append(stage)
+            real(func, defined_on_entry, stage)
+
+        monkeypatch.setattr(manager, "verify_pipeline", spy)
+        monkeypatch.setattr(manager, "verify_function", structural.append)
+        kernel = get_workload("dotprod").build()
+        tk = ilp_transform(lower_conv(kernel, check=True), Level.LEV4,
+                           issue8(), check=True)
+        for width in (1, 8):
+            schedule_kernel(tk.clone(), MachineConfig(issue_width=width),
+                            check=True)
+        assert [s for s in stages if s.startswith("before")] == [
+            "before conv"]
+        assert stages.count("after listsched") == 2
+        assert structural == []
+        # unchecked, the conv and cleanup finalizers still verify
+        compile_kernel(kernel, Level.LEV4, issue8())
+        assert len(structural) == 2
 
 
 class TestPrintAfter:

@@ -129,9 +129,20 @@ class TestParallelSweep:
         assert calls == [True] * len(WIDTHS)
         assert all(r.ck.usage is r.usage for r in checked)
         assert all("regalloc" not in r.timings["t_passes"] for r in checked)
+        # unchecked, the widths are coloured over the cell's one
+        # register numbering instead
         calls.clear()
+        numberings = []
+        real_init = harness.RegisterNumbering.__init__
+
+        def recording(self, *args, **kwargs):
+            numberings.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(harness.RegisterNumbering, "__init__", recording)
         plain = harness.evaluate_cell(w, Level.LEV4, machines)
-        assert calls == [False] * len(WIDTHS)
+        assert calls == []
+        assert len(numberings) == 1
         assert all(r.ck.usage is None for r in plain)
         assert [r.usage for r in plain] == [r.usage for r in checked]
 

@@ -6,8 +6,8 @@ public per-width path (``compiled_program`` + ``replay_spec``) and the
 timed reference evaluator (``engine="interp"``) are the references.  What is not a reschedule of the traced
 program is ``ReplayUnmapped``, from ``time`` and from the runner alike.
 
-The colourer's bucket queue must pop in the order of the lazy heap it
-replaced; the heap lives on here as the reference.
+The colourer's bit-sliced degrees must pop in the order of the lazy
+heap the colourer once used; the heap lives on here as the reference.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class TestWhatIsNotAReschedule:
 
 
 # ---------------------------------------------------------------------------
-# colouring: the bucket queue pops what the lazy heap popped
+# colouring: the bit-sliced degrees pop what the lazy heap popped
 # ---------------------------------------------------------------------------
 
 
@@ -228,7 +228,7 @@ def random_graph(rng: random.Random) -> InterferenceGraph:
     return InterferenceGraph(regs, index, adj, node_mask, class_mask)
 
 
-def test_bucket_queue_pops_in_heap_order():
+def test_colourer_pops_in_heap_order():
     rng = random.Random(22)
     seen_isolated = seen_ties = 0
     for _ in range(200):
